@@ -1,5 +1,5 @@
-// Benchmarks, one per experiment of the evaluation suite (E01–E14; see
-// DESIGN.md's experiment index and EXPERIMENTS.md for recorded runs),
+// Benchmarks, one per experiment of the evaluation suite (E01–E14;
+// `go run ./cmd/ocqa-bench` prints every experiment's table),
 // plus micro-benchmarks for the hot kernels (samplers, counting DP,
 // conflict detection, CQ evaluation). Run with:
 //
@@ -330,9 +330,9 @@ func BenchmarkE14Crossover(b *testing.B) {
 			b.Fatal(err)
 		}
 		for i := 0; i < b.N; i++ {
-			if _, err := engine.EstimateStoppingRule(context.Background(), func(r *rand.Rand) bool {
-				return pred(bs.SampleRepair(r, false))
-			}, 0.1, 0.05, int64(i), 0); err != nil {
+			if _, err := engine.EstimateStoppingRule(context.Background(), func() engine.Sampler {
+				return func(r *rand.Rand) bool { return pred(bs.SampleRepair(r, false)) }
+			}, 0.1, 0.05, int64(i), 1, 0); err != nil {
 				b.Fatal(err)
 			}
 		}

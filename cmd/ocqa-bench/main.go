@@ -1,7 +1,7 @@
 // Command ocqa-bench runs the reproduction's experiment suite — one
 // experiment per paper artefact (both figures, every theorem/lemma with
-// empirical content) — and prints each experiment's table. EXPERIMENTS.md
-// records a full run.
+// empirical content) — and prints each experiment's table: run
+// `go run ./cmd/ocqa-bench` to see every table.
 //
 // With -store it instead runs the persistence micro-benchmarks
 // (incremental InsertFact vs. full conflict-structure rebuild, WAL

@@ -811,7 +811,7 @@ func (p *Prepared) deltaApproxTarget(ctx context.Context, dq *deltaQuery, wits [
 		if budget < 1024 {
 			budget = 1024
 		}
-		e, err := engine.EstimateStoppingRuleParallel(ctx, c.newDraw(), epsC, deltaC, deltaSeed(opts.Seed, c.sig), 1, budget)
+		e, err := engine.EstimateStoppingRule(ctx, c.newDraw(), epsC, deltaC, deltaSeed(opts.Seed, c.sig), 1, budget)
 		fresh += e.Acct.Draws
 		if err != nil {
 			est.Acct.Draws = fresh

@@ -6,24 +6,26 @@ import (
 )
 
 // Accounting is the structured cost record every estimation run
-// produces: how many draws it performed (discarded stopping-rule tails
-// included — this is the number a capacity planner pays for, not the
-// statistical prefix Estimate.Samples reports), how many cancellation
-// checkpoints it crossed, how the draws split across workers, and how
-// long it ran. The server threads it into every response's `cost`
-// object; Prepared accumulates it into per-instance totals.
+// produces: how many draws it performed (a discarded stopping-rule
+// tail included — this is the number a capacity planner pays for, not
+// the statistical prefix Estimate.Samples reports), how many rounds it
+// ran, how the draws split across workers, and how long it ran. The
+// server threads it into every response's `cost` object; Prepared
+// accumulates it into per-instance totals.
 //
-// Accounting is filled once, at run exit, from per-worker locals — the
-// draw loops never touch shared state per draw, so carrying it costs
-// two time.Now calls and one slice allocation per run.
+// The round driver fills it once, at run exit — the draws never touch
+// shared state — so carrying it costs two time.Now calls and no
+// per-draw work.
 type Accounting struct {
 	// Draws counts every sampler invocation of the run, including the
-	// discarded tail of a parallel stopping rule and the partial work
-	// of a cancelled run.
+	// discarded rest of the last round of a parallel stopping rule and
+	// the partial work of a cancelled run. A serial run discards
+	// nothing, so its Draws equals the consumed Samples. Under a sample
+	// cap the last round is cut to fit, so a capped run never draws
+	// more than the cap.
 	Draws int64
-	// Chunks counts the cancellation checkpoints the run crossed (one
-	// per Chunk draws per worker in fixed loops, one per round in the
-	// parallel stopping rules).
+	// Chunks counts the context checks the run passed: one per round
+	// of at most Chunk draws per worker, whatever the estimator.
 	Chunks int64
 	// Workers is the effective worker count the run executed with
 	// (after the ≤1 → serial collapse).
@@ -77,8 +79,8 @@ func SetRunHook(h RunHook) {
 }
 
 // record is the single exit point of every estimation run: it updates
-// the process-wide counters and fires the run hook. targets is 0 for
-// single-target phases.
+// the process-wide counters and fires the run hook. targets counts
+// only for multi-target phases.
 func record(phase Phase, targets int, acct Accounting) {
 	samplesDrawn.Add(acct.Draws)
 	if acct.Cancelled {
@@ -87,6 +89,8 @@ func record(phase Phase, targets int, acct Accounting) {
 	if phase == PhaseMultiFixed || phase == PhaseMultiStopping {
 		multiRuns.Add(1)
 		multiTargets.Add(int64(targets))
+	} else {
+		targets = 0
 	}
 	if h := runHook.Load(); h != nil {
 		(*h)(RunInfo{Phase: phase, Targets: targets, Acct: acct})

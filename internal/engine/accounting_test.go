@@ -52,7 +52,7 @@ func TestAccountingFixed(t *testing.T) {
 // TestAccountingStoppingRuleParallel: Draws counts the discarded tail
 // (a multiple of workers×Chunk), Samples only the consumed prefix.
 func TestAccountingStoppingRuleParallel(t *testing.T) {
-	est, err := EstimateStoppingRuleParallel(context.Background(), coin(0.3), 0.2, 0.1, 7, 4, 0)
+	est, err := EstimateStoppingRule(context.Background(), coin(0.3), 0.2, 0.1, 7, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

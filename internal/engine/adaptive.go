@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"time"
 )
 
 // EstimateStoppingRule implements the Dagum–Karp–Luby–Ross stopping-
@@ -13,159 +12,139 @@ import (
 // sum of successes reaches Υ₁ = 1 + 4(e−2)(1+ε)·ln(2/δ)/ε², and output
 // Υ₁/N. For any true mean μ > 0 it guarantees Pr[|est − μ| ≤ ε·μ] ≥
 // 1−δ with E[N] = O(ln(1/δ)/(ε²·μ)) — the "number of samples
-// proportional to 1/p" the paper refers to. maxSamples caps the run
-// (0 = no cap; the rule does not terminate when μ = 0): on exhaustion
-// the plain mean is returned with Converged = false.
+// proportional to 1/p" the paper refers to. maxSamples caps the
+// consumed draws exactly, at any worker count (0 = no cap; the rule
+// does not terminate when μ = 0): on exhaustion the plain mean is
+// returned with Converged = false.
 //
-// The context is checked once per Chunk draws; a cancelled run returns
-// the partial mean and ctx.Err().
-func EstimateStoppingRule(ctx context.Context, s Sampler, eps, delta float64, seed int64, maxSamples int) (Estimate, error) {
-	if eps <= 0 || eps >= 1 || delta <= 0 || delta >= 1 {
-		panic(fmt.Sprintf("engine: invalid parameters eps=%v delta=%v", eps, delta))
-	}
-	upsilon1 := 1 + (1+eps)*4*(math.E-2)*math.Log(2/delta)/(eps*eps)
-	tr := TraceFrom(ctx)
-	defer tr.StartSpan("sample:stopping-rule")()
-	start := time.Now()
-	rng := rngFor(seed, PhaseStoppingRule, 0)
-	sum := 0.0
-	n := 0
-	chunks := int64(0)
-	acct := func(cancelled bool) Accounting {
-		open := 1
-		if sum >= upsilon1 {
-			open = 0
-		}
-		tr.FinalCheckpoint(int64(n), safeDiv(sum, n), open)
-		a := Accounting{
-			Draws: int64(n), Chunks: chunks, Workers: 1,
-			WallNanos: time.Since(start).Nanoseconds(), Cancelled: cancelled,
-		}
-		record(PhaseStoppingRule, 0, a)
-		return a
-	}
-	for sum < upsilon1 {
-		if n%Chunk == 0 {
-			chunks++
-			if err := ctx.Err(); err != nil {
-				return Estimate{Value: safeDiv(sum, n), Samples: n, Epsilon: eps, Delta: delta, Acct: acct(true)}, err
-			}
-			if n > 0 {
-				tr.Checkpoint(int64(n), sum/float64(n), 1)
-			}
-		}
-		if maxSamples > 0 && n >= maxSamples {
-			return Estimate{Value: sum / float64(n), Samples: n, Epsilon: eps, Delta: delta, Converged: false, Acct: acct(false)}, nil
-		}
-		n++
-		if s(rng) {
-			sum++
-		}
-	}
-	return Estimate{Value: upsilon1 / float64(n), Samples: n, Epsilon: eps, Delta: delta, Converged: true, Acct: acct(false)}, nil
+// With workers > 1 each worker draws Chunk-sized batches from its own
+// sampler (newSampler is called once per worker: samplers are
+// typically stateful and not safe for concurrent use) and the rule is
+// applied to the canonical interleaving — worker 0's batch, then
+// worker 1's, and so on — which is a valid i.i.d. stream, stopping
+// mid-batch exactly where the sequential rule would on it. Samples
+// counts the consumed prefix; Acct.Draws also counts the discarded
+// rest of the last round. Deterministic in (seed, workers).
+//
+// A cancelled run returns the partial mean and ctx.Err().
+func EstimateStoppingRule(ctx context.Context, newSampler func() Sampler, eps, delta float64, seed int64, workers, maxSamples int) (Estimate, error) {
+	ests, err := estimateStopping(ctx, run{phase: PhaseStoppingRule, span: "sample:stopping-rule"}, asMulti(newSampler), 1, eps, delta, seed, workers, maxSamples)
+	return ests[0], err
 }
 
-// EstimateStoppingRuleParallel is a parallel variant of the stopping
-// rule with the *identical* statistical behaviour: workers draw
-// fixed-size batches from independent sub-streams and return the
-// outcome vectors; the sequential rule is then applied to the
-// canonical interleaving (worker 0's batch, then worker 1's, ...),
-// which is a valid i.i.d. sample stream, stopping mid-batch exactly
-// where the sequential rule would. Unused draws are discarded.
-// Deterministic per (seed, workers). The returned Samples counts the
-// consumed prefix, not the discarded tail.
-//
-// newSampler is called once per worker: samplers are typically
-// stateful (walkers, caches) and not safe for concurrent use, so each
-// worker needs its own instance.
-//
-// The context is checked between rounds (one batch of Chunk draws per
-// worker); a cancelled run returns the partial mean and ctx.Err().
-//
-// EstimateStoppingRuleMulti (multi.go) mirrors this round scaffolding
-// for multi-target streams; behavioural changes here (cancellation,
-// cap, accounting) must be applied there too.
-func EstimateStoppingRuleParallel(ctx context.Context, newSampler func() Sampler, eps, delta float64, seed int64, workers, maxSamples int) (Estimate, error) {
-	if workers <= 1 {
-		return EstimateStoppingRule(ctx, newSampler(), eps, delta, seed, maxSamples)
-	}
+// EstimateStoppingRuleMulti applies the Dagum–Karp–Luby–Ross stopping
+// rule to every target over ONE shared i.i.d. draw stream: target t
+// stops at the first draw where its running success count reaches Υ₁
+// and outputs Υ₁/n_t, exactly the law of EstimateStoppingRule applied
+// to t's Bernoulli marginal of the stream — so each estimate carries
+// the same (ε, δ) multiplicative guarantee the per-target rule gives,
+// while K targets consume max_t n_t draws instead of Σ_t n_t. Draws
+// continue until every target has met the rule or maxSamples is
+// exhausted (0 = no cap; a zero-probability target never meets the
+// rule); targets still open at exhaustion report the plain mean with
+// Converged = false. Per-target Samples records the consumed prefix
+// length at that target's stopping point. Workers, cancellation and
+// determinism are as in EstimateStoppingRule, on PhaseMultiStopping
+// substreams.
+func EstimateStoppingRuleMulti(ctx context.Context, newSampler func() MultiSampler, nTargets int, eps, delta float64, seed int64, workers, maxSamples int) ([]Estimate, error) {
+	return estimateStopping(ctx, run{phase: PhaseMultiStopping, span: "sample:multi-stopping"}, newSampler, nTargets, eps, delta, seed, workers, maxSamples)
+}
+
+func checkParams(eps, delta float64) {
 	if eps <= 0 || eps >= 1 || delta <= 0 || delta >= 1 {
 		panic(fmt.Sprintf("engine: invalid parameters eps=%v delta=%v", eps, delta))
 	}
-	upsilon1 := 1 + (1+eps)*4*(math.E-2)*math.Log(2/delta)/(eps*eps)
-	tr := TraceFrom(ctx)
-	defer tr.StartSpan("sample:stopping-rule")()
-	start := time.Now()
-	samplers := make([]Sampler, workers)
-	rngs := make([]*rand.Rand, workers)
-	for i := range samplers {
-		samplers[i] = newSampler()
-		rngs[i] = rngFor(seed, PhaseStoppingRule, i)
+}
+
+func estimateStopping(ctx context.Context, rn run, newSampler func() MultiSampler, nTargets int, eps, delta float64, seed int64, workers, maxSamples int) ([]Estimate, error) {
+	checkParams(eps, delta)
+	if nTargets == 0 {
+		return nil, nil
 	}
-	sum := 0.0
-	n := 0
-	// performed counts every sampler invocation, discarded tail
-	// included — the number the engine_samples_drawn counter reports;
-	// n counts only the consumed prefix the rule's law is defined on.
-	performed := 0
-	rounds := int64(0)
-	acct := func(cancelled bool) Accounting {
-		open := 1
-		if sum >= upsilon1 {
-			open = 0
-		}
-		tr.FinalCheckpoint(int64(n), safeDiv(sum, n), open)
-		per := make([]int64, workers)
-		for w := range per {
-			per[w] = rounds * Chunk
-		}
-		a := Accounting{
-			Draws: int64(performed), Chunks: rounds, Workers: workers, PerWorker: per,
-			WallNanos: time.Since(start).Nanoseconds(), Cancelled: cancelled,
-		}
-		record(PhaseStoppingRule, 0, a)
-		return a
+	rn.targets, rn.seed, rn.workers, rn.maxSamples = nTargets, seed, workers, maxSamples
+	r := &stopRule{
+		single: rn.phase == PhaseStoppingRule,
+		eps:    eps, delta: delta,
+		upsilon1: 1 + (1+eps)*4*(math.E-2)*math.Log(2/delta)/(eps*eps),
+		sums:     make([]int, nTargets),
+		ests:     make([]Estimate, nTargets),
+		open:     make([]int, nTargets),
 	}
-	outcomes := make([][]bool, workers)
-	done := make(chan int, workers)
-	for {
-		if err := ctx.Err(); err != nil {
-			return Estimate{Value: safeDiv(sum, n), Samples: n, Epsilon: eps, Delta: delta, Acct: acct(true)}, err
+	for t := range r.open {
+		r.open[t] = t
+	}
+	// One flat allocation backs every worker's batch of outcome vectors.
+	flat := make([]bool, max(workers, 1)*batchLen(workers)*nTargets)
+	for range max(workers, 1) {
+		batch := make([][]bool, batchLen(workers))
+		for i := range batch {
+			batch[i], flat = flat[:nTargets:nTargets], flat[nTargets:]
 		}
-		if maxSamples > 0 && n >= maxSamples {
-			return Estimate{Value: safeDiv(sum, n), Samples: n, Epsilon: eps, Delta: delta, Acct: acct(false)}, nil
-		}
-		for w := 0; w < workers; w++ {
-			go func(w int) {
-				out := make([]bool, Chunk)
-				for i := range out {
-					out[i] = samplers[w](rngs[w])
-				}
-				outcomes[w] = out
-				done <- w
-			}(w)
-		}
-		for w := 0; w < workers; w++ {
-			<-done
-		}
-		performed += workers * Chunk
-		rounds++
-		// Consume the canonical interleaving sequentially.
-		for w := 0; w < workers; w++ {
-			for _, hit := range outcomes[w] {
-				n++
-				if hit {
-					sum++
-				}
-				if sum >= upsilon1 {
-					return Estimate{Value: upsilon1 / float64(n), Samples: n, Epsilon: eps, Delta: delta, Converged: true, Acct: acct(false)}, nil
-				}
+		r.batch = append(r.batch, batch)
+	}
+	acct, err := drive(ctx, rn, newSampler, r)
+	return stamp(r.ests, acct), err
+}
+
+// stopRule tracks the per-target stopping-rule state over one shared
+// draw stream.
+type stopRule struct {
+	// single marks the single-target phase, whose checkpoints report
+	// the running mean rather than the fraction of targets stopped.
+	single               bool
+	eps, delta, upsilon1 float64
+	sums                 []int
+	ests                 []Estimate
+	open                 []int      // targets that have not met the rule, ascending
+	batch                [][][]bool // per worker, per slot: the outcome vector
+}
+
+// draw evaluates only the still-open targets; closed targets' entries
+// go stale, which consume never reads.
+func (r *stopRule) draw(s MultiSampler, rng *rand.Rand, w, k int) {
+	for _, out := range r.batch[w][:k] {
+		s(rng, out, r.open)
+	}
+}
+
+func (r *stopRule) consume(w, i, n int) bool {
+	out := r.batch[w][i]
+	kept := r.open[:0]
+	for _, t := range r.open {
+		if out[t] {
+			r.sums[t]++
+			if float64(r.sums[t]) >= r.upsilon1 {
+				r.ests[t] = Estimate{Value: r.upsilon1 / float64(n), Samples: n, Epsilon: r.eps, Delta: r.delta, Converged: true}
+				continue
 			}
 		}
-		// One checkpoint per round, after the deterministic sequential
-		// consume — the only scheduler-independent mid-run view.
-		tr.Checkpoint(int64(n), sum/float64(n), 1)
+		kept = append(kept, t)
 	}
+	r.open = kept
+	return len(r.open) == 0
+}
+
+// value is the scalar a stopping-rule checkpoint reports: the running
+// mean of a single target, or the fraction of targets that have met
+// the rule.
+func (r *stopRule) value(n int) float64 {
+	if r.single {
+		return safeDiv(float64(r.sums[0]), n)
+	}
+	return float64(len(r.ests)-len(r.open)) / float64(len(r.ests))
+}
+
+func (r *stopRule) checkpoint(tr *Trace, n int) {
+	tr.Checkpoint(int64(n), r.value(n), len(r.open))
+}
+
+// finish gives still-open targets the plain mean over the consumed
+// prefix (Converged stays false).
+func (r *stopRule) finish(tr *Trace, n int, _ error) {
+	for _, t := range r.open {
+		r.ests[t] = Estimate{Value: safeDiv(float64(r.sums[t]), n), Samples: n, Epsilon: r.eps, Delta: r.delta}
+	}
+	tr.FinalCheckpoint(int64(n), r.value(n), len(r.open))
 }
 
 // EstimateAA runs the full 𝒜𝒜 (approximation algorithm) of Dagum,
@@ -188,129 +167,107 @@ func EstimateStoppingRuleParallel(ctx context.Context, newSampler func() Sampler
 // which for Bernoulli variables is O(ln(1/δ)/(ε²·max(μ, ε))) — a
 // factor min(1/ε, 1/μ) better than the plain stopping rule when μ ≫ ε.
 //
-// maxSamples caps the total draws across all three phases (0 = no
-// cap); on exhaustion the current phase's plain mean is returned with
-// Converged = false. The context is checked once per Chunk draws; a
-// cancelled run returns the current phase's partial estimate and
-// ctx.Err().
+// The run is serial. maxSamples caps the total draws across all three
+// phases (0 = no cap); on exhaustion the current phase's plain mean is
+// returned with Converged = false. A cancelled run returns the current
+// phase's partial estimate and ctx.Err().
 func EstimateAA(ctx context.Context, s Sampler, eps, delta float64, seed int64, maxSamples int) (Estimate, error) {
-	if eps <= 0 || eps >= 1 || delta <= 0 || delta >= 1 {
-		panic("engine: invalid parameters for EstimateAA")
-	}
+	checkParams(eps, delta)
 	tr := TraceFrom(ctx)
-	defer tr.StartSpan("sample:aa")()
-	// endPhase closes the sub-span of whichever 𝒜𝒜 phase is running;
-	// finish calls it so budget-exhausted and cancelled exits still
-	// close the current phase.
-	endPhase := func() {}
-	start := time.Now()
-	rng := rngFor(seed, PhaseAA, 0)
-	used := 0
-	chunks := int64(0)
-	var ctxErr error
-	// draw returns false when the budget is exhausted or the context is
-	// cancelled (recorded in ctxErr); the caller then reports the
-	// current phase's partial estimate.
-	draw := func() (float64, bool) {
-		if maxSamples > 0 && used >= maxSamples {
-			return 0, false
-		}
-		if used%Chunk == 0 {
-			chunks++
-			if err := ctx.Err(); err != nil {
-				ctxErr = err
-				return 0, false
-			}
-		}
-		used++
-		if s(rng) {
-			return 1, true
-		}
-		return 0, true
-	}
-	finish := func(e Estimate) (Estimate, error) {
-		endPhase()
-		open := 1
-		if e.Converged {
-			open = 0
-		}
-		tr.FinalCheckpoint(int64(used), e.Value, open)
-		e.Acct = Accounting{
-			Draws: int64(used), Chunks: chunks, Workers: 1,
-			WallNanos: time.Since(start).Nanoseconds(), Cancelled: ctxErr != nil,
-		}
-		record(PhaseAA, 0, e.Acct)
-		return e, ctxErr
-	}
-
-	upsilon := 4 * (math.E - 2) * math.Log(3/delta) / (eps * eps)
-	upsilon2 := 2 * (1 + math.Sqrt(eps)) * (1 + 2*math.Sqrt(eps)) *
-		(1 + math.Log(1.5)/math.Log(3/delta)) * upsilon
-
-	// Phase 1: stopping rule with ε' = min(1/2, √ε).
-	endPhase = tr.StartSpan("aa:phase1")
 	eps1 := math.Min(0.5, math.Sqrt(eps))
-	upsilon1 := 1 + (1+eps1)*4*(math.E-2)*math.Log(3/delta)/(eps1*eps1)
-	sum := 0.0
-	n1 := 0
-	for sum < upsilon1 {
-		x, ok := draw()
-		if !ok {
-			return finish(Estimate{Value: safeDiv(sum, n1), Samples: used, Epsilon: eps, Delta: delta})
-		}
-		n1++
-		sum += x
-		if n1%Chunk == 0 {
-			tr.Checkpoint(int64(used), sum/float64(n1), 1)
-		}
+	upsilon := 4 * (math.E - 2) * math.Log(3/delta) / (eps * eps)
+	// Phase 1's span opens here, so even a run cancelled before its
+	// first draw records it.
+	r := &aaRule{
+		tr: tr, eps: eps, delta: delta, phase: 1, endPhase: tr.StartSpan("aa:phase1"),
+		upsilon1: 1 + (1+eps1)*4*(math.E-2)*math.Log(3/delta)/(eps1*eps1),
+		upsilon2: 2 * (1 + math.Sqrt(eps)) * (1 + 2*math.Sqrt(eps)) *
+			(1 + math.Log(1.5)/math.Log(3/delta)) * upsilon,
 	}
-	muHat := upsilon1 / float64(n1)
+	acct, err := drive(ctx, run{phase: PhaseAA, span: "sample:aa", seed: seed, maxSamples: maxSamples}, func() Sampler { return s }, r)
+	r.est.Acct = acct
+	return r.est, err
+}
 
-	// Phase 2: variance estimation from sample pairs.
-	endPhase()
-	endPhase = tr.StartSpan("aa:phase2")
-	n2 := int(math.Ceil(upsilon2 * eps / muHat))
-	if n2 < 1 {
-		n2 = 1
-	}
-	var s2 float64
-	for i := 0; i < n2; i++ {
-		a, ok := draw()
-		if !ok {
-			return finish(Estimate{Value: muHat, Samples: used, Epsilon: eps, Delta: delta})
-		}
-		b, ok := draw()
-		if !ok {
-			return finish(Estimate{Value: muHat, Samples: used, Epsilon: eps, Delta: delta})
-		}
-		d := a - b
-		s2 += d * d / 2
-	}
-	rhoHat := math.Max(s2/float64(n2), eps*muHat)
+// aaRule is 𝒜𝒜's three-phase state machine over one serial stream.
+type aaRule struct {
+	quiet
+	tr                 *Trace
+	eps, delta         float64
+	upsilon1, upsilon2 float64
+	out                bool
+	phase              int
+	endPhase           func()
+	// k counts the current phase's draws and goal is its length
+	// (phase 2 draws goal/2 pairs); sum, mu, s2, first and total are
+	// the phases' running statistics.
+	k, goal                   int
+	sum, mu, s2, first, total float64
+	est                       Estimate
+}
 
-	// Phase 3: final estimate.
-	endPhase()
-	endPhase = tr.StartSpan("aa:phase3")
-	n3 := int(math.Ceil(upsilon2 * rhoHat / (muHat * muHat)))
-	if n3 < 1 {
-		n3 = 1
+// draw is only ever asked for one outcome: 𝒜𝒜 runs on one worker.
+func (r *aaRule) draw(s Sampler, rng *rand.Rand, _, _ int) { r.out = s(rng) }
+
+func (r *aaRule) enter(phase, goal int) {
+	r.endPhase()
+	r.phase, r.goal, r.k = phase, max(goal, 1), 0
+	r.endPhase = r.tr.StartSpan(fmt.Sprintf("aa:phase%d", phase))
+}
+
+func (r *aaRule) consume(_, _, n int) bool {
+	x := 0.0
+	if r.out {
+		x = 1
 	}
-	total := 0.0
-	for i := 0; i < n3; i++ {
-		x, ok := draw()
-		if !ok {
-			return finish(Estimate{Value: total / float64(i+1), Samples: used, Epsilon: eps, Delta: delta})
+	r.k++
+	switch r.phase {
+	case 1:
+		r.sum += x
+		if r.k%Chunk == 0 {
+			r.tr.Checkpoint(int64(n), r.sum/float64(r.k), 1)
 		}
-		total += x
-		if (i+1)%Chunk == 0 {
-			tr.Checkpoint(int64(used), total/float64(i+1), 1)
+		if r.sum >= r.upsilon1 {
+			r.mu = r.upsilon1 / float64(r.k)
+			r.enter(2, 2*max(1, int(math.Ceil(r.upsilon2*r.eps/r.mu))))
 		}
+	case 2:
+		if r.k%2 == 1 {
+			r.first = x
+			break
+		}
+		d := r.first - x
+		r.s2 += d * d / 2
+		if r.k == r.goal {
+			rho := math.Max(r.s2/float64(r.goal/2), r.eps*r.mu)
+			r.enter(3, int(math.Ceil(r.upsilon2*rho/(r.mu*r.mu))))
+		}
+	case 3:
+		r.total += x
+		if r.k%Chunk == 0 {
+			r.tr.Checkpoint(int64(n), r.total/float64(r.k), 1)
+		}
+		return r.k == r.goal
 	}
-	return finish(Estimate{
-		Value:     total / float64(n3),
-		Samples:   used,
-		Epsilon:   eps,
-		Delta:     delta,
-		Converged: true,
-	})
+	return false
+}
+
+func (r *aaRule) finish(tr *Trace, n int, _ error) {
+	r.endPhase()
+	r.est = Estimate{Samples: n, Epsilon: r.eps, Delta: r.delta}
+	switch {
+	case r.phase == 1:
+		r.est.Value = safeDiv(r.sum, r.k)
+	case r.phase == 2:
+		r.est.Value = r.mu
+	case r.k == r.goal:
+		r.est.Value, r.est.Converged = r.total/float64(r.goal), true
+	default: // phase 3 cut short: the divisor counts the refused draw too
+		r.est.Value = r.total / float64(r.k+1)
+	}
+	open := 1
+	if r.est.Converged {
+		open = 0
+	}
+	tr.FinalCheckpoint(int64(n), r.est.Value, open)
 }

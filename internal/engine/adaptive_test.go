@@ -29,7 +29,7 @@ func TestEstimateAABeatsSRAForLargeMu(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sra, err := EstimateStoppingRule(bg, bernoulli(p), eps, delta, 29, 0)
+	sra, err := EstimateStoppingRule(bg, factory(p), eps, delta, 29, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestEstimateAAPanics(t *testing.T) {
 
 func TestStoppingRuleParallelAccuracy(t *testing.T) {
 	for _, p := range []float64{0.3, 0.05} {
-		e, err := EstimateStoppingRuleParallel(bg, factory(p), 0.1, 0.05, 37, 4, 0)
+		e, err := EstimateStoppingRule(bg, factory(p), 0.1, 0.05, 37, 4, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,24 +82,29 @@ func TestStoppingRuleParallelAccuracy(t *testing.T) {
 	}
 }
 
+// TestStoppingRuleParallelSingleWorkerDelegates: workers ≤ 1 all run
+// the sequential rule, which draws exactly the samples it consumes.
 func TestStoppingRuleParallelSingleWorkerDelegates(t *testing.T) {
-	a, _ := EstimateStoppingRuleParallel(bg, factory(0.4), 0.1, 0.05, 41, 1, 0)
-	b, _ := EstimateStoppingRule(bg, bernoulli(0.4), 0.1, 0.05, 41, 0)
+	a, _ := EstimateStoppingRule(bg, factory(0.4), 0.1, 0.05, 41, 1, 0)
+	b, _ := EstimateStoppingRule(bg, factory(0.4), 0.1, 0.05, 41, 0, 0)
 	if a.Value != b.Value || a.Samples != b.Samples {
-		t.Fatal("workers=1 must delegate to the sequential rule")
+		t.Fatal("workers=0 and workers=1 must both run the sequential rule")
+	}
+	if a.Acct.Draws != int64(a.Samples) {
+		t.Fatalf("sequential rule drew %d for %d consumed samples", a.Acct.Draws, a.Samples)
 	}
 }
 
 func TestStoppingRuleParallelDeterministic(t *testing.T) {
-	a, _ := EstimateStoppingRuleParallel(bg, factory(0.2), 0.1, 0.05, 43, 4, 0)
-	b, _ := EstimateStoppingRuleParallel(bg, factory(0.2), 0.1, 0.05, 43, 4, 0)
+	a, _ := EstimateStoppingRule(bg, factory(0.2), 0.1, 0.05, 43, 4, 0)
+	b, _ := EstimateStoppingRule(bg, factory(0.2), 0.1, 0.05, 43, 4, 0)
 	if a.Value != b.Value || a.Samples != b.Samples {
 		t.Fatal("same seed and workers must reproduce")
 	}
 }
 
 func TestStoppingRuleParallelCapped(t *testing.T) {
-	e, err := EstimateStoppingRuleParallel(bg, factory(0), 0.1, 0.1, 47, 4, 2048)
+	e, err := EstimateStoppingRule(bg, factory(0), 0.1, 0.1, 47, 4, 2048)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,8 +120,8 @@ func TestParallelMatchesSequentialLaw(t *testing.T) {
 	const p, eps = 0.15, 0.2
 	failSeq, failPar := 0, 0
 	for seed := int64(0); seed < 40; seed++ {
-		seq, _ := EstimateStoppingRule(bg, bernoulli(p), eps, 0.1, 1000+seed, 0)
-		par, _ := EstimateStoppingRuleParallel(bg, factory(p), eps, 0.1, 2000+seed, 3, 0)
+		seq, _ := EstimateStoppingRule(bg, factory(p), eps, 0.1, 1000+seed, 1, 0)
+		par, _ := EstimateStoppingRule(bg, factory(p), eps, 0.1, 2000+seed, 3, 0)
 		if math.Abs(seq.Value-p) > eps*p {
 			failSeq++
 		}
@@ -126,5 +131,41 @@ func TestParallelMatchesSequentialLaw(t *testing.T) {
 	}
 	if failSeq > 10 || failPar > 10 {
 		t.Fatalf("failure rates too high: seq %d, par %d of 40", failSeq, failPar)
+	}
+}
+
+// TestStoppingRuleExactCap: maxSamples bounds the consumed prefix
+// exactly at every worker count. A parallel run must not consume — or
+// converge on — draws past the cap, which a round-boundary check alone
+// allows (up to workers×Chunk−1 of them).
+func TestStoppingRuleExactCap(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		e, err := EstimateStoppingRule(bg, factory(0), 0.1, 0.05, 5, workers, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Samples != 1000 || e.Converged || e.Acct.Draws != 1000 {
+			t.Errorf("workers=%d, p=0: samples=%d draws=%d converged=%v, want exactly the cap of 1000 unconverged",
+				workers, e.Samples, e.Acct.Draws, e.Converged)
+		}
+		ests, err := EstimateStoppingRuleMulti(bg, biasedMulti([]float64{0.9, 0}), 2, 0.1, 0.05, 5, workers, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ests[1].Samples != 1000 || ests[1].Converged || ests[1].Acct.Draws != 1000 {
+			t.Errorf("workers=%d, impossible target: samples=%d draws=%d converged=%v, want exactly the cap of 1000 unconverged",
+				workers, ests[1].Samples, ests[1].Acct.Draws, ests[1].Converged)
+		}
+	}
+	// The serial rule stops unconverged at this cap; the parallel rule
+	// meets Υ₁ only a few draws past it, and must stop there too.
+	for _, workers := range []int{1, 4} {
+		e, err := EstimateStoppingRule(bg, factory(0.5), 0.3, 0.1, 111, workers, 300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Converged || e.Samples != 300 {
+			t.Errorf("workers=%d: converged=%v at %d samples, want unconverged at the cap of 300", workers, e.Converged, e.Samples)
+		}
 	}
 }

@@ -83,7 +83,7 @@ func TestStoppingRuleMidFlightCancel(t *testing.T) {
 			return false
 		}
 	}
-	e, err := EstimateStoppingRule(ctx, f(), 0.1, 0.05, 3, 0)
+	e, err := EstimateStoppingRule(ctx, f, 0.1, 0.05, 3, 1, 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -100,7 +100,7 @@ func TestStoppingRuleParallelMidFlightCancel(t *testing.T) {
 	var total atomic.Int64
 	const workers = 4
 	const stopAfter = 3000
-	e, err := EstimateStoppingRuleParallel(ctx, countingFactory(&total, cancel, stopAfter), 0.01, 0.01, 9, workers, 0)
+	e, err := EstimateStoppingRule(ctx, countingFactory(&total, cancel, stopAfter), 0.01, 0.01, 9, workers, 0)
 	cancel()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -139,7 +139,8 @@ func TestMarginalsPreCancelled(t *testing.T) {
 		return func(rng *rand.Rand, counts []int) { counts[rng.Intn(len(counts))]++ }
 	}
 	for _, workers := range []int{1, 4} {
-		counts, drawn, err := Marginals(ctx, newSampler, 8, 100_000, 3, workers)
+		counts, acct, err := Marginals(ctx, newSampler, 8, 100_000, 3, workers)
+		drawn := acct.Draws
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
@@ -168,7 +169,8 @@ func TestMarginalsMidFlightCancel(t *testing.T) {
 				counts[rng.Intn(len(counts))]++
 			}
 		}
-		counts, drawn, err := Marginals(ctx, newSampler, 16, budget, 5, workers)
+		counts, acct, err := Marginals(ctx, newSampler, 16, budget, 5, workers)
+		drawn := int(acct.Draws)
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)

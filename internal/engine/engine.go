@@ -2,30 +2,38 @@
 // sampling consumer of the reproduction runs through: the fixed-sample
 // Chernoff construction behind the paper's FPRAS theorems (5.1(2),
 // 6.1(2), 7.1(2), 7.5), the Dagum–Karp–Luby–Ross stopping rule and
-// full 𝒜𝒜 estimator [reference 8 of the paper], and the amortised
-// per-fact marginal counter. The statistical machinery (sample-count
-// bounds, probability lower bounds) stays in internal/fpras; this
-// package owns the execution of the draw loops.
+// full 𝒜𝒜 estimator [reference 8 of the paper], their shared-draw
+// multi-target forms, and the amortised per-fact marginal counter. The
+// statistical machinery (sample-count bounds, probability lower
+// bounds) stays in internal/fpras; this package owns the execution of
+// the draws.
 //
-// Three properties hold for every loop in this package:
+// Every estimator is a small rule run by one round driver (driver.go),
+// which owns what the draw loops share:
 //
-//   - Cancellable: every estimator takes a context.Context and checks
-//     it between sample chunks (Chunk draws per worker), so a server
-//     deadline or a vanished client stops the work within one chunk
-//     instead of abandoning it to burn a worker to completion. A
-//     cancelled run returns the partial estimate together with the
-//     context's error.
+//   - Rounds and workers: each round, every worker draws a batch of at
+//     most Chunk outcomes from its own sampler instance, and the rule
+//     consumes them in canonical order — worker 0's batch, then worker
+//     1's, and so on — so the same (seed, workers) pair always
+//     reproduces the same estimate regardless of goroutine scheduling.
+//     Fixed-sample rules split their budget with splitQuota and tally
+//     inside the draw. With one worker the driver draws and consumes one
+//     outcome at a time: a serial stopping rule never draws past its
+//     stopping point.
 //
-//   - Parallel: the fixed-sample, stopping-rule and marginal loops
-//     split their draws across workers. Merging is deterministic, so
-//     the same (seed, workers) pair always reproduces the same
-//     estimate regardless of goroutine scheduling.
+//   - Cancellable and capped: the context is checked before every round,
+//     so a cancelled run stops within one round and returns its partial
+//     estimate together with the context's error. A sample cap bounds
+//     the consumed draws exactly: the last round is cut to fit it.
 //
-//   - Centrally seeded: every worker RNG is derived once, here, by
-//     Substream — SplitMix64-style mixing of (seed, phase, worker) —
-//     so distinct estimation phases can never hand identical
-//     substreams to their workers for the same user seed (the bug the
-//     previous per-call-site `seed + w*constant` derivations had).
+//   - Centrally seeded: every worker RNG is derived once, in the driver,
+//     by Substream — SplitMix64-style mixing of (seed, phase, worker) —
+//     so distinct estimation phases can never hand identical substreams
+//     to their workers for the same user seed.
+//
+//   - Accounted: the driver fills each run's Accounting, feeds the
+//     process-wide counters and the run hook, and records the run's
+//     span and convergence checkpoints on a traced context.
 package engine
 
 import (
@@ -36,6 +44,28 @@ import (
 // Sampler draws one Bernoulli observation: whether a sampled repair
 // (or sequence, or chain walk) satisfies the query.
 type Sampler func(rng *rand.Rand) bool
+
+// MultiSampler draws ONE repair (or sequence, or chain walk) and
+// records, per estimation target, whether the draw satisfies it. It
+// is the multi-target form of Sampler — the shared-draw answers hot
+// path, where one drawn subset is evaluated against every candidate
+// answer tuple at once, so K targets cost one sampler walk instead of
+// K. active lists, in ascending order, the target indices whose
+// outputs the caller will consume; nil means all targets.
+// Implementations may skip evaluating targets outside active and
+// leave their out entries stale — the stopping rule uses this to stop
+// paying for targets that have already converged. Implementations are
+// typically stateful and not safe for concurrent use; the estimators
+// call the factory once per worker.
+type MultiSampler func(rng *rand.Rand, out []bool, active []int)
+
+// asMulti runs a single-target sampler as a one-target MultiSampler.
+func asMulti(newSampler func() Sampler) func() MultiSampler {
+	return func() MultiSampler {
+		s := newSampler()
+		return func(rng *rand.Rand, out []bool, _ []int) { out[0] = s(rng) }
+	}
+}
 
 // Estimate is the outcome of a randomized estimation.
 type Estimate struct {
@@ -55,10 +85,9 @@ type Estimate struct {
 	Acct Accounting
 }
 
-// Chunk is the cancellation granularity: every estimation loop checks
-// its context at least once per Chunk draws per worker, so a cancelled
-// run overshoots the cancellation point by at most workers × Chunk
-// samples.
+// Chunk is the round size: every worker draws at most Chunk outcomes
+// between two context checks, so a cancelled run overshoots the
+// cancellation point by at most workers × Chunk samples.
 const Chunk = 256
 
 // Phase names an estimation phase for substream derivation. Distinct
@@ -70,7 +99,7 @@ type Phase uint64
 const (
 	// PhaseFixed: the fixed-sample-count loops (EstimateFixed).
 	PhaseFixed Phase = 1 + iota
-	// PhaseStoppingRule: the DKLR stopping rule, serial and parallel.
+	// PhaseStoppingRule: the DKLR stopping rule (EstimateStoppingRule).
 	PhaseStoppingRule
 	// PhaseAA: the full three-phase 𝒜𝒜 estimator.
 	PhaseAA
@@ -79,8 +108,8 @@ const (
 	// PhaseMultiFixed: the fixed-sample multi-target loop
 	// (EstimateFixedMulti).
 	PhaseMultiFixed
-	// PhaseMultiStopping: the multi-target stopping rule, serial and
-	// parallel.
+	// PhaseMultiStopping: the multi-target stopping rule
+	// (EstimateStoppingRuleMulti).
 	PhaseMultiStopping
 )
 
@@ -138,12 +167,28 @@ func MultiRuns() int64 { return multiRuns.Load() }
 func MultiTargets() int64 { return multiTargets.Load() }
 
 // splitQuota divides n draws over workers as evenly as possible
-// (earlier workers take the remainder), mirroring the deterministic
-// split every parallel loop uses.
+// (earlier workers take the remainder): worker w's share of a
+// fixed-sample run.
 func splitQuota(n, workers, w int) int {
 	per, extra := n/workers, n%workers
 	if w < extra {
 		return per + 1
 	}
 	return per
+}
+
+// stamp gives every estimate of a run the run's accounting (one shared
+// record, PerWorker slice included).
+func stamp(ests []Estimate, acct Accounting) []Estimate {
+	for t := range ests {
+		ests[t].Acct = acct
+	}
+	return ests
+}
+
+func safeDiv(a float64, n int) float64 {
+	if n == 0 {
+		return 0
+	}
+	return a / float64(n)
 }

@@ -136,7 +136,7 @@ func TestEstimateFPRASGuarantee(t *testing.T) {
 
 func TestEstimateStoppingRuleAccuracy(t *testing.T) {
 	for _, p := range []float64{0.5, 0.1, 0.01} {
-		e, err := EstimateStoppingRule(bg, bernoulli(p), 0.1, 0.05, 13, 0)
+		e, err := EstimateStoppingRule(bg, factory(p), 0.1, 0.05, 13, 1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,8 +152,8 @@ func TestEstimateStoppingRuleAccuracy(t *testing.T) {
 // TestStoppingRuleAdaptiveCost verifies E[N] scales like 1/p: the run
 // at p=0.01 must use roughly 10× the samples of the run at p=0.1.
 func TestStoppingRuleAdaptiveCost(t *testing.T) {
-	hi, _ := EstimateStoppingRule(bg, bernoulli(0.1), 0.2, 0.1, 17, 0)
-	lo, _ := EstimateStoppingRule(bg, bernoulli(0.01), 0.2, 0.1, 17, 0)
+	hi, _ := EstimateStoppingRule(bg, factory(0.1), 0.2, 0.1, 17, 1, 0)
+	lo, _ := EstimateStoppingRule(bg, factory(0.01), 0.2, 0.1, 17, 1, 0)
 	ratio := float64(lo.Samples) / float64(hi.Samples)
 	if ratio < 5 || ratio > 20 {
 		t.Fatalf("sample ratio %.1f, want ≈10 (N_hi=%d, N_lo=%d)", ratio, hi.Samples, lo.Samples)
@@ -161,7 +161,7 @@ func TestStoppingRuleAdaptiveCost(t *testing.T) {
 }
 
 func TestStoppingRuleZeroProbabilityCapped(t *testing.T) {
-	e, err := EstimateStoppingRule(bg, bernoulli(0), 0.1, 0.1, 19, 5000)
+	e, err := EstimateStoppingRule(bg, factory(0), 0.1, 0.1, 19, 1, 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestStoppingRulePanics(t *testing.T) {
 					t.Errorf("EstimateStoppingRule(%v) should panic", args)
 				}
 			}()
-			EstimateStoppingRule(bg, bernoulli(0.5), args[0], args[1], 1, 0)
+			EstimateStoppingRule(bg, factory(0.5), args[0], args[1], 1, 1, 0)
 		}()
 	}
 }

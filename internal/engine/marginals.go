@@ -3,8 +3,6 @@ package engine
 import (
 	"context"
 	"math/rand"
-	"sync"
-	"time"
 )
 
 // CountSampler draws one repair and increments the survival counter of
@@ -23,110 +21,39 @@ type CountSampler func(rng *rand.Rand, counts []int)
 // are summed at the end, so the result is deterministic in
 // (seed, workers) regardless of scheduling. Because one draw updates
 // every undetermined fact's counter, parallel draws speed up all |D|
-// marginal estimates at once.
+// marginal estimates at once. The run records a span but no
+// convergence curve: its output is a vector, not a scalar.
 //
-// The context is checked between chunks on every worker. A cancelled
-// run returns the counts accumulated so far, the number of draws they
-// represent, and ctx.Err(); callers must not divide by n on that path.
-func Marginals(ctx context.Context, newSampler func() CountSampler, nFacts, n int, seed int64, workers int) (counts []int, drawn int, err error) {
-	counts, acct, err := MarginalsAcct(ctx, newSampler, nFacts, n, seed, workers)
-	return counts, int(acct.Draws), err
-}
-
-// MarginalsAcct is Marginals with the run's full cost accounting; the
-// drawn count Marginals reports is acct.Draws.
-func MarginalsAcct(ctx context.Context, newSampler func() CountSampler, nFacts, n int, seed int64, workers int) (counts []int, acct Accounting, err error) {
+// A cancelled run returns the counts accumulated so far, its
+// accounting (acct.Draws is the number of draws the counts represent)
+// and ctx.Err(); callers must not divide by n on that path.
+func Marginals(ctx context.Context, newSampler func() CountSampler, nFacts, n int, seed int64, workers int) (counts []int, acct Accounting, err error) {
 	if n <= 0 {
 		panic("engine: need a positive sample count")
 	}
-	// The marginals loop gets a span but no convergence curve: its
-	// output is a |D|-sized vector, not a scalar, and a per-chunk
-	// summary would cost O(nFacts) per checkpoint.
-	tr := TraceFrom(ctx)
-	defer tr.StartSpan("sample:marginals")()
-	if workers <= 1 {
-		return marginalsSerial(ctx, newSampler(), nFacts, n, seed)
+	r := &marginalRule{}
+	for range max(workers, 1) {
+		r.counts = append(r.counts, make([]int, nFacts))
 	}
-	start := time.Now()
-	perWorker := make([][]int, workers)
-	perDrawn := make([]int64, workers)
-	perChunks := make([]int64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		quota := splitQuota(n, workers, w)
-		if quota == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(w, quota int) {
-			defer wg.Done()
-			s := newSampler()
-			rng := rngFor(seed, PhaseMarginals, w)
-			local := make([]int, nFacts)
-			localN := 0
-			chunks := int64(0)
-			for localN < quota {
-				if ctx.Err() != nil {
-					break
-				}
-				chunks++
-				step := min(Chunk, quota-localN)
-				for i := 0; i < step; i++ {
-					s(rng, local)
-				}
-				localN += step
-			}
-			perWorker[w] = local
-			perDrawn[w] = int64(localN)
-			perChunks[w] = chunks
-		}(w, quota)
-	}
-	wg.Wait()
-	counts = make([]int, nFacts)
-	var drawn, chunks int64
-	for w := range perWorker {
-		chunks += perChunks[w]
-		if perWorker[w] == nil {
-			continue
-		}
-		drawn += perDrawn[w]
-		for i, c := range perWorker[w] {
-			counts[i] += c
+	acct, err = drive(ctx, run{phase: PhaseMarginals, span: "sample:marginals", seed: seed, workers: workers, budget: n}, newSampler, r)
+	counts = r.counts[0]
+	for _, c := range r.counts[1:] {
+		for i, v := range c {
+			counts[i] += v
 		}
 	}
-	err = ctx.Err()
-	acct = Accounting{
-		Draws: drawn, Chunks: chunks, Workers: workers, PerWorker: perDrawn,
-		WallNanos: time.Since(start).Nanoseconds(), Cancelled: err != nil,
-	}
-	record(PhaseMarginals, 0, acct)
 	return counts, acct, err
 }
 
-func marginalsSerial(ctx context.Context, s CountSampler, nFacts, n int, seed int64) ([]int, Accounting, error) {
-	start := time.Now()
-	rng := rngFor(seed, PhaseMarginals, 0)
-	counts := make([]int, nFacts)
-	drawn := 0
-	chunks := int64(0)
-	acct := func(cancelled bool) Accounting {
-		a := Accounting{
-			Draws: int64(drawn), Chunks: chunks, Workers: 1,
-			WallNanos: time.Since(start).Nanoseconds(), Cancelled: cancelled,
-		}
-		record(PhaseMarginals, 0, a)
-		return a
+// marginalRule accumulates each worker's draws into its own count
+// vector.
+type marginalRule struct {
+	quiet
+	counts [][]int
+}
+
+func (r *marginalRule) draw(s CountSampler, rng *rand.Rand, w, k int) {
+	for range k {
+		s(rng, r.counts[w])
 	}
-	for drawn < n {
-		if err := ctx.Err(); err != nil {
-			return counts, acct(true), err
-		}
-		chunks++
-		step := min(Chunk, n-drawn)
-		for i := 0; i < step; i++ {
-			s(rng, counts)
-		}
-		drawn += step
-	}
-	return counts, acct(false), nil
 }

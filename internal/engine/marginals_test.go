@@ -23,10 +23,11 @@ func biasedCounter(p []float64) func() CountSampler {
 
 func TestMarginalsAccuracy(t *testing.T) {
 	p := []float64{0.9, 0.5, 0.1, 1, 0}
-	counts, drawn, err := Marginals(bg, biasedCounter(p), len(p), 60_000, 3, 1)
+	counts, acct, err := Marginals(bg, biasedCounter(p), len(p), 60_000, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	drawn := int(acct.Draws)
 	if drawn != 60_000 {
 		t.Fatalf("drawn = %d", drawn)
 	}
@@ -40,10 +41,11 @@ func TestMarginalsAccuracy(t *testing.T) {
 
 func TestMarginalsParallelAccuracyAndFullBudget(t *testing.T) {
 	p := []float64{0.8, 0.25}
-	counts, drawn, err := Marginals(bg, biasedCounter(p), len(p), 100_001, 7, 8)
+	counts, acct, err := Marginals(bg, biasedCounter(p), len(p), 100_001, 7, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
+	drawn := int(acct.Draws)
 	if drawn != 100_001 {
 		t.Fatalf("parallel marginals drew %d of 100001", drawn)
 	}

@@ -131,7 +131,7 @@ func TestEstimateStoppingRuleMultiSingleTargetLaw(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := EstimateStoppingRule(context.Background(), single, 0.1, 0.05, 1, 0)
+	s, err := EstimateStoppingRule(context.Background(), func() Sampler { return single }, 0.1, 0.05, 1, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,8 +153,8 @@ func TestEstimateStoppingRuleMultiCap(t *testing.T) {
 		if ests[1].Converged || ests[1].Value != 0 {
 			t.Errorf("workers=%d: impossible target: %+v, want unconverged zero", workers, ests[1])
 		}
-		if ests[1].Samples < 5000 {
-			t.Errorf("workers=%d: cap target consumed %d draws, want ≥ cap", workers, ests[1].Samples)
+		if ests[1].Samples != 5000 {
+			t.Errorf("workers=%d: cap target consumed %d draws, want exactly the cap", workers, ests[1].Samples)
 		}
 	}
 }

@@ -7,14 +7,15 @@ package engine
 // the draw loops pay nothing when observability is off (the bench
 // regression gate enforces this).
 //
-// Checkpoints are captured at deterministic points only: serial loops
-// emit one per Chunk draws, the parallel stopping rules one per round
-// (after the sequential consume of the canonical interleaving), and
-// the parallel fixed loops a single terminal point after the
-// deterministic merge — a mid-run global view of racing workers would
-// depend on scheduling, and the whole value of the curve is that two
-// runs with the same (seed, workers) produce bitwise-identical
-// checkpoints.
+// Checkpoints are captured at deterministic points only. The round
+// driver offers one after every round the rule did not stop — once
+// every worker's batch is in and the canonical interleaving has been
+// consumed — and a terminal point at exit. A round is at most Chunk
+// draws per worker, so a serial run checkpoints every Chunk draws; 𝒜𝒜
+// instead checkpoints every Chunk draws of its first and third phases.
+// A mid-round view of racing workers would depend on scheduling, and
+// the whole value of the curve is that two runs with the same
+// (seed, workers) produce bitwise-identical checkpoints.
 
 import (
 	"context"

@@ -51,10 +51,10 @@ func TestTraceCheckpointsDeterministic(t *testing.T) {
 			_, _ = EstimateFixed(ctx, traceSampler, 5000, 42, 4)
 		}},
 		{"stopping-serial", func(ctx context.Context) {
-			_, _ = EstimateStoppingRule(ctx, traceSampler(), 0.2, 0.1, 42, 0)
+			_, _ = EstimateStoppingRule(ctx, traceSampler, 0.2, 0.1, 42, 1, 0)
 		}},
 		{"stopping-parallel", func(ctx context.Context) {
-			_, _ = EstimateStoppingRuleParallel(ctx, traceSampler, 0.2, 0.1, 42, 4, 0)
+			_, _ = EstimateStoppingRule(ctx, traceSampler, 0.2, 0.1, 42, 4, 0)
 		}},
 		{"aa", func(ctx context.Context) {
 			_, _ = EstimateAA(ctx, traceSampler(), 0.2, 0.1, 42, 0)

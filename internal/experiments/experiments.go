@@ -5,8 +5,7 @@
 // uniformity, FPRAS error guarantees, the polynomial lower bounds, the
 // exponential FD counterexample, the counting DP, and the Turing
 // reductions. Each experiment returns a printable table;
-// cmd/ocqa-bench runs the registry and EXPERIMENTS.md records the
-// output against the paper's claims.
+// `go run ./cmd/ocqa-bench` runs the registry and prints every table.
 package experiments
 
 import (

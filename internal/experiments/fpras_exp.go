@@ -23,7 +23,7 @@ import (
 // scope: experiment runs are batch work, so the context error cannot
 // occur under context.Background().
 func estimateSR(s engine.Sampler, eps, delta float64, seed int64, maxSamples int) engine.Estimate {
-	est, _ := engine.EstimateStoppingRule(context.Background(), s, eps, delta, seed, maxSamples)
+	est, _ := engine.EstimateStoppingRule(context.Background(), func() engine.Sampler { return s }, eps, delta, seed, 1, maxSamples)
 	return est
 }
 

@@ -129,7 +129,8 @@ type CostInfo struct {
 	// consumed, discarded parallel tails included (0 for exact engines;
 	// on a cache hit, the draws the cached computation originally spent).
 	Draws int64 `json:"draws"`
-	// Chunks counts the cancellation-check chunks the draw loop passed.
+	// Chunks counts the rounds the draw loop ran (one context check
+	// each, at most engine.Chunk draws per worker).
 	Chunks int64 `json:"chunks,omitempty"`
 	// ReusedDraws counts draws whose statistics were carried over from a
 	// previous generation's strata by the delta-stratified estimator

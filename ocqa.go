@@ -356,22 +356,26 @@ type ApproxOptions struct {
 	// exploits low variance — cheaper than the stopping rule when the
 	// target probability is large.
 	UseAA bool
-	// MaxSamples caps the adaptive estimators (≤ 0 means
-	// DefaultMaxSamples); ignored with UseChernoff. For
+	// MaxSamples caps the draws the adaptive estimators consume (≤ 0
+	// means DefaultMaxSamples), exactly at any worker count: a capped
+	// run never consumes or draws more; ignored with UseChernoff. For
 	// ApproximateFactMarginals it is the exact number of draws (≤ 0
 	// means DefaultMarginalSamples there).
 	MaxSamples int
-	// Workers parallelises estimation: the fixed-sample loops, the
-	// stopping rule and the marginal counter split their draws across
-	// this many goroutines, each on a deterministic substream derived
-	// centrally from (Seed, phase, worker). The parallel stopping rule
-	// reproduces the sequential rule's law exactly, and every estimate
-	// is deterministic in (Seed, Workers): same seed and worker count ⇒
-	// identical result. 0 (the default) means adaptive: the engine
-	// picks the count from the instance's conflict structure and the
-	// draw budget, never exceeding GOMAXPROCS — so small runs stay
-	// serial and large ones use the machine. A positive value is
-	// honoured verbatim.
+	// Workers parallelises estimation: the fixed-sample construction,
+	// the stopping rule and the marginal counter draw in rounds of up
+	// to engine.Chunk draws per worker, each worker on a deterministic
+	// substream derived centrally from (Seed, phase, worker). The
+	// stopping rule consumes each round in canonical order (worker 0's
+	// batch, then worker 1's, ...), so it reproduces the sequential
+	// rule's law exactly; with one worker it draws one outcome at a time
+	// and never draws past its stopping point. The 𝒜𝒜 estimator (UseAA)
+	// always runs on one worker. Every estimate is deterministic in
+	// (Seed, Workers): same seed and worker count ⇒ identical result.
+	// 0 (the default) means adaptive: the engine picks the count from
+	// the instance's conflict structure and the draw budget, never
+	// exceeding GOMAXPROCS — so small runs stay serial and large ones
+	// use the machine. A positive value is honoured verbatim.
 	Workers int
 	// Force runs the sampler even when the pair's status is
 	// StatusHeuristic (sampler exists, guarantee does not).
@@ -580,7 +584,7 @@ func (in *Instance) approximate(ctx context.Context, ps preparedSamplers, mode M
 	case opts.UseAA:
 		est, err = engine.EstimateAA(ctx, newDraw(), opts.Epsilon, opts.Delta, opts.Seed, opts.MaxSamples)
 	default:
-		est, err = engine.EstimateStoppingRuleParallel(ctx, newDraw, opts.Epsilon, opts.Delta, opts.Seed, opts.Workers, opts.MaxSamples)
+		est, err = engine.EstimateStoppingRule(ctx, newDraw, opts.Epsilon, opts.Delta, opts.Seed, opts.Workers, opts.MaxSamples)
 	}
 	if err != nil {
 		return est, fmt.Errorf("ocqa: estimation stopped: %w", err)
@@ -1162,7 +1166,7 @@ func (in *Instance) approximateFactMarginals(ctx context.Context, ps preparedSam
 		return nil, Accounting{}, err
 	}
 	opts.Workers = engine.ResolveWorkers(opts.Workers, in.parallelHint(), int64(opts.MaxSamples))
-	counts, acct, err := engine.MarginalsAcct(ctx, newCounter, in.db.Len(), opts.MaxSamples, opts.Seed, opts.Workers)
+	counts, acct, err := engine.Marginals(ctx, newCounter, in.db.Len(), opts.MaxSamples, opts.Seed, opts.Workers)
 	if err != nil {
 		return nil, acct, fmt.Errorf("ocqa: marginal estimation stopped: %w", err)
 	}
