@@ -11,6 +11,7 @@ package ocqa_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -47,6 +48,7 @@ func TestApproximateAnswersDeterministic(t *testing.T) {
 	ctx := context.Background()
 	for _, mode := range []ocqa.Mode{
 		{Gen: ocqa.UniformRepairs},
+		{Gen: ocqa.UniformRepairs, Singleton: true},
 		{Gen: ocqa.UniformSequences},
 		{Gen: ocqa.UniformOperations},
 	} {
@@ -57,13 +59,36 @@ func TestApproximateAnswersDeterministic(t *testing.T) {
 				t.Fatalf("%v: %v", mode, err)
 			}
 			// Prepared (cached witness sets) and bare Instance must agree
-			// bitwise too: the cache only skips recompilation.
+			// bitwise too: the cache only skips recompilation. Under M^ur
+			// the Prepared factorizes instead (checkFactorizedEstimate).
 			b, err := inst.ApproximateAnswers(ctx, mode, q, opts)
 			if err != nil {
 				t.Fatalf("%v: %v", mode, err)
 			}
 			if len(a) != len(b) || len(a) == 0 {
 				t.Fatalf("%v workers=%d: %d vs %d answers", mode, workers, len(a), len(b))
+			}
+			if mode.Gen == ocqa.UniformRepairs {
+				again, err := p.ApproximateAnswers(ctx, mode, q, opts)
+				if err != nil {
+					t.Fatalf("%v: %v", mode, err)
+				}
+				exact, err := inst.ConsistentAnswers(mode, q, 0)
+				if err != nil {
+					t.Fatalf("%v: %v", mode, err)
+				}
+				if len(again) != len(a) || len(exact) != len(a) {
+					t.Fatalf("%v workers=%d: %d, %d and %d answers", mode, workers, len(a), len(again), len(exact))
+				}
+				for i := range a {
+					if !a[i].Tuple.Equal(b[i].Tuple) || !a[i].Tuple.Equal(exact[i].Tuple) {
+						t.Fatalf("%v tuple %d: %v, %v, %v", mode, i, a[i].Tuple, b[i].Tuple, exact[i].Tuple)
+					}
+					ef, _ := exact[i].Prob.Float64()
+					checkFactorizedEstimate(t, fmt.Sprintf("%v workers=%d tuple %v", mode, workers, a[i].Tuple),
+						a[i].Estimate, again[i].Estimate, b[i].Estimate, ef)
+				}
+				continue
 			}
 			for i := range a {
 				if !a[i].Tuple.Equal(b[i].Tuple) || !sameEstimate(a[i].Estimate, b[i].Estimate) {
@@ -160,10 +185,11 @@ func TestApproximateAnswersChernoff(t *testing.T) {
 
 // TestApproximateAnswersDrawReduction: the shared pass must consume
 // well under the per-tuple path's total draws — with 4 equally hard
-// tuples, at least half the per-tuple factor.
+// tuples, at least half the per-tuple factor. It runs on the bare
+// Instance, whose M^ur estimates sample the whole instance (a Prepared
+// factorizes them, with no draws to compare).
 func TestApproximateAnswersDrawReduction(t *testing.T) {
 	inst, q := answersFixture(t)
-	p := inst.Prepare()
 	ctx := context.Background()
 	mode := ocqa.Mode{Gen: ocqa.UniformRepairs}
 	opts := ocqa.ApproxOptions{Epsilon: 0.1, Delta: 0.05, Seed: 3, Workers: 1}
@@ -171,14 +197,14 @@ func TestApproximateAnswersDrawReduction(t *testing.T) {
 	tuples := q.Answers(inst.DB())
 	mark := engine.SamplesDrawn()
 	for _, c := range tuples {
-		if _, err := p.Approximate(ctx, mode, q, c, opts); err != nil {
+		if _, err := inst.Approximate(ctx, mode, q, c, opts); err != nil {
 			t.Fatal(err)
 		}
 	}
 	perTuple := engine.SamplesDrawn() - mark
 
 	mark = engine.SamplesDrawn()
-	if _, err := p.ApproximateAnswers(ctx, mode, q, opts); err != nil {
+	if _, err := inst.ApproximateAnswers(ctx, mode, q, opts); err != nil {
 		t.Fatal(err)
 	}
 	shared := engine.SamplesDrawn() - mark

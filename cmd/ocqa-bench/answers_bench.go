@@ -13,6 +13,8 @@ package main
 // shared across 2-fact key blocks, so every tuple has the same
 // survival probability and the per-tuple stopping points coincide —
 // the regime where the shared pass saves a full factor K of draws.
+// Both sides run on the bare Instance: a Prepared answers M^ur under
+// primary keys by block factorization, with no draws to compare.
 
 import (
 	"context"
@@ -80,10 +82,10 @@ func answersBenchInstance(values, blocksPerValue int) (*ocqa.Instance, error) {
 // perTupleBaseline is the pre-shared-pass implementation of
 // ApproximateAnswers, kept verbatim as the benchmark baseline: one
 // full, independent stopping-rule estimation per candidate tuple.
-func perTupleBaseline(ctx context.Context, p *ocqa.Prepared, mode ocqa.Mode, q *ocqa.Query, opts ocqa.ApproxOptions) ([]ocqa.ApproxAnswer, error) {
+func perTupleBaseline(ctx context.Context, inst *ocqa.Instance, mode ocqa.Mode, q *ocqa.Query, opts ocqa.ApproxOptions) ([]ocqa.ApproxAnswer, error) {
 	var out []ocqa.ApproxAnswer
-	for _, c := range q.Answers(p.DB()) {
-		e, err := p.Approximate(ctx, mode, q, c, opts)
+	for _, c := range q.Answers(inst.DB()) {
+		e, err := inst.Approximate(ctx, mode, q, c, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -118,7 +120,6 @@ func runAnswersBenchmarks(outPath string) error {
 	if err != nil {
 		return err
 	}
-	p := inst.Prepare()
 	q, err := ocqa.ParseQuery("Ans(x) :- R(k, x)")
 	if err != nil {
 		return err
@@ -132,14 +133,14 @@ func runAnswersBenchmarks(outPath string) error {
 	// comparison includes every draw actually performed (parallel
 	// discarded tails included).
 	mark := engine.SamplesDrawn()
-	base, err := perTupleBaseline(ctx, p, mode, q, opts)
+	base, err := perTupleBaseline(ctx, inst, mode, q, opts)
 	if err != nil {
 		return err
 	}
 	baselineDraws := engine.SamplesDrawn() - mark
 
 	mark = engine.SamplesDrawn()
-	shared, err := p.ApproximateAnswers(ctx, mode, q, opts)
+	shared, err := inst.ApproximateAnswers(ctx, mode, q, opts)
 	if err != nil {
 		return err
 	}
@@ -168,18 +169,20 @@ func runAnswersBenchmarks(outPath string) error {
 	for _, workers := range []int{1, engine.AutoWorkers} {
 		o := opts
 		o.Workers = workers
-		r1, acct, err := p.ApproximateAnswersAcct(ctx, mode, q, o)
+		r1, err := inst.ApproximateAnswers(ctx, mode, q, o)
 		if err != nil {
 			return err
 		}
-		if workers == engine.AutoWorkers {
+		if workers == engine.AutoWorkers && len(r1) > 0 {
+			// Every estimate of a shared pass carries the run's record.
+			acct := r1[0].Estimate.Acct
 			if acct.PerWorker != nil {
 				splitAuto = acct.PerWorker
 			} else {
 				splitAuto = []int64{acct.Draws}
 			}
 		}
-		r2, err := p.ApproximateAnswers(ctx, mode, q, o)
+		r2, err := inst.ApproximateAnswers(ctx, mode, q, o)
 		if err != nil {
 			return err
 		}
@@ -195,13 +198,13 @@ func runAnswersBenchmarks(outPath string) error {
 	sharedRun := func(workers int) error {
 		o := opts
 		o.Workers = workers
-		_, err := p.ApproximateAnswers(ctx, mode, q, o)
+		_, err := inst.ApproximateAnswers(ctx, mode, q, o)
 		return err
 	}
 	baseBench := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := perTupleBaseline(ctx, p, mode, q, opts); err != nil {
+			if _, err := perTupleBaseline(ctx, inst, mode, q, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -240,7 +243,7 @@ func runAnswersBenchmarks(outPath string) error {
 		PhaseSeconds: spanSeconds(func(ctx context.Context) {
 			o := opts
 			o.Workers = engine.AutoWorkers
-			_, _ = p.ApproximateAnswers(ctx, mode, q, o)
+			_, _ = inst.ApproximateAnswers(ctx, mode, q, o)
 		}),
 		Results: []benchResult{
 			toResult("AnswersPerTupleBaseline", baseBench),

@@ -20,7 +20,10 @@ package main
 // big.Rat-identical to a cold Prepared at every step of a mixed
 // mutation trace, and the warm stratified estimate must be
 // deterministic for a fixed seed with every stored stratum reused
-// (fresh draws exactly zero). Emits a BENCH_delta.json trajectory file;
+// (fresh draws exactly zero). The cold approximate cells run the classic
+// whole-instance stopping rule on a bare Instance: a Prepared, cold or
+// warm, answers them by block factorization. Emits a BENCH_delta.json
+// trajectory file;
 // the acceptance floor is a 5x mutate-then-query speedup over cold at
 // the committed 100k-fact size.
 
@@ -282,14 +285,13 @@ func runDeltaBenchmarks(outPath string, facts int) error {
 		}
 	})
 
-	// Cold approximate: a fresh Prepared estimates the hot-cluster query
-	// from scratch per op, at 1 worker and under adaptive selection —
-	// the worker ladder the inversion gate checks.
+	// Cold approximate: a fresh bare Instance estimates the hot-cluster
+	// query with the classic stopping rule per op, at 1 worker and under
+	// adaptive selection — the worker ladder the inversion gate checks.
 	coldApprox := func(workers int) (ocqa.Estimate, error) {
 		o := aopts
 		o.Workers = workers
-		p := ocqa.NewInstance(base, sigma).PrepareLazy()
-		return p.Approximate(ctx, mode, hotQ, ocqa.Tuple{}, o)
+		return ocqa.NewInstance(base, sigma).Approximate(ctx, mode, hotQ, ocqa.Tuple{}, o)
 	}
 	probeEst, err := coldApprox(1)
 	if err != nil {
@@ -366,10 +368,9 @@ func runDeltaBenchmarks(outPath string, facts int) error {
 		AutoWorkers:     auto,
 		PhaseSeconds: func() map[string]float64 {
 			return spanSeconds(func(ctx context.Context) {
-				p := ocqa.NewInstance(base, sigma).PrepareLazy()
 				o := aopts
 				o.Workers = engine.AutoWorkers
-				_, _ = p.Approximate(ctx, mode, hotQ, ocqa.Tuple{}, o)
+				_, _ = ocqa.NewInstance(base, sigma).Approximate(ctx, mode, hotQ, ocqa.Tuple{}, o)
 			})
 		}(),
 		Results: []benchResult{

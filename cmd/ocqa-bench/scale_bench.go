@@ -8,7 +8,9 @@ package main
 // sequence DP) and records the numbers that decide whether a single
 // node can serve it: Monte-Carlo draws/sec for fact marginals at 1
 // worker and under adaptive selection, a capped stopping-rule query
-// estimation, resident memory and snapshot bytes per fact, and the
+// estimation (which must plan delta-exact and draw nothing: the
+// Prepared factorizes M^ur over the one key block the query touches),
+// resident memory and snapshot bytes per fact, and the
 // snapshot encode / cold-boot / warm-boot (mmap) timings of the
 // columnar v2 codec. Emits a BENCH_scale.json trajectory file; -check
 // compares draws/sec and bytes/fact against it.
@@ -74,7 +76,8 @@ type scaleBenchFile struct {
 	DrawsPerSec1W   float64 `json:"draws_per_sec_1w"`
 	DrawsPerSecAuto float64 `json:"draws_per_sec_auto"`
 	// StoppingRuleDraws/Seconds record one capped Dagum–Karp stopping-
-	// rule query estimation on the full instance (adaptive workers).
+	// rule query estimation on the full Prepared (adaptive workers),
+	// planning included; it must route delta-exact with zero draws.
 	StoppingRuleDraws   int64   `json:"stopping_rule_draws"`
 	StoppingRuleSeconds float64 `json:"stopping_rule_seconds"`
 	// PhaseSeconds is the span breakdown of one traced auto-worker
@@ -200,22 +203,30 @@ func runScaleBenchmarks(outPath string, facts int) error {
 		}
 	}
 
-	// One capped stopping-rule estimation over the same instance: the
-	// query holds in a repair iff block k0's first fact survives, so
-	// the true probability is 1/3 and the Dagum–Karp rule terminates
-	// quickly even at a million facts.
+	// One capped stopping-rule query over the same instance: it holds in
+	// a repair iff block k0's first fact survives, so the probability is
+	// 1/3. The Prepared factorizes M^ur over that one block, so the plan
+	// must be delta-exact and the run must draw nothing — the gate that
+	// goes red if cold queries ever fall back to whole-instance draws.
 	q, err := ocqa.ParseQuery("Ans() :- R('k00000000', 'v0')")
 	if err != nil {
 		return err
 	}
+	srOpts := ocqa.ApproxOptions{Epsilon: 0.2, Delta: 0.1, Seed: 1, MaxSamples: 5000, Workers: engine.AutoWorkers}
 	srStart := time.Now()
-	est, err := p.Approximate(ctx, mode, q, ocqa.Tuple{}, ocqa.ApproxOptions{
-		Epsilon: 0.2, Delta: 0.1, Seed: 1, MaxSamples: 5000, Workers: engine.AutoWorkers,
-	})
+	plan, err := p.PlanApproximate(mode, q, true, srOpts)
+	if err != nil {
+		return err
+	}
+	est, err := p.Approximate(ctx, mode, q, ocqa.Tuple{}, srOpts)
 	if err != nil {
 		return err
 	}
 	srSeconds := time.Since(srStart).Seconds()
+	if plan.Route != ocqa.RouteDeltaExact || est.Acct.Draws != 0 {
+		return fmt.Errorf("stopping-rule query routed %q with %d draws, want %q with none",
+			plan.Route, est.Acct.Draws, ocqa.RouteDeltaExact)
+	}
 	if est.Value < 0.2 || est.Value > 0.47 {
 		return fmt.Errorf("stopping-rule estimate %.3f for a probability-1/3 query", est.Value)
 	}
@@ -358,8 +369,8 @@ func runScaleBenchmarks(outPath string, facts int) error {
 		out.BytesPerFactDisk, snapBytes>>20)
 	fmt.Printf("marginals: %.0f draws/sec (1 worker), %.0f draws/sec (auto, %d worker(s))\n",
 		out.DrawsPerSec1W, out.DrawsPerSecAuto, auto)
-	fmt.Printf("stopping rule: %d draws in %.2fs, estimate %.3f for a 1/3-probability query\n",
-		out.StoppingRuleDraws, srSeconds, est.Value)
+	fmt.Printf("stopping rule: route %s, %d draws in %.6fs, estimate %.3f for a 1/3-probability query\n",
+		plan.Route, out.StoppingRuleDraws, srSeconds, est.Value)
 	fmt.Printf("wrote %s\n", outPath)
 	return nil
 }

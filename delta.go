@@ -1,6 +1,7 @@
 package ocqa
 
-// Delta-aware incremental estimation (the mutation-churn fast path).
+// Block-factorized estimation of M^ur under primary keys, incremental
+// across mutations.
 //
 // Under primary keys the M^ur repair distribution is a product measure:
 // a candidate repair keeps, independently per conflict block of size m,
@@ -23,6 +24,13 @@ package ocqa
 // under a (ε/S, δ/S) stopping rule, and their draw statistics persist
 // across generations — after a mutation only the touched stratum is
 // redrawn, the rest are reused and reported as Accounting.ReusedDraws.
+//
+// On a primary-key Prepared this estimator answers every stopping-rule
+// M^ur and M^{ur,1} query, cold or warm: an approximate answer whose
+// clusters are all enumerable is exact, with zero draws. The classic
+// estimators answer only where it declines (UseAA, UseChernoff, witness
+// images past the cap, more than deltaMaxSampledStrata sampled strata).
+// The bare Instance.Approximate stays the paper's whole-instance FPRAS.
 //
 // State lives inside Prepared and is carried, remapped and refreshed by
 // ApplyInsert/ApplyDelete (the Prepared→Prepared mutation path the
@@ -67,7 +75,7 @@ const (
 	// deltaMaxSampledStrata caps the sampled clusters per target: the
 	// per-stratum guarantee tightens as (ε/S, δ/S), so past a small S
 	// the stratified budget exceeds the plain stopping rule's and the
-	// classic estimator wins.
+	// classic estimator answers instead.
 	deltaMaxSampledStrata = 16
 )
 
@@ -97,16 +105,14 @@ func DeltaFactorCacheMisses() int64 { return deltaFactorMisses.Load() }
 // from a previous generation instead of being redrawn.
 func DeltaReusedDraws() int64 { return deltaReusedTotal.Load() }
 
-// deltaState is the incremental-estimation state of one Prepared: the
-// per-fingerprint witness/factor/stratum records, and whether the state
-// was carried over a mutation (warm) — the condition under which the
-// approximate paths route delta.
+// deltaState is the factorized-estimation state of one Prepared: the
+// per-fingerprint witness/factor/stratum records. A cold Prepared builds
+// it on its first M^ur query; ApplyInsert/ApplyDelete carry it across a
+// mutation.
 type deltaState struct {
 	mu sync.Mutex
-	// warm is set on states derived by ApplyInsert/ApplyDelete: a warm
-	// prior generation exists, so the planner and the approximate paths
-	// may route delta-exact/delta-stratified. Cold approximate
-	// behaviour stays byte-identical to the classic estimators.
+	// warm is set on states carried across a mutation. It only labels the
+	// DeltaRefreshes counter; routing never reads it.
 	warm bool
 	// queries maps a query fingerprint (Query.String()) to its
 	// maintained state; order is the FIFO eviction queue (same bound as
@@ -148,18 +154,12 @@ type deltaStratum struct {
 }
 
 // deltaEligible reports whether the (class, mode) pair factorizes: the
-// product-measure argument is specific to M^ur under primary keys.
-// M^us couples blocks through sequence interleavings and M^uo through
-// the global operation choice, so both keep the non-delta engines.
+// product-measure argument is specific to M^ur under primary keys, both
+// of them FPRAS cells (Theorems 5.1(2), E.1(2)). M^us couples blocks
+// through sequence interleavings and M^uo through the global operation
+// choice, so both keep the non-delta engines.
 func (p *Prepared) deltaEligible(mode Mode) bool {
 	return p.class == fd.PrimaryKeys && mode.Gen == UniformRepairs
-}
-
-// deltaWarm reports whether a warm prior generation exists.
-func (p *Prepared) deltaWarm() bool {
-	p.deltaMu.Lock()
-	defer p.deltaMu.Unlock()
-	return p.delta != nil && p.delta.warm
 }
 
 // deltaStateOf returns the Prepared's delta state, creating a cold one
@@ -631,39 +631,48 @@ func (c *deltaCluster) newDraw() func() engine.Sampler {
 
 // --- exact delta path ------------------------------------------------------
 
-// deltaExactTarget computes the target's exact probability from the
-// decomposition, serving untouched clusters' factors from the cache and
-// recomputing only the changed ones. ok=false when some cluster exceeds
-// the enumeration cap (the caller falls back to the classic engines, or
-// samples the cluster on the stratified path). Caller holds dq.mu.
-func (p *Prepared) deltaExactTarget(dq *deltaQuery, wits []core.Witness, singleton bool) (*big.Rat, bool) {
+// deltaFactors decomposes the target and serves every enumerable
+// cluster's complement 1 − p_c — from the cache when its content is
+// unchanged, else by enumeration, then cached — alongside the clusters
+// too large to enumerate. certain reports a witness of fixed facts alone
+// (P = 1). Caller holds dq.mu.
+func (p *Prepared) deltaFactors(dq *deltaQuery, wits []core.Witness, singleton bool) (certain bool, factors []*big.Rat, sampled []*deltaCluster) {
 	dec := p.decompose(wits, singleton)
-	if dec.certain {
-		p.deltaBumpRefresh()
-		return big.NewRat(1, 1), true
-	}
-	if len(dec.clusters) == 0 {
-		p.deltaBumpRefresh()
-		return new(big.Rat), true
-	}
-	comp := big.NewRat(1, 1)
 	for i := range dec.clusters {
 		c := &dec.clusters[i]
 		f, ok := dq.factors[c.sig]
 		if ok {
 			deltaFactorHits.Add(1)
-		} else {
+		} else if f, ok = c.exactFactor(); ok {
 			deltaFactorMisses.Add(1)
-			f, ok = c.exactFactor()
-			if !ok {
-				return nil, false
-			}
 			dq.factors[c.sig] = f
 		}
-		comp.Mul(comp, f)
+		if ok {
+			factors = append(factors, f)
+		} else {
+			sampled = append(sampled, c)
+		}
+	}
+	return dec.certain, factors, sampled
+}
+
+// deltaExactTarget computes the target's exact probability from the
+// factors. ok=false when some cluster exceeds the enumeration cap (the
+// caller falls back to the classic engines). Caller holds dq.mu.
+func (p *Prepared) deltaExactTarget(dq *deltaQuery, wits []core.Witness, singleton bool) (*big.Rat, bool) {
+	certain, factors, sampled := p.deltaFactors(dq, wits, singleton)
+	if len(sampled) > 0 {
+		return nil, false
 	}
 	p.deltaBumpRefresh()
-	return new(big.Rat).Sub(big.NewRat(1, 1), comp), true
+	if certain {
+		return big.NewRat(1, 1), true
+	}
+	comp := big.NewRat(1, 1)
+	for _, f := range factors {
+		comp.Mul(comp, f)
+	}
+	return comp.Sub(big.NewRat(1, 1), comp), true
 }
 
 // ExactProbability computes P_{M,Q}(D, c̄) exactly. For M^ur under
@@ -760,58 +769,47 @@ func (dq *deltaQuery) liveTuples() ([]string, []Tuple, map[string][]core.Witness
 // sampled clusters run a per-stratum stopping rule at (ε/S, δ/S) whose
 // statistics persist in dq.strata — a warm generation redraws only the
 // strata whose content signature changed and reuses the rest, reporting
-// the split as Acct.Draws (fresh) vs Acct.ReusedDraws. ok=false routes
+// the split as Acct.Draws (fresh) vs Acct.ReusedDraws. opts must be
+// filled; opts.MaxSamples caps the fresh draws exactly. ok=false routes
 // the caller to the classic estimator. Caller holds dq.mu.
 func (p *Prepared) deltaApproxTarget(ctx context.Context, dq *deltaQuery, wits []core.Witness, mode Mode, opts ApproxOptions) (Estimate, bool, error) {
 	end := engine.TraceFrom(ctx).StartSpan("delta-refresh")
 	defer end()
-	dec := p.decompose(wits, mode.Singleton)
-	est := Estimate{Epsilon: opts.Epsilon, Delta: opts.Delta, Converged: true}
-	if dec.certain {
-		est.Value = 1
-		p.deltaBumpRefresh()
-		return est, true, nil
-	}
-	if len(dec.clusters) == 0 {
-		p.deltaBumpRefresh()
-		return est, true, nil
-	}
-	var sampled []*deltaCluster
-	comp := 1.0
-	for i := range dec.clusters {
-		c := &dec.clusters[i]
-		f, ok := dq.factors[c.sig]
-		if ok {
-			deltaFactorHits.Add(1)
-		} else if f, ok = c.exactFactor(); ok {
-			deltaFactorMisses.Add(1)
-			dq.factors[c.sig] = f
-		}
-		if ok {
-			v, _ := f.Float64()
-			comp *= v
-			continue
-		}
-		sampled = append(sampled, c)
-	}
+	certain, factors, sampled := p.deltaFactors(dq, wits, mode.Singleton)
 	if len(sampled) > deltaMaxSampledStrata {
 		return Estimate{}, false, nil
 	}
-	s := len(sampled)
+	est := Estimate{Epsilon: opts.Epsilon, Delta: opts.Delta, Converged: true}
+	comp := 1.0
+	if certain {
+		comp = 0
+	}
+	for _, f := range factors {
+		v, _ := f.Float64()
+		comp *= v
+	}
+	epsC := opts.Epsilon / float64(len(sampled))
+	deltaC := opts.Delta / float64(len(sampled))
 	var fresh, reused int64
+	var redraw []*deltaCluster
 	for _, c := range sampled {
-		epsC := opts.Epsilon / float64(s)
-		deltaC := opts.Delta / float64(s)
 		if st, ok := dq.strata[c.sig]; ok && st.converged && st.eps <= epsC*(1+1e-12) && st.delta <= deltaC*(1+1e-12) {
 			comp *= 1 - st.est
 			reused += st.draws
 			continue
 		}
-		budget := opts.MaxSamples / s
-		if budget < 1024 {
-			budget = 1024
+		redraw = append(redraw, c)
+	}
+	for i, c := range redraw {
+		// MaxSamples caps the fresh draws of the whole target: each
+		// stratum gets an even share of what the earlier ones left, and a
+		// stratum whose share is empty stays undrawn and unconverged.
+		budget := (int64(opts.MaxSamples) - fresh) / int64(len(redraw)-i)
+		if budget < 1 {
+			est.Converged = false
+			continue
 		}
-		e, err := engine.EstimateStoppingRule(ctx, c.newDraw(), epsC, deltaC, deltaSeed(opts.Seed, c.sig), 1, budget)
+		e, err := engine.EstimateStoppingRule(ctx, c.newDraw(), epsC, deltaC, deltaSeed(opts.Seed, c.sig), 1, int(budget))
 		fresh += e.Acct.Draws
 		if err != nil {
 			est.Acct.Draws = fresh
@@ -840,7 +838,7 @@ func (p *Prepared) deltaApproxTarget(ctx context.Context, dq *deltaQuery, wits [
 // deltaBumpRefresh counts one warm delta evaluation; cold (first-
 // generation) evaluations build state but are not refreshes.
 func (p *Prepared) deltaBumpRefresh() {
-	if p.deltaWarm() {
+	if p.deltaStateOf().warm {
 		deltaRefreshCount.Add(1)
 	}
 }
@@ -854,19 +852,35 @@ func deltaSeed(seed int64, sig string) int64 {
 	return int64((uint64(seed)*0x9e3779b97f4a7c15 ^ h.Sum64()) &^ (1 << 63))
 }
 
+// deltaRoute is the one routing predicate of the approximate paths —
+// the planner and both execution entries call it. It returns the
+// fingerprint's maintained state when the factorized estimator answers:
+// an eligible pair under the default stopping rule, with the witness
+// images within the cap. nil leaves the query to the classic estimators
+// (the Chernoff and 𝒜𝒜 constructions keep their own semantics). The
+// fingerprint compile is the run's "compile" span.
+func (p *Prepared) deltaRoute(ctx context.Context, mode Mode, q *Query, opts ApproxOptions) *deltaQuery {
+	if !p.deltaEligible(mode) || opts.UseAA || opts.UseChernoff {
+		return nil
+	}
+	endCompile := engine.TraceFrom(ctx).StartSpan("compile")
+	dq := p.deltaQueryFor(q)
+	endCompile()
+	if dq.overflow {
+		return nil
+	}
+	return dq
+}
+
 // deltaPlanRoute reports, for the planner, whether the delta engine
 // would answer the query under these options and with how many sampled
 // strata (the max over targets; 0 means every cluster is exactly
-// enumerable — the zero-draw delta-exact route). It mirrors the
-// routing predicate of deltaApproximate/deltaApproximateAnswers and,
-// like the rest of the planner, warms the compile the run then reuses;
-// it never mutates the factor or stratum caches.
+// enumerable — the zero-draw delta-exact route). Like the rest of the
+// planner it warms the compile the run then reuses; it never mutates the
+// factor or stratum caches.
 func (p *Prepared) deltaPlanRoute(mode Mode, q *Query, opts ApproxOptions) (int, bool) {
-	if !p.deltaWarm() || !p.deltaEligible(mode) || opts.UseAA || opts.UseChernoff {
-		return 0, false
-	}
-	dq := p.deltaQueryFor(q)
-	if dq.overflow {
+	dq := p.deltaRoute(context.Background(), mode, q, opts)
+	if dq == nil {
 		return 0, false
 	}
 	dq.mu.Lock()
@@ -901,56 +915,42 @@ func (p *Prepared) deltaPlanRoute(mode Mode, q *Query, opts ApproxOptions) (int,
 	return maxStrata, true
 }
 
-// deltaApproximate is the warm-generation routing of Approximate: the
-// delta paths answer only when a prior generation's state was carried
-// over a mutation (cold behaviour stays byte-identical to the classic
-// estimators) and only for the default stopping-rule estimator — the
-// Chernoff and 𝒜𝒜 constructions keep their own semantics. On a cold
-// eligible call it contributes nothing and costs nothing.
+// deltaApproximate is the factorized routing of Prepared.Approximate:
+// ok=false leaves the query to the classic estimators.
 func (p *Prepared) deltaApproximate(ctx context.Context, mode Mode, q *Query, c Tuple, opts ApproxOptions) (Estimate, bool, error) {
-	if !p.deltaWarm() || !p.deltaEligible(mode) || opts.UseAA || opts.UseChernoff {
+	dq := p.deltaRoute(ctx, mode, q, opts)
+	if dq == nil {
 		return Estimate{}, false, nil
 	}
 	opts.fill()
-	if err := p.checkApproximable(mode, opts.Force); err != nil {
-		return Estimate{}, true, err
-	}
 	if len(c) != len(q.AnswerVars) {
 		// Arity mismatch: no witness can exist; the classic path's
 		// constant-false predicate estimates exactly 0.
 		return Estimate{Epsilon: opts.Epsilon, Delta: opts.Delta, Converged: true}, true, nil
-	}
-	dq := p.deltaQueryFor(q)
-	if dq.overflow {
-		return Estimate{}, false, nil
 	}
 	dq.mu.Lock()
 	defer dq.mu.Unlock()
 	return p.deltaApproxTarget(ctx, dq, dq.witsOf(c.Key()), mode, opts)
 }
 
-// deltaApproximateAnswers is the warm-generation routing of the shared
-// answers pass: per-tuple stratified estimates over the incrementally
-// maintained candidate set.
+// deltaApproximateAnswers is the factorized routing of the answers
+// pass: per-tuple estimates over the maintained candidate set.
 func (p *Prepared) deltaApproximateAnswers(ctx context.Context, mode Mode, q *Query, opts ApproxOptions) ([]ApproxAnswer, Accounting, bool, error) {
-	if !p.deltaWarm() || !p.deltaEligible(mode) || opts.UseAA || opts.UseChernoff {
+	dq := p.deltaRoute(ctx, mode, q, opts)
+	if dq == nil {
 		return nil, Accounting{}, false, nil
 	}
 	opts.fill()
-	if err := p.checkApproximable(mode, opts.Force); err != nil {
-		return nil, Accounting{}, true, err
-	}
-	dq := p.deltaQueryFor(q)
-	if dq.overflow {
-		return nil, Accounting{}, false, nil
-	}
 	dq.mu.Lock()
 	defer dq.mu.Unlock()
 	keys, tuples, byKey := dq.liveTuples()
 	out := make([]ApproxAnswer, 0, len(keys))
 	var total Accounting
 	for i, k := range keys {
-		e, ok, err := p.deltaApproxTarget(ctx, dq, byKey[k], mode, opts)
+		// MaxSamples caps the pass as a whole, as it does the shared pass.
+		o := opts
+		o.MaxSamples -= int(total.Draws)
+		e, ok, err := p.deltaApproxTarget(ctx, dq, byKey[k], mode, o)
 		if !ok {
 			return nil, Accounting{}, false, nil
 		}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"reflect"
+	"sync"
 	"testing"
 
 	ocqa "repro"
@@ -287,48 +289,101 @@ func TestDeltaStratifiedDeterminism(t *testing.T) {
 	}
 }
 
-// TestDeltaColdApproximateUnchanged pins the cold-path contract: on a
-// first-generation Prepared (no mutation history) the classic
-// estimator answers, identical to the bare Instance path.
-func TestDeltaColdApproximateUnchanged(t *testing.T) {
-	inst := mustInstance(t,
-		"R(a,x)\nR(a,y)\nR(b,x)\nR(b,z)",
-		"R: A1 -> A2")
-	q := mustQuery(t, "Ans() :- R(k, 'x')")
-	opts := ocqa.ApproxOptions{Epsilon: 0.2, Delta: 0.1, Seed: 5}
+// TestDeltaColdMatchesWarmLineage: a cold Prepared (no mutation
+// history) routes through the factorized estimator like a warm one, so
+// at the same content it returns the warm lineage's estimates — drawing
+// fresh what the lineage reuses, and reporting no reused draws.
+func TestDeltaColdMatchesWarmLineage(t *testing.T) {
 	mode := ocqa.Mode{Gen: ocqa.UniformRepairs}
-	want, err := inst.Approximate(context.Background(), mode, q, ocqa.Tuple{}, opts)
+	opts := ocqa.ApproxOptions{Epsilon: 0.2, Delta: 0.1, Seed: 5}
+	ctx := context.Background()
+
+	// Sampled stratum: the lineage draws it before the mutation and
+	// reuses it after.
+	p0, q := stratifiedFixture(t)
+	if _, err := p0.Approximate(ctx, mode, q, ocqa.Tuple{}, opts); err != nil {
+		t.Fatal(err)
+	}
+	warm, _, err := p0.ApplyInsert(mustFact(t, "R(zz,w)"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := inst.Prepare().Approximate(context.Background(), mode, q, ocqa.Tuple{}, opts)
+	cold := ocqa.NewInstance(warm.DB(), warm.Sigma()).Prepare()
+	w, err := warm.Approximate(ctx, mode, q, ocqa.Tuple{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Value != want.Value || got.Samples != want.Samples {
-		t.Fatalf("cold Prepared diverged from Instance: (%v, %d) vs (%v, %d)",
-			got.Value, got.Samples, want.Value, want.Samples)
+	c, err := cold.Approximate(ctx, mode, q, ocqa.Tuple{}, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got.Acct.ReusedDraws != 0 {
-		t.Fatalf("cold path reported reused draws: %d", got.Acct.ReusedDraws)
+	if w.Acct.Draws != 0 || w.Acct.ReusedDraws == 0 {
+		t.Fatalf("warm lineage: draws=%d reused=%d, want pure reuse", w.Acct.Draws, w.Acct.ReusedDraws)
+	}
+	if c.Value != w.Value || c.Converged != w.Converged {
+		t.Fatalf("cold Prepared diverged from the warm lineage: %+v vs %+v", c, w)
+	}
+	if c.Acct.ReusedDraws != 0 || c.Acct.Draws != w.Acct.ReusedDraws {
+		t.Fatalf("cold side: draws=%d reused=%d, want %d fresh and 0 reused",
+			c.Acct.Draws, c.Acct.ReusedDraws, w.Acct.ReusedDraws)
+	}
+
+	// Enumerable clusters: both sides answer exactly with zero draws,
+	// per tuple of the answers pass too.
+	small := mustInstance(t, "R(a,x)\nR(a,y)\nR(b,x)", "R: A1 -> A2").Prepare()
+	warmSmall, _, err := small.ApplyInsert(mustFact(t, "R(b,q)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	coldSmall := ocqa.NewInstance(warmSmall.DB(), warmSmall.Sigma()).Prepare()
+	qAns := mustQuery(t, "Ans(v) :- R(k, v)")
+	wa, err := warmSmall.ApproximateAnswers(ctx, mode, qAns, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ca, err := coldSmall.ApproximateAnswers(ctx, mode, qAns, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ca) != len(wa) || len(ca) == 0 {
+		t.Fatalf("cold %d answers, warm %d", len(ca), len(wa))
+	}
+	for i := range ca {
+		if !ca[i].Tuple.Equal(wa[i].Tuple) || ca[i].Estimate.Value != wa[i].Estimate.Value ||
+			ca[i].Estimate.Acct.Draws != 0 || ca[i].Estimate.Acct.ReusedDraws != 0 {
+			t.Fatalf("answer %d: cold %+v, warm %+v", i, ca[i], wa[i])
+		}
 	}
 }
 
-// TestDeltaPlanRoutes checks the planner's warm routing: delta-exact
-// for fully enumerable decompositions, delta-stratified when a cluster
-// must be sampled, and the classic DKLR route on cold generations.
+// TestDeltaPlanRoutes checks the planner's routing, cold and warm alike:
+// delta-stratified when a cluster must be sampled, delta-exact for fully
+// enumerable decompositions, and the classic routes where the factorized
+// estimator declines (UseAA, UseChernoff).
 func TestDeltaPlanRoutes(t *testing.T) {
 	mode := ocqa.Mode{Gen: ocqa.UniformRepairs}
 	opts := ocqa.ApproxOptions{Epsilon: 0.2, Delta: 0.1, Seed: 1}
 
-	// Cold: classic route.
+	// Cold + sampled cluster: delta-stratified.
 	pCold, qBig := stratifiedFixture(t)
 	plan, err := pCold.PlanApproximate(mode, qBig, true, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Route != ocqa.RouteDKLR {
-		t.Fatalf("cold route = %q, want %q", plan.Route, ocqa.RouteDKLR)
+	if plan.Route != ocqa.RouteDeltaStratified {
+		t.Fatalf("cold sampled route = %q, want %q", plan.Route, ocqa.RouteDeltaStratified)
+	}
+	for want, o := range map[string]ocqa.ApproxOptions{
+		ocqa.RouteAA:       {UseAA: true},
+		ocqa.RouteChernoff: {UseChernoff: true},
+	} {
+		plan, err = pCold.PlanApproximate(mode, qBig, true, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Route != want {
+			t.Fatalf("route with %+v = %q, want %q", o, plan.Route, want)
+		}
 	}
 
 	// Warm + sampled cluster: delta-stratified.
@@ -345,23 +400,157 @@ func TestDeltaPlanRoutes(t *testing.T) {
 		t.Fatalf("warm sampled route = %q, want %q", plan.Route, ocqa.RouteDeltaStratified)
 	}
 
-	// Warm + small blocks: delta-exact, zero draws.
+	// Small blocks, cold and warm: delta-exact, zero draws.
 	instSmall := mustInstance(t, "R(a,x)\nR(a,y)\nR(b,x)", "R: A1 -> A2")
 	pSmall, _, err := instSmall.Prepare().ApplyInsert(mustFact(t, "R(b,q)"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	qSmall := mustQuery(t, "Ans() :- R(k, 'x')")
-	plan, err = pSmall.PlanApproximate(mode, qSmall, true, opts)
+	for _, p := range []*ocqa.Prepared{instSmall.Prepare(), pSmall} {
+		plan, err = p.PlanApproximate(mode, qSmall, true, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Route != ocqa.RouteDeltaExact {
+			t.Fatalf("enumerable route = %q, want %q", plan.Route, ocqa.RouteDeltaExact)
+		}
+		if plan.PredictedDraws != 0 || plan.RequiredDraws != 0 {
+			t.Fatalf("delta-exact plan predicts draws: required=%d predicted=%d",
+				plan.RequiredDraws, plan.PredictedDraws)
+		}
+	}
+}
+
+// TestDeltaStratifiedExactCap: ApproxOptions.MaxSamples caps the fresh
+// draws of the stratified path exactly — a request below the stopping
+// rule's need draws the cap and reports Converged=false, on a cold
+// Prepared and on a warm lineage alike; with several sampled strata the
+// cap is split over them and never exceeded in total, and a stratum
+// whose share is empty stays undrawn.
+func TestDeltaStratifiedExactCap(t *testing.T) {
+	mode := ocqa.Mode{Gen: ocqa.UniformRepairs}
+	ctx := context.Background()
+	for _, maxSamples := range []int{100, 500, 1000} {
+		cold, q := stratifiedFixture(t)
+		warm, _, err := cold.ApplyInsert(mustFact(t, "R(zz,w)"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, p := range map[string]*ocqa.Prepared{"cold": cold, "warm": warm} {
+			est, err := p.Approximate(ctx, mode, q, ocqa.Tuple{}, ocqa.ApproxOptions{Seed: 7, MaxSamples: maxSamples})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if est.Acct.Draws != int64(maxSamples) || est.Converged {
+				t.Fatalf("%s, cap %d: drew %d (converged=%v), want exactly the cap, unconverged",
+					name, maxSamples, est.Acct.Draws, est.Converged)
+			}
+		}
+	}
+
+	// Two sampled strata: blocks a0,a1 and c0,c1 coupled through fixed
+	// T facts, each cluster past the enumeration cap.
+	facts := "T(a0,a1)\nT(c0,c1)\n"
+	for _, b := range []string{"a0", "a1", "c0", "c1"} {
+		for i := 0; i < 64; i++ {
+			facts += fmt.Sprintf("R(%s,v%d)\n", b, i)
+		}
+	}
+	p := mustInstance(t, facts, "R: A1 -> A2").Prepare()
+	q := mustQuery(t, "Ans() :- R(k, x), T(k, j), R(j, 'v0')")
+	plan, err := p.PlanApproximate(mode, q, true, ocqa.ApproxOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Route != ocqa.RouteDeltaExact {
-		t.Fatalf("warm enumerable route = %q, want %q", plan.Route, ocqa.RouteDeltaExact)
+	if plan.Route != ocqa.RouteDeltaStratified {
+		t.Fatalf("two-strata route = %q, want %q", plan.Route, ocqa.RouteDeltaStratified)
 	}
-	if plan.PredictedDraws != 0 || plan.RequiredDraws != 0 {
-		t.Fatalf("delta-exact plan predicts draws: required=%d predicted=%d",
-			plan.RequiredDraws, plan.PredictedDraws)
+	for _, maxSamples := range []int{1, 1500} {
+		est, err := p.Approximate(ctx, mode, q, ocqa.Tuple{}, ocqa.ApproxOptions{Seed: 3, MaxSamples: maxSamples})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if est.Acct.Draws != int64(maxSamples) || est.Samples != maxSamples || est.Converged {
+			t.Fatalf("two strata, cap %d: drew %d, samples %d (converged=%v), want exactly the cap, unconverged",
+				maxSamples, est.Acct.Draws, est.Samples, est.Converged)
+		}
+	}
+}
+
+// TestDeltaColdConcurrent runs the cold factorized paths on one fresh
+// Prepared from 8 goroutines, on one shared fingerprint and on distinct
+// ones, exact and sampled: every call must return the values of a serial
+// run on its own fresh Prepared. Which goroutine draws a shared stratum
+// and which reuses it depends on scheduling, so only the values are
+// compared; the race detector checks the shared state.
+func TestDeltaColdConcurrent(t *testing.T) {
+	facts := "R(a,x)\nR(a,y)\nR(b,x)\nR(b,z)\nR(c,w)\nR(d,x)\nR(d,y)\nR(d,z)\n"
+	for b := 0; b < 2; b++ {
+		for i := 0; i < 64; i++ {
+			facts += fmt.Sprintf("R(s%d,v%d)\n", b, i)
+		}
+	}
+	inst := mustInstance(t, facts, "R: A1 -> A2")
+	mode := ocqa.Mode{Gen: ocqa.UniformRepairs}
+	opts := ocqa.ApproxOptions{Epsilon: 0.2, Delta: 0.1, Seed: 9}
+	ctx := context.Background()
+	queries := []string{"Ans() :- R('s0', x), R('s1', y)", "Ans(v) :- R(k, v)", "Ans() :- R('a', 'x')", "Ans(k) :- R(k, 'z')"}
+	// run returns the single-target value followed by every answer's.
+	run := func(p *ocqa.Prepared, qs string) ([]float64, error) {
+		q, err := ocqa.ParseQuery(qs)
+		if err != nil {
+			return nil, err
+		}
+		est, err := p.Approximate(ctx, mode, q, make(ocqa.Tuple, len(q.AnswerVars)), opts)
+		if err != nil {
+			return nil, err
+		}
+		out := []float64{est.Value}
+		answers, err := p.ApproximateAnswers(ctx, mode, q, opts)
+		for _, a := range answers {
+			if !a.Estimate.Converged {
+				return nil, fmt.Errorf("%s %v: not converged", qs, a.Tuple)
+			}
+			out = append(out, a.Estimate.Value)
+		}
+		return out, err
+	}
+	want := make(map[string][]float64)
+	for _, qs := range queries {
+		r, err := run(inst.Prepare(), qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[qs] = r
+	}
+	for _, shared := range []bool{true, false} {
+		p := inst.Prepare()
+		query := func(g int) string {
+			if shared {
+				return queries[0]
+			}
+			return queries[g%len(queries)]
+		}
+		got := make([][]float64, 8)
+		errs := make([]error, 8)
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				got[g], errs[g] = run(p, query(g))
+			}(g)
+		}
+		wg.Wait()
+		for g := range got {
+			if errs[g] != nil {
+				t.Fatalf("goroutine %d: %v", g, errs[g])
+			}
+			if !reflect.DeepEqual(got[g], want[query(g)]) {
+				t.Fatalf("shared=%v goroutine %d %s: %v, want %v", shared, g, query(g), got[g], want[query(g)])
+			}
+		}
 	}
 }
 

@@ -129,14 +129,28 @@ func (c *Compiled) newState(yield func([]int32, []int) bool) *searchState {
 	}
 }
 
-func (c *Compiled) search(st *searchState, depth int) bool {
-	if depth == len(c.order) {
+// search walks the atoms in the given order, binding each to the rows
+// of its relation that agree with the binding so far. An atom whose
+// first term is fixed — a constant, or a variable an earlier atom bound
+// — scans only the rows with that first argument (RelRangeID's binary
+// search), so a selective atom costs O(log |D|) rather than a scan of
+// its relation.
+func (c *Compiled) search(st *searchState, order []int, depth int) bool {
+	if depth == len(order) {
 		return st.yield(st.binding, st.facts)
 	}
-	ai := c.order[depth]
+	ai := order[depth]
 	a := &c.atoms[ai]
 	d := c.d
-	lo, hi := d.RelRangeID(a.rid)
+	first := int32(-1)
+	if len(a.terms) > 0 {
+		if t := a.terms[0]; t.isVar {
+			first = st.binding[t.id]
+		} else {
+			first = t.id
+		}
+	}
+	lo, hi := d.RelRangeID(a.rid, first)
 	for idx := lo; idx < hi; idx++ {
 		if st.useMask && !st.mask.Has(idx) {
 			continue
@@ -168,7 +182,7 @@ func (c *Compiled) search(st *searchState, depth int) bool {
 		}
 		if ok {
 			st.facts[ai] = idx
-			if !c.search(st, depth+1) {
+			if !c.search(st, order, depth+1) {
 				st.unbind(mark)
 				return false
 			}
@@ -204,7 +218,7 @@ func (c *Compiled) run(st *searchState, preBound [][2]int32) {
 		}
 		st.binding[slot] = cid
 	}
-	c.search(st, 0)
+	c.search(st, c.order, 0)
 }
 
 // bindings enumerates interned solutions: yield receives the slot
@@ -278,58 +292,7 @@ func (c *Compiled) AnchoredMatches(ai, fi int, yield func(binding []int32, facts
 			order = append(order, oi)
 		}
 	}
-	c.searchOrder(st, order, 0)
-}
-
-// searchOrder is search over an explicit atom order — the anchored
-// search's walk over the non-anchored atoms.
-func (c *Compiled) searchOrder(st *searchState, order []int, depth int) bool {
-	if depth == len(order) {
-		return st.yield(st.binding, st.facts)
-	}
-	ai := order[depth]
-	a := &c.atoms[ai]
-	d := c.d
-	lo, hi := d.RelRangeID(a.rid)
-	for idx := lo; idx < hi; idx++ {
-		if st.useMask && !st.mask.Has(idx) {
-			continue
-		}
-		row := d.ArgIDs(idx)
-		if len(row) != len(a.terms) {
-			continue
-		}
-		mark := len(st.touched)
-		ok := true
-		for i, t := range a.terms {
-			cid := row[i]
-			if !t.isVar {
-				if t.id != cid {
-					ok = false
-					break
-				}
-				continue
-			}
-			if prev := st.binding[t.id]; prev >= 0 {
-				if prev != cid {
-					ok = false
-					break
-				}
-				continue
-			}
-			st.binding[t.id] = cid
-			st.touched = append(st.touched, t.id)
-		}
-		if ok {
-			st.facts[ai] = idx
-			if !c.searchOrder(st, order, depth+1) {
-				st.unbind(mark)
-				return false
-			}
-		}
-		st.unbind(mark)
-	}
-	return true
+	c.search(st, order, 0)
 }
 
 // NumAtoms reports the body size — the anchor positions AnchoredMatches

@@ -126,7 +126,8 @@ func (tr *Trace) Checkpoint(draws int64, value float64, open int) {
 // FinalCheckpoint records the run's terminal point, bypassing
 // decimation so the curve always ends at the run's actual exit. If
 // the last periodic point already sits at the same draw count it is
-// replaced rather than duplicated.
+// replaced rather than duplicated; if its append fills the curve, the
+// decimation keeps even indices only, so the point goes back on after.
 func (tr *Trace) FinalCheckpoint(draws int64, value float64, open int) {
 	if tr == nil {
 		return
@@ -139,6 +140,9 @@ func (tr *Trace) FinalCheckpoint(draws int64, value float64, open int) {
 		return
 	}
 	tr.appendLocked(cp)
+	if tr.curve[len(tr.curve)-1] != cp {
+		tr.curve = append(tr.curve, cp)
+	}
 }
 
 func (tr *Trace) appendLocked(cp Checkpoint) {

@@ -130,6 +130,30 @@ func TestTraceDecimationBounded(t *testing.T) {
 	}
 }
 
+// TestTraceFinalCheckpointAfterFullCurve: a terminal point whose append
+// fills the curve — 255 periodic points, then the final one — triggers
+// the decimation, which keeps even indices only; the curve must still
+// end at the terminal point.
+func TestTraceFinalCheckpointAfterFullCurve(t *testing.T) {
+	tr := NewTrace()
+	for i := 1; i < maxCheckpoints; i++ {
+		tr.Checkpoint(int64(i*Chunk), 0.5, 0)
+	}
+	tr.FinalCheckpoint(maxCheckpoints*Chunk+3, 0.25, 0)
+	curve := tr.Curve()
+	if len(curve) > maxCheckpoints {
+		t.Fatalf("curve holds %d points, cap is %d", len(curve), maxCheckpoints)
+	}
+	for i := 1; i < len(curve); i++ {
+		if curve[i].Draws <= curve[i-1].Draws {
+			t.Fatalf("curve not strictly increasing at %d: %v then %v", i, curve[i-1], curve[i])
+		}
+	}
+	if last := curve[len(curve)-1]; last.Draws != maxCheckpoints*Chunk+3 || last.Value != 0.25 {
+		t.Fatalf("terminal point lost in decimation: curve ends at %+v", last)
+	}
+}
+
 // TestTraceSpansRecorded: the estimators label their sampling phases;
 // 𝒜𝒜 additionally nests its three phase sub-spans inside sample:aa.
 func TestTraceSpansRecorded(t *testing.T) {

@@ -9,7 +9,9 @@
 //     oracle across all six modes on every generated scenario.
 //  2. Estimator envelopes — the FPRAS constructions (Chernoff fixed
 //     sample count), the Dagum–Karp stopping rule, the 𝒜𝒜 optimal
-//     estimator and the shared-draw multi-target pass must land inside
+//     estimator and the shared-draw multi-target pass — plus, for M^ur
+//     and M^{ur,1} under primary keys, a cold Prepared's block-factorized
+//     single-target and answers estimates — must land inside
 //     their stated (ε, δ) envelopes at the promised empirical rate,
 //     measured against oracle ground truth (cf. the conformal-
 //     calibration idea of auditing stated validity guarantees
@@ -498,11 +500,35 @@ func estimatorEnvelopes(cfg Config, rep *Report, logf func(string, ...any)) {
 			continue
 		}
 		p, _ := truth.Float64()
-		if p > 0 {
-			// The multiplicative guarantee (and the stopping rule's
-			// termination) is stated for positive probabilities.
-			for trial := 0; trial < cfg.EstTrials; trial++ {
-				seed := cfg.Seed + int64(1000*ci+trial) + 17
+		// check counts one estimate against its truth: a positive
+		// probability against the ε-envelope budget; a zero one can never
+		// be hit by a draw from the exact repair distribution, so any
+		// nonzero estimate is a soundness bug, not noise.
+		check := func(what string, est, pt float64) {
+			if pt == 0 {
+				rep.EstZeroChecks++
+				if est != 0 {
+					fail("%s has probability 0 but estimate %v", what, est)
+				}
+				return
+			}
+			rep.EstRuns++
+			if !within(est, pt, eps) {
+				rep.EstMisses++
+			}
+		}
+		// Under primary keys a Prepared answers stopping-rule M^ur and
+		// M^{ur,1} by block factorization instead of the whole-instance
+		// FPRAS the bare Instance runs; a cold Prepared's answers are
+		// audited beside the Instance's, under the same budget.
+		factorized := inst.Class() == fd.PrimaryKeys && ec.mode.Gen == core.UniformRepairs
+
+		// The multiplicative guarantee (and the stopping rule's
+		// termination) is stated for positive probabilities; the
+		// factorized route answers a zero one exactly.
+		for trial := 0; trial < cfg.EstTrials; trial++ {
+			seed := cfg.Seed + int64(1000*ci+trial) + 17
+			if p > 0 {
 				for _, opts := range []ocqa.ApproxOptions{
 					{Epsilon: eps, Delta: delta, Seed: seed},                    // DKLR stopping rule
 					{Epsilon: eps, Delta: delta, Seed: seed, UseAA: true},       // 𝒜𝒜 optimal estimator
@@ -513,11 +539,17 @@ func estimatorEnvelopes(cfg Config, rep *Report, logf func(string, ...any)) {
 						fail("estimator error (opts %+v): %v", opts, err)
 						continue
 					}
-					rep.EstRuns++
-					if !within(est.Value, p, eps) {
-						rep.EstMisses++
-					}
+					check(fmt.Sprintf("tuple %v", tup), est.Value, p)
 				}
+			}
+			if factorized {
+				opts := ocqa.ApproxOptions{Epsilon: eps, Delta: delta, Seed: seed}
+				est, err := inst.PrepareLazy().Approximate(noCtx, ec.mode, ec.sc.Query, tup, opts)
+				if err != nil {
+					fail("cold Prepared estimator error (opts %+v): %v", opts, err)
+					continue
+				}
+				check(fmt.Sprintf("cold Prepared, tuple %v", tup), est.Value, p)
 			}
 		}
 
@@ -527,6 +559,20 @@ func estimatorEnvelopes(cfg Config, rep *Report, logf func(string, ...any)) {
 			for _, a := range ans {
 				truthBy[a.Tuple.Key()], _ = a.Prob.Float64()
 			}
+			checkPass := func(name string, ests []ocqa.ApproxAnswer, err error) {
+				if err != nil {
+					fail("%s error: %v", name, err)
+					return
+				}
+				for _, a := range ests {
+					pt, ok := truthBy[a.Tuple.Key()]
+					if !ok {
+						fail("%s produced tuple %v outside Q(D)", name, a.Tuple)
+						continue
+					}
+					check(fmt.Sprintf("%s, tuple %v", name, a.Tuple), a.Estimate.Value, pt)
+				}
+			}
 			for trial := 0; trial < cfg.EstTrials; trial++ {
 				opts := ocqa.ApproxOptions{
 					Epsilon: eps, Delta: delta,
@@ -534,30 +580,10 @@ func estimatorEnvelopes(cfg Config, rep *Report, logf func(string, ...any)) {
 					MaxSamples: 200_000,
 				}
 				ests, err := inst.ApproximateAnswers(noCtx, ec.mode, ec.sc.Query, opts)
-				if err != nil {
-					fail("multi estimator error: %v", err)
-					continue
-				}
-				for _, a := range ests {
-					pt, ok := truthBy[a.Tuple.Key()]
-					if !ok {
-						fail("multi estimator produced tuple %v outside Q(D)", a.Tuple)
-						continue
-					}
-					if pt == 0 {
-						// A zero-probability tuple can never be hit by a
-						// draw from the exact repair distribution: any
-						// nonzero estimate is a soundness bug, not noise.
-						rep.EstZeroChecks++
-						if a.Estimate.Value != 0 {
-							fail("tuple %v has probability 0 but estimate %v", a.Tuple, a.Estimate.Value)
-						}
-						continue
-					}
-					rep.EstRuns++
-					if !within(a.Estimate.Value, pt, eps) {
-						rep.EstMisses++
-					}
+				checkPass("multi estimator", ests, err)
+				if factorized {
+					ests, err = inst.PrepareLazy().ApproximateAnswers(noCtx, ec.mode, ec.sc.Query, opts)
+					checkPass("cold Prepared answers", ests, err)
 				}
 			}
 		}

@@ -558,10 +558,31 @@ func (d *Database) RelRange(rel string) (lo, hi int) {
 	return sp.lo, sp.hi
 }
 
-// RelRangeID is RelRange keyed on an interned relation id.
-func (d *Database) RelRangeID(rid int32) (lo, hi int) {
+// RelRangeID is RelRange keyed on an interned relation id, narrowed to
+// the rows whose first argument is the interned id first when first ≥ 0.
+// Rows sort relation-major and string-lexicographic (Fact.Less), so a
+// relation's rows with one first argument are contiguous whatever their
+// arities: two binary searches on the symbol strings find them, with no
+// index. A row without arguments sorts before every other.
+func (d *Database) RelRangeID(rid, first int32) (lo, hi int) {
 	sp := d.spans[rid]
-	return sp.lo, sp.hi
+	if first < 0 || sp.lo == sp.hi {
+		return sp.lo, sp.hi
+	}
+	s := d.syms.Str(first)
+	// past reports whether row i sorts after the rows led by s (after or
+	// among them, with orEqual).
+	past := func(i int, orEqual bool) bool {
+		row := d.argRow(i)
+		if len(row) == 0 {
+			return false
+		}
+		a := d.syms.Str(row[0])
+		return a > s || orEqual && a == s
+	}
+	lo = sp.lo + sort.Search(sp.hi-sp.lo, func(i int) bool { return past(sp.lo+i, true) })
+	hi = lo + sort.Search(sp.hi-lo, func(i int) bool { return past(lo+i, false) })
+	return lo, hi
 }
 
 // Restrict returns the database containing exactly the facts of d whose

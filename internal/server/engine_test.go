@@ -56,6 +56,7 @@ func TestBatchZeroWorkersRegression(t *testing.T) {
 // TestQueryDeadlineStopsSampling: a sampling query that would run far
 // past the server deadline returns 504 AND the engine actually stops —
 // observed via the cancelled-runs counter, not just the status code.
+// M^us samples on a prepared primary-key instance (M^ur factorizes).
 func TestQueryDeadlineStopsSampling(t *testing.T) {
 	ts, _ := newTestServer(t, Options{QueryTimeout: 50 * time.Millisecond, SampleCap: 2_000_000_000})
 	reg := register(t, ts.URL, pkFacts, pkFDs)
@@ -65,7 +66,7 @@ func TestQueryDeadlineStopsSampling(t *testing.T) {
 	// the tens of millions, guaranteeing the deadline fires
 	// mid-estimation rather than after convergence.
 	status := do(t, http.MethodPost, ts.URL+"/v1/instances/"+reg.ID+"/query", QueryRequest{
-		Generator: "ur", Mode: "approx", Query: "Ans(n) :- Emp(i, n)", Tuple: "Alice", HasTuple: true,
+		Generator: "us", Mode: "approx", Query: "Ans(n) :- Emp(i, n)", Tuple: "Alice", HasTuple: true,
 		Epsilon: 0.001, Delta: 0.001, MaxSamples: 2_000_000_000,
 	}, &out)
 	if status != http.StatusGatewayTimeout {

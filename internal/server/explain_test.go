@@ -37,12 +37,14 @@ func postExplainQuery(t *testing.T, base, id string, req QueryRequest) QueryResp
 // TestExplainQuery is the endpoint e2e: with ?explain=1 an approx
 // query returns the pre-sampling plan, the phase spans and the
 // convergence curve; without it the response carries no explain
-// payload at all (trace off by default).
+// payload at all (trace off by default). The sampling run is M^us; the
+// M^ur query on the same primary-key instance is factorized — the
+// zero-draw delta-exact route.
 func TestExplainQuery(t *testing.T) {
 	ts, _ := newTestServer(t, Options{CacheSize: -1})
 	reg := register(t, ts.URL, pkFacts, pkFDs)
 	req := QueryRequest{
-		Generator: "ur", Mode: "approx",
+		Generator: "us", Mode: "approx",
 		Query:   "Ans() :- Emp(1, 'Alice')",
 		Epsilon: 0.2, Delta: 0.1, Seed: 5,
 	}
@@ -88,15 +90,32 @@ func TestExplainQuery(t *testing.T) {
 	if !sawPlan || !sawSample {
 		t.Fatalf("spans missing plan/sample phases: %+v", ex.Spans)
 	}
+
+	req.Generator = "ur"
+	ex = postExplainQuery(t, ts.URL, reg.ID, req).Explain
+	if ex == nil {
+		t.Fatal("?explain=1 response carries no explain payload")
+	}
+	if ex.Plan.Route != ocqa.RouteDeltaExact || ex.Plan.PredictedDraws != 0 || ex.Plan.RequiredDraws != 0 || ex.ActualDraws != 0 {
+		t.Fatalf("M^ur explain = %+v, want the delta-exact route with 0 predicted and actual draws", ex)
+	}
+	spans := map[string]bool{}
+	for _, sp := range ex.Spans {
+		spans[sp.Name] = true
+	}
+	if !spans["compile"] || !spans["delta-refresh"] {
+		t.Fatalf("M^ur spans missing compile/delta-refresh: %+v", ex.Spans)
+	}
 }
 
 // TestExplainDeterministicCurve: for a fixed (seed, workers) pair the
-// convergence curve is bitwise-identical across two (uncached) runs.
+// convergence curve is bitwise-identical across two (uncached) runs of
+// a sampling query (M^us; M^ur factorizes with no curve).
 func TestExplainDeterministicCurve(t *testing.T) {
 	ts, _ := newTestServer(t, Options{CacheSize: -1})
 	reg := register(t, ts.URL, pkFacts, pkFDs)
 	req := QueryRequest{
-		Generator: "ur", Mode: "approx",
+		Generator: "us", Mode: "approx",
 		Query:   "Ans(n) :- Emp(i, n)",
 		Epsilon: 0.2, Delta: 0.1, Seed: 9, Workers: 2,
 	}
@@ -104,6 +123,9 @@ func TestExplainDeterministicCurve(t *testing.T) {
 	c2 := postExplainQuery(t, ts.URL, reg.ID, req).Explain
 	if c1 == nil || c2 == nil {
 		t.Fatal("missing explain payload")
+	}
+	if len(c1.Convergence) == 0 {
+		t.Fatal("sampling run carries no convergence curve")
 	}
 	b1, _ := json.Marshal(c1.Convergence)
 	b2, _ := json.Marshal(c2.Convergence)
@@ -218,7 +240,8 @@ func TestFlightRecorderGatedOff(t *testing.T) {
 
 // TestFlightRecorderBounded: under a concurrent query storm the rings
 // stay bounded at their documented sizes while the total keeps
-// counting, and the records carry traces.
+// counting, and the records carry traces. The storm samples M^us
+// (M^ur factorizes, with no convergence curve to record).
 func TestFlightRecorderBounded(t *testing.T) {
 	ts, _ := newTestServer(t, Options{EnableDebugQueries: true, CacheSize: -1})
 	reg := register(t, ts.URL, pkFacts, pkFDs)
@@ -234,7 +257,7 @@ func TestFlightRecorderBounded(t *testing.T) {
 			defer wg.Done()
 			for i := range jobs {
 				body := jsonBytes(QueryRequest{
-					Generator: "ur", Mode: "approx",
+					Generator: "us", Mode: "approx",
 					Query:   "Ans() :- Emp(1, 'Alice')",
 					Epsilon: 0.3, Delta: 0.2, Seed: int64(i + 1),
 				})
@@ -307,7 +330,7 @@ func TestFlightRecorderBounded(t *testing.T) {
 
 // TestSlowQueryLog: a threshold of 1ns makes every query slow; the log
 // line must carry the request id, the trace spans and the convergence
-// terminal.
+// terminal of a sampling query (M^us; M^ur factorizes).
 func TestSlowQueryLog(t *testing.T) {
 	var buf bytes.Buffer
 	var mu sync.Mutex
@@ -316,7 +339,7 @@ func TestSlowQueryLog(t *testing.T) {
 	reg := register(t, ts.URL, pkFacts, pkFDs)
 	var resp QueryResponse
 	if status := do(t, http.MethodPost, ts.URL+"/v1/instances/"+reg.ID+"/query", QueryRequest{
-		Generator: "ur", Mode: "approx",
+		Generator: "us", Mode: "approx",
 		Query:   "Ans() :- Emp(1, 'Alice')",
 		Epsilon: 0.2, Delta: 0.1, Seed: 5,
 	}, &resp); status != http.StatusOK {

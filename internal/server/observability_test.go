@@ -38,6 +38,8 @@ func bigBlockFacts(blocks int) string {
 // finish inside the server deadline must come back 504 carrying the
 // partial estimate, the draws already spent, the Cancelled mark and
 // the request id — and the engine's cancelled-run counter must move.
+// It runs M^uo, which samples on a prepared primary-key instance
+// (M^ur factorizes) and needs no sequence DP at registration.
 func TestCancellationAccounting(t *testing.T) {
 	ts, _ := newTestServer(t, Options{
 		QueryTimeout: 25 * time.Millisecond,
@@ -47,7 +49,7 @@ func TestCancellationAccounting(t *testing.T) {
 
 	cancelledBefore := engine.CancelledRuns()
 	body, _ := jsonBody(t, QueryRequest{
-		Generator: "ur", Mode: "approx",
+		Generator: "uo", Mode: "approx",
 		Query: "Ans() :- R(k1, 'va1')",
 		// Tight (ε, δ) so the stopping rule needs millions of draws —
 		// far beyond what 25ms allows on a 600-fact instance.
@@ -122,7 +124,8 @@ func TestEveryResponseEmbedsCost(t *testing.T) {
 	}
 
 	var approx QueryResponse
-	areq := QueryRequest{Generator: "ur", Mode: "approx", Query: "Ans(n) :- Emp(i, n)", Tuple: "Alice", Seed: 5}
+	// M^us samples on a prepared primary-key instance (M^ur factorizes).
+	areq := QueryRequest{Generator: "us", Mode: "approx", Query: "Ans(n) :- Emp(i, n)", Tuple: "Alice", Seed: 5}
 	if st := do(t, http.MethodPost, base+"/query", areq, &approx); st != http.StatusOK {
 		t.Fatalf("approx query: status %d", st)
 	}

@@ -464,12 +464,13 @@ func TestHealthzAndVarz(t *testing.T) {
 func TestQueryDeadline(t *testing.T) {
 	// The deadline also governs registration, so it must be long
 	// enough for the tiny fixture to register yet far shorter than a
-	// tight-ε stopping-rule run (millions of draws).
+	// tight-ε stopping-rule run (millions of draws). M^us samples on a
+	// prepared primary-key instance (M^ur factorizes).
 	ts, _ := newTestServer(t, Options{QueryTimeout: 20 * time.Millisecond})
 	reg := register(t, ts.URL, pkFacts, pkFDs)
 	var e errorResponse
 	status := do(t, http.MethodPost, ts.URL+"/v1/instances/"+reg.ID+"/query",
-		QueryRequest{Generator: "ur", Mode: "approx", Query: "Ans(n) :- Emp(i, n)", Tuple: "Bob", Epsilon: 0.001}, &e)
+		QueryRequest{Generator: "us", Mode: "approx", Query: "Ans(n) :- Emp(i, n)", Tuple: "Bob", Epsilon: 0.001}, &e)
 	if status != http.StatusGatewayTimeout {
 		t.Fatalf("deadline: status %d, body %+v", status, e)
 	}

@@ -764,11 +764,11 @@ type Prepared struct {
 	// a build.
 	built atomic.Bool
 
-	// deltaMu guards delta, the incremental-estimation state (see
+	// deltaMu guards delta, the factorized-estimation state (see
 	// delta.go): per-query witness images, per-block factor caches and
-	// per-stratum draw statistics. ApplyInsert/ApplyDelete carry it —
-	// warm — into the derived Prepared; on a cold Prepared it builds
-	// lazily the first time a delta path runs.
+	// per-stratum draw statistics. ApplyInsert/ApplyDelete carry it into
+	// the derived Prepared; on a cold Prepared it builds lazily the first
+	// time a delta path runs.
 	deltaMu sync.Mutex
 	delta   *deltaState
 
@@ -978,10 +978,14 @@ func (p *Prepared) samplersFor(mode Mode) preparedSamplers {
 // Approximate is Instance.Approximate backed by the prepared samplers:
 // for primary-key instances it performs zero sampler constructions
 // beyond the one deferred build per artifact.
-// On a generation derived by ApplyInsert/ApplyDelete, eligible queries
-// route through the delta-stratified estimator (delta.go), which reuses
-// the previous generation's per-stratum draws; cold generations behave
-// exactly like the classic estimators.
+// Under primary keys every stopping-rule M^ur and M^{ur,1} query runs
+// on the block-factorized estimator (delta.go), cold or warm: the
+// probability factorizes over the few key blocks the query's witnesses
+// touch, enumerable clusters contribute exact factors — an answer can be
+// exact with zero draws — and only larger clusters are sampled, per
+// stratum, with statistics reused across ApplyInsert/ApplyDelete. The
+// classic estimators answer where it declines: UseAA, UseChernoff, and
+// witness structures past its caps.
 func (p *Prepared) Approximate(ctx context.Context, mode Mode, q *Query, c Tuple, opts ApproxOptions) (Estimate, error) {
 	if est, ok, err := p.deltaApproximate(ctx, mode, q, c, opts); ok {
 		p.recordUsage(est.Acct)
@@ -995,7 +999,9 @@ func (p *Prepared) Approximate(ctx context.Context, mode Mode, q *Query, c Tuple
 // ApproximateAnswers is Instance.ApproximateAnswers over the prepared
 // samplers and the per-fingerprint witness-set cache: repeated answers
 // queries for the same query perform zero sampler constructions and
-// zero homomorphism enumerations.
+// zero homomorphism enumerations. Stopping-rule M^ur queries under
+// primary keys are answered per tuple by the block-factorized estimator,
+// as in Approximate.
 func (p *Prepared) ApproximateAnswers(ctx context.Context, mode Mode, q *Query, opts ApproxOptions) ([]ApproxAnswer, error) {
 	out, _, err := p.ApproximateAnswersAcct(ctx, mode, q, opts)
 	return out, err

@@ -534,8 +534,29 @@ func TestApproximateFactMarginalsRefusal(t *testing.T) {
 
 // --- Prepared instances ---------------------------------------------------
 
+// checkFactorizedEstimate pins the contract of M^ur and M^{ur,1} on a
+// primary-key Prepared, where the block-factorized estimator answers
+// instead of the whole-instance FPRAS: the prepared estimate is the exact
+// probability (to float rounding) with zero draws, it is deterministic,
+// and the bare Instance's estimate lies within ε of it.
+func checkFactorizedEstimate(t *testing.T, label string, got, again, instance ocqa.Estimate, exact float64) {
+	t.Helper()
+	if math.Abs(got.Value-exact) > 1e-12 || got.Samples != 0 || got.Acct.Draws != 0 {
+		t.Errorf("%s: prepared estimate %+v, want exactly %v with 0 draws", label, got, exact)
+	}
+	if !sameEstimate(got, again) {
+		t.Errorf("%s: prepared estimate not deterministic: %+v then %+v", label, got, again)
+	}
+	if math.Abs(instance.Value-exact) > instance.Epsilon*exact {
+		t.Errorf("%s: instance estimate %v outside the ε-envelope of %v", label, instance.Value, exact)
+	}
+}
+
 // TestPreparedMatchesInstance: the sampler-reuse path must be
-// observationally identical to the one-shot path under a fixed seed.
+// observationally identical to the one-shot path under a fixed seed —
+// bitwise for M^us, M^uo and the marginals; for M^ur and M^{ur,1}, which
+// the Prepared answers by block factorization, per
+// checkFactorizedEstimate.
 func TestPreparedMatchesInstance(t *testing.T) {
 	inst := figure2Instance(t)
 	p := inst.Prepare()
@@ -559,7 +580,18 @@ func TestPreparedMatchesInstance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s prepared: %v", mode.Symbol(), err)
 		}
-		if got.Value != want.Value || got.Samples != want.Samples {
+		if mode.Gen == ocqa.UniformRepairs {
+			again, err := p.Approximate(context.Background(), mode, q, ocqa.ParseTuple("b1"), opts)
+			if err != nil {
+				t.Fatalf("%s prepared: %v", mode.Symbol(), err)
+			}
+			exact, err := inst.ExactProbability(mode, q, ocqa.ParseTuple("b1"), 0)
+			if err != nil {
+				t.Fatalf("%s exact: %v", mode.Symbol(), err)
+			}
+			ef, _ := exact.Float64()
+			checkFactorizedEstimate(t, mode.Symbol(), got, again, want, ef)
+		} else if got.Value != want.Value || got.Samples != want.Samples {
 			t.Errorf("%s: prepared estimate %+v != instance estimate %+v", mode.Symbol(), got, want)
 		}
 

@@ -51,14 +51,16 @@ const (
 	RouteSharedMultiDKLR     = "shared-multi-dklr"
 	// RouteCached: the result came from a cache; zero draws.
 	RouteCached = "cached"
-	// RouteDeltaExact: a warm prior generation exists and every cluster
-	// of the target's block decomposition is exactly enumerable — the
-	// delta engine answers from cached per-block factors with zero
-	// draws (delta.go).
+	// RouteDeltaExact: a stopping-rule M^ur query on a primary-key
+	// Prepared, cold or warm, whose every cluster of the block
+	// decomposition is exactly enumerable — the block-factorized
+	// estimator answers exactly, from per-block factors, with zero draws
+	// (delta.go).
 	RouteDeltaExact = "delta-exact"
-	// RouteDeltaStratified: a warm prior generation exists and the
-	// decomposition has sampled strata — carried stratum statistics are
-	// reused, only changed strata are redrawn.
+	// RouteDeltaStratified: as RouteDeltaExact, but the decomposition has
+	// clusters too large to enumerate; they are sampled per stratum, and
+	// statistics carried across a mutation are reused, so only changed
+	// strata are redrawn.
 	RouteDeltaStratified = "delta-stratified"
 )
 
@@ -226,11 +228,11 @@ func (p *Prepared) PlanApproximate(mode Mode, q *Query, single bool, opts Approx
 		}
 	default:
 		if strata, ok := p.deltaPlanRoute(mode, q, opts); ok {
-			// A warm prior generation exists and the delta engine will
-			// answer (see Prepared.Approximate): delta-exact is a pure
-			// factor-cache refresh with zero draws; delta-stratified
-			// redraws at most the changed strata, each under a
-			// (ε/S, δ/S) stopping rule.
+			// The block-factorized estimator will answer (see
+			// Prepared.Approximate): delta-exact computes per-block factors
+			// with zero draws; delta-stratified draws at most the strata
+			// without reusable statistics, each under a (ε/S, δ/S)
+			// stopping rule.
 			if strata == 0 {
 				plan.Route = RouteDeltaExact
 				return plan, nil

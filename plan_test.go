@@ -32,13 +32,13 @@ func roundSlack(workers int) int64 { return int64(workers) * engine.Chunk }
 func TestPlanEnvelopeOnScenarios(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ctx := context.Background()
-	mode := ocqa.Mode{Gen: ocqa.UniformRepairs}
 	checked := 0
 	for i := 0; i < 40; i++ {
 		sc := workload.RandomScenario(rng, workload.ScenarioSpec{Class: fd.PrimaryKeys, AnswerVars: i%2 == 0})
 		p := ocqa.NewInstance(sc.DB, sc.Sigma).Prepare()
 		for _, workers := range []int{1, 4} {
-			for _, route := range []string{"dklr", "chernoff", "aa"} {
+			for _, route := range []string{"dklr", "chernoff", "aa", "dklr-us"} {
+				mode := ocqa.Mode{Gen: ocqa.UniformRepairs}
 				// A modest cap keeps zero-probability targets (which
 				// always burn the full cap) cheap for the test.
 				opts := ocqa.ApproxOptions{Epsilon: 0.2, Delta: 0.1, Seed: int64(100 + i), Workers: workers, MaxSamples: 200_000}
@@ -50,6 +50,12 @@ func TestPlanEnvelopeOnScenarios(t *testing.T) {
 					if workers > 1 {
 						continue // 𝒜𝒜 is single-worker
 					}
+				case "dklr-us":
+					// On a Prepared, M^ur's default route factorizes; M^us
+					// keeps the classic DKLR route covered, under a cap its
+					// O(‖D‖) draws afford.
+					mode.Gen = ocqa.UniformSequences
+					opts.MaxSamples = 20_000
 				}
 				single := len(sc.Query.AnswerVars) == 0
 				plan, err := p.PlanApproximate(mode, sc.Query, single, opts)
@@ -124,7 +130,8 @@ func TestPlanEnvelopeOnScenarios(t *testing.T) {
 
 // TestPlanBudgetCapped: a request whose worst-case budget exceeds
 // MaxSamples must flag budget_capped instead of silently
-// under-delivering — and the clamped prediction must equal the cap.
+// under-delivering — and the clamped prediction must equal the cap. It
+// plans M^us, which samples on a Prepared (M^ur factorizes there).
 func TestPlanBudgetCapped(t *testing.T) {
 	inst, err := ocqa.NewInstanceFromText("R(a,b)\nR(a,c)\nR(d,e)", "R: A1 -> A2")
 	if err != nil {
@@ -135,7 +142,7 @@ func TestPlanBudgetCapped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mode := ocqa.Mode{Gen: ocqa.UniformRepairs}
+	mode := ocqa.Mode{Gen: ocqa.UniformSequences}
 
 	tight := ocqa.ApproxOptions{Epsilon: 0.05, Delta: 0.01, MaxSamples: 100}
 	plan, err := p.PlanApproximate(mode, q, true, tight)
