@@ -85,9 +85,6 @@ func runStoreBenchmarks(outPath string) error {
 		return fmt.Errorf("store bench: fixture insert failed")
 	}
 
-	if _, _, err := base.InsertFact(f); err != nil { // warm the lazy LHS index
-		return err
-	}
 	incremental := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

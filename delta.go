@@ -381,8 +381,8 @@ type deltaDecomp struct {
 }
 
 // decompose classifies the target's witnesses against the CURRENT block
-// structure — read live off the incrementally maintained conflict pairs
-// — and groups coupled blocks into clusters. Block membership of a fact
+// structure — read live off the current database by BlockOf — and
+// groups coupled blocks into clusters. Block membership of a fact
 // is stable under primary keys (blocks never merge or split), which is
 // what makes content-addressed factor caching sound; block sizes and
 // fixedness are still recomputed here every time, because a mutation

@@ -3,6 +3,7 @@ package core
 import (
 	"math/big"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/cq"
@@ -57,8 +58,8 @@ func TestConflictStructureRunningExample(t *testing.T) {
 	if len(pairs) != 2 || pairs[0] != [2]int{0, 1} || pairs[1] != [2]int{1, 2} {
 		t.Fatalf("pairs = %v", pairs)
 	}
-	if inst.ConflictGraphDegree() != 2 {
-		t.Fatalf("degree = %d", inst.ConflictGraphDegree())
+	if blk := inst.BlockOf(1); !reflect.DeepEqual(blk, []int{0, 1, 2}) {
+		t.Fatalf("BlockOf(1) = %v", blk)
 	}
 	if inst.IsConsistent(inst.Full()) {
 		t.Fatal("D should be inconsistent")
@@ -72,15 +73,9 @@ func TestJustifiedOpsRunningExample(t *testing.T) {
 	if len(ops) != 5 {
 		t.Fatalf("got %d ops, want 5: %v", len(ops), ops)
 	}
-	if inst.CountJustifiedOps(inst.Full(), false) != 5 {
-		t.Fatal("CountJustifiedOps mismatch")
-	}
 	opsS := inst.JustifiedOps(inst.Full(), true)
 	if len(opsS) != 3 {
 		t.Fatalf("singleton ops = %v", opsS)
-	}
-	if inst.CountJustifiedOps(inst.Full(), true) != 3 {
-		t.Fatal("CountJustifiedOps singleton mismatch")
 	}
 	// After removing f2, the database is consistent: no ops.
 	s := inst.Full().WithoutIndices(1)

@@ -23,25 +23,18 @@ type Witness struct {
 }
 
 // BlockOf returns the fact indices that share a conflict with fact i,
-// including i itself, sorted ascending. For primary keys, conflicts are
-// exactly co-membership in a key block, so this is i's block; a
-// consistent fact returns the singleton {i}. The conflict structure is
-// the incrementally maintained one, so the call costs O(degree(i)) and
-// stays correct across InsertFact/DeleteFact lineages.
+// including i itself, sorted ascending: {i} ∪ Sigma.ConflictsOf(D, i).
+// For primary keys, conflicts are exactly co-membership in a key block,
+// so this is i's block; a consistent fact returns the singleton {i}.
+// The cost is that of ConflictsOf: the rows sharing i's first argument
+// for a key on attribute 0, the whole relation otherwise.
 func (inst *Instance) BlockOf(i int) []int {
-	ps := inst.pairsOf[i]
+	ps := inst.Sigma.ConflictsOf(inst.D, i)
+	at := sort.SearchInts(ps, i)
 	out := make([]int, 0, len(ps)+1)
+	out = append(out, ps[:at]...)
 	out = append(out, i)
-	for _, pi := range ps {
-		p := inst.pairs[pi]
-		if p[0] == i {
-			out = append(out, p[1])
-		} else {
-			out = append(out, p[0])
-		}
-	}
-	sort.Ints(out)
-	return out
+	return append(out, ps[at:]...)
 }
 
 // AnchoredWitnesses enumerates the witness images of q that use the

@@ -24,7 +24,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/fd"
 	"repro/internal/rel"
@@ -32,65 +31,23 @@ import (
 
 // Instance bundles a database D and a set Σ of FDs together with the
 // precomputed conflict structure every engine needs: the deduplicated
-// conflict pairs of CG(D,Σ) and, per fact, the list of pairs it
-// participates in.
+// conflict pairs of CG(D,Σ). A single fact's partners come from
+// Sigma.ConflictsOf (see BlockOf).
 type Instance struct {
 	D     *rel.Database
 	Sigma *fd.Set
 
 	// pairs are the edges of the conflict graph, sorted, with I < J.
 	pairs [][2]int
-	// pairsOf[i] lists indices into pairs that involve fact i.
-	pairsOf [][]int
-	// index is the per-FD LHS bucket index behind the incremental
-	// InsertFact/DeleteFact paths; immutable once built. Instances
-	// produced by a mutation carry it pre-shifted; everything else
-	// builds it lazily at the first mutation (indexOnce), so the many
-	// never-mutated instances pay nothing for it.
-	index     *fd.Index
-	indexOnce sync.Once
 }
 
 // NewInstance precomputes the conflict structure of (D, Σ).
 func NewInstance(d *rel.Database, sigma *fd.Set) *Instance {
-	inst := &Instance{D: d, Sigma: sigma}
-	inst.pairs = sigma.ConflictPairs(d)
-	inst.rebuildPairsOf()
-	return inst
-}
-
-// lhsIndex returns the LHS bucket index, building it at most once.
-func (inst *Instance) lhsIndex() *fd.Index {
-	inst.indexOnce.Do(func() {
-		if inst.index == nil {
-			inst.index = fd.NewIndex(inst.Sigma, inst.D)
-		}
-	})
-	return inst.index
-}
-
-// rebuildPairsOf derives the per-fact pair lists from inst.pairs.
-func (inst *Instance) rebuildPairsOf() {
-	inst.pairsOf = make([][]int, inst.D.Len())
-	for pi, p := range inst.pairs {
-		inst.pairsOf[p[0]] = append(inst.pairsOf[p[0]], pi)
-		inst.pairsOf[p[1]] = append(inst.pairsOf[p[1]], pi)
-	}
+	return &Instance{D: d, Sigma: sigma, pairs: sigma.ConflictPairs(d)}
 }
 
 // ConflictPairs returns the edges of CG(D,Σ) as fact-index pairs (I<J).
 func (inst *Instance) ConflictPairs() [][2]int { return inst.pairs }
-
-// ConflictGraphDegree reports the maximum degree of CG(D,Σ).
-func (inst *Instance) ConflictGraphDegree() int {
-	best := 0
-	for _, ps := range inst.pairsOf {
-		if len(ps) > best {
-			best = len(ps)
-		}
-	}
-	return best
-}
 
 // Full returns the subset representing D itself.
 func (inst *Instance) Full() rel.Subset { return inst.D.FullSubset() }
@@ -104,18 +61,6 @@ func (inst *Instance) IsConsistent(s rel.Subset) bool {
 		}
 	}
 	return true
-}
-
-// ViolatingPairs returns the conflict pairs both of whose facts are
-// present in s — the pair components of V(s(D), Σ) modulo FD labels.
-func (inst *Instance) ViolatingPairs(s rel.Subset) [][2]int {
-	var out [][2]int
-	for _, p := range inst.pairs {
-		if s.Has(p[0]) && s.Has(p[1]) {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // Op is a D-operation −F (Definition 3.1) identified by the removed
@@ -186,25 +131,6 @@ func (inst *Instance) JustifiedOps(s rel.Subset, singleton bool) []Op {
 	}
 	sort.Slice(ops, func(a, b int) bool { return ops[a].less(ops[b]) })
 	return ops
-}
-
-// CountJustifiedOps returns |Ops_s(D,Σ)| without materialising the
-// operations.
-func (inst *Instance) CountJustifiedOps(s rel.Subset, singleton bool) int {
-	singles := make(map[int]bool)
-	pairsN := 0
-	for _, p := range inst.pairs {
-		if !s.Has(p[0]) || !s.Has(p[1]) {
-			continue
-		}
-		singles[p[0]] = true
-		singles[p[1]] = true
-		pairsN++
-	}
-	if singleton {
-		return len(singles)
-	}
-	return len(singles) + pairsN
 }
 
 // Sequence is a sequence of D-operations.

@@ -3,17 +3,19 @@ package core
 // Incremental fact mutations. The conflict structure of (D, Σ) is the
 // expensive part of NewInstance — ConflictPairs rebuckets every fact
 // under every FD and scans every bucket pairwise. InsertFact and
-// DeleteFact instead reuse the previous instance's structure: the
-// touched fact is bucketed against each FD's LHS groups (O(block) per
-// FD, via fd.Index), surviving pairs are remapped to the shifted fact
-// indices, and the per-fact lists are rebuilt. Both are copy-on-write:
-// the receiver, its database and its conflict structure are never
-// mutated, so in-flight readers of the old instance are unaffected.
+// DeleteFact instead reuse the previous instance's conflict pairs:
+// they are remapped across the index shift in one pass (the shift is
+// monotone, so they stay sorted), and an inserted fact's partners come
+// from one Sigma.ConflictsOf scan, merged in linearly. What remains per
+// write is O(‖D‖) copying: the database columns and fact table
+// (rel.Database.Insert/Remove) and the pair remap. Both are
+// copy-on-write: the receiver, its database and its conflict pairs are
+// never mutated, so in-flight readers of the old instance are
+// unaffected.
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/rel"
 )
@@ -31,11 +33,10 @@ var (
 )
 
 // InsertFact returns a new instance for (D ∪ {f}, Σ) together with the
-// index assigned to f, updating the conflict structure incrementally:
-// old pairs are remapped across the index shift and the new fact's
-// conflicts are discovered by bucketing it against each FD's LHS
-// groups — O(‖D‖ + |pairs|) bookkeeping plus O(block) violation
-// checks, instead of NewInstance's full recompute.
+// index assigned to f, updating the conflict pairs incrementally: old
+// pairs are remapped across the index shift and merged with the new
+// fact's pairs, which one Sigma.ConflictsOf scan discovers — O(‖D‖)
+// copying instead of NewInstance's full recompute.
 func (inst *Instance) InsertFact(f rel.Fact) (*Instance, int, error) {
 	r, ok := inst.Sigma.Schema().Relation(f.Rel)
 	if !ok {
@@ -49,33 +50,33 @@ func (inst *Instance) InsertFact(f rel.Fact) (*Instance, int, error) {
 	if !fresh {
 		return nil, pos, fmt.Errorf("%w: %s (index %d)", ErrDuplicateFact, f, pos)
 	}
-	ix2 := inst.lhsIndex().WithInsert(d2, pos)
-
-	// Remap surviving pairs across the shift (monotone, so the list
-	// stays sorted), then merge in the new fact's conflicts.
-	pairs := make([][2]int, 0, len(inst.pairs)+4)
+	// The new fact's pairs come out sorted, because its partners do; the
+	// old pairs stay sorted under the monotone shift. Merge the two.
+	partners := inst.Sigma.ConflictsOf(d2, pos)
+	added := make([][2]int, len(partners))
+	for x, j := range partners {
+		added[x] = [2]int{min(j, pos), max(j, pos)}
+	}
+	pairs := make([][2]int, 0, len(inst.pairs)+len(added))
 	for _, p := range inst.pairs {
-		a, b := p[0], p[1]
-		if a >= pos {
-			a++
+		for k := range p {
+			if p[k] >= pos {
+				p[k]++
+			}
 		}
-		if b >= pos {
-			b++
+		for len(added) > 0 && pairLess(added[0], p) {
+			pairs = append(pairs, added[0])
+			added = added[1:]
 		}
-		pairs = append(pairs, [2]int{a, b})
+		pairs = append(pairs, p)
 	}
-	for _, j := range ix2.ConflictsOf(d2, pos) {
-		a, b := pos, j
-		if a > b {
-			a, b = b, a
-		}
-		pairs = append(pairs, [2]int{a, b})
-	}
-	sortPairs(pairs)
+	pairs = append(pairs, added...)
+	return &Instance{D: d2, Sigma: inst.Sigma, pairs: pairs}, pos, nil
+}
 
-	out := &Instance{D: d2, Sigma: inst.Sigma, pairs: pairs, index: ix2}
-	out.rebuildPairsOf()
-	return out, pos, nil
+// pairLess is the lexicographic order ConflictPairs sorts by.
+func pairLess(p, q [2]int) bool {
+	return p[0] < q[0] || p[0] == q[0] && p[1] < q[1]
 }
 
 // DeleteFact returns a new instance for (D ∖ {f_i}, Σ): pairs touching
@@ -86,7 +87,6 @@ func (inst *Instance) DeleteFact(i int) (*Instance, error) {
 		return nil, fmt.Errorf("%w: %d not in [0,%d)", ErrFactIndex, i, inst.D.Len())
 	}
 	d2 := inst.D.Remove(i)
-	ix2 := inst.lhsIndex().WithRemove(d2, i)
 	pairs := make([][2]int, 0, len(inst.pairs))
 	for _, p := range inst.pairs {
 		if p[0] == i || p[1] == i {
@@ -101,18 +101,5 @@ func (inst *Instance) DeleteFact(i int) (*Instance, error) {
 		}
 		pairs = append(pairs, [2]int{a, b})
 	}
-	out := &Instance{D: d2, Sigma: inst.Sigma, pairs: pairs, index: ix2}
-	out.rebuildPairsOf()
-	return out, nil
-}
-
-// sortPairs orders conflict pairs the way ConflictPairs does, so the
-// incremental structure is bit-identical to a from-scratch rebuild.
-func sortPairs(pairs [][2]int) {
-	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a][0] != pairs[b][0] {
-			return pairs[a][0] < pairs[b][0]
-		}
-		return pairs[a][1] < pairs[b][1]
-	})
+	return &Instance{D: d2, Sigma: inst.Sigma, pairs: pairs}, nil
 }

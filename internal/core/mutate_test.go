@@ -24,18 +24,25 @@ func mutFixture() (*rel.Database, *fd.Set) {
 
 // assertSameStructure checks the incrementally maintained instance is
 // indistinguishable from a from-scratch NewInstance over the same
-// database: identical conflict pairs, per-fact lists and degree.
+// database: identical conflict pairs, and every fact's BlockOf equal to
+// its brute-force conflict partners plus itself.
 func assertSameStructure(t *testing.T, got *Instance) {
 	t.Helper()
 	want := NewInstance(got.D, got.Sigma)
 	if !reflect.DeepEqual(got.pairs, want.pairs) && (len(got.pairs) != 0 || len(want.pairs) != 0) {
 		t.Fatalf("conflict pairs diverge:\nincremental %v\nfrom-scratch %v", got.pairs, want.pairs)
 	}
-	if !reflect.DeepEqual(got.pairsOf, want.pairsOf) {
-		t.Fatalf("pairsOf diverges:\nincremental %v\nfrom-scratch %v", got.pairsOf, want.pairsOf)
-	}
-	if got.ConflictGraphDegree() != want.ConflictGraphDegree() {
-		t.Fatalf("degree diverges: %d vs %d", got.ConflictGraphDegree(), want.ConflictGraphDegree())
+	facts := got.D.Facts()
+	for i := range facts {
+		var block []int
+		for j := range facts {
+			if j == i || got.Sigma.InConflict(facts[i], facts[j]) {
+				block = append(block, j)
+			}
+		}
+		if b := got.BlockOf(i); !reflect.DeepEqual(b, block) {
+			t.Fatalf("BlockOf(%d) = %v, brute force %v", i, b, block)
+		}
 	}
 }
 
@@ -97,45 +104,53 @@ func TestMutationErrors(t *testing.T) {
 	}
 }
 
-// TestMutationChainMatchesRebuild drives a long random insert/delete
-// chain over a multi-FD schema (general FDs, not just keys) and checks
-// the differential property at every step — the acceptance criterion
-// that an inserted conflicting fact changes ConflictPairs identically
-// to a from-scratch NewInstance.
+// TestMutationChainMatchesRebuild drives long random insert/delete
+// chains and checks the differential property at every step — the
+// acceptance criterion that an inserted conflicting fact changes
+// ConflictPairs identically to a fresh NewInstance. The schemas
+// cover general FDs over two relations and a primary key that omits
+// attribute 0, where ConflictsOf scans the whole relation.
 func TestMutationChainMatchesRebuild(t *testing.T) {
 	sch := rel.MustSchema(rel.NewRelation("R", 3), rel.NewRelation("S", 2))
-	sigma := fd.MustSet(sch,
-		fd.New("R", []int{0}, []int{1}),
-		fd.New("R", []int{1, 2}, []int{0}),
-		fd.New("S", []int{0}, []int{1}),
-	)
-	rng := rand.New(rand.NewSource(23))
-	inst := NewInstance(rel.NewDatabase(), sigma)
-	letter := func(n int) string { return fmt.Sprintf("c%d", rng.Intn(n)) }
-	for step := 0; step < 200; step++ {
-		if inst.D.Len() == 0 || rng.Intn(3) > 0 {
-			var f rel.Fact
-			if rng.Intn(2) == 0 {
-				f = rel.NewFact("R", letter(4), letter(4), letter(4))
+	for _, sigma := range []*fd.Set{
+		fd.MustSet(sch,
+			fd.New("R", []int{0}, []int{1}),
+			fd.New("R", []int{1, 2}, []int{0}),
+			fd.New("S", []int{0}, []int{1}),
+		),
+		fd.MustSet(sch,
+			fd.New("R", []int{1}, []int{0, 2}),
+			fd.New("S", []int{1}, []int{0}),
+		),
+	} {
+		rng := rand.New(rand.NewSource(23))
+		inst := NewInstance(rel.NewDatabase(), sigma)
+		letter := func(n int) string { return fmt.Sprintf("c%d", rng.Intn(n)) }
+		for step := 0; step < 200; step++ {
+			if inst.D.Len() == 0 || rng.Intn(3) > 0 {
+				var f rel.Fact
+				if rng.Intn(2) == 0 {
+					f = rel.NewFact("R", letter(4), letter(4), letter(4))
+				} else {
+					f = rel.NewFact("S", letter(4), letter(4))
+				}
+				ni, _, err := inst.InsertFact(f)
+				if errors.Is(err, ErrDuplicateFact) {
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%v, step %d: %v", sigma, step, err)
+				}
+				inst = ni
 			} else {
-				f = rel.NewFact("S", letter(4), letter(4))
+				ni, err := inst.DeleteFact(rng.Intn(inst.D.Len()))
+				if err != nil {
+					t.Fatalf("%v, step %d: %v", sigma, step, err)
+				}
+				inst = ni
 			}
-			ni, _, err := inst.InsertFact(f)
-			if errors.Is(err, ErrDuplicateFact) {
-				continue
-			}
-			if err != nil {
-				t.Fatalf("step %d: %v", step, err)
-			}
-			inst = ni
-		} else {
-			ni, err := inst.DeleteFact(rng.Intn(inst.D.Len()))
-			if err != nil {
-				t.Fatalf("step %d: %v", step, err)
-			}
-			inst = ni
+			assertSameStructure(t, inst)
 		}
-		assertSameStructure(t, inst)
 	}
 }
 

@@ -262,8 +262,10 @@ func (r *aaRule) finish(tr *Trace, n int, _ error) {
 		r.est.Value = r.mu
 	case r.k == r.goal:
 		r.est.Value, r.est.Converged = r.total/float64(r.goal), true
-	default: // phase 3 cut short: the divisor counts the refused draw too
-		r.est.Value = r.total / float64(r.k+1)
+	case r.k > 0: // phase 3 cut short: the mean of its draws so far
+		r.est.Value = r.total / float64(r.k)
+	default: // stopped before phase 3's first draw, as if in phase 2
+		r.est.Value = r.mu
 	}
 	open := 1
 	if r.est.Converged {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -55,6 +56,36 @@ func TestEstimateAACapped(t *testing.T) {
 	}
 	if e.Samples > 3000 {
 		t.Fatalf("budget exceeded: %d", e.Samples)
+	}
+}
+
+// TestAACutShortPhase3 pins what a capped 𝒜𝒜 run reports once phase 3
+// has begun: the mean of phase 3's draws so far, or phase 1's μ̂ — what
+// a run stopped in phase 2 reports — when the cap leaves phase 3 no
+// draw. On an always-true sampler with ε=0.2, δ=0.1 and seed 7 the run
+// converges to 1 after 978 draws and phase 3 starts after draw 676.
+func TestAACutShortPhase3(t *testing.T) {
+	always := func(*rand.Rand) bool { return true }
+	run := func(maxS int) Estimate {
+		t.Helper()
+		e, err := EstimateAA(bg, always, 0.2, 0.1, 7, maxS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	if full := run(0); !full.Converged || full.Value != 1 || full.Samples != 978 {
+		t.Fatalf("uncapped run = %+v; want converged to 1 after 978 draws", full)
+	}
+	for _, maxS := range []int{977, 800, 677} {
+		if e := run(maxS); e.Converged || e.Samples != maxS || e.Value != 1 {
+			t.Errorf("cap %d: value %v after %d draws (converged %t), want 1 after %d, unconverged",
+				maxS, e.Value, e.Samples, e.Converged, maxS)
+		}
+	}
+	inPhase2 := run(675)
+	if e := run(676); e.Converged || e.Value != inPhase2.Value || e.Value < 0.99 {
+		t.Errorf("cap 676: value %v (converged %t), want phase 2's μ̂ %v", e.Value, e.Converged, inPhase2.Value)
 	}
 }
 

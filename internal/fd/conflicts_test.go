@@ -1,0 +1,78 @@
+package fd
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"repro/internal/rel"
+)
+
+// conflictsFromPairs derives fact i's conflict partners from the full
+// ConflictPairs recompute — the ground truth ConflictsOf must match.
+func conflictsFromPairs(s *Set, d *rel.Database, i int) []int {
+	var out []int
+	for _, p := range s.ConflictPairs(d) {
+		if p[0] == i {
+			out = append(out, p[1])
+		}
+		if p[1] == i {
+			out = append(out, p[0])
+		}
+	}
+	sort.Ints(out)
+	return out
+}
+
+// TestConflictsOfMatchesConflictPairs checks ConflictsOf against the
+// full recompute for every fact of random databases, over FD sets that
+// exercise both of its scans: keys on attribute 0 (the narrowed run of
+// rows sharing the first argument), keys that omit it (the whole
+// relation), composite keys, general FDs, two constrained relations and
+// a relation Σ does not mention.
+func TestConflictsOfMatchesConflictPairs(t *testing.T) {
+	sch := rel.MustSchema(rel.NewRelation("R", 3), rel.NewRelation("S", 2), rel.NewRelation("T", 2))
+	sets := []struct {
+		name string
+		fds  []FD
+	}{
+		{"key-on-A1", []FD{New("R", []int{0}, []int{1, 2})}},
+		{"key-omits-A1", []FD{New("R", []int{1}, []int{0, 2})}},
+		{"composite-key", []FD{New("R", []int{0, 2}, []int{1})}},
+		{"composite-omits-A1", []FD{New("R", []int{1, 2}, []int{0})}},
+		{"two-keys", []FD{New("R", []int{0}, []int{1, 2}), New("R", []int{1}, []int{0, 2})}},
+		{"general-fds", []FD{New("R", []int{0}, []int{1}), New("R", []int{1}, []int{2}), New("R", []int{2}, []int{0})}},
+		{"empty-lhs", []FD{New("R", nil, []int{1})}},
+		{"two-relations", []FD{New("R", []int{1}, []int{2}), New("S", []int{0}, []int{1})}},
+	}
+	rng := rand.New(rand.NewSource(5))
+	val := func(n int) string { return fmt.Sprintf("c%d", rng.Intn(n)) }
+	for _, set := range sets {
+		name, sigma := set.name, MustSet(sch, set.fds...)
+		for trial := 0; trial < 20; trial++ {
+			var facts []rel.Fact
+			domain := 2 + rng.Intn(4)
+			for k := rng.Intn(30); k > 0; k-- {
+				switch rng.Intn(3) {
+				case 0:
+					facts = append(facts, rel.NewFact("R", val(domain), val(domain), val(domain)))
+				case 1:
+					facts = append(facts, rel.NewFact("S", val(domain), val(domain)))
+				default: // T is in the schema but unconstrained
+					facts = append(facts, rel.NewFact("T", val(domain), val(domain)))
+				}
+			}
+			d := rel.NewDatabase(facts...)
+			for i := 0; i < d.Len(); i++ {
+				got := sigma.ConflictsOf(d, i)
+				want := conflictsFromPairs(sigma, d, i)
+				if !reflect.DeepEqual(got, want) && (len(got) != 0 || len(want) != 0) {
+					t.Fatalf("%s, trial %d, fact %d (%v): ConflictsOf = %v, want %v",
+						name, trial, i, d.Fact(i), got, want)
+				}
+			}
+		}
+	}
+}

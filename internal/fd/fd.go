@@ -200,16 +200,6 @@ func (s *Set) Satisfies(d *rel.Database) bool {
 	return len(s.Violations(d)) == 0
 }
 
-// SatisfiesFD reports whether D |= φ for a single FD.
-func SatisfiesFD(d *rel.Database, phi FD) bool {
-	ok := true
-	violationsOf(d, phi, func(_, _ int) bool {
-		ok = false
-		return false
-	})
-	return ok
-}
-
 // Violation is an element (φ, {f, g}) of V(D,Σ): the FD at index FDIndex
 // in the set is violated by the pair of facts at database indices I < J.
 type Violation struct {
@@ -225,9 +215,8 @@ func (s *Set) Violations(d *rel.Database) []Violation {
 	var out []Violation
 	for fi, phi := range s.fds {
 		fi := fi
-		violationsOf(d, phi, func(i, j int) bool {
+		violationsOf(d, phi, func(i, j int) {
 			out = append(out, Violation{FDIndex: fi, I: i, J: j})
-			return true
 		})
 	}
 	sort.Slice(out, func(a, b int) bool {

@@ -169,16 +169,6 @@ func TestSatisfiesConsistent(t *testing.T) {
 	}
 }
 
-func TestSatisfiesFD(t *testing.T) {
-	d, _ := runningExample()
-	if SatisfiesFD(d, New("R", []int{0}, []int{1})) {
-		t.Error("φ1 should be violated")
-	}
-	if !SatisfiesFD(d, New("R", []int{0, 1}, []int{2})) {
-		t.Error("A,B -> C should hold")
-	}
-}
-
 func TestConflictPairsDedup(t *testing.T) {
 	// Two keys both violated by the same pair must yield one edge.
 	sch := rel.MustSchema(rel.NewRelation("R", 2))

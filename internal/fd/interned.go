@@ -4,12 +4,12 @@ package fd
 // representation: FD violation checks compare argument id columns, and
 // LHS-projection grouping runs through an open-addressing grouper that
 // hashes id tuples and chains equal projections — no per-fact key
-// string, no map allocation. The string-keyed variants remain only in
-// the incremental Index, whose buckets must persist across databases of
-// one mutation lineage.
+// string, no map allocation. The conflicts of a single fact need no
+// grouping at all: ConflictsOf scans the sorted rows that can share its
+// left-hand side.
 
 import (
-	"encoding/binary"
+	"sort"
 
 	"repro/internal/rel"
 )
@@ -138,10 +138,8 @@ func (g *grouper) buckets(yield func(idxs []int) bool) {
 }
 
 // violationsOf enumerates the violations of a single FD in
-// (I, J)-sorted order within each LHS bucket, stopping early when
-// yield returns false. The shared driver behind Violations (collect
-// all) and SatisfiesFD (exists any).
-func violationsOf(d *rel.Database, phi FD, yield func(i, j int) bool) {
+// (I, J)-sorted order within each LHS bucket, for Violations.
+func violationsOf(d *rel.Database, phi FD, yield func(i, j int)) {
 	lo, hi := d.RelRange(phi.Rel)
 	if lo == hi {
 		return
@@ -154,9 +152,7 @@ func violationsOf(d *rel.Database, phi FD, yield func(i, j int) bool) {
 		for x := 0; x < len(idxs); x++ {
 			for y := x + 1; y < len(idxs); y++ {
 				if violatedRows(d, phi, idxs[x], idxs[y]) {
-					if !yield(idxs[x], idxs[y]) {
-						return false
-					}
+					yield(idxs[x], idxs[y])
 				}
 			}
 		}
@@ -164,16 +160,46 @@ func violationsOf(d *rel.Database, phi FD, yield func(i, j int) bool) {
 	})
 }
 
-// packLHS renders the LHS projection of fact i as a fixed-width byte
-// key (4 bytes per id — no escaping, no terminators needed). Symbol
-// ids are append-only across a copy-on-write mutation lineage, so keys
-// packed against different databases of one lineage are comparable;
-// the incremental Index depends on that.
-func packLHS(buf []byte, d *rel.Database, phi FD, i int) []byte {
-	buf = buf[:0]
-	row := d.ArgIDs(i)
-	for _, a := range phi.LHS {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(row[a]))
+// ConflictsOf returns the sorted indices of the facts of d that jointly
+// violate some FD of Σ with the fact at index i: its neighbours in the
+// conflict graph CG(D,Σ). For each FD on the fact's relation it scans
+// the rows RelRangeID returns and keeps those violatedRows accepts. When
+// attribute 0 is on the FD's left-hand side, only rows agreeing with the
+// fact on it can conflict, and those are contiguous because rows sort
+// relation-major and lexicographically; otherwise the scan covers the
+// whole relation, with integer compares only.
+func (s *Set) ConflictsOf(d *rel.Database, i int) []int {
+	rid, row := d.RelID(i), d.ArgIDs(i)
+	name := d.Symbols().Str(rid)
+	var out []int
+	runs := 0
+	for _, phi := range s.fds {
+		if phi.Rel != name {
+			continue
+		}
+		first := int32(-1)
+		if len(phi.LHS) > 0 && phi.LHS[0] == 0 {
+			first = row[0]
+		}
+		lo, hi := d.RelRangeID(rid, first)
+		for j := lo; j < hi; j++ {
+			if j != i && violatedRows(d, phi, i, j) {
+				out = append(out, j)
+			}
+		}
+		runs++
 	}
-	return buf
+	if runs < 2 {
+		return out
+	}
+	// Each FD appended an ascending run; merge them.
+	sort.Ints(out)
+	k := 0
+	for _, j := range out {
+		if k == 0 || out[k-1] != j {
+			out[k] = j
+			k++
+		}
+	}
+	return out[:k]
 }

@@ -508,12 +508,6 @@ func (d *Database) IndexOf(f Fact) int {
 	return d.table.lookup(d, rid, ids)
 }
 
-// IndexOfIDs returns the index of the row (rid, args) of interned ids,
-// or -1 if absent. Ids must come from this database's symbol table.
-func (d *Database) IndexOfIDs(rid int32, args []int32) int {
-	return d.table.lookup(d, rid, args)
-}
-
 // Contains reports whether the fact is in the database.
 func (d *Database) Contains(f Fact) bool { return d.IndexOf(f) >= 0 }
 

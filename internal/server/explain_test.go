@@ -238,6 +238,51 @@ func TestFlightRecorderGatedOff(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderRecordsWrites: a fact insert and a fact delete on a
+// durable server land in the flight recorder, each with the write
+// path's three spans — the copy-on-write apply, the journal append with
+// its fsync, and the synchronous cache refresh.
+func TestFlightRecorderRecordsWrites(t *testing.T) {
+	st := openTestStore(t, t.TempDir())
+	defer st.Close()
+	ts, _ := newTestServer(t, Options{EnableDebugQueries: true, Store: st})
+	reg := register(t, ts.URL, pkFacts, pkFDs)
+	var ins, del FactMutationResponse
+	if status := do(t, http.MethodPost, ts.URL+"/v1/instances/"+reg.ID+"/facts",
+		InsertFactRequest{Fact: "Emp(2,Carol)"}, &ins); status != http.StatusOK {
+		t.Fatalf("insert fact: status %d", status)
+	}
+	if status := do(t, http.MethodDelete, fmt.Sprintf("%s/v1/instances/%s/facts/%d", ts.URL, reg.ID, ins.Index),
+		nil, &del); status != http.StatusOK {
+		t.Fatalf("delete fact: status %d", status)
+	}
+
+	var fr flightResponse
+	if status := do(t, http.MethodGet, ts.URL+"/debug/queries", nil, &fr); status != http.StatusOK {
+		t.Fatalf("/debug/queries: status %d", status)
+	}
+	seen := map[string]bool{}
+	for _, rec := range fr.Recent {
+		if rec.Endpoint != "insert_fact" && rec.Endpoint != "delete_fact" {
+			continue
+		}
+		seen[rec.Endpoint] = true
+		if rec.Status != http.StatusOK || rec.Instance != reg.ID {
+			t.Errorf("%s record: status %d, instance %q", rec.Endpoint, rec.Status, rec.Instance)
+		}
+		var names []string
+		for _, sp := range rec.Spans {
+			names = append(names, sp.Name)
+		}
+		if strings.Join(names, ",") != "apply,wal.append,refresh" {
+			t.Errorf("%s spans = %v, want [apply wal.append refresh]", rec.Endpoint, names)
+		}
+	}
+	if !seen["insert_fact"] || !seen["delete_fact"] {
+		t.Fatalf("recorded write endpoints %v, want insert_fact and delete_fact", seen)
+	}
+}
+
 // TestFlightRecorderBounded: under a concurrent query storm the rings
 // stay bounded at their documented sizes while the total keeps
 // counting, and the records carry traces. The storm samples M^us

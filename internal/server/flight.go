@@ -1,8 +1,9 @@
 package server
 
 // The slow-query flight recorder: a bounded in-memory record of recent
-// and slowest query executions, each carrying the request's identity,
-// cost and — when a trace ran — its phase spans and convergence curve.
+// and slowest query and fact-write executions, each carrying the
+// request's identity, cost and — when a trace ran — its phase spans and
+// convergence curve.
 // Mounted at GET /debug/queries, gated behind Options.EnableDebugQueries
 // exactly like the pprof endpoints (the traces expose query text and
 // timing internals, so the operator opts in). Recording happens once
@@ -141,11 +142,11 @@ func (s *Server) handleDebugQueries(w http.ResponseWriter, r *http.Request) {
 }
 
 // flightEndpoint reports whether a classified endpoint performs query
-// work worth recording — registry bookkeeping, scrapes and the
+// or write work worth recording — registry bookkeeping, scrapes and the
 // recorder itself stay out of the rings.
 func flightEndpoint(ep string) bool {
 	switch ep {
-	case "query", "batch", "count", "marginals", "semantics":
+	case "query", "batch", "count", "marginals", "semantics", "insert_fact", "delete_fact":
 		return true
 	}
 	return false

@@ -226,8 +226,9 @@ func mutationError(err error) *httpError {
 // commits (and journals) behind the client's back — for an
 // index-addressed API that is actively dangerous. Only the compute
 // semaphore is held (by the handler), to bound simultaneous copy and
-// refresh work.
-func (s *Server) mutateInstance(id string, op func(*ocqa.Prepared) (*ocqa.Prepared, *FactMutationResponse, error)) (FactMutationResponse, *httpError) {
+// refresh work. tr, when the flight recorder armed one, receives the
+// write's spans: apply and wal.append from op, refresh from here.
+func (s *Server) mutateInstance(tr *ocqa.Trace, id string, op func(*ocqa.Prepared) (*ocqa.Prepared, *FactMutationResponse, error)) (FactMutationResponse, *httpError) {
 	var out FactMutationResponse
 	ne, err := s.reg.mutate(id, func(e *instanceEntry) (*instanceEntry, error) {
 		np, resp, err := op(e.prepared)
@@ -245,8 +246,20 @@ func (s *Server) mutateInstance(id string, op func(*ocqa.Prepared) (*ocqa.Prepar
 	// window syncs incrementally instead of re-transferring the state.
 	s.repl.appendOp(id, ReplOp{Gen: ne.gen, Op: out.Op, Fact: out.Fact, Index: out.Index})
 	s.met.mutations.Inc()
+	endRefresh := tr.StartSpan("refresh")
 	s.refreshAfterMutation(ne)
+	endRefresh()
 	return out, nil
+}
+
+// mutationTrace records the mutated instance on the request's trace
+// record and returns the trace its spans go to (nil unless armed).
+func mutationTrace(r *http.Request, id string) *ocqa.Trace {
+	ri := infoFrom(r.Context())
+	if ri != nil {
+		ri.instance.Store(id)
+	}
+	return traceFor(ri, false)
 }
 
 func (s *Server) handleInsertFact(w http.ResponseWriter, r *http.Request) {
@@ -261,15 +274,21 @@ func (s *Server) handleInsertFact(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, badRequest("%v", err))
 		return
 	}
+	tr := mutationTrace(r, id)
 	s.compute <- struct{}{}
 	defer func() { <-s.compute }()
-	resp, he := s.mutateInstance(id, func(p *ocqa.Prepared) (*ocqa.Prepared, *FactMutationResponse, error) {
+	resp, he := s.mutateInstance(tr, id, func(p *ocqa.Prepared) (*ocqa.Prepared, *FactMutationResponse, error) {
+		endApply := tr.StartSpan("apply")
 		np, pos, err := p.ApplyInsert(f)
+		endApply()
 		if err != nil {
 			return nil, nil, err
 		}
 		if s.store != nil {
-			if err := s.store.LogInsertFact(id, f); err != nil {
+			endWAL := tr.StartSpan("wal.append")
+			err := s.store.LogInsertFact(id, f)
+			endWAL()
+			if err != nil {
 				return nil, nil, fmt.Errorf("journalling insert: %w", err)
 			}
 		}
@@ -297,19 +316,25 @@ func (s *Server) handleDeleteFact(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, badRequest("fact index %q is not an integer", r.PathValue("index")))
 		return
 	}
+	tr := mutationTrace(r, id)
 	s.compute <- struct{}{}
 	defer func() { <-s.compute }()
-	resp, he := s.mutateInstance(id, func(p *ocqa.Prepared) (*ocqa.Prepared, *FactMutationResponse, error) {
+	resp, he := s.mutateInstance(tr, id, func(p *ocqa.Prepared) (*ocqa.Prepared, *FactMutationResponse, error) {
 		if idx < 0 || idx >= p.DB().Len() {
 			return nil, nil, fmt.Errorf("%w: %d not in [0,%d)", ocqa.ErrFactIndex, idx, p.DB().Len())
 		}
 		removed := p.DB().Fact(idx)
+		endApply := tr.StartSpan("apply")
 		np, err := p.ApplyDelete(idx)
+		endApply()
 		if err != nil {
 			return nil, nil, err
 		}
 		if s.store != nil {
-			if err := s.store.LogDeleteFact(id, idx); err != nil {
+			endWAL := tr.StartSpan("wal.append")
+			err := s.store.LogDeleteFact(id, idx)
+			endWAL()
+			if err != nil {
 				return nil, nil, fmt.Errorf("journalling delete: %w", err)
 			}
 		}

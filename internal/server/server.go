@@ -137,15 +137,17 @@ type Options struct {
 	EnablePprof bool
 	// EnableDebugQueries mounts the slow-query flight recorder at
 	// GET /debug/queries: bounded rings of the last and the slowest
-	// query executions with their traces. Off by default for the same
-	// reason as pprof — the records expose query text and timing
-	// internals — and opted into with ocqa-serve -debug-queries.
-	// Enabling it arms a per-request engine trace on query endpoints.
+	// query and fact-write executions with their traces. Off by default
+	// for the same reason as pprof — the records expose query text and
+	// timing internals — and opted into with ocqa-serve -debug-queries.
+	// Enabling it arms a per-request engine trace on query and fact-write
+	// endpoints; a write records its apply, wal.append and refresh spans.
 	EnableDebugQueries bool
-	// SlowQuery, when positive, logs every query-endpoint request whose
-	// total wall time reaches the threshold as one structured warning
-	// carrying the full trace (phase spans, convergence terminal). Uses
-	// AccessLog when configured, slog's default logger otherwise.
+	// SlowQuery, when positive, logs every query- or fact-write-endpoint
+	// request whose total wall time reaches the threshold as one
+	// structured warning carrying the full trace (phase spans,
+	// convergence terminal). Uses AccessLog when configured, slog's
+	// default logger otherwise.
 	SlowQuery time.Duration
 	// AccessLog, when non-nil, receives one structured line per request
 	// (request id, endpoint, status, latency, instance, draws, cache

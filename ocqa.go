@@ -181,8 +181,10 @@ func (in *Instance) Sigma() *FDSet { return in.sigma }
 // Class returns the constraint class of Σ.
 func (in *Instance) Class() ConstraintClass { return in.class }
 
-// IsConsistent reports whether D |= Σ.
-func (in *Instance) IsConsistent() bool { return in.sigma.Satisfies(in.db) }
+// IsConsistent reports whether D |= Σ. For FDs that holds iff V(D,Σ) is
+// empty, i.e. iff the conflict graph the instance maintains has no
+// edge, so the answer costs O(1).
+func (in *Instance) IsConsistent() bool { return len(in.inner.ConflictPairs()) == 0 }
 
 // Core exposes the underlying exact engine for advanced use (chain
 // construction, predicates over raw repair subsets).
@@ -192,9 +194,10 @@ func (in *Instance) Core() *core.Instance { return in.inner }
 
 // InsertFact returns a new instance for (D ∪ {f}, Σ) and the index
 // assigned to f, leaving the receiver untouched — in-flight queries
-// against the old instance are unaffected. The conflict structure is
-// maintained incrementally (the new fact is bucketed against each FD's
-// LHS groups, O(block) per FD) instead of recomputed; sampler
+// against the old instance are unaffected. The conflict pairs are
+// maintained incrementally instead of recomputed: the old ones are
+// remapped across the index shift and the new fact's are found by one
+// scan of the rows that can share its left-hand sides. Sampler
 // artifacts are not carried over, so a mutated instance rebuilds them
 // lazily on first use (see PrepareLazy). Fails with ErrDuplicateFact,
 // ErrUnknownRelation or ErrArityMismatch.

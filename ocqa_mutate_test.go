@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/big"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	ocqa "repro"
 	"repro/internal/sampler"
+	"repro/internal/workload"
 )
 
 func mustInstance(t *testing.T, facts, fds string) *ocqa.Instance {
@@ -170,5 +173,82 @@ func TestPrepareLazyDefersConstruction(t *testing.T) {
 	}
 	if sampler.Constructions() != afterSeq {
 		t.Fatal("repeated sequence use rebuilt samplers: laziness is not at-most-once")
+	}
+}
+
+// TestIsConsistentAlongLineage drives a random insert/delete lineage
+// over general FDs on two relations — one FD led by attribute 0, one
+// that omits it — and checks the O(1) IsConsistent against the
+// reference check Σ.Satisfies(D) at every step. The lineage must pass
+// from consistent to inconsistent and back.
+func TestIsConsistentAlongLineage(t *testing.T) {
+	inst := mustInstance(t, "R(c0,c0,c0)\nS(c0,c0)", "R: A1 -> A2\nR: A3 -> A1\nS: A2 -> A1")
+	rng := rand.New(rand.NewSource(17))
+	c := func() string { return fmt.Sprintf("c%d", rng.Intn(3)) }
+	var states []bool
+	for step := 0; step < 400; step++ {
+		if inst.DB().Len() == 0 || rng.Intn(2) == 0 {
+			text := fmt.Sprintf("S(%s,%s)", c(), c())
+			if rng.Intn(2) == 0 {
+				text = fmt.Sprintf("R(%s,%s,%s)", c(), c(), c())
+			}
+			f, err := ocqa.ParseFact(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ni, _, err := inst.InsertFact(f)
+			if errors.Is(err, ocqa.ErrDuplicateFact) {
+				continue
+			}
+			if err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			inst = ni
+		} else {
+			ni, err := inst.DeleteFact(rng.Intn(inst.DB().Len()))
+			if err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			inst = ni
+		}
+		got, want := inst.IsConsistent(), inst.Sigma().Satisfies(inst.DB())
+		if got != want {
+			t.Fatalf("step %d: IsConsistent() = %t, Σ.Satisfies(D) = %t on %v", step, got, want, inst.DB())
+		}
+		if len(states) == 0 || states[len(states)-1] != got {
+			states = append(states, got)
+		}
+	}
+	t.Logf("consistency changes along the lineage: %d", len(states)-1)
+	if len(states) < 3 || !states[0] {
+		t.Fatalf("lineage consistency changes %v never went consistent → inconsistent → consistent", states)
+	}
+}
+
+// TestApplyWriteAllocsFlat guards the cost model of a single-fact
+// write: an ApplyInsert+ApplyDelete pair on a primary-key Prepared
+// allocates a size-independent number of objects (its O(‖D‖) work is
+// flat copying), so 10× the facts may cost at most 2× the allocations.
+func TestApplyWriteAllocsFlat(t *testing.T) {
+	allocs := func(facts int) float64 {
+		w := workload.BlockDatabase(rand.New(rand.NewSource(3)), workload.UniformBlockSizes(facts/4, 4))
+		p := ocqa.NewInstance(w.DB, w.Sigma).PrepareLazy()
+		// Both constants exist, so the insert extends block k1 without
+		// cloning the symbol table.
+		f := ocqa.Fact{Rel: "R", Args: []string{"k1", "v0"}}
+		return testing.AllocsPerRun(5, func() {
+			np, pos, err := p.ApplyInsert(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := np.ApplyDelete(pos); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(2000), allocs(20000)
+	t.Logf("allocations per insert+delete: %.0f at 2k facts, %.0f at 20k", small, large)
+	if large > 2*small {
+		t.Fatalf("ApplyInsert+ApplyDelete allocations: %.0f at 20k facts vs %.0f at 2k, want within 2×", large, small)
 	}
 }
