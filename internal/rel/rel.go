@@ -320,8 +320,10 @@ func NewDatabaseColumnar(syms *Symbols, rels, offs, args []int32) (*Database, er
 
 // NewDatabaseFromParts is NewDatabaseColumnar plus a precomputed hash
 // slot array (as exposed by LookupSlots), the warm-boot path for
-// mmap-style snapshot loads: adopting the stored table avoids the O(n)
-// rehash, leaving only integer validation scans.
+// mmap-style snapshot loads: adopting the stored table avoids
+// allocating and filling a new one. The table is verified, not
+// trusted: it must index exactly d's facts, each where its own probe
+// finds it, which leaves at least one empty slot to end every probe.
 func NewDatabaseFromParts(syms *Symbols, rels, offs, args, slots []int32) (*Database, error) {
 	d, err := newColumnar(syms, rels, offs, args)
 	if err != nil {
@@ -334,9 +336,21 @@ func NewDatabaseFromParts(syms *Symbols, rels, offs, args, slots []int32) (*Data
 	if len(slots) != tableSize(len(rels)) {
 		return nil, fmt.Errorf("rel: lookup slot count %d does not match %d facts", len(slots), len(rels))
 	}
+	used := 0
 	for _, s := range t.slots {
 		if int(s) < 0 || int(s) > len(rels) {
 			return nil, fmt.Errorf("rel: lookup slot value %d out of range", s)
+		}
+		if s != 0 {
+			used++
+		}
+	}
+	if used != len(rels) {
+		return nil, fmt.Errorf("rel: lookup table holds %d entries for %d facts", used, len(rels))
+	}
+	for i := range rels {
+		if t.lookup(d, rels[i], d.argRow(i)) != i {
+			return nil, fmt.Errorf("rel: lookup table does not find fact %d", i)
 		}
 	}
 	d.table = t

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	ocqa "repro"
+	"repro/internal/store"
 )
 
 // --- registry lifecycle ---------------------------------------------------
@@ -57,29 +58,8 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		e, evicted := s.reg.add(id, req.Name, prepared, now)
-		for _, v := range evicted {
-			s.met.evictions.Inc()
-			s.cache.invalidate(v.id)
-			s.repl.dropTail(v.id)
-			// Best-effort journalling of the eviction: on failure the
-			// evicted instance resurrects at the next boot and is
-			// evicted again once the registry refills — benign.
-			if s.store != nil {
-				if err := s.store.LogUnregister(v.id); err != nil {
-					s.met.errors.Inc()
-				}
-			}
-		}
-		s.met.registered.Inc()
-		info := e.info()
-		return RegisterResponse{
-			ID:         e.id,
-			Name:       e.name,
-			Facts:      info.Facts,
-			Class:      info.Class,
-			Consistent: info.Consistent,
-			Prepared:   info.Prepared,
-		}, nil
+		s.dropEvicted(evicted...)
+		return s.registered(e), nil
 	})
 	if he != nil {
 		s.writeError(w, he)
@@ -112,32 +92,46 @@ func (s *Server) handleRegisterWithID(w http.ResponseWriter, r *http.Request, re
 				return RegisterResponse{}, &httpError{status: http.StatusInternalServerError, msg: fmt.Sprintf("journalling registration: %v", err)}
 			}
 		}
-		for _, v := range evicted {
-			s.met.evictions.Inc()
-			s.cache.invalidate(v.id)
-			s.repl.dropTail(v.id)
-			if s.store != nil {
-				if err := s.store.LogUnregister(v.id); err != nil {
-					s.met.errors.Inc()
-				}
-			}
-		}
-		s.met.registered.Inc()
-		info := e.info()
-		return RegisterResponse{
-			ID:         e.id,
-			Name:       e.name,
-			Facts:      info.Facts,
-			Class:      info.Class,
-			Consistent: info.Consistent,
-			Prepared:   info.Prepared,
-		}, nil
+		s.dropEvicted(evicted...)
+		return s.registered(e), nil
 	})
 	if he != nil {
 		s.writeError(w, he)
 		return
 	}
 	writeJSON(w, http.StatusCreated, resp)
+}
+
+// registered counts a new registration and renders its response.
+func (s *Server) registered(e *instanceEntry) RegisterResponse {
+	s.met.registered.Inc()
+	info := e.info()
+	return RegisterResponse{
+		ID:         e.id,
+		Name:       e.name,
+		Facts:      info.Facts,
+		Class:      info.Class,
+		Consistent: info.Consistent,
+		Prepared:   info.Prepared,
+	}
+}
+
+// dropEvicted forgets instances the registry evicted to make room:
+// their cached results and replication tails, and — best-effort — their
+// registration in the WAL. A failed unregister record only means the
+// instance resurrects at the next boot and is evicted again once the
+// registry refills: benign.
+func (s *Server) dropEvicted(evicted ...*instanceEntry) {
+	for _, v := range evicted {
+		s.met.evictions.Inc()
+		s.cache.invalidate(v.id)
+		s.repl.dropTail(v.id)
+		if s.store != nil {
+			if err := s.store.LogUnregister(v.id); err != nil {
+				s.met.errors.Inc()
+			}
+		}
+	}
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -212,28 +206,37 @@ func mutationError(err error) *httpError {
 }
 
 // mutateInstance runs one copy-on-write mutation under the registry's
-// write lock: derive the new prepared instance, journal the operation,
-// install a fresh entry, and delta-refresh (or drop) the instance's
-// cached results. The op receives — and returns — a *Prepared rather
-// than a bare instance: Prepared.ApplyInsert/ApplyDelete derive the
-// successor generation's estimation state incrementally (per-block
-// factor cache, stratified draw statistics, maintained witness sets),
-// so queries after the mutation pay only for the touched block instead
-// of a cold rebuild. The WAL append happens inside the critical
-// section, so the log order is the order the registry applied.
+// write lock: derive the new prepared instance, journal the mutation's
+// record frame, install a fresh entry, keep the frame in the
+// replication tail, and delta-refresh (or drop) the instance's cached
+// results. The op receives — and returns — a *Prepared rather than a
+// bare instance: Prepared.ApplyInsert/ApplyDelete derive the successor
+// generation's estimation state incrementally (per-block factor cache,
+// stratified draw statistics, maintained witness sets), so queries
+// after the mutation pay only for the touched block instead of a cold
+// rebuild. The WAL append happens inside the critical section, so the
+// log order is the order the registry applied.
 // Mutations deliberately do NOT run under runWithDeadline: abandoning a
 // write on timeout would report failure for an operation that still
 // commits (and journals) behind the client's back — for an
 // index-addressed API that is actively dangerous. Only the compute
 // semaphore is held (by the handler), to bound simultaneous copy and
 // refresh work. tr, when the flight recorder armed one, receives the
-// write's spans: apply and wal.append from op, refresh from here.
-func (s *Server) mutateInstance(tr *ocqa.Trace, id string, op func(*ocqa.Prepared) (*ocqa.Prepared, *FactMutationResponse, error)) (FactMutationResponse, *httpError) {
+// write's spans: apply from op, wal.append and refresh from here.
+func (s *Server) mutateInstance(tr *ocqa.Trace, id string, frame []byte, op func(*ocqa.Prepared) (*ocqa.Prepared, *FactMutationResponse, error)) (FactMutationResponse, *httpError) {
 	var out FactMutationResponse
 	ne, err := s.reg.mutate(id, func(e *instanceEntry) (*instanceEntry, error) {
 		np, resp, err := op(e.prepared)
 		if err != nil {
 			return nil, err
+		}
+		if s.store != nil {
+			endWAL := tr.StartSpan("wal.append")
+			err := s.store.Append(frame)
+			endWAL()
+			if err != nil {
+				return nil, fmt.Errorf("journalling %s: %w", resp.Op, err)
+			}
 		}
 		out = *resp
 		return &instanceEntry{id: e.id, name: e.name, prepared: np, created: e.created, gen: e.gen + 1}, nil
@@ -242,9 +245,10 @@ func (s *Server) mutateInstance(tr *ocqa.Trace, id string, op func(*ocqa.Prepare
 		return out, mutationError(err)
 	}
 	out.Gen = ne.gen
-	// Record the op in the replication tail so a follower inside the
-	// window syncs incrementally instead of re-transferring the state.
-	s.repl.appendOp(id, ReplOp{Gen: ne.gen, Op: out.Op, Fact: out.Fact, Index: out.Index})
+	// Keep the journalled frame in the replication tail so a follower
+	// inside the window syncs incrementally instead of re-transferring
+	// the state.
+	s.repl.appendFrame(id, ne.gen, frame)
 	s.met.mutations.Inc()
 	endRefresh := tr.StartSpan("refresh")
 	s.refreshAfterMutation(ne)
@@ -277,20 +281,13 @@ func (s *Server) handleInsertFact(w http.ResponseWriter, r *http.Request) {
 	tr := mutationTrace(r, id)
 	s.compute <- struct{}{}
 	defer func() { <-s.compute }()
-	resp, he := s.mutateInstance(tr, id, func(p *ocqa.Prepared) (*ocqa.Prepared, *FactMutationResponse, error) {
+	frame := store.Record{Kind: store.OpInsertFact, ID: id, Fact: f}.Frame()
+	resp, he := s.mutateInstance(tr, id, frame, func(p *ocqa.Prepared) (*ocqa.Prepared, *FactMutationResponse, error) {
 		endApply := tr.StartSpan("apply")
 		np, pos, err := p.ApplyInsert(f)
 		endApply()
 		if err != nil {
 			return nil, nil, err
-		}
-		if s.store != nil {
-			endWAL := tr.StartSpan("wal.append")
-			err := s.store.LogInsertFact(id, f)
-			endWAL()
-			if err != nil {
-				return nil, nil, fmt.Errorf("journalling insert: %w", err)
-			}
 		}
 		return np, &FactMutationResponse{
 			ID:            id,
@@ -319,7 +316,8 @@ func (s *Server) handleDeleteFact(w http.ResponseWriter, r *http.Request) {
 	tr := mutationTrace(r, id)
 	s.compute <- struct{}{}
 	defer func() { <-s.compute }()
-	resp, he := s.mutateInstance(tr, id, func(p *ocqa.Prepared) (*ocqa.Prepared, *FactMutationResponse, error) {
+	frame := store.Record{Kind: store.OpDeleteFact, ID: id, Index: idx}.Frame()
+	resp, he := s.mutateInstance(tr, id, frame, func(p *ocqa.Prepared) (*ocqa.Prepared, *FactMutationResponse, error) {
 		if idx < 0 || idx >= p.DB().Len() {
 			return nil, nil, fmt.Errorf("%w: %d not in [0,%d)", ocqa.ErrFactIndex, idx, p.DB().Len())
 		}
@@ -329,14 +327,6 @@ func (s *Server) handleDeleteFact(w http.ResponseWriter, r *http.Request) {
 		endApply()
 		if err != nil {
 			return nil, nil, err
-		}
-		if s.store != nil {
-			endWAL := tr.StartSpan("wal.append")
-			err := s.store.LogDeleteFact(id, idx)
-			endWAL()
-			if err != nil {
-				return nil, nil, fmt.Errorf("journalling delete: %w", err)
-			}
 		}
 		return np, &FactMutationResponse{
 			ID:            id,

@@ -49,11 +49,11 @@ type serverMetrics struct {
 	// ops and full-state transfers applied as a follower, replicas
 	// promoted into the live registry, and query-path requests shed by
 	// the inflight gate.
-	replFeeds      *metrics.Counter
-	replOpsApplied *metrics.Counter
-	replFullSyncs  *metrics.Counter
-	replPromotes   *metrics.Counter
-	shedRequests   *metrics.Counter
+	replFeeds     *metrics.Counter
+	replApplied   *metrics.Counter
+	replFullSyncs *metrics.Counter
+	replPromotes  *metrics.Counter
+	shedRequests  *metrics.Counter
 
 	// Per-endpoint request observability, fed by ServeHTTP for every
 	// request (the classified endpoint label keeps cardinality fixed).
@@ -115,7 +115,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 
 	m.replFeeds = r.NewCounter("ocqa_replication_feeds_total",
 		"Replication feed pulls served to follower backends.")
-	m.replOpsApplied = r.NewCounter("ocqa_replication_ops_applied_total",
+	m.replApplied = r.NewCounter("ocqa_replication_ops_applied_total",
 		"Incremental mutation ops applied to local replicas.")
 	m.replFullSyncs = r.NewCounter("ocqa_replication_full_syncs_total",
 		"Replica syncs that fell back to a full-state transfer.")
@@ -322,17 +322,17 @@ type varz struct {
 	DeltaReusedDraws       int64 `json:"delta_reused_draws"`
 	CacheDeltaRefreshes    int64 `json:"result_cache_delta_refreshes"`
 	// Replication: ReplFeeds counts feed pulls served to followers,
-	// ReplOpsApplied incremental ops applied to local replicas,
+	// ReplApplied incremental mutations applied to local replicas,
 	// ReplFullSyncs syncs that fell back to a full-state transfer,
 	// ReplPromotes replicas promoted into the live registry (failovers),
 	// Replicas the warm replicas currently held, and ShedRequests
 	// query-path requests shed with 503 by the inflight load gate.
-	ReplFeeds      int64 `json:"replication_feeds"`
-	ReplOpsApplied int64 `json:"replication_ops_applied"`
-	ReplFullSyncs  int64 `json:"replication_full_syncs"`
-	ReplPromotes   int64 `json:"replication_promotions"`
-	Replicas       int   `json:"replicas"`
-	ShedRequests   int64 `json:"shed_requests"`
+	ReplFeeds     int64 `json:"replication_feeds"`
+	ReplApplied   int64 `json:"replication_ops_applied"`
+	ReplFullSyncs int64 `json:"replication_full_syncs"`
+	ReplPromotes  int64 `json:"replication_promotions"`
+	Replicas      int   `json:"replicas"`
+	ShedRequests  int64 `json:"shed_requests"`
 	// CoverageChecks / CoverageWithin total the empirical
 	// (ε, δ)-envelope checks across instances: approx results compared
 	// against a cached exact counterpart, and how many landed within
@@ -410,7 +410,7 @@ func (s *Server) handleVarz(w http.ResponseWriter, r *http.Request) {
 		DeltaReusedDraws:       ocqa.DeltaReusedDraws(),
 		CacheDeltaRefreshes:    m.cacheRefreshes.Value(),
 		ReplFeeds:              m.replFeeds.Value(),
-		ReplOpsApplied:         m.replOpsApplied.Value(),
+		ReplApplied:            m.replApplied.Value(),
 		ReplFullSyncs:          m.replFullSyncs.Value(),
 		ReplPromotes:           m.replPromotes.Value(),
 		Replicas:               len(s.repl.listReplicas()),

@@ -1,29 +1,38 @@
 package server
 
 // Backend-to-backend replication: the serving-tier half of the cluster
-// layer. Every live instance exposes a generation-sequenced feed
-// (GET /v1/replication/instances/{id}?after=GEN) that returns either
-// the exact mutation ops in (after, gen] — when the bounded per-instance
-// op tail still covers that window — or a full-state fallback (the
-// database and FD set in their text formats). A follower backend pulls
-// the feed with POST /v1/replication/sync and maintains a warm replica
+// layer. Its bytes are package store's record frames, the ones the WAL
+// journals. Every live instance exposes a generation-sequenced feed,
+// GET /v1/replication/instances/{id}?after=GEN, whose
+// X-Replication-Gen header names the generation gen it brings a
+// follower to and whose body is:
+//
+//   - the insert/delete frames the owner journalled for (after, gen],
+//     when the bounded per-instance frame tail still covers that window
+//     (servers without a store keep the same tail);
+//   - otherwise one register frame carrying the instance at gen as a v2
+//     payload, a full-state sync;
+//   - empty, for a follower already at gen.
+//
+// A follower backend pulls the feed with POST /v1/replication/sync and
+// decodes it with the store's frame decoder — a full state in place,
+// its columns aliasing the received bytes. It maintains a warm replica
 // in a map SEPARATE from the live registry: replicas never serve
 // queries, never appear in listings, and never journal — until
 // POST /v1/replication/promote installs one into the registry with its
 // generation intact, journalling the takeover so it survives a restart.
-// The durable store's raw files are also streamable
-// (GET /v1/replication/store/manifest + .../segments/{name}) for
-// whole-directory cloning.
 //
 // Replication applies the SAME copy-on-write mutations the owner
 // applied (Prepared.ApplyInsert/ApplyDelete, in generation order), so a
 // promoted replica's exact query answers are big.Rat-bitwise equal to
-// the owner's — the property the cluster failover audit checks.
+// the owner's — the property the cluster failover audit checks. A
+// torn, checksum-failing or foreign frame, or a gap in the window,
+// re-seeds the replica from the full state instead.
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -31,49 +40,24 @@ import (
 	"time"
 
 	ocqa "repro"
-	"repro/internal/parse"
+	"repro/internal/store"
 )
 
-// replTailMax bounds each live instance's in-memory op tail. A follower
-// that lags by more than this many mutations falls back to a full-state
-// sync instead of an incremental one.
+// replTailMax bounds each live instance's in-memory frame tail. A
+// follower that lags by more than this many mutations falls back to a
+// full-state sync instead of an incremental one.
 const replTailMax = 256
 
-// ReplOp is one replicated mutation: the generation it produced and the
-// operation that produced it, in the same text encodings the public API
-// uses.
-type ReplOp struct {
-	// Gen is the instance generation AFTER this op applied.
-	Gen int64 `json:"gen"`
-	// Op is "insert" or "delete".
-	Op string `json:"op"`
-	// Fact is the inserted fact's canonical text (insert only).
-	Fact string `json:"fact,omitempty"`
-	// Index is the deleted fact's index in the pre-delete sorted fact
-	// order (delete only).
-	Index int `json:"index"`
-}
+// replGenHeader carries the generation a feed brings its follower to.
+const replGenHeader = "X-Replication-Gen"
+
+// maxFeedBytes bounds the feed body a follower buffers.
+const maxFeedBytes = 1 << 30
 
 // ReplInstanceInfo is one instance's replication cursor.
 type ReplInstanceInfo struct {
 	ID  string `json:"id"`
 	Gen int64  `json:"gen"`
-}
-
-// ReplFeedResponse is the owner's answer to a feed pull: ops covering
-// (after, gen] when the tail still holds them, the full state otherwise.
-// A follower already at gen receives neither.
-type ReplFeedResponse struct {
-	ID      string `json:"id"`
-	Name    string `json:"name,omitempty"`
-	Created string `json:"created"`
-	Gen     int64  `json:"gen"`
-	// Full marks a full-state fallback: Facts/FDs carry the database and
-	// FD set in the text formats of package parse, and Ops is empty.
-	Full  bool     `json:"full,omitempty"`
-	Facts string   `json:"facts,omitempty"`
-	FDs   string   `json:"fds,omitempty"`
-	Ops   []ReplOp `json:"ops,omitempty"`
 }
 
 // ReplSyncRequest asks this backend to pull one instance from a source
@@ -90,7 +74,7 @@ type ReplSyncResponse struct {
 	Gen int64  `json:"gen"`
 	// Full reports whether the sync fell back to a full-state transfer.
 	Full bool `json:"full"`
-	// Applied counts incremental ops applied by this sync.
+	// Applied counts the mutations this sync applied incrementally.
 	Applied int `json:"applied"`
 }
 
@@ -118,26 +102,33 @@ type replicaEntry struct {
 	gen      int64
 }
 
+// tailFrame is one committed mutation: the generation it produced and
+// its record frame, byte for byte as journalled.
+type tailFrame struct {
+	gen   int64
+	frame []byte
+}
+
 // replState is the server's replication bookkeeping: per-live-instance
-// op tails (the feed's incremental source) and the replicas this
+// frame tails (the feed's incremental source) and the replicas this
 // backend follows for other backends.
 type replState struct {
 	mu       sync.Mutex
-	tails    map[string][]ReplOp
+	tails    map[string][]tailFrame
 	replicas map[string]*replicaEntry
 }
 
 func newReplState() *replState {
-	return &replState{tails: make(map[string][]ReplOp), replicas: make(map[string]*replicaEntry)}
+	return &replState{tails: make(map[string][]tailFrame), replicas: make(map[string]*replicaEntry)}
 }
 
-// appendOp records one committed mutation in the instance's tail,
-// keeping only the most recent replTailMax ops (older windows fall back
-// to full sync).
-func (rs *replState) appendOp(id string, op ReplOp) {
+// appendFrame records one committed mutation in the instance's tail,
+// keeping only the most recent replTailMax (older windows fall back to
+// full sync).
+func (rs *replState) appendFrame(id string, gen int64, frame []byte) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	tail := append(rs.tails[id], op)
+	tail := append(rs.tails[id], tailFrame{gen, frame})
 	if len(tail) > replTailMax {
 		tail = tail[len(tail)-replTailMax:]
 	}
@@ -150,33 +141,30 @@ func (rs *replState) dropTail(id string) {
 	delete(rs.tails, id)
 }
 
-// opsRange returns the contiguous ops covering exactly (after, upto],
-// or ok=false when the tail no longer holds that window (full sync
-// required). Ops newer than upto — a mutation that landed after the
-// caller snapshotted its entry — are excluded, keeping the feed
-// consistent with the entry it describes.
-func (rs *replState) opsRange(id string, after, upto int64) ([]ReplOp, bool) {
+// framesRange returns the concatenated frames covering exactly
+// (after, upto], or ok=false when the tail no longer holds that window
+// (full sync required). Frames newer than upto — a mutation that
+// landed after the caller snapshotted its entry — are excluded, keeping
+// the feed consistent with the entry it describes.
+func (rs *replState) framesRange(id string, after, upto int64) ([]byte, bool) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	next := after + 1
-	var out []ReplOp
-	for _, op := range rs.tails[id] {
-		if op.Gen <= after {
+	var out []byte
+	for _, tf := range rs.tails[id] {
+		if tf.gen <= after {
 			continue
 		}
-		if op.Gen > upto {
+		if tf.gen > upto {
 			break
 		}
-		if op.Gen != next {
+		if tf.gen != next {
 			return nil, false
 		}
-		out = append(out, op)
+		out = append(out, tf.frame...)
 		next++
 	}
-	if next != upto+1 {
-		return nil, false
-	}
-	return out, true
+	return out, next == upto+1
 }
 
 func (rs *replState) replica(id string) (*replicaEntry, bool) {
@@ -236,66 +224,23 @@ func (s *Server) handleReplFeed(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, he)
 		return
 	}
-	// Snapshot the entry first, then read the tail: entries are
-	// immutable (mutations install a successor), so e.gen and e.prepared
-	// agree, and opsRange filters out any op newer than e.gen.
-	resp := ReplFeedResponse{
-		ID:      e.id,
-		Name:    e.name,
-		Created: e.created.UTC().Format(time.RFC3339Nano),
-		Gen:     e.gen,
-	}
+	// Entries are immutable (mutations install a successor), so e.gen
+	// and e.prepared agree, and framesRange leaves out any frame newer
+	// than e.gen.
+	var body []byte
 	if after < e.gen {
-		if ops, ok := s.repl.opsRange(e.id, after, e.gen); ok {
-			resp.Ops = ops
-		} else {
-			resp.Full = true
-			resp.Facts = ocqa.FormatDatabase(e.prepared.DB())
-			resp.FDs = parse.FormatFDs(e.prepared.Sigma())
+		var ok bool
+		if body, ok = s.repl.framesRange(e.id, after, e.gen); !ok {
+			body = store.Record{Kind: store.OpRegister, ID: e.id, Name: e.name, Created: e.created,
+				DB: e.prepared.DB(), Sigma: e.prepared.Sigma()}.Frame()
 		}
 	}
 	s.met.replFeeds.Inc()
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleReplManifest lists the durable store's streamable files.
-func (s *Server) handleReplManifest(w http.ResponseWriter, r *http.Request) {
-	if s.store == nil {
-		s.writeError(w, &httpError{status: http.StatusNotFound, msg: "no durable store configured (-data-dir unset)"})
-		return
-	}
-	man, err := s.store.Manifest()
-	if err != nil {
-		s.writeError(w, &httpError{status: http.StatusInternalServerError, msg: err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, man)
-}
-
-// handleReplSegment streams one store file at the manifest-listed size.
-// The bytes are staged in memory so a mid-stream store error can still
-// produce a clean HTTP error instead of a torn 200.
-func (s *Server) handleReplSegment(w http.ResponseWriter, r *http.Request) {
-	if s.store == nil {
-		s.writeError(w, &httpError{status: http.StatusNotFound, msg: "no durable store configured (-data-dir unset)"})
-		return
-	}
-	name := r.PathValue("name")
-	sizeStr := r.URL.Query().Get("size")
-	size, err := strconv.ParseInt(sizeStr, 10, 64)
-	if err != nil {
-		s.writeError(w, badRequest("parameter \"size\": %q is not an integer", sizeStr))
-		return
-	}
-	var buf bytes.Buffer
-	if err := s.store.StreamFile(name, size, &buf); err != nil {
-		s.writeError(w, badRequest("%v", err))
-		return
-	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.Header().Set(replGenHeader, strconv.FormatInt(e.gen, 10))
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(buf.Bytes())
+	_, _ = w.Write(body)
 }
 
 // --- follower-side handlers -------------------------------------------------
@@ -305,33 +250,48 @@ func (s *Server) handleReplSegment(w http.ResponseWriter, r *http.Request) {
 // request's context.
 var replClient = &http.Client{Timeout: 30 * time.Second}
 
-// fetchFeed pulls one instance's feed from a source backend.
-func fetchFeed(r *http.Request, source, id string, after int64) (*ReplFeedResponse, error) {
+// fetchFeed pulls one instance's feed from a source backend: the
+// generation it reaches and its frames, read into a buffer of exactly
+// their size, which a full state's columns then alias.
+func fetchFeed(r *http.Request, source, id string, after int64) (int64, []byte, error) {
 	u := fmt.Sprintf("%s/v1/replication/instances/%s?after=%d", source, url.PathEscape(id), after)
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, u, nil)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	res, err := replClient.Do(req)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	defer res.Body.Close()
 	if res.StatusCode != http.StatusOK {
 		var eb errorResponse
 		_ = json.NewDecoder(res.Body).Decode(&eb)
-		return nil, fmt.Errorf("source %s: status %d: %s", source, res.StatusCode, eb.Error)
+		return 0, nil, fmt.Errorf("source %s: status %d: %s", source, res.StatusCode, eb.Error)
 	}
-	var feed ReplFeedResponse
-	if err := json.NewDecoder(res.Body).Decode(&feed); err != nil {
-		return nil, fmt.Errorf("decoding feed: %w", err)
+	gen, err := strconv.ParseInt(res.Header.Get(replGenHeader), 10, 64)
+	if err != nil {
+		return 0, nil, fmt.Errorf("feed generation: %w", err)
 	}
-	return &feed, nil
+	if res.ContentLength < 0 || res.ContentLength > maxFeedBytes {
+		return 0, nil, fmt.Errorf("feed length %d unusable", res.ContentLength)
+	}
+	body := make([]byte, res.ContentLength)
+	if _, err := io.ReadFull(res.Body, body); err != nil {
+		return 0, nil, fmt.Errorf("reading feed: %w", err)
+	}
+	return gen, body, nil
+}
+
+// isFullFeed reports whether decoded feed records are a full state:
+// exactly one register record.
+func isFullFeed(recs []store.Record) bool {
+	return len(recs) == 1 && recs[0].Kind == store.OpRegister
 }
 
 // handleReplSync pulls one instance from a source backend into this
 // backend's replica map, incrementally when the local replica's
-// generation is still inside the source's op tail, by full-state
+// generation is still inside the source's frame tail, by full-state
 // transfer otherwise. Syncs are engine work (Prepare, ApplyInsert),
 // so they hold a compute-semaphore slot.
 func (s *Server) handleReplSync(w http.ResponseWriter, r *http.Request) {
@@ -357,94 +317,79 @@ func (s *Server) handleReplSync(w http.ResponseWriter, r *http.Request) {
 	if hasCur {
 		after = cur.gen
 	}
-	feed, err := fetchFeed(r, req.Source, req.ID, after)
+	gen, body, err := fetchFeed(r, req.Source, req.ID, after)
 	if err != nil {
 		s.writeError(w, &httpError{status: http.StatusBadGateway, msg: fmt.Sprintf("pulling feed: %v", err)})
 		return
 	}
 	out := ReplSyncResponse{ID: req.ID, Gen: after}
-	if feed.Gen <= after {
+	if gen <= after {
 		// Already caught up (or the source regressed, which promotion's
 		// gen continuity makes impossible in one lineage).
 		writeJSON(w, http.StatusOK, out)
 		return
 	}
-	if !feed.Full && hasCur {
-		applied, err := applyReplOps(cur, feed.Ops)
-		if err == nil {
-			s.repl.setReplica(applied)
-			s.met.replOpsApplied.Add(int64(len(feed.Ops)))
-			out.Gen, out.Applied = applied.gen, len(feed.Ops)
+	recs, err := store.DecodeFrames(body)
+	if hasCur && err == nil && !isFullFeed(recs) {
+		if next, err := applyRecords(cur, recs, gen); err == nil {
+			s.repl.setReplica(next)
+			s.met.replApplied.Add(int64(len(recs)))
+			out.Gen, out.Applied = next.gen, len(recs)
 			writeJSON(w, http.StatusOK, out)
 			return
 		}
-		// Continuity broke (replica diverged or tail raced); fall through
-		// to a full transfer.
-		feed, err = fetchFeed(r, req.Source, req.ID, 0)
-		if err != nil {
+	}
+	if err != nil || !isFullFeed(recs) {
+		// A torn, corrupt or foreign frame, a broken window, or no
+		// replica to apply it to: a replica must never hold a state the
+		// owner never held, so re-seed it from the full state.
+		if gen, body, err = fetchFeed(r, req.Source, req.ID, 0); err != nil {
 			s.writeError(w, &httpError{status: http.StatusBadGateway, msg: fmt.Sprintf("pulling full feed: %v", err)})
 			return
 		}
-		if !feed.Full {
-			s.writeError(w, &httpError{status: http.StatusBadGateway,
-				msg: fmt.Sprintf("source did not fall back to a full feed for %q after op-continuity loss", req.ID)})
-			return
-		}
+		recs, err = store.DecodeFrames(body)
 	}
-	if !feed.Full {
-		// No local replica and the feed sent ops: they cannot start at
-		// generation 1 (registration is not an op), so this is a protocol
-		// violation by the source.
-		s.writeError(w, &httpError{status: http.StatusBadGateway,
-			msg: fmt.Sprintf("source sent an incremental feed for %q but no replica exists here", req.ID)})
-		return
+	if err == nil && (!isFullFeed(recs) || recs[0].ID != req.ID) {
+		err = fmt.Errorf("want one register frame for %q", req.ID)
 	}
-	inst, err := ocqa.NewInstanceFromText(feed.Facts, feed.FDs)
 	if err != nil {
 		s.writeError(w, &httpError{status: http.StatusBadGateway, msg: fmt.Sprintf("rebuilding %q from full feed: %v", req.ID, err)})
 		return
 	}
-	created, _ := time.Parse(time.RFC3339Nano, feed.Created)
+	rec := recs[0]
 	// Prepare eagerly: the whole point of a warm follower is that
 	// failover does not pay a cold DP-table build.
-	re := &replicaEntry{id: feed.ID, name: feed.Name, prepared: inst.Prepare(), created: created, gen: feed.Gen}
+	re := &replicaEntry{id: rec.ID, name: rec.Name, prepared: ocqa.NewInstance(rec.DB, rec.Sigma).Prepare(), created: rec.Created, gen: gen}
 	s.repl.setReplica(re)
 	s.met.replFullSyncs.Inc()
 	out.Gen, out.Full = re.gen, true
 	writeJSON(w, http.StatusOK, out)
 }
 
-// applyReplOps advances a replica through contiguous feed ops, applying
-// the same copy-on-write mutations the owner applied. Any gap or apply
-// failure aborts (the caller falls back to a full sync) — a replica
-// must never hold a state the owner never held.
-func applyReplOps(cur *replicaEntry, ops []ReplOp) (*replicaEntry, error) {
-	p, gen := cur.prepared, cur.gen
-	for _, op := range ops {
-		if op.Gen != gen+1 {
-			return nil, fmt.Errorf("op generation %d does not extend replica generation %d", op.Gen, gen)
-		}
-		switch op.Op {
-		case "insert":
-			f, err := ocqa.ParseFact(op.Fact)
-			if err != nil {
-				return nil, fmt.Errorf("op gen %d: %w", op.Gen, err)
-			}
-			np, _, err := p.ApplyInsert(f)
-			if err != nil {
-				return nil, fmt.Errorf("op gen %d: %w", op.Gen, err)
-			}
-			p = np
-		case "delete":
-			np, err := p.ApplyDelete(op.Index)
-			if err != nil {
-				return nil, fmt.Errorf("op gen %d: %w", op.Gen, err)
-			}
-			p = np
+// applyRecords advances a replica through an incremental feed, which
+// must hold exactly this instance's mutations (cur.gen, gen], applying
+// the same copy-on-write mutations the owner applied. Any mismatch or
+// apply failure aborts (the caller falls back to a full sync).
+func applyRecords(cur *replicaEntry, recs []store.Record, gen int64) (*replicaEntry, error) {
+	if int64(len(recs)) != gen-cur.gen {
+		return nil, fmt.Errorf("%d records do not span generations (%d, %d]", len(recs), cur.gen, gen)
+	}
+	p := cur.prepared
+	for i, rec := range recs {
+		var err error
+		switch {
+		case rec.ID != cur.id:
+			err = fmt.Errorf("record of instance %q", rec.ID)
+		case rec.Kind == store.OpInsertFact:
+			p, _, err = p.ApplyInsert(rec.Fact)
+		case rec.Kind == store.OpDeleteFact:
+			p, err = p.ApplyDelete(rec.Index)
 		default:
-			return nil, fmt.Errorf("op gen %d: unknown op %q", op.Gen, op.Op)
+			err = fmt.Errorf("unexpected %s record", rec.Kind)
 		}
-		gen++
+		if err != nil {
+			return nil, fmt.Errorf("op gen %d: %w", cur.gen+int64(i)+1, err)
+		}
 	}
 	return &replicaEntry{id: cur.id, name: cur.name, prepared: p, created: cur.created, gen: gen}, nil
 }
@@ -484,16 +429,7 @@ func (s *Server) handleReplPromote(w http.ResponseWriter, r *http.Request) {
 			s.met.errors.Inc()
 		}
 	}
-	for _, v := range evicted {
-		s.met.evictions.Inc()
-		s.cache.invalidate(v.id)
-		s.repl.dropTail(v.id)
-		if s.store != nil {
-			if err := s.store.LogUnregister(v.id); err != nil {
-				s.met.errors.Inc()
-			}
-		}
-	}
+	s.dropEvicted(evicted...)
 	// Drop any stale cached results under this id from a previous
 	// ownership period of this process.
 	s.cache.invalidate(e.id)

@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -85,48 +88,119 @@ func TestExplicitIDRegistration(t *testing.T) {
 	}
 }
 
+// getFeed pulls one feed and decodes its frames.
+func getFeed(t *testing.T, base, id string, after int64) (int, int64, []store.Record) {
+	t.Helper()
+	resp, err := http.Get(fmt.Sprintf("%s/v1/replication/instances/%s?after=%d", base, id, after))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		return resp.StatusCode, 0, nil
+	}
+	gen, err := strconv.ParseInt(resp.Header.Get(replGenHeader), 10, 64)
+	if err != nil {
+		t.Fatalf("feed generation header: %v", err)
+	}
+	recs, err := store.DecodeFrames(body)
+	if err != nil {
+		t.Fatalf("decoding feed frames: %v", err)
+	}
+	return resp.StatusCode, gen, recs
+}
+
 func TestReplicationFeed(t *testing.T) {
 	ts, _ := newTestServer(t, Options{})
 	reg := register(t, ts.URL, pkFacts, pkFDs)
 	insertFact(t, ts.URL, reg.ID, "Emp(4,Dan)")
 	insertFact(t, ts.URL, reg.ID, "Emp(5,Fay)")
 
-	// A follower at gen 1 (registration) still has ops 2..3 in the tail:
-	// the feed is incremental.
-	var feed ReplFeedResponse
-	if status := do(t, http.MethodGet, ts.URL+"/v1/replication/instances/"+reg.ID+"?after=1", nil, &feed); status != http.StatusOK {
+	// A follower at gen 1 (registration) still has mutations 2..3 in the
+	// tail: the feed is incremental, their insert frames.
+	status, gen, recs := getFeed(t, ts.URL, reg.ID, 1)
+	if status != http.StatusOK {
 		t.Fatalf("feed: status %d", status)
 	}
-	if feed.Full || len(feed.Ops) != 2 || feed.Gen != 3 {
-		t.Fatalf("incremental feed = %+v, want 2 ops up to gen 3", feed)
+	if len(recs) != 2 || gen != 3 {
+		t.Fatalf("incremental feed = %d records up to gen %d, want 2 up to gen 3", len(recs), gen)
 	}
-	if feed.Ops[0].Gen != 2 || feed.Ops[0].Op != "insert" || feed.Ops[1].Gen != 3 {
-		t.Fatalf("feed ops = %+v", feed.Ops)
+	for i, want := range []string{"Emp(4,Dan)", "Emp(5,Fay)"} {
+		if r := recs[i]; r.Kind != store.OpInsertFact || r.ID != reg.ID || r.Fact.String() != want {
+			t.Fatalf("feed record %d = %s %q %v, want insert-fact %s", i, r.Kind, r.ID, r.Fact, want)
+		}
 	}
 
-	// after=0 asks for op 1, which never exists (registration is not an
-	// op): the feed must fall back to full state.
-	var full ReplFeedResponse
-	if status := do(t, http.MethodGet, ts.URL+"/v1/replication/instances/"+reg.ID+"?after=0", nil, &full); status != http.StatusOK {
+	// after=0 asks for mutation 1, which never exists (registration is
+	// not one): the feed must fall back to full state, one register frame.
+	status, gen, recs = getFeed(t, ts.URL, reg.ID, 0)
+	if status != http.StatusOK {
 		t.Fatalf("full feed: status %d", status)
 	}
-	if !full.Full || full.Facts == "" || full.FDs == "" || len(full.Ops) != 0 {
-		t.Fatalf("full feed = %+v, want full-state fallback", full)
+	if len(recs) != 1 || recs[0].Kind != store.OpRegister || gen != 3 || recs[0].DB.Len() != 7 || recs[0].Sigma == nil {
+		t.Fatalf("full feed = %d records up to gen %d, want the 7-fact state at gen 3", len(recs), gen)
 	}
 
-	// A follower already at the head receives neither ops nor state.
-	var head ReplFeedResponse
-	if status := do(t, http.MethodGet, ts.URL+"/v1/replication/instances/"+reg.ID+"?after=3", nil, &head); status != http.StatusOK {
+	// A follower already at the head receives neither frames nor state.
+	status, gen, recs = getFeed(t, ts.URL, reg.ID, 3)
+	if status != http.StatusOK {
 		t.Fatalf("caught-up feed: status %d", status)
 	}
-	if head.Full || len(head.Ops) != 0 || head.Gen != 3 {
-		t.Fatalf("caught-up feed = %+v", head)
+	if len(recs) != 0 || gen != 3 {
+		t.Fatalf("caught-up feed = %d records at gen %d", len(recs), gen)
 	}
 
 	// Unknown instance: 404.
-	var e errorResponse
-	if status := do(t, http.MethodGet, ts.URL+"/v1/replication/instances/nope?after=0", nil, &e); status != http.StatusNotFound {
+	if status, _, _ := getFeed(t, ts.URL, "nope", 0); status != http.StatusNotFound {
 		t.Fatalf("unknown instance feed: status %d, want 404", status)
+	}
+}
+
+// TestReplicationCorruptFrameFallsBackToFullSync: a follower whose
+// incremental feed arrives with a damaged frame must not apply any of
+// it; it re-seeds from the full state and lands on the owner's
+// generation.
+func TestReplicationCorruptFrameFallsBackToFullSync(t *testing.T) {
+	owner, _ := newTestServer(t, Options{})
+	follower, _ := newTestServer(t, Options{})
+	// The source the follower pulls from flips one byte of every
+	// incremental feed body on its way through.
+	var flipped atomic.Int64
+	relay := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		resp, err := http.Get(owner.URL + r.URL.RequestURI())
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		if r.URL.Query().Get("after") != "0" && len(body) > 0 {
+			body[len(body)/2] ^= 0x20
+			flipped.Add(1)
+		}
+		w.Header().Set(replGenHeader, resp.Header.Get(replGenHeader))
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		w.WriteHeader(resp.StatusCode)
+		w.Write(body)
+	}))
+	t.Cleanup(relay.Close)
+
+	reg := register(t, owner.URL, pkFacts, pkFDs)
+	if sy := syncReplica(t, follower.URL, relay.URL, reg.ID); !sy.Full || sy.Gen != 1 {
+		t.Fatalf("initial sync = %+v, want full at gen 1", sy)
+	}
+	insertFact(t, owner.URL, reg.ID, "Emp(4,Dan)")
+	insertFact(t, owner.URL, reg.ID, "Emp(5,Fay)")
+	sy := syncReplica(t, follower.URL, relay.URL, reg.ID)
+	if flipped.Load() != 1 {
+		t.Fatalf("relay corrupted %d feeds, want 1", flipped.Load())
+	}
+	if !sy.Full || sy.Applied != 0 || sy.Gen != 3 {
+		t.Fatalf("sync over a corrupt frame = %+v, want a full sync to gen 3", sy)
 	}
 }
 
@@ -250,49 +324,6 @@ func TestReplicationSyncAfterTailOverflow(t *testing.T) {
 	}
 }
 
-func TestReplicationStoreEndpoints(t *testing.T) {
-	dir := t.TempDir()
-	st, err := store.Open(store.Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { st.Close() })
-	ts, _ := newTestServer(t, Options{Store: st})
-	reg := register(t, ts.URL, pkFacts, pkFDs)
-	insertFact(t, ts.URL, reg.ID, "Emp(4,Dan)")
-
-	var man []store.SegmentInfo
-	if status := do(t, http.MethodGet, ts.URL+"/v1/replication/store/manifest", nil, &man); status != http.StatusOK {
-		t.Fatalf("manifest: status %d", status)
-	}
-	if len(man) == 0 {
-		t.Fatalf("manifest is empty after a registration")
-	}
-	for _, f := range man {
-		resp, err := http.Get(fmt.Sprintf("%s/v1/replication/store/segments/%s?size=%d", ts.URL, f.Name, f.Size))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || int64(len(b)) != f.Size {
-			t.Fatalf("segment %s: status %d, %d bytes, want %d", f.Name, resp.StatusCode, len(b), f.Size)
-		}
-	}
-
-	// Path traversal and foreign names are rejected.
-	var e errorResponse
-	if status := do(t, http.MethodGet, ts.URL+"/v1/replication/store/segments/..%2F..%2Fetc%2Fpasswd?size=1", nil, &e); status != http.StatusBadRequest {
-		t.Fatalf("traversal segment name: status %d, want 400", status)
-	}
-
-	// Memory-only servers answer 404, not 500.
-	mem, _ := newTestServer(t, Options{})
-	if status := do(t, http.MethodGet, mem.URL+"/v1/replication/store/manifest", nil, &e); status != http.StatusNotFound {
-		t.Fatalf("memory-only manifest: status %d, want 404", status)
-	}
-}
-
 func TestLoadSheddingQueriesOnly(t *testing.T) {
 	ts, s := newTestServer(t, Options{ShedInflight: 1, WatchWait: time.Minute})
 	reg := register(t, ts.URL, pkFacts, pkFDs)
@@ -332,8 +363,7 @@ func TestLoadSheddingQueriesOnly(t *testing.T) {
 	if m := insertFact(t, ts.URL, reg.ID, "Emp(9,Zoe)"); m.Gen != 2 {
 		t.Fatalf("mutation under pressure: %+v", m)
 	}
-	var feed ReplFeedResponse
-	if status := do(t, http.MethodGet, ts.URL+"/v1/replication/instances/"+reg.ID+"?after=1", nil, &feed); status != http.StatusOK {
+	if status, _, _ := getFeed(t, ts.URL, reg.ID, 1); status != http.StatusOK {
 		t.Fatalf("replication feed under pressure: status %d", status)
 	}
 	resp, err := http.Get(ts.URL + "/healthz")

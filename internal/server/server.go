@@ -242,7 +242,7 @@ type Server struct {
 	// watch wakes the long-poll watchers of an instance after every
 	// mutation (and deregistration) of it.
 	watch *watchHub
-	// repl holds the replication bookkeeping: per-instance op tails for
+	// repl holds the replication bookkeeping: per-instance frame tails for
 	// the feed this backend serves as an owner, and the warm replicas it
 	// maintains as a follower.
 	repl *replState
@@ -318,10 +318,7 @@ func New(opts Options) *Server {
 			if v == nil {
 				break
 			}
-			s.met.evictions.Inc()
-			if err := s.store.LogUnregister(v.id); err != nil {
-				s.met.errors.Inc()
-			}
+			s.dropEvicted(v)
 		}
 	}
 	s.mux.HandleFunc("POST /v1/instances", s.handleRegister)
@@ -341,8 +338,6 @@ func New(opts Options) *Server {
 	s.mux.HandleFunc("GET /v1/replication/replicas", s.handleReplReplicas)
 	s.mux.HandleFunc("POST /v1/replication/sync", s.handleReplSync)
 	s.mux.HandleFunc("POST /v1/replication/promote", s.handleReplPromote)
-	s.mux.HandleFunc("GET /v1/replication/store/manifest", s.handleReplManifest)
-	s.mux.HandleFunc("GET /v1/replication/store/segments/{name}", s.handleReplSegment)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /varz", s.handleVarz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)

@@ -1,10 +1,25 @@
-// Package store is the durable instance store behind the OCQA service:
-// a versioned binary snapshot codec for (schema, database, FD set)
-// triples plus an append-only, CRC-framed write-ahead log that journals
-// every registry operation (register, unregister, insert-fact,
-// delete-fact). Boot replays snapshot-then-WAL; replay is crash-safe —
-// a torn or corrupt tail record is detected by its checksum and the log
-// is truncated back to the last complete record. Periodic compaction
+// Package store defines every byte a backend writes or sends, and is
+// the durable instance store behind the OCQA service. There is one
+// instance encoding, the columnar v2 payload of codec_v2.go, and one
+// mutation encoding, the CRC-framed record of wal.go:
+//
+//   - a standalone snapshot (Instance.Snapshot) is a v2 payload behind a
+//     magic and version;
+//   - the write-ahead log journals every registry operation (register,
+//     unregister, insert-fact, delete-fact) as framed records, a
+//     register record embedding the instance's v2 payload;
+//   - a store snapshot is a run of register records;
+//   - the replication feed ships the same frames: the owner's journalled
+//     insert/delete frames for an incremental sync, one register frame
+//     for a full one.
+//
+// The legacy v1 row payload (in v1 standalone snapshots, the register
+// records and version-2 snapshots of earlier releases) is decoded,
+// never written.
+//
+// Boot replays snapshot-then-WAL; replay is crash-safe — a torn or
+// corrupt tail record is detected by its checksum and the log is
+// truncated back to the last complete record. Periodic compaction
 // rotates the WAL to a fresh generation-named segment, folds the state
 // into a snapshot stamped with that generation (written atomically via
 // temp-file + rename), and deletes the retired segments; boot never
@@ -22,13 +37,10 @@ import (
 	"repro/internal/rel"
 )
 
-// Instance payload versions. v1 is the row-oriented varint encoding
-// (one string per relation name and argument occurrence); v2 is the
-// columnar encoding of codec_v2.go, whose on-disk layout mirrors the
-// in-memory dictionary-encoded columns. Standalone snapshots are
-// written as v2 and read as either; WAL register records and store
-// snapshots embed the v1 payload unversioned, so existing logs replay
-// unchanged.
+// Instance payload versions of a standalone snapshot: v1 is the legacy
+// row-oriented varint encoding (one string per relation name and
+// argument occurrence), decoded only; v2 is the columnar encoding of
+// codec_v2.go.
 const (
 	codecV1 = 1
 	codecV2 = 2
@@ -73,6 +85,11 @@ func (rd reader) count(what string, limit uint64) (int, error) {
 	if n > limit {
 		return 0, fmt.Errorf("store: %s count %d exceeds sanity limit %d", what, n, limit)
 	}
+	// Every counted element takes at least one of the remaining bytes,
+	// so a corrupt count fails here instead of sizing an allocation.
+	if n > uint64(rd.r.Len()) {
+		return 0, fmt.Errorf("store: %s count %d exceeds the %d bytes left", what, n, rd.r.Len())
+	}
 	return int(n), nil
 }
 
@@ -107,6 +124,21 @@ func (rd reader) ints() ([]int, error) {
 	return out, nil
 }
 
+// strings reads a count-prefixed run of strings.
+func (rd reader) strings(what string) ([]string, error) {
+	n, err := rd.count(what, 1<<16)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]string, n)
+	for i := range out {
+		if out[i], err = rd.string_(); err != nil {
+			return nil, fmt.Errorf("store: %s: %w", what, err)
+		}
+	}
+	return out, nil
+}
+
 // --- instance payload -----------------------------------------------------
 
 // encodeSchemaFDs appends the schema and FD blocks shared by both
@@ -131,22 +163,6 @@ func encodeSchemaFDs(b *bytes.Buffer, sigma *fd.Set) {
 	}
 }
 
-// encodeInstancePayload appends the versionless v1 body: schema, FDs,
-// facts as strings. WAL register records and store snapshots embed
-// this body in their own frames; standalone snapshots now write the
-// columnar v2 payload instead (codec_v2.go).
-func encodeInstancePayload(b *bytes.Buffer, d *rel.Database, sigma *fd.Set) {
-	encodeSchemaFDs(b, sigma)
-	putUvarint(b, uint64(d.Len()))
-	for _, f := range d.Facts() {
-		putString(b, f.Rel)
-		putUvarint(b, uint64(len(f.Args)))
-		for _, a := range f.Args {
-			putString(b, a)
-		}
-	}
-}
-
 // decodeSchemaFDs reads the schema and FD blocks shared by both
 // payload versions.
 func decodeSchemaFDs(rd reader) (*fd.Set, error) {
@@ -160,15 +176,9 @@ func decodeSchemaFDs(rd reader) (*fd.Set, error) {
 		if err != nil {
 			return nil, fmt.Errorf("store: relation name: %w", err)
 		}
-		nAttrs, err := rd.count("attribute", 1<<16)
+		attrs, err := rd.strings("attribute")
 		if err != nil {
 			return nil, err
-		}
-		attrs := make([]string, nAttrs)
-		for j := range attrs {
-			if attrs[j], err = rd.string_(); err != nil {
-				return nil, fmt.Errorf("store: attribute name: %w", err)
-			}
 		}
 		rels = append(rels, rel.Relation{Name: name, Attrs: attrs})
 	}
@@ -203,7 +213,30 @@ func decodeSchemaFDs(rd reader) (*fd.Set, error) {
 	return sigma, nil
 }
 
-func decodeInstancePayload(rd reader) (*rel.Database, *fd.Set, error) {
+// fitSchema rejects a decoded database holding a fact whose relation is
+// not in sigma's schema, or whose arity is not the relation's: the
+// conflict and query layers index arguments by schema position, so
+// such a fact would panic them.
+func fitSchema(d *rel.Database, sigma *fd.Set) error {
+	covered := 0
+	for _, r := range sigma.Schema().Relations() {
+		lo, hi := d.RelRange(r.Name)
+		for i := lo; i < hi; i++ {
+			if d.Arity(i) != r.Arity() {
+				return fmt.Errorf("store: fact %v does not fit relation %v", d.Fact(i), r)
+			}
+		}
+		covered += hi - lo
+	}
+	if covered != d.Len() {
+		return fmt.Errorf("store: %d of %d facts belong to no relation of the schema", d.Len()-covered, d.Len())
+	}
+	return nil
+}
+
+// decodeInstanceV1 reads the legacy row-oriented body: schema, FDs,
+// then every fact as strings.
+func decodeInstanceV1(rd reader) (*rel.Database, *fd.Set, error) {
 	sigma, err := decodeSchemaFDs(rd)
 	if err != nil {
 		return nil, nil, err
@@ -218,19 +251,17 @@ func decodeInstancePayload(rd reader) (*rel.Database, *fd.Set, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		nArgs, err := rd.count("argument", 1<<16)
+		args, err := rd.strings("argument")
 		if err != nil {
 			return nil, nil, err
 		}
-		args := make([]string, nArgs)
-		for j := range args {
-			if args[j], err = rd.string_(); err != nil {
-				return nil, nil, err
-			}
-		}
 		facts = append(facts, rel.NewFact(relName, args...))
 	}
-	return rel.NewDatabase(facts...), sigma, nil
+	d := rel.NewDatabase(facts...)
+	if err := fitSchema(d, sigma); err != nil {
+		return nil, nil, err
+	}
+	return d, sigma, nil
 }
 
 // EncodeInstance writes a standalone versioned snapshot of one
@@ -239,31 +270,20 @@ func EncodeInstance(w io.Writer, d *rel.Database, sigma *fd.Set) error {
 	var b bytes.Buffer
 	b.Write(instanceMagic)
 	putUvarint(&b, codecV2)
-	encodeInstancePayloadV2(&b, d, sigma)
-	_, err := w.Write(b.Bytes())
-	return err
-}
-
-// encodeInstanceV1 writes the legacy row-oriented snapshot — kept so
-// the migration tests (and any tool that needs to produce v1 for old
-// readers) exercise the exact bytes previous releases wrote.
-func encodeInstanceV1(w io.Writer, d *rel.Database, sigma *fd.Set) error {
-	var b bytes.Buffer
-	b.Write(instanceMagic)
-	putUvarint(&b, codecV1)
-	encodeInstancePayload(&b, d, sigma)
+	encodeInstanceV2(&b, d, sigma)
 	_, err := w.Write(b.Bytes())
 	return err
 }
 
 // DecodeInstance reads a standalone snapshot written by EncodeInstance:
-// the columnar v2 format or the legacy v1 row format.
+// the columnar v2 format or the legacy v1 row format. A v2 database's
+// columns alias an owned copy of the bytes.
 func DecodeInstance(r io.Reader) (*rel.Database, *fd.Set, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
 		return nil, nil, err
 	}
-	return decodeInstanceBytes(raw)
+	return decodeInstanceBytes(owned(raw))
 }
 
 // decodeInstanceBytes decodes a standalone snapshot held in memory (or
@@ -280,9 +300,9 @@ func decodeInstanceBytes(raw []byte) (*rel.Database, *fd.Set, error) {
 	}
 	switch v {
 	case codecV1:
-		return decodeInstancePayload(rd)
+		return decodeInstanceV1(rd)
 	case codecV2:
-		return decodeInstancePayloadV2(raw, rd)
+		return decodeInstanceV2(raw, rd)
 	default:
 		return nil, nil, fmt.Errorf("store: snapshot codec version %d not supported (have %d)", v, codecV2)
 	}

@@ -1,28 +1,32 @@
 package store
 
-// The columnar v2 instance payload. The on-disk layout is the
-// in-memory dictionary-encoded representation of rel.Database:
+// The columnar v2 instance payload. The layout is the in-memory
+// dictionary-encoded representation of rel.Database:
 //
 //	varint block: schema | FDs | nSyms | symBlobLen | nFacts |
 //	              argsLen | slotsLen
-//	zero padding to the next 4-byte file offset
+//	zero padding to the next 4-byte offset
 //	symOffs: (nSyms+1) × u32 LE   cumulative byte offsets into the blob
 //	symBlob: symBlobLen bytes     symbol strings, concatenated in id order
-//	zero padding to the next 4-byte file offset
+//	zero padding to the next 4-byte offset
 //	rels:  nFacts × u32 LE        relation-id column
 //	offs:  (nFacts+1) × u32 LE    argument-offset column
 //	args:  argsLen × u32 LE       flattened argument-id column
 //	slots: slotsLen × u32 LE      open-addressing lookup table (idx+1, 0 empty)
 //
-// Because the integer sections are exactly the arrays the database
-// holds at runtime (stored little-endian, 4-aligned), a little-endian
-// host decodes them with zero copies — the columns alias the input
-// buffer — and the stored lookup slots make rebuilding the fact hash
-// unnecessary. Warm-booting a snapshot therefore costs the symbol
-// table (O(distinct symbols)) plus validation scans, not a per-fact
-// string decode: on a memory-mapped file the column bytes are only
-// faulted in as pages are touched. Big-endian or misaligned hosts fall
-// back to a copying decode of the same bytes.
+// Padding aligns to 4-byte offsets from a base: the start of a
+// standalone snapshot file (magic included), or the start of a record
+// frame, in which a register record pads to a 4-byte offset before its
+// v2 bytes (wal.go). Because the integer sections are
+// exactly the arrays the database holds at runtime (stored
+// little-endian, 4-aligned), a little-endian host decodes them with
+// zero copies — the columns alias the input buffer — and the stored
+// lookup slots make rebuilding the fact hash unnecessary (they are
+// verified, not trusted). Booting or seeding a replica therefore costs
+// the symbol table (O(distinct symbols)) plus validation scans, not a
+// per-fact string decode: on a memory-mapped file the column bytes are
+// only faulted in as pages are touched. Big-endian or misaligned hosts
+// fall back to a copying decode of the same bytes.
 
 import (
 	"bytes"
@@ -81,12 +85,10 @@ func int32Section(raw []byte, off, n int) []int32 {
 	return out
 }
 
-// encodeInstancePayloadV2 appends the columnar body. It uses b.Len()
-// as the absolute file offset for alignment, so it must only be called
-// with b holding the whole snapshot from offset 0 (the standalone
-// magic+version header) — embedding it mid-frame would misalign the
-// integer sections.
-func encodeInstancePayloadV2(b *bytes.Buffer, d *rel.Database, sigma *fd.Set) {
+// encodeInstanceV2 appends the columnar body. b.Len() is the offset
+// from the alignment base, so b must hold everything from that base:
+// a whole standalone snapshot, or a whole frame.
+func encodeInstanceV2(b *bytes.Buffer, d *rel.Database, sigma *fd.Set) {
 	encodeSchemaFDs(b, sigma)
 	syms, relsCol, offsCol, argsCol := d.Columns()
 	slots := d.LookupSlots()
@@ -95,6 +97,7 @@ func encodeInstancePayloadV2(b *bytes.Buffer, d *rel.Database, sigma *fd.Set) {
 	for _, s := range strs {
 		blobLen += len(s)
 	}
+	b.Grow(4*(len(strs)+1+len(relsCol)+len(offsCol)+len(argsCol)+len(slots)) + blobLen + 64)
 	putUvarint(b, uint64(len(strs)))
 	putUvarint(b, uint64(blobLen))
 	putUvarint(b, uint64(len(relsCol)))
@@ -117,12 +120,14 @@ func encodeInstancePayloadV2(b *bytes.Buffer, d *rel.Database, sigma *fd.Set) {
 	putInt32s(b, slots)
 }
 
-// decodeInstancePayloadV2 decodes the columnar body. raw is the whole
-// snapshot from offset 0; rd is positioned just past the magic and
-// version. On little-endian hosts the returned database's integer
-// columns alias raw — callers that unmap or reuse the buffer must keep
-// it alive for the database's lifetime (see MapInstance).
-func decodeInstancePayloadV2(raw []byte, rd reader) (*rel.Database, *fd.Set, error) {
+// decodeInstanceV2 decodes the columnar body. raw starts at a 4-byte
+// offset from the alignment base and runs to the end of the payload;
+// rd reads raw from the payload's first byte. On little-endian hosts the returned
+// database's integer columns alias raw — callers that unmap or reuse
+// the buffer must keep it alive for the database's lifetime (see
+// MapInstance), and should hand over a buffer the database may pin
+// whole: no slack, no other instance's bytes.
+func decodeInstanceV2(raw []byte, rd reader) (*rel.Database, *fd.Set, error) {
 	sigma, err := decodeSchemaFDs(rd)
 	if err != nil {
 		return nil, nil, err
@@ -213,6 +218,9 @@ func decodeInstancePayloadV2(raw []byte, rd reader) (*rel.Database, *fd.Set, err
 		int32Section(raw, slotsAt, slotsLen))
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: columnar snapshot: %w", err)
+	}
+	if err := fitSchema(db, sigma); err != nil {
+		return nil, nil, err
 	}
 	return db, sigma, nil
 }

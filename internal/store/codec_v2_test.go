@@ -2,11 +2,14 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
+	"unsafe"
 
 	"repro/internal/fd"
 	"repro/internal/rel"
@@ -178,5 +181,121 @@ func TestMapInstance(t *testing.T) {
 	}
 	if _, _, _, err := MapInstance(filepath.Join(dir, "missing.snap")); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+// forgedMisfit is a v2 snapshot whose only fact, R(a), does not fit its
+// own schema R/2 with key A1 -> A2.
+func forgedMisfit(tb testing.TB) []byte {
+	sch := rel.MustSchema(rel.NewRelation("R", 2))
+	sigma := fd.MustSet(sch, fd.New("R", []int{0}, []int{1}))
+	var b bytes.Buffer
+	if err := EncodeInstance(&b, rel.NewDatabase(rel.NewFact("R", "a")), sigma); err != nil {
+		tb.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// forgedFullTable is a v2 snapshot of R(a,1), R(b,2) whose lookup slots
+// (the trailing section) all hold 1: in range, but with no empty slot
+// to end a probe.
+func forgedFullTable(tb testing.TB) []byte {
+	_, sigma := seedInstance()
+	d := rel.NewDatabase(rel.NewFact("R", "a", "1"), rel.NewFact("R", "b", "2"))
+	var b bytes.Buffer
+	if err := EncodeInstance(&b, d, sigma); err != nil {
+		tb.Fatal(err)
+	}
+	raw := b.Bytes()
+	for i := len(raw) - 4*len(d.LookupSlots()); i < len(raw); i += 4 {
+		binary.LittleEndian.PutUint32(raw[i:], 1)
+	}
+	return raw
+}
+
+// TestDecodeRejectsMisfitFacts: a fact whose relation or arity is not
+// its schema's is a decode error in every payload and container — a
+// standalone v1 or v2 snapshot, or a register frame from a peer or the
+// WAL — never a database the conflict layer then panics on.
+func TestDecodeRejectsMisfitFacts(t *testing.T) {
+	sch := rel.MustSchema(rel.NewRelation("R", 2))
+	sigma := fd.MustSet(sch, fd.New("R", []int{0}, []int{1}))
+	for name, d := range map[string]*rel.Database{
+		"arity":    rel.NewDatabase(rel.NewFact("R", "a")),
+		"relation": rel.NewDatabase(rel.NewFact("R", "a", "1"), rel.NewFact("S", "a", "1")),
+	} {
+		var v1, v2 bytes.Buffer
+		if err := encodeInstanceV1(&v1, d, sigma); err != nil {
+			t.Fatal(err)
+		}
+		if err := EncodeInstance(&v2, d, sigma); err != nil {
+			t.Fatal(err)
+		}
+		for codec, raw := range map[string][]byte{"v1": v1.Bytes(), "v2": v2.Bytes()} {
+			if _, _, err := DecodeInstance(bytes.NewReader(raw)); err == nil {
+				t.Errorf("%s %s: misfit snapshot accepted", name, codec)
+			}
+		}
+		for codec, frame := range map[string][]byte{
+			"v1": v1RegisterFrame("i1", "", time.Unix(0, 1), d, sigma),
+			"v2": Record{Kind: OpRegister, ID: "i1", Created: time.Unix(0, 1), DB: d, Sigma: sigma}.Frame(),
+		} {
+			if _, err := DecodeFrames(frame); err == nil {
+				t.Errorf("%s %s: misfit register frame accepted", name, codec)
+			}
+		}
+	}
+}
+
+// TestDecodeRejectsFullLookupTable: stored lookup slots are verified,
+// not trusted. A table without an empty slot would make a probe for an
+// absent fact spin forever.
+func TestDecodeRejectsFullLookupTable(t *testing.T) {
+	done := make(chan error, 1)
+	go func() {
+		d, _, err := DecodeInstance(bytes.NewReader(forgedFullTable(t)))
+		if err == nil {
+			d.Contains(rel.NewFact("R", "a", "2"))
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("lookup table without an empty slot accepted")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("decode or lookup did not return within 10s")
+	}
+}
+
+// TestRegisterFrameDecodesInPlace: a register frame's instance decodes
+// from the frame's own bytes — on a little-endian host its columns
+// alias them — so a follower seeded from a received feed body, or a
+// replayed WAL record, pins exactly that record and no copy of it.
+func TestRegisterFrameDecodesInPlace(t *testing.T) {
+	if !hostLittleEndian {
+		t.Skip("columns are copied on big-endian hosts")
+	}
+	d, sigma := randFixture(t, rand.New(rand.NewSource(4)), 300)
+	frame := Record{Kind: OpRegister, ID: "i1", Name: "n", Created: time.Unix(0, 7), DB: d, Sigma: sigma}.Frame()
+	body := append(make([]byte, 0, len(frame)), frame...)
+	recs, err := DecodeFrames(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := recs[0]
+	if got.Kind != OpRegister || got.ID != "i1" || got.Name != "n" || !got.Created.Equal(time.Unix(0, 7)) {
+		t.Fatalf("decoded register record = %s %q %q %v", got.Kind, got.ID, got.Name, got.Created)
+	}
+	if !got.DB.Equal(d) || got.Sigma.String() != sigma.String() {
+		t.Fatal("decoded instance diverged")
+	}
+	lo, hi := uintptr(unsafe.Pointer(&body[0])), uintptr(unsafe.Pointer(&body[len(body)-1]))
+	_, rels, offs, args := got.DB.Columns()
+	for name, col := range map[string][]int32{"rels": rels, "offs": offs, "args": args, "slots": got.DB.LookupSlots()} {
+		if p := uintptr(unsafe.Pointer(&col[0])); p < lo || p > hi {
+			t.Errorf("%s column was copied, not decoded in place", name)
+		}
 	}
 }

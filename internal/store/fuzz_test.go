@@ -22,23 +22,29 @@ import (
 	"repro/internal/rel"
 )
 
-// seedWAL builds a well-formed log: register, insert-fact, delete-fact,
-// register+unregister of a second instance.
+// seedWAL builds a well-formed log: a legacy v1 register record,
+// insert-fact, delete-fact, a v2 register+unregister of a second
+// instance, and a v2 register of a third.
 func seedWAL() []byte {
-	sch := rel.MustSchema(rel.NewRelation("R", 2))
-	db := rel.NewDatabase(rel.NewFact("R", "a", "1"), rel.NewFact("R", "a", "2"))
-	sigma := fd.MustSet(sch, fd.New("R", []int{0}, []int{1}))
+	db, sigma := seedInstance()
 	var b bytes.Buffer
-	for _, rec := range []record{
-		{kind: opRegister, id: "i1", name: "seed", created: time.Unix(0, 1).UnixNano(), db: db, sigma: sigma},
-		{kind: opInsertFact, id: "i1", fact: rel.NewFact("R", "b", "3")},
-		{kind: opDeleteFact, id: "i1", index: 0},
-		{kind: opRegister, id: "i2", name: "gone", created: time.Unix(0, 2).UnixNano(), db: db, sigma: sigma},
-		{kind: opUnregister, id: "i2"},
+	for _, frame := range [][]byte{
+		v1RegisterFrame("i1", "seed", time.Unix(0, 1), db, sigma),
+		Record{Kind: OpInsertFact, ID: "i1", Fact: rel.NewFact("R", "b", "3")}.Frame(),
+		Record{Kind: OpDeleteFact, ID: "i1", Index: 0}.Frame(),
+		Record{Kind: OpRegister, ID: "i2", Name: "gone", Created: time.Unix(0, 2), DB: db, Sigma: sigma}.Frame(),
+		Record{Kind: OpUnregister, ID: "i2"}.Frame(),
+		Record{Kind: OpRegister, ID: "i3", Name: "kept", Created: time.Unix(0, 3), DB: db, Sigma: sigma}.Frame(),
 	} {
-		b.Write(frameRecord(encodeRecord(rec)))
+		b.Write(frame)
 	}
 	return b.Bytes()
+}
+
+func seedInstance() (*rel.Database, *fd.Set) {
+	sch := rel.MustSchema(rel.NewRelation("R", 2))
+	db := rel.NewDatabase(rel.NewFact("R", "a", "1"), rel.NewFact("R", "a", "2"))
+	return db, fd.MustSet(sch, fd.New("R", []int{0}, []int{1}))
 }
 
 // logicalState renders the store's replayed state canonically.
@@ -91,6 +97,59 @@ func FuzzWALReplay(f *testing.F) {
 		defer st2.Close()
 		if state2 := logicalState(st2); state2 != state1 {
 			t.Fatalf("state changed across reopen (double-applied or lost records)\nfirst:\n%s\nsecond:\n%s", state1, state2)
+		}
+	})
+}
+
+// FuzzDecodeInstance feeds arbitrary bytes to the standalone snapshot
+// decoder, which shares its payload decoders with WAL replay and the
+// replication feed. It must never panic or hang; a database it accepts
+// must fit its own schema, find each of its facts, and survive a v2
+// re-encode unchanged.
+func FuzzDecodeInstance(f *testing.F) {
+	sch := rel.MustSchema(rel.NewRelation("Emp", 2), rel.NewRelation("Dept", 3))
+	sigma := fd.MustSet(sch, fd.New("Emp", []int{0}, []int{1}), fd.New("Dept", []int{0}, []int{1}))
+	db := rel.NewDatabase(rel.NewFact("Emp", "1", "Alice"), rel.NewFact("Emp", "1", "Tom"),
+		rel.NewFact("Dept", "d", "Alice", "hq"), rel.NewFact("Dept", "e", "Tom", "hq"))
+	var v1, v2 bytes.Buffer
+	if err := encodeInstanceV1(&v1, db, sigma); err != nil {
+		f.Fatal(err)
+	}
+	if err := EncodeInstance(&v2, db, sigma); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1.Bytes())
+	f.Add(v2.Bytes())
+	f.Add(v2.Bytes()[:v2.Len()/2])
+	f.Add(forgedMisfit(f))
+	f.Add(forgedFullTable(f))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, s, err := DecodeInstance(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for i := 0; i < d.Len(); i++ {
+			fact := d.Fact(i)
+			if r, ok := s.Schema().Relation(fact.Rel); !ok || r.Arity() != len(fact.Args) {
+				t.Fatalf("decoded fact %v does not fit schema %v", fact, s.Schema().Relations())
+			}
+			if d.IndexOf(fact) != i {
+				t.Fatalf("fact %d %v not found at its own index", i, fact)
+			}
+			// A probe for an absent row over known symbols must end too.
+			d.Contains(rel.NewFact(fact.Rel, append([]string{fact.Rel}, fact.Args...)...))
+		}
+		var buf bytes.Buffer
+		if err := EncodeInstance(&buf, d, s); err != nil {
+			t.Fatal(err)
+		}
+		d2, s2, err := DecodeInstance(&buf)
+		if err != nil {
+			t.Fatalf("re-encoded instance does not decode: %v", err)
+		}
+		if !d2.Equal(d) || s2.String() != s.String() {
+			t.Fatal("re-encoded instance diverged")
 		}
 	})
 }

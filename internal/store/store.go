@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -27,10 +28,14 @@ const snapshotFile = "snapshot.bin"
 
 var snapshotMagic = []byte("OCQS")
 
-// snapshotVersion is the store snapshot container format, bumped
-// independently of codecVersion (the embedded instance payload
-// encoding). Version 2 added the WAL generation stamp.
-const snapshotVersion = 2
+// Store snapshot container versions. Version 2 (decoded, never
+// written) added the WAL generation stamp and inlines each instance as
+// id, name, created and a v1 payload; version 3 holds one register
+// frame per instance.
+const (
+	snapshotV2      = 2
+	snapshotVersion = 3
+)
 
 // Options configures a Store.
 type Options struct {
@@ -223,15 +228,16 @@ func Open(opts Options) (*Store, error) {
 		if err != nil {
 			return nil, fmt.Errorf("store: opening WAL segment %s: %w", sg.path, err)
 		}
-		res, err := scanWAL(f)
+		raw, err := io.ReadAll(f)
 		if err != nil {
 			f.Close()
 			return nil, fmt.Errorf("store: replaying WAL: %w", err)
 		}
+		res := scanWAL(raw)
 		for _, rec := range res.records {
 			if err := st.apply(rec); err != nil {
 				f.Close()
-				return nil, fmt.Errorf("store: replaying %s(%s): %w", rec.kind, rec.id, err)
+				return nil, fmt.Errorf("store: replaying %s(%s): %w", rec.Kind, rec.ID, err)
 			}
 			st.replayedOps.Add(1)
 		}
@@ -319,20 +325,20 @@ func (st *Store) Close() error {
 // --- logging --------------------------------------------------------------
 
 // LogRegister journals a registration. The database and FD set are
-// embedded as a full codec payload, so replay needs no other files.
+// embedded as a v2 instance payload, so replay needs no other files.
 func (st *Store) LogRegister(id, name string, created time.Time, d *rel.Database, sigma *fd.Set) error {
-	return st.append(record{kind: opRegister, id: id, name: name, created: created.UnixNano(), db: d, sigma: sigma})
+	return st.log(Record{Kind: OpRegister, ID: id, Name: name, Created: created, DB: d, Sigma: sigma})
 }
 
 // LogUnregister journals a deregistration (explicit delete or LRU
 // eviction — durably they are the same operation).
 func (st *Store) LogUnregister(id string) error {
-	return st.append(record{kind: opUnregister, id: id})
+	return st.log(Record{Kind: OpUnregister, ID: id})
 }
 
 // LogInsertFact journals an incremental fact insertion.
 func (st *Store) LogInsertFact(id string, f rel.Fact) error {
-	return st.append(record{kind: opInsertFact, id: id, fact: f})
+	return st.log(Record{Kind: OpInsertFact, ID: id, Fact: f})
 }
 
 // LogDeleteFact journals an incremental fact deletion by the fact's
@@ -340,16 +346,31 @@ func (st *Store) LogInsertFact(id string, f rel.Fact) error {
 // time of the delete — replay applies operations in order, so the
 // index resolves to the same fact.
 func (st *Store) LogDeleteFact(id string, index int) error {
-	return st.append(record{kind: opDeleteFact, id: id, index: index})
+	return st.log(Record{Kind: OpDeleteFact, ID: id, Index: index})
 }
 
-// append applies the record to the logical state, frames it onto the
-// WAL, and schedules compaction when the WAL has grown past the
+func (st *Store) log(rec Record) error { return st.append(rec, rec.Frame()) }
+
+// Append journals one frame built by Record.Frame — the caller keeps the
+// very bytes the WAL holds, e.g. to ship them to followers.
+func (st *Store) Append(frame []byte) error {
+	recs, err := DecodeFrames(frame)
+	if err != nil {
+		return err
+	}
+	if len(recs) != 1 {
+		return fmt.Errorf("store: Append takes one frame, got %d", len(recs))
+	}
+	return st.append(recs[0], frame)
+}
+
+// append applies the record to the logical state, writes its frame to
+// the WAL, and schedules compaction when the WAL has grown past the
 // threshold. The state is updated first (under the same lock) so a
 // record that cannot apply — an unknown id, say — is rejected before
 // it reaches the log; a record that fails to *write* is rolled back,
 // so a failure the client saw never persists, in memory or on disk.
-func (st *Store) append(rec record) error {
+func (st *Store) append(rec Record, frame []byte) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed {
@@ -362,7 +383,6 @@ func (st *Store) append(rec record) error {
 	if err != nil {
 		return err
 	}
-	frame := frameRecord(encodeRecord(rec))
 	if _, err := st.wal.Write(frame); err != nil {
 		// The file may now hold part of the frame; appending after it
 		// would bury every later record behind a torn one that replay
@@ -372,7 +392,7 @@ func (st *Store) append(rec record) error {
 		if !st.repairTailLocked() {
 			st.failed = true
 		}
-		return fmt.Errorf("store: appending %s(%s): %w", rec.kind, rec.id, err)
+		return fmt.Errorf("store: appending %s(%s): %w", rec.Kind, rec.ID, err)
 	}
 	if st.opts.Fsync {
 		if err := st.wal.Sync(); err != nil {
@@ -384,7 +404,7 @@ func (st *Store) append(rec record) error {
 			if !st.repairTailLocked() {
 				st.failed = true
 			}
-			return fmt.Errorf("store: syncing %s(%s): %w", rec.kind, rec.id, err)
+			return fmt.Errorf("store: syncing %s(%s): %w", rec.Kind, rec.ID, err)
 		}
 	}
 	st.walOff += int64(len(frame))
@@ -436,55 +456,21 @@ func (st *Store) scheduleCompaction() {
 // used to roll a mutation back when its WAL write fails. The undo
 // closures restore pointers into immutable values (databases are
 // copy-on-write), so they are exact, not best-effort.
-func (st *Store) applyWithUndo(rec record) (func(), error) {
-	switch rec.kind {
-	case opRegister:
-		prev, had := st.state[rec.id]
-		pos := -1
-		if had {
-			for i, id := range st.order {
-				if id == rec.id {
-					pos = i
-					break
-				}
-			}
-		}
+func (st *Store) applyWithUndo(rec Record) (func(), error) {
+	switch rec.Kind {
+	case OpRegister, OpUnregister:
+		prev, had := st.state[rec.ID]
+		order := append([]string(nil), st.order...)
 		undo := func() {
-			delete(st.state, rec.id)
-			st.removeFromOrder(rec.id)
+			delete(st.state, rec.ID)
 			if had {
-				st.state[rec.id] = prev
-				if pos >= 0 && pos <= len(st.order) {
-					st.order = append(st.order[:pos], append([]string{rec.id}, st.order[pos:]...)...)
-				} else {
-					st.order = append(st.order, rec.id)
-				}
+				st.state[rec.ID] = prev
 			}
+			st.order = order
 		}
 		return undo, st.apply(rec)
-	case opUnregister:
-		prev, had := st.state[rec.id]
-		pos := -1
-		for i, id := range st.order {
-			if id == rec.id {
-				pos = i
-				break
-			}
-		}
-		undo := func() {
-			if !had {
-				return
-			}
-			st.state[rec.id] = prev
-			if pos >= 0 && pos <= len(st.order) {
-				st.order = append(st.order[:pos], append([]string{rec.id}, st.order[pos:]...)...)
-			} else {
-				st.order = append(st.order, rec.id)
-			}
-		}
-		return undo, st.apply(rec)
-	case opInsertFact, opDeleteFact:
-		s, ok := st.state[rec.id]
+	case OpInsertFact, OpDeleteFact:
+		s, ok := st.state[rec.ID]
 		if !ok {
 			return func() {}, st.apply(rec) // apply will report the error
 		}
@@ -496,49 +482,49 @@ func (st *Store) applyWithUndo(rec record) (func(), error) {
 }
 
 // apply folds one record into the logical state.
-func (st *Store) apply(rec record) error {
-	switch rec.kind {
-	case opRegister:
-		if _, dup := st.state[rec.id]; dup {
+func (st *Store) apply(rec Record) error {
+	switch rec.Kind {
+	case OpRegister:
+		if _, dup := st.state[rec.ID]; dup {
 			// Replay after id reuse (unregister + re-register across a
 			// compaction boundary can interleave); last write wins.
-			st.removeFromOrder(rec.id)
+			st.removeFromOrder(rec.ID)
 		}
-		st.state[rec.id] = &InstanceState{
-			ID:      rec.id,
-			Name:    rec.name,
-			Created: time.Unix(0, rec.created).UTC(),
-			DB:      rec.db,
-			Sigma:   rec.sigma,
+		st.state[rec.ID] = &InstanceState{
+			ID:      rec.ID,
+			Name:    rec.Name,
+			Created: rec.Created,
+			DB:      rec.DB,
+			Sigma:   rec.Sigma,
 		}
-		st.order = append(st.order, rec.id)
-	case opUnregister:
-		if _, ok := st.state[rec.id]; !ok {
-			return fmt.Errorf("store: unregister of unknown instance %q", rec.id)
+		st.order = append(st.order, rec.ID)
+	case OpUnregister:
+		if _, ok := st.state[rec.ID]; !ok {
+			return fmt.Errorf("store: unregister of unknown instance %q", rec.ID)
 		}
-		delete(st.state, rec.id)
-		st.removeFromOrder(rec.id)
-	case opInsertFact:
-		s, ok := st.state[rec.id]
+		delete(st.state, rec.ID)
+		st.removeFromOrder(rec.ID)
+	case OpInsertFact:
+		s, ok := st.state[rec.ID]
 		if !ok {
-			return fmt.Errorf("store: insert-fact into unknown instance %q", rec.id)
+			return fmt.Errorf("store: insert-fact into unknown instance %q", rec.ID)
 		}
-		nd, _, fresh := s.DB.Insert(rec.fact)
+		nd, _, fresh := s.DB.Insert(rec.Fact)
 		if !fresh {
-			return fmt.Errorf("store: insert-fact duplicate %v in %q", rec.fact, rec.id)
+			return fmt.Errorf("store: insert-fact duplicate %v in %q", rec.Fact, rec.ID)
 		}
 		s.DB = nd
-	case opDeleteFact:
-		s, ok := st.state[rec.id]
+	case OpDeleteFact:
+		s, ok := st.state[rec.ID]
 		if !ok {
-			return fmt.Errorf("store: delete-fact from unknown instance %q", rec.id)
+			return fmt.Errorf("store: delete-fact from unknown instance %q", rec.ID)
 		}
-		if rec.index < 0 || rec.index >= s.DB.Len() {
-			return fmt.Errorf("store: delete-fact index %d out of range for %q (%d facts)", rec.index, rec.id, s.DB.Len())
+		if rec.Index < 0 || rec.Index >= s.DB.Len() {
+			return fmt.Errorf("store: delete-fact index %d out of range for %q (%d facts)", rec.Index, rec.ID, s.DB.Len())
 		}
-		s.DB = s.DB.Remove(rec.index)
+		s.DB = s.DB.Remove(rec.Index)
 	default:
-		return fmt.Errorf("store: unknown record kind %d", rec.kind)
+		return fmt.Errorf("store: unknown record kind %d", rec.Kind)
 	}
 	return nil
 }
@@ -677,7 +663,7 @@ func (st *Store) Compact() error {
 // writeSnapshot serialises a captured state:
 //
 //	magic "OCQS" | uvarint snapshotVersion | uvarint generation |
-//	uvarint count | per instance: id, name, created, instance payload |
+//	uvarint count | one register frame per instance |
 //	uint32 LE IEEE-CRC32 of everything before it
 //
 // It runs without the store mutex: the states are value copies whose
@@ -689,12 +675,8 @@ func (st *Store) writeSnapshot(gen uint64, states []InstanceState) error {
 	putUvarint(&b, snapshotVersion)
 	putUvarint(&b, gen)
 	putUvarint(&b, uint64(len(states)))
-	for i := range states {
-		s := &states[i]
-		putString(&b, s.ID)
-		putString(&b, s.Name)
-		putUvarint(&b, uint64(s.Created.UnixNano()))
-		encodeInstancePayload(&b, s.DB, s.Sigma)
+	for _, s := range states {
+		b.Write(Record{Kind: OpRegister, ID: s.ID, Name: s.Name, Created: s.Created, DB: s.DB, Sigma: s.Sigma}.Frame())
 	}
 	var crc [4]byte
 	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(b.Bytes()))
@@ -755,7 +737,7 @@ func (st *Store) loadSnapshot() (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if v != snapshotVersion {
+	if v != snapshotV2 && v != snapshotVersion {
 		return 0, fmt.Errorf("store: snapshot format version %d not supported (have %d)", v, snapshotVersion)
 	}
 	gen, err := rd.uvarint()
@@ -766,31 +748,46 @@ func (st *Store) loadSnapshot() (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
+	frames := body[len(body)-rd.r.Len():]
 	for i := 0; i < n; i++ {
-		id, err := rd.string_()
+		var rec Record
+		if v == snapshotV2 {
+			rec, err = decodeLegacyEntry(rd)
+		} else {
+			var payload []byte
+			if payload, frames, err = nextFrame(frames); err == nil {
+				rec, err = decodeRecord(owned(payload))
+			}
+			if err == nil && rec.Kind != OpRegister {
+				err = fmt.Errorf("store: snapshot holds a %s record", rec.Kind)
+			}
+		}
 		if err != nil {
-			return 0, fmt.Errorf("store: snapshot instance id: %w", err)
+			return 0, fmt.Errorf("store: snapshot instance %d: %w", i, err)
 		}
-		name, err := rd.string_()
-		if err != nil {
-			return 0, err
+		if err := st.apply(rec); err != nil {
+			return 0, fmt.Errorf("store: snapshot instance %d: %w", i, err)
 		}
-		created, err := rd.uvarint()
-		if err != nil {
-			return 0, err
-		}
-		db, sigma, err := decodeInstancePayload(rd)
-		if err != nil {
-			return 0, fmt.Errorf("store: snapshot instance %q: %w", id, err)
-		}
-		st.state[id] = &InstanceState{
-			ID:      id,
-			Name:    name,
-			Created: time.Unix(0, int64(created)).UTC(),
-			DB:      db,
-			Sigma:   sigma,
-		}
-		st.order = append(st.order, id)
 	}
 	return gen, nil
+}
+
+// decodeLegacyEntry reads one instance of a version-2 snapshot: id,
+// name, created, v1 payload.
+func decodeLegacyEntry(rd reader) (Record, error) {
+	rec := Record{Kind: OpRegister}
+	var err error
+	if rec.ID, err = rd.string_(); err != nil {
+		return rec, err
+	}
+	if rec.Name, err = rd.string_(); err != nil {
+		return rec, err
+	}
+	created, err := rd.uvarint()
+	if err != nil {
+		return rec, err
+	}
+	rec.Created = time.Unix(0, int64(created)).UTC()
+	rec.DB, rec.Sigma, err = decodeInstanceV1(rd)
+	return rec, err
 }

@@ -389,7 +389,7 @@ func TestCompactionRepairsUnacknowledgedTail(t *testing.T) {
 	// the append path leaves things when fsync and the tail repair both
 	// fail transiently.
 	st.mu.Lock()
-	frame := frameRecord(encodeRecord(record{kind: opInsertFact, id: "i1", fact: rel.NewFact("Emp", "9", "Phantom")}))
+	frame := Record{Kind: OpInsertFact, ID: "i1", Fact: rel.NewFact("Emp", "9", "Phantom")}.Frame()
 	if _, err := st.wal.Write(frame); err != nil {
 		st.mu.Unlock()
 		t.Fatal(err)
@@ -582,5 +582,102 @@ func TestFsyncOption(t *testing.T) {
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// renderState renders a store's instances one per line, in the layout
+// of testdata/v1-datadir.state.
+func renderState(st *Store) string {
+	var b bytes.Buffer
+	for _, is := range st.Instances() {
+		fmt.Fprintf(&b, "%s\t%s\t%d\t%s\t%s\n", is.ID, is.Name, is.Created.UnixNano(), is.DB, is.Sigma)
+	}
+	return b.String()
+}
+
+// frameKinds lists the kind byte of each frame in b.
+func frameKinds(t *testing.T, b []byte) []OpKind {
+	t.Helper()
+	var kinds []OpKind
+	for len(b) > 0 {
+		payload, rest, err := nextFrame(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kinds = append(kinds, OpKind(payload[0]))
+		b = rest
+	}
+	return kinds
+}
+
+// TestOpenLegacyDataDir boots testdata/v1-datadir, written by the last
+// release that wrote v1 payloads: a version-2 snapshot of two instances,
+// then a segment holding a v1 register record, inserts, a delete and an
+// unregister. The replay must equal the state that release recorded
+// (v1-datadir.state), and so must a reopen after Compact rewrote the
+// directory, whose snapshot and new register records are now v2.
+func TestOpenLegacyDataDir(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{snapshotFile, segmentName(1)} {
+		raw, err := os.ReadFile(filepath.Join("testdata", "v1-datadir", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "v1-datadir.state"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := openStore(t, dir)
+	if got := renderState(st); got != string(want) {
+		t.Fatalf("legacy replay:\n%s\nwant:\n%s", got, want)
+	}
+	before := st.Instances()
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.LogRegister("i9", "new", time.Unix(0, 9), before[0].DB, before[0].Sigma); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.LogUnregister("i9"); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	snap, err := os.ReadFile(filepath.Join(dir, snapshotFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// magic | version | generation | count (one byte each here) | frames | CRC
+	if snap[len(snapshotMagic)] != snapshotVersion {
+		t.Fatalf("compacted snapshot has version %d, want %d", snap[len(snapshotMagic)], snapshotVersion)
+	}
+	for _, k := range frameKinds(t, snap[len(snapshotMagic)+3:len(snap)-4]) {
+		if k != OpRegister {
+			t.Fatalf("compacted snapshot holds a kind-%d record", k)
+		}
+	}
+	seg, err := os.ReadFile(filepath.Join(dir, segmentName(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kinds := frameKinds(t, seg); len(kinds) != 2 || kinds[0] != OpRegister {
+		t.Fatalf("post-compaction segment kinds = %v, want a v2 register then an unregister", kinds)
+	}
+
+	st2 := openStore(t, dir)
+	defer st2.Close()
+	if got := renderState(st2); got != string(want) {
+		t.Fatalf("reopen after compaction:\n%s\nwant:\n%s", got, want)
+	}
+	for i, is := range st2.Instances() {
+		if !is.DB.Equal(before[i].DB) {
+			t.Fatalf("instance %s diverged across compaction", is.ID)
+		}
 	}
 }

@@ -1,220 +1,250 @@
 package store
 
-// WAL framing. Each record is
+// Record framing. Each record is
 //
 //	[uint32 LE payload length][uint32 LE IEEE-CRC32 of payload][payload]
 //
 // and the payload is
 //
-//	[kind byte][kind-specific fields]
+//	[kind byte][uvarint-length id][kind-specific fields]
 //
-// A crash mid-append leaves a short or checksum-failing tail; replay
-// stops at the first such record and the store truncates the file back
-// to the last complete one, so every acknowledged record before the
-// tear survives and nothing half-written is ever applied.
+// with the fields
+//
+//	register:    name | uvarint created (unix ns) | zero padding to a
+//	             4-byte frame offset | v2 instance payload (codec_v2.go)
+//	unregister:  none
+//	insert-fact: relation | uvarint arity | arguments
+//	delete-fact: uvarint index
+//
+// The same frames are the WAL, the body of a store snapshot, and the
+// replication feed. A crash mid-append leaves a short or
+// checksum-failing tail; replay stops at the first such record and the
+// store truncates the file back to the last complete one, so every
+// acknowledged record before the tear survives and nothing
+// half-written is ever applied.
 
 import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
+	"time"
 
 	"repro/internal/fd"
 	"repro/internal/rel"
 )
 
-// opKind tags a WAL record.
-type opKind byte
+// OpKind tags a record.
+type OpKind byte
 
 const (
-	opRegister opKind = iota + 1
-	opUnregister
-	opInsertFact
-	opDeleteFact
+	// opRegisterV1 is the legacy register record, its instance in the
+	// v1 row payload. It is decoded (as OpRegister), never written.
+	opRegisterV1 OpKind = iota + 1
+	OpUnregister
+	OpInsertFact
+	OpDeleteFact
+	// OpRegister embeds the instance as a v2 payload.
+	OpRegister
 )
 
-func (k opKind) String() string {
+func (k OpKind) String() string {
 	switch k {
-	case opRegister:
+	case OpRegister, opRegisterV1:
 		return "register"
-	case opUnregister:
+	case OpUnregister:
 		return "unregister"
-	case opInsertFact:
+	case OpInsertFact:
 		return "insert-fact"
-	case opDeleteFact:
+	case OpDeleteFact:
 		return "delete-fact"
 	default:
-		return fmt.Sprintf("opKind(%d)", byte(k))
+		return fmt.Sprintf("OpKind(%d)", byte(k))
 	}
 }
 
-// record is one decoded WAL entry.
-type record struct {
-	kind opKind
-	id   string
-	// register only:
-	name    string
-	created int64 // unix nanoseconds
-	db      *rel.Database
-	sigma   *fd.Set
-	// insert-fact only:
-	fact rel.Fact
-	// delete-fact only:
-	index int
+// Record is one decoded frame.
+type Record struct {
+	Kind OpKind
+	ID   string
+	// OpRegister only:
+	Name    string
+	Created time.Time
+	DB      *rel.Database
+	Sigma   *fd.Set
+	// OpInsertFact only:
+	Fact rel.Fact
+	// OpDeleteFact only: the fact's index in the instance's sorted fact
+	// order before the delete.
+	Index int
 }
 
-// maxRecordBytes is a sanity bound on a single WAL record; a length
-// header beyond it is treated as corruption, not an allocation request.
-const maxRecordBytes = 1 << 30
+// frameHeader is the length+CRC prefix of every frame.
+const frameHeader = 8
 
-// encodeRecord renders the payload (no frame header).
-func encodeRecord(rec record) []byte {
+// Frame renders the record as one CRC-framed record: the bytes the WAL
+// journals and the replication feed ships.
+func (r Record) Frame() []byte {
 	var b bytes.Buffer
-	b.WriteByte(byte(rec.kind))
-	putString(&b, rec.id)
-	switch rec.kind {
-	case opRegister:
-		putString(&b, rec.name)
-		putUvarint(&b, uint64(rec.created))
-		encodeInstancePayload(&b, rec.db, rec.sigma)
-	case opUnregister:
-	case opInsertFact:
-		putString(&b, rec.fact.Rel)
-		putUvarint(&b, uint64(len(rec.fact.Args)))
-		for _, a := range rec.fact.Args {
+	b.Write(make([]byte, frameHeader)) // filled in below
+	b.WriteByte(byte(r.Kind))
+	putString(&b, r.ID)
+	switch r.Kind {
+	case OpRegister:
+		putString(&b, r.Name)
+		putUvarint(&b, uint64(r.Created.UnixNano()))
+		pad4(&b)
+		encodeInstanceV2(&b, r.DB, r.Sigma)
+	case OpInsertFact:
+		putString(&b, r.Fact.Rel)
+		putUvarint(&b, uint64(len(r.Fact.Args)))
+		for _, a := range r.Fact.Args {
 			putString(&b, a)
 		}
-	case opDeleteFact:
-		putUvarint(&b, uint64(rec.index))
+	case OpDeleteFact:
+		putUvarint(&b, uint64(r.Index))
 	}
-	return b.Bytes()
+	out := b.Bytes()
+	binary.LittleEndian.PutUint32(out[0:4], uint32(len(out)-frameHeader))
+	binary.LittleEndian.PutUint32(out[4:8], crc32.ChecksumIEEE(out[frameHeader:]))
+	return out
 }
 
-// decodeRecord parses a frame payload.
-func decodeRecord(payload []byte) (record, error) {
+// decodeRecord parses a frame payload. A register record's database
+// aliases payload (decodeInstanceV2), which must start 4-aligned
+// relative to its frame and be owned by the record alone.
+func decodeRecord(payload []byte) (Record, error) {
 	if len(payload) == 0 {
-		return record{}, fmt.Errorf("store: empty WAL payload")
+		return Record{}, fmt.Errorf("store: empty record payload")
 	}
-	rec := record{kind: opKind(payload[0])}
+	rec := Record{Kind: OpKind(payload[0])}
 	rd := reader{bytes.NewReader(payload[1:])}
 	var err error
-	if rec.id, err = rd.string_(); err != nil {
-		return record{}, fmt.Errorf("store: WAL record id: %w", err)
+	if rec.ID, err = rd.string_(); err != nil {
+		return Record{}, fmt.Errorf("store: record id: %w", err)
 	}
-	switch rec.kind {
-	case opRegister:
-		if rec.name, err = rd.string_(); err != nil {
-			return record{}, err
+	switch rec.Kind {
+	case OpRegister, opRegisterV1:
+		if rec.Name, err = rd.string_(); err != nil {
+			return Record{}, err
 		}
 		created, err := rd.uvarint()
 		if err != nil {
-			return record{}, err
+			return Record{}, err
 		}
-		rec.created = int64(created)
-		if rec.db, rec.sigma, err = decodeInstancePayload(rd); err != nil {
-			return record{}, err
+		rec.Created = time.Unix(0, int64(created)).UTC()
+		if rec.Kind == opRegisterV1 {
+			rec.Kind = OpRegister
+			rec.DB, rec.Sigma, err = decodeInstanceV1(rd)
+		} else {
+			// The frame header is 8 bytes, so a 4-byte payload offset is a
+			// 4-byte frame offset, the v2 section's alignment base.
+			at := (len(payload) - rd.r.Len() + 3) &^ 3
+			if at > len(payload) {
+				return Record{}, fmt.Errorf("store: register record %q ends before its instance", rec.ID)
+			}
+			v2 := payload[at:]
+			rec.DB, rec.Sigma, err = decodeInstanceV2(v2, reader{bytes.NewReader(v2)})
 		}
-	case opUnregister:
-	case opInsertFact:
+		if err != nil {
+			return Record{}, err
+		}
+	case OpUnregister:
+	case OpInsertFact:
 		relName, err := rd.string_()
 		if err != nil {
-			return record{}, err
+			return Record{}, err
 		}
-		nArgs, err := rd.count("argument", 1<<16)
+		args, err := rd.strings("argument")
 		if err != nil {
-			return record{}, err
+			return Record{}, err
 		}
-		args := make([]string, nArgs)
-		for i := range args {
-			if args[i], err = rd.string_(); err != nil {
-				return record{}, err
-			}
-		}
-		rec.fact = rel.NewFact(relName, args...)
-	case opDeleteFact:
+		rec.Fact = rel.NewFact(relName, args...)
+	case OpDeleteFact:
 		idx, err := rd.uvarint()
 		if err != nil {
-			return record{}, err
+			return Record{}, err
 		}
-		rec.index = int(idx)
+		rec.Index = int(idx)
 	default:
-		return record{}, fmt.Errorf("store: unknown WAL record kind %d", payload[0])
+		return Record{}, fmt.Errorf("store: unknown record kind %d", payload[0])
 	}
 	return rec, nil
 }
 
-// frameRecord prepends the length+CRC header to a payload.
-func frameRecord(payload []byte) []byte {
-	out := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(out[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[4:8], crc32.ChecksumIEEE(payload))
-	copy(out[8:], payload)
-	return out
+// nextFrame splits the first frame off b, checking its length and CRC.
+func nextFrame(b []byte) (payload, rest []byte, err error) {
+	if len(b) < frameHeader {
+		return nil, nil, fmt.Errorf("store: torn frame header (%d of %d bytes)", len(b), frameHeader)
+	}
+	n := binary.LittleEndian.Uint32(b[0:4])
+	if uint64(n) > uint64(len(b)-frameHeader) {
+		return nil, nil, fmt.Errorf("store: torn frame: %d-byte payload, %d bytes left", n, len(b)-frameHeader)
+	}
+	payload = b[frameHeader : frameHeader+int(n)]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(b[4:8]) {
+		return nil, nil, fmt.Errorf("store: frame checksum mismatch")
+	}
+	return payload, b[frameHeader+int(n):], nil
+}
+
+// DecodeFrames decodes a run of frames, as the replication feed ships
+// them. A torn, checksum-failing or undecodable frame fails the whole
+// run. A register record's database aliases b, so b must start 4-aligned
+// (any Go allocation does) and belong to that record alone.
+func DecodeFrames(b []byte) ([]Record, error) {
+	var out []Record
+	for len(b) > 0 {
+		payload, rest, err := nextFrame(b)
+		if err != nil {
+			return nil, err
+		}
+		rec, err := decodeRecord(payload)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, rec)
+		b = rest
+	}
+	return out, nil
+}
+
+// owned copies a payload read from a file into a buffer of its own
+// exact size: a register record's columns alias it, and must pin
+// neither the rest of the file nor read-ahead slack.
+func owned(payload []byte) []byte {
+	return append(make([]byte, 0, len(payload)), payload...)
 }
 
 // replayResult is what scanning a WAL yields: the complete records, the
 // offset just past the last complete record (where appends resume and
 // any torn tail is truncated), and whether a tear was found.
 type replayResult struct {
-	records []record
+	records []Record
 	goodLen int64
 	torn    bool
-	tornErr error
 }
 
-// scanWAL reads frames from r until EOF or the first incomplete or
-// corrupt record. It never fails on a torn tail — that is the expected
-// crash signature — only on read errors from the underlying file.
-func scanWAL(r io.Reader) (replayResult, error) {
+// scanWAL decodes a segment's frames up to its end or the first
+// incomplete or corrupt one. A torn tail is the expected crash
+// signature, not an error. A record that passes its checksum but does
+// not decode is real corruption (or a future codec): replay stops
+// before it like a tear so everything prior still replays.
+func scanWAL(raw []byte) replayResult {
 	var res replayResult
-	var header [8]byte
-	for {
-		n, err := io.ReadFull(r, header[:])
-		if err == io.EOF {
-			return res, nil // clean end
-		}
-		if err == io.ErrUnexpectedEOF {
-			res.torn, res.tornErr = true, fmt.Errorf("store: torn WAL header (%d of 8 bytes)", n)
-			return res, nil
+	for rest := raw; len(rest) > 0; {
+		payload, next, err := nextFrame(rest)
+		var rec Record
+		if err == nil {
+			rec, err = decodeRecord(owned(payload))
 		}
 		if err != nil {
-			return res, err
-		}
-		length := binary.LittleEndian.Uint32(header[0:4])
-		sum := binary.LittleEndian.Uint32(header[4:8])
-		if length > maxRecordBytes {
-			res.torn, res.tornErr = true, fmt.Errorf("store: WAL record length %d exceeds sanity bound", length)
-			return res, nil
-		}
-		// Stream the payload instead of trusting the header with one
-		// up-front allocation: a corrupt (or hostile) length field may
-		// claim up to the sanity bound, and allocating it before any
-		// byte is read lets a 16-byte torn tail demand a gigabyte of
-		// memory at boot. Growing through a buffer costs at most ~2× the
-		// bytes actually present in the file.
-		var payloadBuf bytes.Buffer
-		if _, err := io.CopyN(&payloadBuf, r, int64(length)); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				res.torn, res.tornErr = true, fmt.Errorf("store: torn WAL payload: %w", err)
-				return res, nil
-			}
-			return res, err
-		}
-		payload := payloadBuf.Bytes()
-		if crc32.ChecksumIEEE(payload) != sum {
-			res.torn, res.tornErr = true, fmt.Errorf("store: WAL record checksum mismatch at offset %d", res.goodLen)
-			return res, nil
-		}
-		rec, err := decodeRecord(payload)
-		if err != nil {
-			// A record that passes its checksum but does not decode is
-			// real corruption (or a future codec); stop before it like a
-			// tear so everything prior still replays.
-			res.torn, res.tornErr = true, err
-			return res, nil
+			res.torn = true
+			break
 		}
 		res.records = append(res.records, rec)
-		res.goodLen += int64(8 + len(payload))
+		res.goodLen += int64(len(rest) - len(next))
+		rest = next
 	}
+	return res
 }

@@ -3,15 +3,20 @@ package ocqa_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/big"
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	ocqa "repro"
+	"repro/internal/fd"
+	"repro/internal/rel"
 	"repro/internal/sampler"
+	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -129,6 +134,56 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		if a1[i].Prob.Cmp(a2[i].Prob) != 0 {
 			t.Fatalf("answer %d prob %v vs %v", i, a1[i].Prob, a2[i].Prob)
 		}
+	}
+}
+
+// forgeSnapshot encodes d under schema R/2 with key A1 -> A2 without
+// checking that d fits it, as a corrupt or hostile file could.
+func forgeSnapshot(t *testing.T, d *ocqa.Database) []byte {
+	t.Helper()
+	sch := rel.MustSchema(rel.NewRelation("R", 2))
+	var buf bytes.Buffer
+	if err := store.EncodeInstance(&buf, d, fd.MustSet(sch, fd.New("R", []int{0}, []int{1}))); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestLoadSnapshotRejectsMisfitFacts: a snapshot whose fact R(a) does
+// not fit its own schema R/2 is an error, not a panic in the conflict
+// layer.
+func TestLoadSnapshotRejectsMisfitFacts(t *testing.T) {
+	raw := forgeSnapshot(t, rel.NewDatabase(rel.NewFact("R", "a")))
+	if _, err := ocqa.LoadSnapshot(bytes.NewReader(raw)); err == nil {
+		t.Fatal("snapshot with a fact of the wrong arity loaded")
+	}
+}
+
+// TestLoadSnapshotRejectsFullLookupTable: a snapshot whose stored
+// lookup slots (the trailing section) all point at fact 0 leaves no
+// empty slot, so a membership probe for an absent fact would never
+// end. Loading must refuse it.
+func TestLoadSnapshotRejectsFullLookupTable(t *testing.T) {
+	d := rel.NewDatabase(rel.NewFact("R", "a", "1"), rel.NewFact("R", "b", "2"))
+	raw := forgeSnapshot(t, d)
+	for i := len(raw) - 4*len(d.LookupSlots()); i < len(raw); i += 4 {
+		binary.LittleEndian.PutUint32(raw[i:], 1)
+	}
+	done := make(chan error, 1)
+	go func() {
+		inst, err := ocqa.LoadSnapshot(bytes.NewReader(raw))
+		if err == nil {
+			inst.DB().Contains(rel.NewFact("R", "a", "2"))
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("snapshot with a lookup table without an empty slot loaded")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("LoadSnapshot or Contains did not return within 10s")
 	}
 }
 
