@@ -159,6 +159,42 @@ func BenchmarkE05UniformOps(b *testing.B) {
 	}
 }
 
+// BenchmarkE05UniformOpsLocal measures one M^uo leaf drawn by UOLocal
+// on E05's instance, in the two cases that bound its use: deciding only
+// the query's one-fact target (what a single-target estimate pays per
+// draw), and deciding every fact (what a whole-database consumer would
+// pay, against BenchmarkE05UniformOps' walk).
+func BenchmarkE05UniformOpsLocal(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	w := workload.MultiKeyDatabase(rng, 200, 12)
+	benchLocalLeaf(b, w, false, rng)
+}
+
+// benchLocalLeaf runs the target and every-fact cases of a UOLocal
+// benchmark.
+func benchLocalLeaf(b *testing.B, w workload.Instance, singleton bool, rng *rand.Rand) {
+	inst := w.Core()
+	images, ok := inst.TargetImages(w.Query, w.Tuple, 0)
+	if !ok || len(images) != 1 || len(images[0]) != 1 {
+		b.Fatalf("want a one-fact target, got %v", images)
+	}
+	leaf := sampler.NewUOLocal(inst.Adjacency(), singleton)
+	b.Run("target", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			leaf.Draw(rng)
+			core.Holds(images, leaf)
+		}
+	})
+	b.Run("every-fact", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			leaf.Draw(rng)
+			for f := 0; f < inst.D.Len(); f++ {
+				leaf.Has(f)
+			}
+		}
+	})
+}
+
 // BenchmarkE06FDExpSmall computes the exact (exponentially small)
 // Proposition D.6 probability on D_12.
 func BenchmarkE06FDExpSmall(b *testing.B) {
@@ -183,6 +219,14 @@ func BenchmarkE07SingletonFD(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		walker.WalkResult(rng, true)
 	}
+}
+
+// BenchmarkE07SingletonFDLocal is BenchmarkE05UniformOpsLocal for one
+// M^{uo,1} leaf on E07's general-FD instance.
+func BenchmarkE07SingletonFDLocal(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	w := workload.FDChainDatabase(rng, 300, 12)
+	benchLocalLeaf(b, w, true, rng)
 }
 
 // BenchmarkE08HColoring runs the ♯H-Coloring Turing reduction with the

@@ -846,6 +846,16 @@ func TestRepairSamplerTrivialFacts(t *testing.T) {
 	}
 }
 
+// witnessPred is TargetImages as a predicate over subsets, evaluated by
+// Holds: nil and false past the image cap.
+func witnessPred(inst *Instance, q *cq.Query, c cq.Tuple, maxImages int) (func(rel.Subset) bool, bool) {
+	ws, ok := inst.TargetImages(q, c, maxImages)
+	if !ok {
+		return nil, false
+	}
+	return func(s rel.Subset) bool { return Holds(ws, s) }, true
+}
+
 // TestWitnessPredMatchesEntailPred: the witness-image predicate agrees
 // with the materialising predicate on every reachable state of random
 // instances and queries.
@@ -863,7 +873,7 @@ func TestWitnessPredMatchesEntailPred(t *testing.T) {
 		}
 		c := cq.Tuple{dom[rng.Intn(len(dom))]}
 		slow := inst.EntailPred(q, c)
-		fast, ok := inst.WitnessPred(q, c, 0)
+		fast, ok := witnessPred(inst, q, c, 0)
 		if !ok {
 			t.Fatal("witness pred overflowed on a tiny instance")
 		}
@@ -885,7 +895,7 @@ func TestWitnessPredMatchesEntailPred(t *testing.T) {
 func TestWitnessPredBooleanAndMismatch(t *testing.T) {
 	inst := figure2()
 	qb := cq.MustNew(nil, cq.NewAtom("R", cq.Const("a1"), cq.Var("x")))
-	pred, ok := inst.WitnessPred(qb, cq.Tuple{}, 0)
+	pred, ok := witnessPred(inst, qb, cq.Tuple{}, 0)
 	if !ok {
 		t.Fatal("overflow")
 	}
@@ -897,7 +907,7 @@ func TestWitnessPredBooleanAndMismatch(t *testing.T) {
 		t.Error("Boolean query cannot hold on the empty database")
 	}
 	// Wrong arity tuple: constant false predicate.
-	predBad, ok := inst.WitnessPred(qb, cq.Tuple{"a1", "b1"}, 0)
+	predBad, ok := witnessPred(inst, qb, cq.Tuple{"a1", "b1"}, 0)
 	if !ok || predBad(inst.Full()) {
 		t.Error("wrong-arity tuple must yield the constant-false predicate")
 	}
@@ -907,7 +917,7 @@ func TestWitnessPredBooleanAndMismatch(t *testing.T) {
 func TestWitnessPredOverflow(t *testing.T) {
 	inst := figure2()
 	q := cq.MustNew(nil, cq.NewAtom("R", cq.Var("x"), cq.Var("y")))
-	if _, ok := inst.WitnessPred(q, cq.Tuple{}, 2); ok {
+	if _, ok := witnessPred(inst, q, cq.Tuple{}, 2); ok {
 		t.Fatal("expected overflow with maxImages=2 and 6 facts")
 	}
 }
@@ -917,12 +927,12 @@ func TestWitnessPredOverflow(t *testing.T) {
 func TestWitnessPredConstantOnlyQuery(t *testing.T) {
 	inst := figure2()
 	q := cq.MustNew(nil, cq.NewAtom("R", cq.Const("nope"), cq.Var("x")))
-	pred, ok := inst.WitnessPred(q, cq.Tuple{}, 0)
+	ws, ok := inst.TargetImages(q, cq.Tuple{}, 0)
 	if !ok {
 		t.Fatal("overflow")
 	}
-	if pred(inst.Full()) {
-		t.Error("no witness should exist")
+	if len(ws) != 0 || Holds(ws, inst.Full()) {
+		t.Errorf("no witness should exist, got %v", ws)
 	}
 }
 

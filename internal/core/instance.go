@@ -24,6 +24,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/fd"
 	"repro/internal/rel"
@@ -39,6 +40,11 @@ type Instance struct {
 
 	// pairs are the edges of the conflict graph, sorted, with I < J.
 	pairs [][2]int
+
+	// adj is the per-fact form of pairs, built at most once, on the
+	// first Adjacency call.
+	adjOnce sync.Once
+	adj     *Adjacency
 }
 
 // NewInstance precomputes the conflict structure of (D, Σ).

@@ -166,5 +166,5 @@ func (mp *MultiPred) evalOne(t int, s rel.Subset) bool {
 	if mp.overflow[t] {
 		return mp.q.HasAnswerIn(mp.inst.D, s, mp.tuples[t])
 	}
-	return witnessHolds(mp.witnesses[t], s)
+	return Holds(mp.witnesses[t], s)
 }

@@ -67,7 +67,7 @@ func TestMultiPredTuplesMatchAnswers(t *testing.T) {
 }
 
 // TestMultiPredMatchesPerTuplePredicates: one Eval call agrees with
-// the per-tuple WitnessPred and EntailPred on random subsets — with
+// the per-tuple witness images and EntailPred on random subsets — with
 // and without forcing the overflow fallback.
 func TestMultiPredMatchesPerTuplePredicates(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
@@ -85,9 +85,9 @@ func TestMultiPredMatchesPerTuplePredicates(t *testing.T) {
 						t.Fatalf("trial %d maxImages=%d: Eval[%v]=%v on %v, EntailPred says %v",
 							trial, maxImages, c, out[ti], s.Indices(), want)
 					}
-					if fast, ok := inst.WitnessPred(q, c, 0); ok {
+					if fast, ok := witnessPred(inst, q, c, 0); ok {
 						if got := fast(s); got != out[ti] {
-							t.Fatalf("trial %d: WitnessPred disagrees with Eval for %v", trial, c)
+							t.Fatalf("trial %d: TargetImages disagrees with Eval for %v", trial, c)
 						}
 					}
 				}

@@ -154,6 +154,59 @@ func TestMutationChainMatchesRebuild(t *testing.T) {
 	}
 }
 
+// TestAdjacencyAlongLineage: every instance of a mutation lineage
+// starts without a conflict adjacency — InsertFact and DeleteFact never
+// build one, even from a parent that has — and builds it once, on
+// demand, listing each fact's incident pairs in ascending id with the
+// matching neighbours.
+func TestAdjacencyAlongLineage(t *testing.T) {
+	sch := rel.MustSchema(rel.NewRelation("R", 3))
+	sigma := fd.MustSet(sch,
+		fd.New("R", []int{0}, []int{1}),
+		fd.New("R", []int{2}, []int{1}),
+	)
+	rng := rand.New(rand.NewSource(29))
+	inst := NewInstance(rel.NewDatabase(), sigma)
+	letter := func() string { return fmt.Sprintf("c%d", rng.Intn(4)) }
+	for step := 0; step < 150; step++ {
+		var next *Instance
+		var err error
+		if inst.D.Len() == 0 || rng.Intn(3) > 0 {
+			next, _, err = inst.InsertFact(rel.NewFact("R", letter(), letter(), letter()))
+			if errors.Is(err, ErrDuplicateFact) {
+				continue
+			}
+		} else {
+			next, err = inst.DeleteFact(rng.Intn(inst.D.Len()))
+		}
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if next.adj != nil {
+			t.Fatalf("step %d: the mutation built the derived instance's adjacency", step)
+		}
+		inst = next
+		a := inst.Adjacency()
+		if inst.Adjacency() != a {
+			t.Fatalf("step %d: a second call rebuilt the adjacency", step)
+		}
+		var pairIDs, nbrs [][]int
+		pairIDs = make([][]int, inst.D.Len())
+		nbrs = make([][]int, inst.D.Len())
+		for pid, p := range inst.pairs {
+			pairIDs[p[0]], nbrs[p[0]] = append(pairIDs[p[0]], pid), append(nbrs[p[0]], p[1])
+			pairIDs[p[1]], nbrs[p[1]] = append(pairIDs[p[1]], pid), append(nbrs[p[1]], p[0])
+		}
+		for f := 0; f < inst.D.Len(); f++ {
+			lo, hi := a.Start[f], a.Start[f+1]
+			if hi-lo != len(pairIDs[f]) ||
+				hi > lo && (!reflect.DeepEqual(a.Pair[lo:hi], pairIDs[f]) || !reflect.DeepEqual(a.Nbr[lo:hi], nbrs[f])) {
+				t.Fatalf("step %d, fact %d: pairs %v nbrs %v, want %v %v", step, f, a.Pair[lo:hi], a.Nbr[lo:hi], pairIDs[f], nbrs[f])
+			}
+		}
+	}
+}
+
 // TestMutatedInstanceDrivesEngines checks a mutated instance is a
 // first-class Instance: the exact engines agree with a from-scratch
 // instance over the same database.

@@ -155,7 +155,7 @@ func (inst *Instance) ConsistentAnswersWith(mp *MultiPred, mode Mode, limit int)
 }
 
 // DefaultMaxImages is the witness-image cap applied when a caller
-// passes maxImages ≤ 0 to WitnessPred or CompileMultiPred: past it,
+// passes maxImages ≤ 0 to TargetImages or CompileMultiPred: past it,
 // the compiled predicate would cost more per draw than the fallback
 // subset-mask search it replaces.
 const DefaultMaxImages = 4096
@@ -187,13 +187,23 @@ func canonWitness(facts []int, buf []int) ([]int, string) {
 	return w, b.String()
 }
 
-// witnessHolds reports whether some witness index set is fully
-// contained in the subset.
-func witnessHolds(witnesses [][]int, s rel.Subset) bool {
-	for _, w := range witnesses {
+// Images are the compiled witness images of one target tuple c̄: the
+// distinct homomorphic images h(Q) ⊆ D with h(x̄) = c̄, each a sorted
+// fact-index set. By CQ monotonicity, c̄ ∈ Q(D') for D' ⊆ D iff some
+// image is contained in D', so an empty list means c̄ ∉ Q(D) and the
+// target's probability is 0 under every generator.
+type Images [][]int
+
+// Holds reports whether some image is fully contained in the
+// sub-database m identifies. m is any fact-membership test: a drawn
+// rel.Subset, or a sampler that decides one fact's survival on demand
+// (sampler.UOLocal) — both run this one loop, which stops at the first
+// image found and tests each image's facts only until one is missing.
+func Holds[M interface{ Has(int) bool }](ws Images, m M) bool {
+	for _, w := range ws {
 		all := true
 		for _, idx := range w {
-			if !s.Has(idx) {
+			if !m.Has(idx) {
 				all = false
 				break
 			}
@@ -205,23 +215,20 @@ func witnessHolds(witnesses [][]int, s rel.Subset) bool {
 	return false
 }
 
-// WitnessPred builds a fast entailment predicate by precomputing the
-// homomorphic images h(Q) ⊆ D with h(x̄) = c̄ as index subsets: by CQ
-// monotonicity, c̄ ∈ Q(D') for D' ⊆ D iff some image is contained in
-// D'. The predicate costs O(#images · ‖Q‖) per call — no database
-// materialisation — which matters in the Monte-Carlo hot loop. Images
-// are deduplicated by their sorted fact-index sets, read directly off
-// the matched facts of the homomorphism search. It returns ok=false
-// (and a nil predicate) when the number of images exceeds maxImages
-// (0 means DefaultMaxImages); callers then fall back to EntailPred.
-func (inst *Instance) WitnessPred(q *cq.Query, c cq.Tuple, maxImages int) (func(rel.Subset) bool, bool) {
+// TargetImages compiles the witness images of the tuple c̄ with one
+// homomorphism enumeration; images are deduplicated by their sorted
+// fact-index sets, read directly off the matched facts. A tuple of the
+// wrong arity has no image. It returns ok=false (and no images) when
+// the number of images exceeds maxImages (0 means DefaultMaxImages);
+// callers then fall back to EntailPred.
+func (inst *Instance) TargetImages(q *cq.Query, c cq.Tuple, maxImages int) (Images, bool) {
 	if maxImages <= 0 {
 		maxImages = DefaultMaxImages
 	}
 	if len(c) != len(q.AnswerVars) {
-		return func(rel.Subset) bool { return false }, true
+		return nil, true
 	}
-	var witnesses [][]int
+	var witnesses Images
 	seen := make(map[string]bool)
 	overflow := false
 	scratch := make([]int, 0, len(q.Atoms))
@@ -246,5 +253,5 @@ func (inst *Instance) WitnessPred(q *cq.Query, c cq.Tuple, maxImages int) (func(
 	if overflow {
 		return nil, false
 	}
-	return func(s rel.Subset) bool { return witnessHolds(witnesses, s) }, true
+	return witnesses, true
 }

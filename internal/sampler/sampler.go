@@ -7,7 +7,17 @@
 //     the counting DP of internal/count;
 //   - SampleUO: a walk of the uniform-operations chain M^uo (or
 //     M^{uo,1}), whose leaf is distributed per the chain's leaf
-//     distribution (Lemmas 7.2 and D.7) — valid for arbitrary FDs.
+//     distribution (Lemmas 7.2 and D.7) — valid for arbitrary FDs;
+//   - UOLocal: the same leaf law, decided one fact at a time. A
+//     justified operation only removes facts, and so only kills
+//     conflict pairs: once unjustified, an operation stays so. With an
+//     independent exponential clock per operation, memorylessness makes
+//     the chain's jump law (a uniform justified operation) equal to
+//     that of firing every potential operation once, in the order of
+//     i.i.d. ranks, whenever it is still justified at its turn. Whether
+//     a fact survives that scan depends only on operations of smaller
+//     rank around it, so a draw for a single target visits a few facts,
+//     not the instance.
 //
 // All samplers are exact (no approximation): uniformity is over the
 // respective combinatorial space, using big-integer weights where the

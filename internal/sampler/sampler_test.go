@@ -1,6 +1,8 @@
 package sampler
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
 	"math/big"
 	"math/rand"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fd"
 	"repro/internal/rel"
+	"repro/internal/workload"
 )
 
 func figure2() *core.Instance {
@@ -365,4 +368,36 @@ func TestSampleRepairMatchesURSemantics(t *testing.T) {
 		counts[bs.SampleRepair(rng, false).Key()]++
 	}
 	assertUniform(t, counts, 12, n, 5)
+}
+
+// TestUOWalkerGolden pins the walker's draw streams: sequences and
+// results of 200 walks per case hash to the values the walker produced
+// before it read the instance's shared conflict adjacency, so fact
+// marginals and shared answers passes under M^uo repeat bit for bit.
+func TestUOWalkerGolden(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		w         workload.Instance
+		singleton bool
+		want      uint64
+	}{
+		{"multikey", workload.MultiKeyDatabase(rand.New(rand.NewSource(5)), 200, 60), false, 0xab061226fbc8810d},
+		{"multikey", workload.MultiKeyDatabase(rand.New(rand.NewSource(5)), 200, 60), true, 0x1da726cc11d15db8},
+		{"fdchain", workload.FDChainDatabase(rand.New(rand.NewSource(7)), 300, 80), false, 0xb33e3091305c7675},
+		{"fdchain", workload.FDChainDatabase(rand.New(rand.NewSource(7)), 300, 80), true, 0x60b53cb2ba46935b},
+	} {
+		walker := NewUOWalker(c.w.Core())
+		rng := rand.New(rand.NewSource(11))
+		h := fnv.New64a()
+		for i := 0; i < 200; i++ {
+			seq, res := walker.Walk(rng, c.singleton)
+			for _, op := range seq {
+				fmt.Fprintf(h, "%d,%d;", op.I, op.J)
+			}
+			h.Write([]byte(res.Key()))
+		}
+		if got := h.Sum64(); got != c.want {
+			t.Errorf("%s singleton=%v: walks hash to %#x, want %#x", c.name, c.singleton, got, c.want)
+		}
+	}
 }

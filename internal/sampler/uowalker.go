@@ -20,10 +20,14 @@ import (
 // costs O(|D| + |conflict pairs|) amortised. The induced distribution
 // over complete sequences is identical to core.Instance.JustifiedOps +
 // uniform choice; the tests check this against the exact engine.
+//
+// A walk decides every fact at once, which is what whole-database
+// consumers need (fact marginals, shared answers passes, sequences); a
+// single target's survival is cheaper to decide with UOLocal.
 type UOWalker struct {
-	inst    *core.Instance
-	pairs   [][2]int
-	pairsOf [][]int
+	inst  *core.Instance
+	pairs [][2]int
+	adj   *core.Adjacency
 
 	// per-walk state, reset by Walk.
 	present    []bool
@@ -35,25 +39,22 @@ type UOWalker struct {
 	activeFact []int // facts with cnt > 0
 }
 
-// NewUOWalker prepares a walker for the instance (any FD set).
+// NewUOWalker prepares a walker for the instance (any FD set). It
+// reads the instance's shared conflict adjacency and allocates only its
+// own per-walk state.
 func NewUOWalker(inst *core.Instance) *UOWalker {
 	n := inst.D.Len()
 	pairs := inst.ConflictPairs()
-	w := &UOWalker{
+	return &UOWalker{
 		inst:      inst,
 		pairs:     pairs,
-		pairsOf:   make([][]int, n),
+		adj:       inst.Adjacency(),
 		present:   make([]bool, n),
 		pairAlive: make([]bool, len(pairs)),
 		pairPos:   make([]int, len(pairs)),
 		cnt:       make([]int, n),
 		factPos:   make([]int, n),
 	}
-	for pid, p := range pairs {
-		w.pairsOf[p[0]] = append(w.pairsOf[p[0]], pid)
-		w.pairsOf[p[1]] = append(w.pairsOf[p[1]], pid)
-	}
-	return w
 }
 
 func (w *UOWalker) reset() {
@@ -110,7 +111,7 @@ func (w *UOWalker) removeFact(f int) {
 		return
 	}
 	w.present[f] = false
-	for _, pid := range w.pairsOf[f] {
+	for _, pid := range w.adj.Pair[w.adj.Start[f]:w.adj.Start[f+1]] {
 		w.killPair(pid)
 	}
 }

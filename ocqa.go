@@ -412,9 +412,14 @@ func (o *ApproxOptions) fillDefaults(defaultSamples int) {
 }
 
 // parallelHint is the per-draw cost proxy handed to the engine's
-// adaptive worker selection: the cached conflict-pair count — the
-// block structure every sampler walks per draw — floored at 1 for
-// consistent instances.
+// adaptive worker selection: the cached conflict-pair count, floored at
+// 1 for consistent instances. It tracks what a whole-repair draw walks:
+// the block structure of the repair and sequence samplers, the pairs a
+// UOWalker walk kills. A single-target M^uo or M^{uo,1} draw touches
+// only the few facts its witness images reach (UOLocal), so for it the
+// hint overstates the work; it is kept as is, so that the worker count,
+// and with it every estimate's (Seed, Workers) draw streams, does not
+// depend on which sampler answers.
 func (in *Instance) parallelHint() int {
 	if n := len(in.inner.ConflictPairs()); n > 0 {
 		return n
@@ -492,7 +497,11 @@ func (in *Instance) sequenceOr(ps preparedSamplers, mode Mode) (*sampler.Sequenc
 // Approximate estimates P_{M,Q}(D, c̄) by Monte Carlo over the paper's
 // polynomial-time samplers. It refuses (mode, class) pairs whose status
 // is StatusOpen or StatusNoFPRAS, and StatusHeuristic pairs unless
-// opts.Force is set; the error cites the relevant theorem.
+// opts.Force is set; the error cites the relevant theorem. Under M^uo
+// and M^{uo,1} a draw decides only the facts c̄'s witness images touch
+// (sampler.UOLocal) instead of walking the whole chain. A c̄ with no
+// witness image has probability 0, which the stopping rule and 𝒜𝒜
+// return without drawing.
 //
 // The estimation loop checks ctx between sample chunks: a cancelled or
 // expired context stops the draws within one chunk per worker and
@@ -537,8 +546,9 @@ func (in *Instance) subsetDrawer(ps preparedSamplers, mode Mode) (func() func(*r
 		}, nil
 	default:
 		// The walker carries per-walk mutable state, so each worker
-		// receives its own instance via the factory; construction only
-		// snapshots the (already computed) conflict bookkeeping.
+		// receives its own instance via the factory; construction
+		// allocates that state, O(‖D‖ + |conflict pairs|), over the
+		// conflict adjacency the instance builds once and shares.
 		return func() func(*rand.Rand) rel.Subset {
 			walker := sampler.NewUOWalker(in.inner)
 			return func(rng *rand.Rand) rel.Subset {
@@ -548,27 +558,64 @@ func (in *Instance) subsetDrawer(ps preparedSamplers, mode Mode) (func() func(*r
 	}
 }
 
+// targetDrawer compiles the target's witness images — the run's
+// "compile" span — and returns the per-worker factory of its Bernoulli
+// draws, or nil when the target has no image. Under M^uo and M^{uo,1}
+// a draw decides only the facts the images ask about, through UOLocal
+// over the instance's shared conflict adjacency; the other generators
+// draw a whole repair subset. Past the image cap the draw falls back to
+// the subset-mask homomorphism search, on whole repairs.
+func (in *Instance) targetDrawer(ctx context.Context, ps preparedSamplers, mode Mode, q *Query, c Tuple) (func() engine.Sampler, error) {
+	endCompile := engine.TraceFrom(ctx).StartSpan("compile")
+	defer endCompile()
+	ws, ok := in.inner.TargetImages(q, c, 0)
+	if ok && len(ws) == 0 {
+		return nil, nil
+	}
+	if ok && mode.Gen == UniformOperations {
+		adj := in.inner.Adjacency()
+		return func() engine.Sampler {
+			leaf := sampler.NewUOLocal(adj, mode.Singleton)
+			return func(rng *rand.Rand) bool {
+				leaf.Draw(rng)
+				return core.Holds(ws, leaf)
+			}
+		}, nil
+	}
+	pred := func(s rel.Subset) bool { return core.Holds(ws, s) }
+	if !ok {
+		pred = in.inner.EntailPred(q, c)
+	}
+	newSubset, err := in.subsetDrawer(ps, mode)
+	if err != nil {
+		return nil, err
+	}
+	return func() engine.Sampler {
+		draw := newSubset()
+		return func(rng *rand.Rand) bool { return pred(draw(rng)) }
+	}, nil
+}
+
 func (in *Instance) approximate(ctx context.Context, ps preparedSamplers, mode Mode, q *Query, c Tuple, opts ApproxOptions) (Estimate, error) {
 	opts.fill()
 	if err := in.checkApproximable(mode, opts.Force); err != nil {
 		return Estimate{}, err
 	}
-
-	// Prefer the witness-image predicate: it avoids materialising a
-	// database per sample in the Monte-Carlo loop.
-	endCompile := engine.TraceFrom(ctx).StartSpan("compile")
-	pred, ok := in.inner.WitnessPred(q, c, 0)
-	if !ok {
-		pred = in.inner.EntailPred(q, c)
-	}
-	newSubset, err := in.subsetDrawer(ps, mode)
-	endCompile()
+	newDraw, err := in.targetDrawer(ctx, ps, mode, q, c)
 	if err != nil {
 		return Estimate{}, err
 	}
-	newDraw := func() engine.Sampler {
-		draw := newSubset()
-		return func(rng *rand.Rand) bool { return pred(draw(rng)) }
+	if newDraw == nil {
+		// No witness image: c̄ ∉ Q(D), or its arity is wrong, so by CQ
+		// monotonicity its probability is exactly 0 and every draw is
+		// false. The adaptive estimators would never stop and burn the
+		// whole cap, so they answer 0 without drawing; the fixed-sample
+		// construction still performs exactly the count its plan
+		// promises, none of which needs a repair.
+		if !opts.UseChernoff {
+			return Estimate{Epsilon: opts.Epsilon, Delta: opts.Delta, Converged: true}, nil
+		}
+		newDraw = func() engine.Sampler { return func(*rand.Rand) bool { return false } }
 	}
 	// Workers = 0 resolves adaptively from the conflict structure and
 	// the committed draw budget; an explicit request passes through.
