@@ -44,7 +44,8 @@ func answersFixture(t *testing.T) (*ocqa.Instance, *ocqa.Query) {
 
 func TestApproximateAnswersDeterministic(t *testing.T) {
 	inst, q := answersFixture(t)
-	p := inst.Prepare()
+	other, _ := answersFixture(t)
+	p := other.Prepare()
 	ctx := context.Background()
 	for _, mode := range []ocqa.Mode{
 		{Gen: ocqa.UniformRepairs},
@@ -58,43 +59,43 @@ func TestApproximateAnswersDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v: %v", mode, err)
 			}
-			// Prepared (cached witness sets) and bare Instance must agree
-			// bitwise too: the cache only skips recompilation. Under M^ur
-			// the Prepared factorizes instead (checkFactorizedEstimate).
+			// A Prepare()d and a never-prepared instance agree bitwise,
+			// and so do two runs on one instance: the witness-set cache
+			// only skips recompilation.
 			b, err := inst.ApproximateAnswers(ctx, mode, q, opts)
 			if err != nil {
 				t.Fatalf("%v: %v", mode, err)
 			}
-			if len(a) != len(b) || len(a) == 0 {
-				t.Fatalf("%v workers=%d: %d vs %d answers", mode, workers, len(a), len(b))
+			again, err := p.ApproximateAnswers(ctx, mode, q, opts)
+			if err != nil {
+				t.Fatalf("%v: %v", mode, err)
 			}
-			if mode.Gen == ocqa.UniformRepairs {
-				again, err := p.ApproximateAnswers(ctx, mode, q, opts)
-				if err != nil {
-					t.Fatalf("%v: %v", mode, err)
-				}
-				exact, err := inst.ConsistentAnswers(mode, q, 0)
-				if err != nil {
-					t.Fatalf("%v: %v", mode, err)
-				}
-				if len(again) != len(a) || len(exact) != len(a) {
-					t.Fatalf("%v workers=%d: %d, %d and %d answers", mode, workers, len(a), len(again), len(exact))
-				}
-				for i := range a {
-					if !a[i].Tuple.Equal(b[i].Tuple) || !a[i].Tuple.Equal(exact[i].Tuple) {
-						t.Fatalf("%v tuple %d: %v, %v, %v", mode, i, a[i].Tuple, b[i].Tuple, exact[i].Tuple)
-					}
-					ef, _ := exact[i].Prob.Float64()
-					checkFactorizedEstimate(t, fmt.Sprintf("%v workers=%d tuple %v", mode, workers, a[i].Tuple),
-						a[i].Estimate, again[i].Estimate, b[i].Estimate, ef)
-				}
-				continue
+			if len(a) != len(b) || len(a) != len(again) || len(a) == 0 {
+				t.Fatalf("%v workers=%d: %d, %d and %d answers", mode, workers, len(a), len(b), len(again))
 			}
 			for i := range a {
 				if !a[i].Tuple.Equal(b[i].Tuple) || !sameEstimate(a[i].Estimate, b[i].Estimate) {
 					t.Fatalf("%v workers=%d tuple %d: prepared %+v != instance %+v",
 						mode, workers, i, a[i], b[i])
 				}
+			}
+			if mode.Gen != ocqa.UniformRepairs {
+				continue
+			}
+			exact, err := inst.Core().ConsistentAnswers(mode, q, 0)
+			if err != nil {
+				t.Fatalf("%v: %v", mode, err)
+			}
+			if len(exact) != len(a) {
+				t.Fatalf("%v workers=%d: %d answers, %d exact", mode, workers, len(a), len(exact))
+			}
+			for i := range a {
+				if !a[i].Tuple.Equal(exact[i].Tuple) {
+					t.Fatalf("%v tuple %d: %v vs exact %v", mode, i, a[i].Tuple, exact[i].Tuple)
+				}
+				ef, _ := exact[i].Prob.Float64()
+				checkFactorizedEstimate(t, fmt.Sprintf("%v workers=%d tuple %v", mode, workers, a[i].Tuple),
+					a[i].Estimate, again[i].Estimate, ef)
 			}
 		}
 	}
@@ -185,13 +186,13 @@ func TestApproximateAnswersChernoff(t *testing.T) {
 
 // TestApproximateAnswersDrawReduction: the shared pass must consume
 // well under the per-tuple path's total draws — with 4 equally hard
-// tuples, at least half the per-tuple factor. It runs on the bare
-// Instance, whose M^ur estimates sample the whole instance (a Prepared
-// factorizes them, with no draws to compare).
+// tuples, at least half the per-tuple factor. It runs under M^us, which
+// samples whole repairs (M^ur factorizes under primary keys, with no
+// draws to compare).
 func TestApproximateAnswersDrawReduction(t *testing.T) {
 	inst, q := answersFixture(t)
 	ctx := context.Background()
-	mode := ocqa.Mode{Gen: ocqa.UniformRepairs}
+	mode := ocqa.Mode{Gen: ocqa.UniformSequences}
 	opts := ocqa.ApproxOptions{Epsilon: 0.1, Delta: 0.05, Seed: 3, Workers: 1}
 
 	tuples := q.Answers(inst.DB())
@@ -252,7 +253,7 @@ func TestApproximateAnswersPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
-		ans, err := inst.ApproximateAnswers(ctx, ocqa.Mode{Gen: ocqa.UniformRepairs}, q,
+		ans, err := inst.ApproximateAnswers(ctx, ocqa.Mode{Gen: ocqa.UniformSequences}, q,
 			ocqa.ApproxOptions{Seed: 1, Workers: workers})
 		if err == nil {
 			t.Fatalf("workers=%d: want context error", workers)
@@ -266,8 +267,8 @@ func TestApproximateAnswersPreCancelled(t *testing.T) {
 }
 
 // TestConsistentAnswersPreparedCacheStable: repeated shared exact
-// passes through the Prepared witness-set cache return identical
-// rationals, equal to the uncached Instance path.
+// passes through the witness-set cache return identical rationals,
+// equal to the core engine's uncached pass.
 func TestConsistentAnswersPreparedCacheStable(t *testing.T) {
 	inst, q := answersFixture(t)
 	p := inst.Prepare()
@@ -280,7 +281,7 @@ func TestConsistentAnswersPreparedCacheStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := inst.ConsistentAnswers(mode, q, 0)
+	plain, err := inst.Core().ConsistentAnswers(mode, q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

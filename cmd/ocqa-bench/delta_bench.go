@@ -7,9 +7,9 @@ package main
 // approximate path samples per-stratum. Every benchmark op applies one
 // fact mutation and re-answers a standing query:
 //
-//   - cold: rebuild the database and a fresh Prepared from scratch,
+//   - cold: rebuild the database and a fresh instance from scratch,
 //     then query — what a server without the delta layer pays per write;
-//   - delta: advance the same Prepared lineage through
+//   - delta: advance the same instance lineage through
 //     ApplyInsert/ApplyDelete, then query — witnesses are maintained
 //     incrementally and untouched cluster factors (or sampled-stratum
 //     draw statistics) are served from the caches carried across the
@@ -17,13 +17,13 @@ package main
 //
 // Before any timing, the suite proves the paths agree: the delta
 // lineage's exact probabilities and consistent answers must be
-// big.Rat-identical to a cold Prepared at every step of a mixed
+// big.Rat-identical to a cold instance at every step of a mixed
 // mutation trace, and the warm stratified estimate must be
 // deterministic for a fixed seed with every stored stratum reused
-// (fresh draws exactly zero). The cold approximate cells run the classic
-// whole-instance stopping rule on a bare Instance: a Prepared, cold or
-// warm, answers them by block factorization. Emits a BENCH_delta.json
-// trajectory file;
+// (fresh draws exactly zero). The cold approximate cells run the paper's
+// whole-instance stopping rule (harness.WholeInstanceStoppingRule): the
+// facade, cold or warm, answers them by block factorization. Emits a
+// BENCH_delta.json trajectory file;
 // the acceptance floor is a 5x mutate-then-query speedup over cold at
 // the committed 100k-fact size.
 
@@ -37,6 +37,7 @@ import (
 	ocqa "repro"
 	"repro/internal/engine"
 	"repro/internal/fd"
+	"repro/internal/oracle/harness"
 	"repro/internal/rel"
 )
 
@@ -52,7 +53,7 @@ type deltaBenchFile struct {
 	Delta   float64 `json:"delta"`
 	// EqualitySteps is the number of mutation steps of the pre-timing
 	// differential trace (each step compares the warm lineage against a
-	// cold Prepared, bitwise, on both standing queries).
+	// cold instance, bitwise, on both standing queries).
 	EqualitySteps int `json:"equality_steps"`
 	// Draws is the Monte-Carlo draws one cold approximate op performs;
 	// ReusedDraws / FreshDraws are the warm stratified op's accounting
@@ -108,7 +109,7 @@ func deltaBenchSigma() *fd.Set {
 // block and deleting it again, re-answering q after every mutation —
 // the standing-query-under-churn loop the delta benchmarks time. The
 // returned closure performs one mutation+query.
-func deltaMutateQueryOp(p *ocqa.Prepared, block string, q *ocqa.Query) func() error {
+func deltaMutateQueryOp(p *ocqa.Instance, block string, q *ocqa.Query) func() error {
 	pos, have := 0, false
 	i := 0
 	cur := p
@@ -130,14 +131,14 @@ func deltaMutateQueryOp(p *ocqa.Prepared, block string, q *ocqa.Query) func() er
 }
 
 // deltaEqualityTrace drives a mixed mutation trace through the lineage
-// and, at every step, demands bitwise agreement with a cold Prepared on
+// and, at every step, demands bitwise agreement with a cold instance on
 // the same database for both exact standing queries (single-block probe
 // and two-block cluster) — the in-bench correctness gate that runs
 // before any timing. The hot-cluster query stays out: its outcome
 // product exceeds the exact enumeration cap by construction (that is
 // what makes it the stratified fixture), so it has no feasible exact
 // answer at bench size.
-func deltaEqualityTrace(p *ocqa.Prepared, sigma *fd.Set, probeQ, pairQ *ocqa.Query, steps int) (*ocqa.Prepared, error) {
+func deltaEqualityTrace(p *ocqa.Instance, sigma *fd.Set, probeQ, pairQ *ocqa.Query, steps int) (*ocqa.Instance, error) {
 	mode := ocqa.Mode{Gen: ocqa.UniformRepairs}
 	blocks := []string{"k1", "k0", "h0", "k2", "h1", "k0"}
 	pos := make(map[string]int)
@@ -161,7 +162,7 @@ func deltaEqualityTrace(p *ocqa.Prepared, sigma *fd.Set, probeQ, pairQ *ocqa.Que
 		if err != nil {
 			return nil, fmt.Errorf("equality trace step %d (%s): %v", s, block, err)
 		}
-		cold := ocqa.NewInstance(p.DB(), sigma).PrepareLazy()
+		cold := ocqa.NewInstance(p.DB(), sigma)
 		for _, q := range []*ocqa.Query{probeQ, pairQ} {
 			warm, err := p.ExactProbability(mode, q, ocqa.Tuple{}, 0)
 			if err != nil {
@@ -209,7 +210,7 @@ func runDeltaBenchmarks(outPath string, facts int) error {
 
 	// --- correctness gates, before any timing --------------------------
 	const eqSteps = 18
-	lineage, err := deltaEqualityTrace(ocqa.NewInstance(base, sigma).PrepareLazy(), sigma, probeQ, pairQ, eqSteps)
+	lineage, err := deltaEqualityTrace(ocqa.NewInstance(base, sigma), sigma, probeQ, pairQ, eqSteps)
 	if err != nil {
 		return err
 	}
@@ -252,14 +253,14 @@ func runDeltaBenchmarks(outPath string, facts int) error {
 				cur = append(append(make([]rel.Fact, 0, len(fl)+1), fl...),
 					rel.NewFact("R", "k1", "wcold"))
 			}
-			p := ocqa.NewInstance(rel.NewDatabase(cur...), sigma).PrepareLazy()
+			p := ocqa.NewInstance(rel.NewDatabase(cur...), sigma)
 			if _, err := p.ExactProbability(mode, probeQ, ocqa.Tuple{}, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 
-	deltaFar := deltaMutateQueryOp(ocqa.NewInstance(base, sigma).PrepareLazy(), "k1", probeQ)
+	deltaFar := deltaMutateQueryOp(ocqa.NewInstance(base, sigma), "k1", probeQ)
 	if err := deltaFar(); err != nil { // warm the lineage outside the timing
 		return err
 	}
@@ -272,7 +273,7 @@ func runDeltaBenchmarks(outPath string, facts int) error {
 		}
 	})
 
-	deltaNear := deltaMutateQueryOp(ocqa.NewInstance(base, sigma).PrepareLazy(), "k0", probeQ)
+	deltaNear := deltaMutateQueryOp(ocqa.NewInstance(base, sigma), "k0", probeQ)
 	if err := deltaNear(); err != nil {
 		return err
 	}
@@ -285,13 +286,13 @@ func runDeltaBenchmarks(outPath string, facts int) error {
 		}
 	})
 
-	// Cold approximate: a fresh bare Instance estimates the hot-cluster
-	// query with the classic stopping rule per op, at 1 worker and under
+	// Cold approximate: a fresh instance estimates the hot-cluster query
+	// with the whole-instance stopping rule per op, at 1 worker and under
 	// adaptive selection — the worker ladder the inversion gate checks.
 	coldApprox := func(workers int) (ocqa.Estimate, error) {
 		o := aopts
 		o.Workers = workers
-		return ocqa.NewInstance(base, sigma).Approximate(ctx, mode, hotQ, ocqa.Tuple{}, o)
+		return harness.WholeInstanceStoppingRule(ctx, ocqa.NewInstance(base, sigma), mode, hotQ, ocqa.Tuple{}, o)
 	}
 	probeEst, err := coldApprox(1)
 	if err != nil {
@@ -370,7 +371,7 @@ func runDeltaBenchmarks(outPath string, facts int) error {
 			return spanSeconds(func(ctx context.Context) {
 				o := aopts
 				o.Workers = engine.AutoWorkers
-				_, _ = ocqa.NewInstance(base, sigma).Approximate(ctx, mode, hotQ, ocqa.Tuple{}, o)
+				_, _ = harness.WholeInstanceStoppingRule(ctx, ocqa.NewInstance(base, sigma), mode, hotQ, ocqa.Tuple{}, o)
 			})
 		}(),
 		Results: []benchResult{

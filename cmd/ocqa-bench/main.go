@@ -20,7 +20,7 @@
 // -scale-facts shrinks the instance for CI smoke runs.
 //
 // With -delta it runs the incremental-estimation suite: mutate-then-
-// query throughput of the Prepared.ApplyInsert/ApplyDelete lineage
+// query throughput of the ApplyInsert/ApplyDelete lineage
 // (per-block factor caching, stratified draw reuse) against cold
 // from-scratch recomputation on a 100k-fact instance, with an in-bench
 // big.Rat equality trace and a 5x speedup acceptance floor. Emits

@@ -9,7 +9,7 @@ package main
 // node can serve it: Monte-Carlo draws/sec for fact marginals at 1
 // worker and under adaptive selection, a capped stopping-rule query
 // estimation (which must plan delta-exact and draw nothing: the
-// Prepared factorizes M^ur over the one key block the query touches),
+// facade factorizes M^ur over the one key block the query touches),
 // resident memory and snapshot bytes per fact, and the
 // snapshot encode / cold-boot / warm-boot (mmap) timings of the
 // columnar v2 codec. Emits a BENCH_scale.json trajectory file; -check
@@ -76,7 +76,7 @@ type scaleBenchFile struct {
 	DrawsPerSec1W   float64 `json:"draws_per_sec_1w"`
 	DrawsPerSecAuto float64 `json:"draws_per_sec_auto"`
 	// StoppingRuleDraws/Seconds record one capped Dagum–Karp stopping-
-	// rule query estimation on the full Prepared (adaptive workers),
+	// rule query estimation on the full instance (adaptive workers),
 	// planning included; it must route delta-exact with zero draws.
 	StoppingRuleDraws   int64   `json:"stopping_rule_draws"`
 	StoppingRuleSeconds float64 `json:"stopping_rule_seconds"`
@@ -205,7 +205,7 @@ func runScaleBenchmarks(outPath string, facts int) error {
 
 	// One capped stopping-rule query over the same instance: it holds in
 	// a repair iff block k0's first fact survives, so the probability is
-	// 1/3. The Prepared factorizes M^ur over that one block, so the plan
+	// 1/3. The facade factorizes M^ur over that one block, so the plan
 	// must be delta-exact and the run must draw nothing — the gate that
 	// goes red if cold queries ever fall back to whole-instance draws.
 	q, err := ocqa.ParseQuery("Ans() :- R('k00000000', 'v0')")

@@ -1,6 +1,6 @@
 // Command ocqa-serve runs the concurrent OCQA query service: a
 // long-running HTTP server that registers inconsistent databases once,
-// eagerly prepares their sampler artifacts, and then answers exact and
+// builds their block decomposition, and then answers exact and
 // approximate operational-CQA queries — singly or in batches — for any
 // number of concurrent clients.
 //

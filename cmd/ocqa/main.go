@@ -154,7 +154,6 @@ func run(ctx context.Context, factsPath, fdsPath, queryText, tupleText, genName 
 		return nil
 	case "approx":
 		opts := ocqa.ApproxOptions{Epsilon: eps, Delta: delta, Seed: seed, Workers: workers, Force: force}
-		p := inst.Prepare()
 		single := tupleText != "" || len(q.AnswerVars) == 0
 		var tr *ocqa.Trace
 		var plan ocqa.QueryPlan
@@ -163,7 +162,7 @@ func run(ctx context.Context, factsPath, fdsPath, queryText, tupleText, genName 
 			// and the worst-case budget are pre-run facts, so an operator
 			// can abort a hopeless (ε, δ) before paying for it.
 			var err error
-			plan, err = p.PlanApproximate(m, q, single, opts)
+			plan, err = inst.PlanApproximate(m, q, single, opts)
 			if err != nil {
 				return err
 			}
@@ -173,7 +172,7 @@ func run(ctx context.Context, factsPath, fdsPath, queryText, tupleText, genName 
 		}
 		if single {
 			c := ocqa.ParseTuple(tupleText)
-			est, err := p.Approximate(ctx, m, q, c, opts)
+			est, err := inst.Approximate(ctx, m, q, c, opts)
 			if err != nil {
 				return err
 			}
@@ -185,7 +184,7 @@ func run(ctx context.Context, factsPath, fdsPath, queryText, tupleText, genName 
 			}
 			return nil
 		}
-		answers, acct, err := p.ApproximateAnswersAcct(ctx, m, q, opts)
+		answers, acct, err := inst.ApproximateAnswersAcct(ctx, m, q, opts)
 		if err != nil {
 			return err
 		}

@@ -25,23 +25,23 @@ package ocqa
 // across generations — after a mutation only the touched stratum is
 // redrawn, the rest are reused and reported as Accounting.ReusedDraws.
 //
-// On a primary-key Prepared this estimator answers every stopping-rule
-// M^ur and M^{ur,1} query, cold or warm: an approximate answer whose
-// clusters are all enumerable is exact, with zero draws. The classic
-// estimators answer only where it declines (UseAA, UseChernoff, witness
-// images past the cap, more than deltaMaxSampledStrata sampled strata).
-// The bare Instance.Approximate stays the paper's whole-instance FPRAS.
+// Under primary keys this estimator answers every stopping-rule M^ur and
+// M^{ur,1} query, on any instance, fresh or derived: an approximate
+// answer whose clusters are all enumerable is exact, with zero draws.
+// The paper's whole-instance estimators answer only where it declines
+// (UseAA, UseChernoff, witness images past the cap, more than
+// deltaMaxSampledStrata sampled strata).
 //
-// State lives inside Prepared and is carried, remapped and refreshed by
-// ApplyInsert/ApplyDelete (the Prepared→Prepared mutation path the
-// server uses): deleted witness images are dropped, inserted facts
+// The state is a fingerprint's deltaQuery in the instance's query cache.
+// ApplyInsert/ApplyDelete carry it into the derived instance, remapped
+// and refreshed: deleted witness images are dropped, inserted facts
 // discover their new images by the anchored homomorphism search
 // (core.AnchoredWitnesses) instead of a full re-enumeration, and fact
 // indices are shifted in place. The exact results are big.Rat-identical
-// to the core enumeration engines (the oracle harness's delta traces
-// audit this); the stratified estimates keep the requested (ε, δ) by a
-// union bound over strata, since the exact strata contribute no error
-// and |P̂ − P| ≤ Σ_sampled |p̂_c − p_c| ≤ (ε/S)·Σ_c p_c ≤ ε·P.
+// to the core enumeration engines (the oracle harness audits this); the
+// stratified estimates keep the requested (ε, δ) by a union bound over
+// strata, since the exact strata contribute no error and
+// |P̂ − P| ≤ Σ_sampled |p̂_c − p_c| ≤ (ε/S)·Σ_c p_c ≤ ε·P.
 
 import (
 	"context"
@@ -105,22 +105,6 @@ func DeltaFactorCacheMisses() int64 { return deltaFactorMisses.Load() }
 // from a previous generation instead of being redrawn.
 func DeltaReusedDraws() int64 { return deltaReusedTotal.Load() }
 
-// deltaState is the factorized-estimation state of one Prepared: the
-// per-fingerprint witness/factor/stratum records. A cold Prepared builds
-// it on its first M^ur query; ApplyInsert/ApplyDelete carry it across a
-// mutation.
-type deltaState struct {
-	mu sync.Mutex
-	// warm is set on states carried across a mutation. It only labels the
-	// DeltaRefreshes counter; routing never reads it.
-	warm bool
-	// queries maps a query fingerprint (Query.String()) to its
-	// maintained state; order is the FIFO eviction queue (same bound as
-	// the compiled-predicate cache).
-	queries map[string]*deltaQuery
-	order   []string
-}
-
 // deltaQuery is the maintained state of one query fingerprint.
 type deltaQuery struct {
 	mu sync.Mutex
@@ -157,55 +141,27 @@ type deltaStratum struct {
 // product-measure argument is specific to M^ur under primary keys, both
 // of them FPRAS cells (Theorems 5.1(2), E.1(2)). M^us couples blocks
 // through sequence interleavings and M^uo through the global operation
-// choice, so both keep the non-delta engines.
-func (p *Prepared) deltaEligible(mode Mode) bool {
-	return p.class == fd.PrimaryKeys && mode.Gen == UniformRepairs
+// choice, so both keep the whole-instance engines.
+func (in *Instance) deltaEligible(mode Mode) bool {
+	return in.class == fd.PrimaryKeys && mode.Gen == UniformRepairs
 }
 
-// deltaStateOf returns the Prepared's delta state, creating a cold one
-// on first use.
-func (p *Prepared) deltaStateOf() *deltaState {
-	p.deltaMu.Lock()
-	defer p.deltaMu.Unlock()
-	if p.delta == nil {
-		p.delta = &deltaState{queries: make(map[string]*deltaQuery)}
-	}
-	return p.delta
-}
-
-// deltaQueryFor returns the maintained state for the fingerprint,
-// building it from the cached multi-tuple compile on first use (one
-// homomorphism enumeration, shared with the predicate cache).
-func (p *Prepared) deltaQueryFor(q *Query) *deltaQuery {
-	key := q.String()
-	d := p.deltaStateOf()
-	d.mu.Lock()
-	dq, ok := d.queries[key]
-	d.mu.Unlock()
-	if ok {
-		return dq
-	}
-	dq = p.deltaCompile(q)
-	d.mu.Lock()
-	if cur, ok := d.queries[key]; ok {
-		dq = cur // a concurrent builder won
-	} else {
-		if len(d.order) >= maxCachedPreds {
-			oldest := d.order[0]
-			d.order = d.order[1:]
-			delete(d.queries, oldest)
+// deltaQueryFor returns the fingerprint's maintained state, building it
+// from the cached multi-tuple compile on first use (one homomorphism
+// enumeration, shared with the witness-set cache).
+func (in *Instance) deltaQueryFor(q *Query) *deltaQuery {
+	e := in.query(q)
+	e.deltaOnce.Do(func() {
+		if e.delta.Load() == nil {
+			e.delta.Store(newDeltaQuery(e.q, in.compiled(e)))
 		}
-		d.queries[key] = dq
-		d.order = append(d.order, key)
-	}
-	d.mu.Unlock()
-	return dq
+	})
+	return e.delta.Load()
 }
 
-// deltaCompile builds a fingerprint's witness state from the cached
+// newDeltaQuery builds a fingerprint's witness state from its
 // multi-tuple compile — every tuple of Q(D) with its image sets.
-func (p *Prepared) deltaCompile(q *Query) *deltaQuery {
-	mp := p.multiPred(q)
+func newDeltaQuery(q *Query, mp *core.MultiPred) *deltaQuery {
 	dq := &deltaQuery{
 		q:       q,
 		factors: make(map[string]*big.Rat),
@@ -233,63 +189,64 @@ func (p *Prepared) deltaCompile(q *Query) *deltaQuery {
 	return dq
 }
 
-// --- Prepared→Prepared mutation derivation --------------------------------
+// --- mutations -------------------------------------------------------------
 
-// ApplyInsert is InsertFact on the Prepared lineage: it derives a new
-// Prepared for (D ∪ {f}, Σ) whose delta state is carried over warm —
-// witness images are remapped across the index shift and the inserted
-// fact's new images are discovered by the anchored homomorphism search,
-// so the next query refreshes only the touched block's factor (or
-// stratum) instead of recomputing from scratch. Sampler artifacts still
-// rebuild lazily (PrepareLazy semantics); the delta paths do not need
-// them.
-func (p *Prepared) ApplyInsert(f Fact) (*Prepared, int, error) {
-	ni, pos, err := p.Instance.InsertFact(f)
+// ApplyInsert returns a new instance for (D ∪ {f}, Σ) and the index
+// assigned to f, leaving the receiver untouched — in-flight queries
+// against it are unaffected. The conflict pairs are maintained
+// incrementally: the old ones are remapped across the index shift and
+// the new fact's are found by one scan of the rows that can share its
+// left-hand sides. The factorized state is carried over warm — witness
+// images are remapped and the inserted fact's new images are discovered
+// by the anchored homomorphism search, so the next query refreshes only
+// the touched block's factor (or stratum) instead of recomputing from
+// scratch. Samplers and witness-set compiles rebuild lazily. Fails with
+// ErrDuplicateFact, ErrUnknownRelation or ErrArityMismatch.
+func (in *Instance) ApplyInsert(f Fact) (*Instance, int, error) {
+	inner, pos, err := in.inner.InsertFact(f)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, fmt.Errorf("ocqa: %w", err)
 	}
-	np := ni.PrepareLazy()
-	np.delta = p.deltaDerive(ni, pos, -1)
-	return np, pos, nil
+	return in.derive(inner, pos, -1), pos, nil
 }
 
-// ApplyDelete is DeleteFact on the Prepared lineage, with the same
-// warm-carry semantics as ApplyInsert.
-func (p *Prepared) ApplyDelete(i int) (*Prepared, error) {
-	ni, err := p.Instance.DeleteFact(i)
+// ApplyDelete returns a new instance for (D ∖ {f_i}, Σ), with the same
+// copy-on-write, incremental-maintenance and warm-carry semantics as
+// ApplyInsert. Fails with ErrFactIndex.
+func (in *Instance) ApplyDelete(i int) (*Instance, error) {
+	inner, err := in.inner.DeleteFact(i)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ocqa: %w", err)
 	}
-	np := ni.PrepareLazy()
-	np.delta = p.deltaDerive(ni, -1, i)
-	return np, nil
+	return in.derive(inner, -1, i), nil
 }
 
-// deltaDerive carries the delta state across one mutation (exactly one
-// of insertPos/deletePos is ≥ 0). Factor caches and strata transfer
-// as-is — their signatures are content-addressed, so entries for
-// untouched clusters keep hitting while the touched cluster's old entry
-// simply stops being referenced.
-func (p *Prepared) deltaDerive(ni *Instance, insertPos, deletePos int) *deltaState {
-	nd := &deltaState{warm: true, queries: make(map[string]*deltaQuery)}
-	p.deltaMu.Lock()
-	d := p.delta
-	p.deltaMu.Unlock()
-	if d == nil {
-		return nd
+// derive builds the successor instance over the mutated core and carries
+// every fingerprint's factorized state across the mutation (exactly one
+// of insertPos/deletePos is ≥ 0), in cache order. Factor caches and
+// strata transfer as-is — their signatures are content-addressed, so
+// entries for untouched clusters keep hitting while the touched
+// cluster's old entry simply stops being referenced. Carried entries
+// take their place in the successor's FIFO like any other.
+func (in *Instance) derive(inner *core.Instance, insertPos, deletePos int) *Instance {
+	ni := &Instance{db: inner.D, sigma: in.sigma, inner: inner, class: in.class, warm: true}
+	in.queryMu.Lock()
+	keys := append([]string(nil), in.order...)
+	entries := make([]*queryEntry, len(keys))
+	for i, k := range keys {
+		entries[i] = in.queries[k]
 	}
-	d.mu.Lock()
-	order := append([]string(nil), d.order...)
-	queries := make(map[string]*deltaQuery, len(d.queries))
-	for k, dq := range d.queries {
-		queries[k] = dq
+	in.queryMu.Unlock()
+	for i, e := range entries {
+		dq := e.delta.Load()
+		if dq == nil {
+			continue
+		}
+		ne := &queryEntry{q: dq.q}
+		ne.delta.Store(dq.deriveAcross(ni, insertPos, deletePos))
+		ni.cache(keys[i], ne)
 	}
-	d.mu.Unlock()
-	for _, key := range order {
-		nd.queries[key] = queries[key].deriveAcross(ni, insertPos, deletePos)
-		nd.order = append(nd.order, key)
-	}
-	return nd
+	return ni
 }
 
 // deriveAcross produces the next generation of one fingerprint's state:
@@ -387,7 +344,7 @@ type deltaDecomp struct {
 // what makes content-addressed factor caching sound; block sizes and
 // fixedness are still recomputed here every time, because a mutation
 // can turn a fixed fact into a block fact and vice versa.
-func (p *Prepared) decompose(wits []core.Witness, singleton bool) deltaDecomp {
+func (in *Instance) decompose(wits []core.Witness, singleton bool) deltaDecomp {
 	var out deltaDecomp
 	var wreqs []witReq
 	rootOf := make(map[int]int)    // fact → block root (min member)
@@ -398,7 +355,7 @@ func (p *Prepared) decompose(wits []core.Witness, singleton bool) deltaDecomp {
 		for _, fi := range w.Facts {
 			root, ok := rootOf[fi]
 			if !ok {
-				blk := p.inner.BlockOf(fi)
+				blk := in.inner.BlockOf(fi)
 				root = blk[0]
 				for _, m := range blk {
 					rootOf[m] = root
@@ -469,7 +426,7 @@ func (p *Prepared) decompose(wits []core.Witness, singleton bool) deltaDecomp {
 	}
 	sort.Ints(groups)
 	for _, g := range groups {
-		out.clusters = append(out.clusters, buildCluster(p.db, members, grouped[g], singleton))
+		out.clusters = append(out.clusters, buildCluster(in.db, members, grouped[g], singleton))
 	}
 	return out
 }
@@ -636,8 +593,8 @@ func (c *deltaCluster) newDraw() func() engine.Sampler {
 // unchanged, else by enumeration, then cached — alongside the clusters
 // too large to enumerate. certain reports a witness of fixed facts alone
 // (P = 1). Caller holds dq.mu.
-func (p *Prepared) deltaFactors(dq *deltaQuery, wits []core.Witness, singleton bool) (certain bool, factors []*big.Rat, sampled []*deltaCluster) {
-	dec := p.decompose(wits, singleton)
+func (in *Instance) deltaFactors(dq *deltaQuery, wits []core.Witness, singleton bool) (certain bool, factors []*big.Rat, sampled []*deltaCluster) {
+	dec := in.decompose(wits, singleton)
 	for i := range dec.clusters {
 		c := &dec.clusters[i]
 		f, ok := dq.factors[c.sig]
@@ -659,12 +616,12 @@ func (p *Prepared) deltaFactors(dq *deltaQuery, wits []core.Witness, singleton b
 // deltaExactTarget computes the target's exact probability from the
 // factors. ok=false when some cluster exceeds the enumeration cap (the
 // caller falls back to the classic engines). Caller holds dq.mu.
-func (p *Prepared) deltaExactTarget(dq *deltaQuery, wits []core.Witness, singleton bool) (*big.Rat, bool) {
-	certain, factors, sampled := p.deltaFactors(dq, wits, singleton)
+func (in *Instance) deltaExactTarget(dq *deltaQuery, wits []core.Witness, singleton bool) (*big.Rat, bool) {
+	certain, factors, sampled := in.deltaFactors(dq, wits, singleton)
 	if len(sampled) > 0 {
 		return nil, false
 	}
-	p.deltaBumpRefresh()
+	in.deltaBumpRefresh()
 	if certain {
 		return big.NewRat(1, 1), true
 	}
@@ -675,29 +632,17 @@ func (p *Prepared) deltaExactTarget(dq *deltaQuery, wits []core.Witness, singlet
 	return comp.Sub(big.NewRat(1, 1), comp), true
 }
 
-// ExactProbability computes P_{M,Q}(D, c̄) exactly. For M^ur under
-// primary keys it runs on the block-factorized delta engine — per-block
-// DP factors cached inside this Prepared and refreshed per-block across
-// ApplyInsert/ApplyDelete — which is polynomial where the witness
-// structure factorizes, so exact M^ur answers stay available at
-// instance sizes where the enumeration engines would exhaust any state
-// budget. Results are big.Rat-identical to the core engines (the oracle
-// harness's delta traces audit this). Other modes, and targets whose
-// cluster structure defeats the factorization, fall back to
-// Instance.ExactProbability under the given state limit.
-func (p *Prepared) ExactProbability(mode Mode, q *Query, c Tuple, limit int) (*big.Rat, error) {
-	if p.deltaEligible(mode) && len(c) == len(q.AnswerVars) {
-		dq := p.deltaQueryFor(q)
-		if !dq.overflow {
-			dq.mu.Lock()
-			r, ok := p.deltaExactTarget(dq, dq.witsOf(c.Key()), mode.Singleton)
-			dq.mu.Unlock()
-			if ok {
-				return r, nil
-			}
-		}
+// deltaExactProbability is the factorized route of ExactProbability:
+// ok=false when the fingerprint overflowed or some cluster of the
+// target exceeds the enumeration cap.
+func (in *Instance) deltaExactProbability(q *Query, c Tuple, singleton bool) (*big.Rat, bool) {
+	dq := in.deltaQueryFor(q)
+	if dq.overflow {
+		return nil, false
 	}
-	return p.Instance.ExactProbability(mode, q, c, limit)
+	dq.mu.Lock()
+	defer dq.mu.Unlock()
+	return in.deltaExactTarget(dq, dq.witsOf(c.Key()), singleton)
 }
 
 // deltaConsistentAnswers computes the exact operational consistent
@@ -708,8 +653,8 @@ func (p *Prepared) ExactProbability(mode Mode, q *Query, c Tuple, limit int) (*b
 // when any tuple's structure defeats the factorization — all-or-
 // nothing, so the result always matches the shared exact pass tuple for
 // tuple.
-func (p *Prepared) deltaConsistentAnswers(mode Mode, q *Query) ([]ConsistentAnswer, bool) {
-	dq := p.deltaQueryFor(q)
+func (in *Instance) deltaConsistentAnswers(mode Mode, q *Query) ([]ConsistentAnswer, bool) {
+	dq := in.deltaQueryFor(q)
 	if dq.overflow {
 		return nil, false
 	}
@@ -718,7 +663,7 @@ func (p *Prepared) deltaConsistentAnswers(mode Mode, q *Query) ([]ConsistentAnsw
 	keys, tuples, byKey := dq.liveTuples()
 	out := make([]ConsistentAnswer, 0, len(keys))
 	for i, k := range keys {
-		r, ok := p.deltaExactTarget(dq, byKey[k], mode.Singleton)
+		r, ok := in.deltaExactTarget(dq, byKey[k], mode.Singleton)
 		if !ok {
 			return nil, false
 		}
@@ -772,10 +717,10 @@ func (dq *deltaQuery) liveTuples() ([]string, []Tuple, map[string][]core.Witness
 // the split as Acct.Draws (fresh) vs Acct.ReusedDraws. opts must be
 // filled; opts.MaxSamples caps the fresh draws exactly. ok=false routes
 // the caller to the classic estimator. Caller holds dq.mu.
-func (p *Prepared) deltaApproxTarget(ctx context.Context, dq *deltaQuery, wits []core.Witness, mode Mode, opts ApproxOptions) (Estimate, bool, error) {
+func (in *Instance) deltaApproxTarget(ctx context.Context, dq *deltaQuery, wits []core.Witness, mode Mode, opts ApproxOptions) (Estimate, bool, error) {
 	end := engine.TraceFrom(ctx).StartSpan("delta-refresh")
 	defer end()
-	certain, factors, sampled := p.deltaFactors(dq, wits, mode.Singleton)
+	certain, factors, sampled := in.deltaFactors(dq, wits, mode.Singleton)
 	if len(sampled) > deltaMaxSampledStrata {
 		return Estimate{}, false, nil
 	}
@@ -831,14 +776,14 @@ func (p *Prepared) deltaApproxTarget(ctx context.Context, dq *deltaQuery, wits [
 		est.Acct.Workers = 1
 	}
 	deltaReusedTotal.Add(reused)
-	p.deltaBumpRefresh()
+	in.deltaBumpRefresh()
 	return est, true, nil
 }
 
 // deltaBumpRefresh counts one warm delta evaluation; cold (first-
 // generation) evaluations build state but are not refreshes.
-func (p *Prepared) deltaBumpRefresh() {
-	if p.deltaStateOf().warm {
+func (in *Instance) deltaBumpRefresh() {
+	if in.warm {
 		deltaRefreshCount.Add(1)
 	}
 }
@@ -859,12 +804,12 @@ func deltaSeed(seed int64, sig string) int64 {
 // images within the cap. nil leaves the query to the classic estimators
 // (the Chernoff and 𝒜𝒜 constructions keep their own semantics). The
 // fingerprint compile is the run's "compile" span.
-func (p *Prepared) deltaRoute(ctx context.Context, mode Mode, q *Query, opts ApproxOptions) *deltaQuery {
-	if !p.deltaEligible(mode) || opts.UseAA || opts.UseChernoff {
+func (in *Instance) deltaRoute(ctx context.Context, mode Mode, q *Query, opts ApproxOptions) *deltaQuery {
+	if !in.deltaEligible(mode) || opts.UseAA || opts.UseChernoff {
 		return nil
 	}
 	endCompile := engine.TraceFrom(ctx).StartSpan("compile")
-	dq := p.deltaQueryFor(q)
+	dq := in.deltaQueryFor(q)
 	endCompile()
 	if dq.overflow {
 		return nil
@@ -878,8 +823,8 @@ func (p *Prepared) deltaRoute(ctx context.Context, mode Mode, q *Query, opts App
 // enumerable — the zero-draw delta-exact route). Like the rest of the
 // planner it warms the compile the run then reuses; it never mutates the
 // factor or stratum caches.
-func (p *Prepared) deltaPlanRoute(mode Mode, q *Query, opts ApproxOptions) (int, bool) {
-	dq := p.deltaRoute(context.Background(), mode, q, opts)
+func (in *Instance) deltaPlanRoute(mode Mode, q *Query, opts ApproxOptions) (int, bool) {
+	dq := in.deltaRoute(context.Background(), mode, q, opts)
 	if dq == nil {
 		return 0, false
 	}
@@ -888,7 +833,7 @@ func (p *Prepared) deltaPlanRoute(mode Mode, q *Query, opts ApproxOptions) (int,
 	_, _, byKey := dq.liveTuples()
 	maxStrata := 0
 	for _, wits := range byKey {
-		dec := p.decompose(wits, mode.Singleton)
+		dec := in.decompose(wits, mode.Singleton)
 		if dec.certain {
 			continue
 		}
@@ -915,10 +860,10 @@ func (p *Prepared) deltaPlanRoute(mode Mode, q *Query, opts ApproxOptions) (int,
 	return maxStrata, true
 }
 
-// deltaApproximate is the factorized routing of Prepared.Approximate:
+// deltaApproximate is the factorized routing of Approximate:
 // ok=false leaves the query to the classic estimators.
-func (p *Prepared) deltaApproximate(ctx context.Context, mode Mode, q *Query, c Tuple, opts ApproxOptions) (Estimate, bool, error) {
-	dq := p.deltaRoute(ctx, mode, q, opts)
+func (in *Instance) deltaApproximate(ctx context.Context, mode Mode, q *Query, c Tuple, opts ApproxOptions) (Estimate, bool, error) {
+	dq := in.deltaRoute(ctx, mode, q, opts)
 	if dq == nil {
 		return Estimate{}, false, nil
 	}
@@ -930,13 +875,13 @@ func (p *Prepared) deltaApproximate(ctx context.Context, mode Mode, q *Query, c 
 	}
 	dq.mu.Lock()
 	defer dq.mu.Unlock()
-	return p.deltaApproxTarget(ctx, dq, dq.witsOf(c.Key()), mode, opts)
+	return in.deltaApproxTarget(ctx, dq, dq.witsOf(c.Key()), mode, opts)
 }
 
 // deltaApproximateAnswers is the factorized routing of the answers
 // pass: per-tuple estimates over the maintained candidate set.
-func (p *Prepared) deltaApproximateAnswers(ctx context.Context, mode Mode, q *Query, opts ApproxOptions) ([]ApproxAnswer, Accounting, bool, error) {
-	dq := p.deltaRoute(ctx, mode, q, opts)
+func (in *Instance) deltaApproximateAnswers(ctx context.Context, mode Mode, q *Query, opts ApproxOptions) ([]ApproxAnswer, Accounting, bool, error) {
+	dq := in.deltaRoute(ctx, mode, q, opts)
 	if dq == nil {
 		return nil, Accounting{}, false, nil
 	}
@@ -950,7 +895,7 @@ func (p *Prepared) deltaApproximateAnswers(ctx context.Context, mode Mode, q *Qu
 		// MaxSamples caps the pass as a whole, as it does the shared pass.
 		o := opts
 		o.MaxSamples -= int(total.Draws)
-		e, ok, err := p.deltaApproxTarget(ctx, dq, byKey[k], mode, o)
+		e, ok, err := in.deltaApproxTarget(ctx, dq, byKey[k], mode, o)
 		if !ok {
 			return nil, Accounting{}, false, nil
 		}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/big"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -55,7 +56,7 @@ func TestDeltaExactMatchesCore(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %s delta: %v", mode.Symbol(), tc.q, err)
 			}
-			want, err := inst.ExactProbability(mode, q, tc.tuple, 0)
+			want, err := inst.Core().ExactProbability(mode, q, tc.tuple, 0)
 			if err != nil {
 				t.Fatalf("%s %s core: %v", mode.Symbol(), tc.q, err)
 			}
@@ -81,7 +82,7 @@ func TestDeltaConsistentAnswersMatchesCore(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s delta: %v", mode.Symbol(), err)
 		}
-		want, err := inst.ConsistentAnswers(mode, q, 0)
+		want, err := inst.Core().ConsistentAnswers(mode, q, 0)
 		if err != nil {
 			t.Fatalf("%s core: %v", mode.Symbol(), err)
 		}
@@ -153,7 +154,7 @@ func TestDeltaExactAcrossMutations(t *testing.T) {
 				if err != nil {
 					t.Fatalf("step %d %s %v delta: %v", si, mode.Symbol(), q, err)
 				}
-				want, err := fresh.ConsistentAnswers(mode, q, 0)
+				want, err := fresh.Core().ConsistentAnswers(mode, q, 0)
 				if err != nil {
 					t.Fatalf("step %d %s %v core: %v", si, mode.Symbol(), q, err)
 				}
@@ -479,9 +480,9 @@ func TestDeltaStratifiedExactCap(t *testing.T) {
 }
 
 // TestDeltaColdConcurrent runs the cold factorized paths on one fresh
-// Prepared from 8 goroutines, on one shared fingerprint and on distinct
+// instance from 8 goroutines, on one shared fingerprint and on distinct
 // ones, exact and sampled: every call must return the values of a serial
-// run on its own fresh Prepared. Which goroutine draws a shared stratum
+// run on its own fresh instance. Which goroutine draws a shared stratum
 // and which reuses it depends on scheduling, so only the values are
 // compared; the race detector checks the shared state.
 func TestDeltaColdConcurrent(t *testing.T) {
@@ -518,14 +519,14 @@ func TestDeltaColdConcurrent(t *testing.T) {
 	}
 	want := make(map[string][]float64)
 	for _, qs := range queries {
-		r, err := run(inst.Prepare(), qs)
+		r, err := run(ocqa.NewInstance(inst.DB(), inst.Sigma()), qs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[qs] = r
 	}
 	for _, shared := range []bool{true, false} {
-		p := inst.Prepare()
+		p := ocqa.NewInstance(inst.DB(), inst.Sigma())
 		query := func(g int) string {
 			if shared {
 				return queries[0]
@@ -575,18 +576,81 @@ func TestDeltaExactAtScaleBeyondEnumeration(t *testing.T) {
 		}
 	}
 	inst := mustInstance(t, facts, "R: A1 -> A2")
-	p := inst.Prepare()
 	q := mustQuery(t, "Ans() :- R('k0', 'v0')")
-	got, err := p.ExactProbability(ocqa.Mode{Gen: ocqa.UniformRepairs}, q, ocqa.Tuple{}, 0)
+	got, err := inst.ExactProbability(ocqa.Mode{Gen: ocqa.UniformRepairs}, q, ocqa.Tuple{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := big.NewRat(1, 5); got.Cmp(want) != 0 {
 		t.Fatalf("P = %v, want %v", got, want)
 	}
-	// The bare core engine refuses this size; the Prepared path is the
-	// only exact route.
-	if _, err := inst.ExactProbability(ocqa.Mode{Gen: ocqa.UniformRepairs}, q, ocqa.Tuple{}, 100000); err == nil {
+	// The core enumeration engines refuse this size; the factorization
+	// is the only exact route.
+	if _, err := inst.Core().ExactProbability(ocqa.Mode{Gen: ocqa.UniformRepairs}, q, ocqa.Tuple{}, 100000); err == nil {
 		t.Fatal("core enumeration unexpectedly succeeded at 8000 facts")
+	}
+}
+
+// TestQueryCacheBoundAcrossLineage: the per-fingerprint query cache keeps
+// its 64-entry FIFO bound along an ApplyInsert lineage. Entries carried
+// across a mutation stay evictable, so fresh queries on the derived
+// instance push out the oldest ones, while the newest carried entry
+// still serves its factors warm.
+func TestQueryCacheBoundAcrossLineage(t *testing.T) {
+	const bound = 64
+	var facts strings.Builder
+	for b := 0; b < 200; b++ {
+		fmt.Fprintf(&facts, "R(k%d,a)\nR(k%d,b)\n", b, b)
+	}
+	p := mustInstance(t, facts.String(), "R: A1 -> A2")
+	mode := ocqa.Mode{Gen: ocqa.UniformRepairs}
+	query := func(i int) {
+		t.Helper()
+		q := mustQuery(t, fmt.Sprintf("Ans() :- R('k%d', x)", i))
+		if _, err := p.ExactProbability(mode, q, ocqa.Tuple{}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := 0
+	for ; next < 80; next++ {
+		query(next)
+	}
+	if n := ocqa.CachedQueries(p); n != bound {
+		t.Fatalf("cold instance caches %d fingerprints, want %d", n, bound)
+	}
+	for step := 0; step < 5; step++ {
+		var err error
+		if p, _, err = p.ApplyInsert(mustFact(t, fmt.Sprintf("R(z%d,w)", step))); err != nil {
+			t.Fatal(err)
+		}
+		if n := ocqa.CachedQueries(p); n != bound {
+			t.Fatalf("step %d: %d fingerprints carried, want %d", step, n, bound)
+		}
+		for i := 0; i < 16; i++ {
+			query(next)
+			next++
+		}
+		if n := ocqa.CachedQueries(p); n != bound {
+			t.Fatalf("step %d: %d fingerprints after fresh queries, want %d", step, n, bound)
+		}
+	}
+	// FIFO: across one more mutation the newest fingerprint is carried
+	// warm (a factor-cache hit), while the oldest was evicted long ago (a
+	// miss).
+	var err error
+	if p, _, err = p.ApplyInsert(mustFact(t, "R(z9,w)")); err != nil {
+		t.Fatal(err)
+	}
+	hits, misses := ocqa.DeltaFactorCacheHits(), ocqa.DeltaFactorCacheMisses()
+	query(next - 1)
+	if ocqa.DeltaFactorCacheHits() != hits+1 || ocqa.DeltaFactorCacheMisses() != misses {
+		t.Errorf("newest fingerprint not served warm: hits +%d, misses +%d",
+			ocqa.DeltaFactorCacheHits()-hits, ocqa.DeltaFactorCacheMisses()-misses)
+	}
+	hits, misses = ocqa.DeltaFactorCacheHits(), ocqa.DeltaFactorCacheMisses()
+	query(0)
+	if ocqa.DeltaFactorCacheMisses() != misses+1 || ocqa.DeltaFactorCacheHits() != hits {
+		t.Errorf("oldest fingerprint still cached: hits +%d, misses +%d",
+			ocqa.DeltaFactorCacheHits()-hits, ocqa.DeltaFactorCacheMisses()-misses)
 	}
 }

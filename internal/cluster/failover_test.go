@@ -131,9 +131,9 @@ func runFailoverTrace(t *testing.T, seed int64) {
 			if !ok {
 				insert = false
 			} else {
-				ni, _, err := mirror.InsertFact(f)
+				ni, _, err := mirror.ApplyInsert(f)
 				if err != nil {
-					t.Fatalf("mirror InsertFact(%v): %v", f, err)
+					t.Fatalf("mirror ApplyInsert(%v): %v", f, err)
 				}
 				mirror = ni
 				var mut server.FactMutationResponse
@@ -148,9 +148,9 @@ func runFailoverTrace(t *testing.T, seed int64) {
 		}
 		if !insert && mirror.DB().Len() > 0 {
 			idx := rng.Intn(mirror.DB().Len())
-			ni, err := mirror.DeleteFact(idx)
+			ni, err := mirror.ApplyDelete(idx)
 			if err != nil {
-				t.Fatalf("mirror DeleteFact(%d): %v", idx, err)
+				t.Fatalf("mirror ApplyDelete(%d): %v", idx, err)
 			}
 			mirror = ni
 			var mut server.FactMutationResponse

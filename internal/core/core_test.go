@@ -565,22 +565,6 @@ func TestStateLimit(t *testing.T) {
 	}
 }
 
-func TestCountReachableStates(t *testing.T) {
-	inst := runningExample()
-	n, err := inst.CountReachableStates(false, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reachable states: D, {f2,f3}, {f1,f3}, {f1,f2}, {f1}, {f2}, {f3},
-	// ∅ = 8.
-	if n != 8 {
-		t.Fatalf("reachable states = %d, want 8", n)
-	}
-	if _, err := inst.CountReachableStates(false, 2); err == nil {
-		t.Error("expected state limit error")
-	}
-}
-
 func TestConsistentDatabaseIsItsOnlyRepair(t *testing.T) {
 	sch := rel.MustSchema(rel.NewRelation("R", 2))
 	sigma := fd.MustSet(sch, fd.New("R", []int{0}, []int{1}))

@@ -315,29 +315,3 @@ func sortRepairProbs(rp []RepairProb) {
 		}
 	}
 }
-
-// CountReachableStates reports the number of distinct sub-databases
-// reachable by repairing sequences (including D itself), a measure of
-// exact-engine cost used by the scaling experiments.
-func (inst *Instance) CountReachableStates(singleton bool, limit int) (int, error) {
-	seen := map[string]bool{}
-	var stack []rel.Subset
-	full := inst.Full()
-	stack = append(stack, full)
-	seen[full.Key()] = true
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if limit > 0 && len(seen) > limit {
-			return 0, StateLimitError{Limit: limit}
-		}
-		for _, op := range inst.JustifiedOps(s, singleton) {
-			t := op.Apply(s)
-			if k := t.Key(); !seen[k] {
-				seen[k] = true
-				stack = append(stack, t)
-			}
-		}
-	}
-	return len(seen), nil
-}

@@ -10,8 +10,8 @@ import (
 // tail included — this is the number a capacity planner pays for, not
 // the statistical prefix Estimate.Samples reports), how many rounds it
 // ran, how the draws split across workers, and how long it ran. The
-// server threads it into every response's `cost` object; Prepared
-// accumulates it into per-instance totals.
+// server threads it into every response's `cost` object; the facade's
+// Instance accumulates it into per-instance totals.
 //
 // The round driver fills it once, at run exit — the draws never touch
 // shared state — so carrying it costs two time.Now calls and no

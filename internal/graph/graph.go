@@ -7,7 +7,6 @@
 package graph
 
 import (
-	"fmt"
 	"math/big"
 	"math/rand"
 	"sort"
@@ -300,38 +299,6 @@ func (g *Graph) IsIndependentSet(nodes []int) bool {
 			if g.adj[u][v] {
 				return false
 			}
-		}
-	}
-	return true
-}
-
-// IsomorphicBySignature performs a cheap necessary check for graph
-// isomorphism used by the reduction tests: equal node counts, equal
-// sorted degree sequences, and equal sorted neighbourhood-degree
-// multiset signatures. For the conflict-graph constructions in the
-// experiments the mapping is known explicitly, so the full check is done
-// elsewhere; this guards against gross mismatches.
-func IsomorphicBySignature(a, b *Graph) bool {
-	if a.n != b.n {
-		return false
-	}
-	sig := func(g *Graph) []string {
-		out := make([]string, g.n)
-		for u := 0; u < g.n; u++ {
-			degs := make([]int, 0, g.Degree(u))
-			for v := range g.adj[u] {
-				degs = append(degs, g.Degree(v))
-			}
-			sort.Ints(degs)
-			out[u] = fmt.Sprint(g.Degree(u), degs)
-		}
-		sort.Strings(out)
-		return out
-	}
-	sa, sb := sig(a), sig(b)
-	for i := range sa {
-		if sa[i] != sb[i] {
-			return false
 		}
 	}
 	return true

@@ -346,18 +346,6 @@ func TestEqualUnderMapping(t *testing.T) {
 	}
 }
 
-func TestIsomorphicBySignature(t *testing.T) {
-	if !IsomorphicBySignature(path(4), path(4)) {
-		t.Error("P4 ~ P4")
-	}
-	if IsomorphicBySignature(path(4), cycle(4)) {
-		t.Error("P4 !~ C4")
-	}
-	if IsomorphicBySignature(path(4), path(5)) {
-		t.Error("different sizes")
-	}
-}
-
 func TestRandomGenerators(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	g := RandomConnectedGraph(rng, 12, 0.1)

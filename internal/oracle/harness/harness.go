@@ -3,30 +3,34 @@
 // engines against the brute-force oracle on streams of random
 // scenarios. One run performs four audits:
 //
-//  1. Exact differential — core.ExactProbability, Semantics,
-//     ConsistentAnswers (the shared multi-tuple pass) and the facade's
-//     exact FactMarginals path must be big.Rat-equal, bitwise, to the
-//     oracle across all six modes on every generated scenario.
+//  1. Exact differential — ExactProbability and ConsistentAnswers (the
+//     shared multi-tuple pass), each through the facade (block-
+//     factorized for M^ur under primary keys) and through the core
+//     enumeration engines, plus Semantics and the facade's exact
+//     FactMarginals path, must be big.Rat-equal, bitwise, to the oracle
+//     across all six modes on every generated scenario.
 //  2. Estimator envelopes — the FPRAS constructions (Chernoff fixed
 //     sample count), the Dagum–Karp stopping rule, the 𝒜𝒜 optimal
 //     estimator and the shared-draw multi-target pass — plus, for M^ur
-//     and M^{ur,1} under primary keys, a cold Prepared's block-factorized
-//     single-target and answers estimates — must land inside
-//     their stated (ε, δ) envelopes at the promised empirical rate,
+//     and M^{ur,1} under primary keys, both the facade's block-factorized
+//     estimates and the whole-instance stopping rule
+//     (WholeInstanceStoppingRule), single-target and answers — must land
+//     inside their stated (ε, δ) envelopes at the promised empirical rate,
 //     measured against oracle ground truth (cf. the conformal-
 //     calibration idea of auditing stated validity guarantees
 //     empirically instead of trusting them).
 //  3. Durability replay — random insert/delete-fact traces are played
-//     through the copy-on-write mutation path AND journalled to a
+//     through the ApplyInsert/ApplyDelete mutation path AND journalled to a
 //     snapshot+WAL store; after close + reopen the reloaded instance
 //     must agree with the live one and with a fresh oracle built on
 //     the reloaded state.
-//  4. Delta traces — random insert/delete traces are played through the
-//     Prepared.ApplyInsert/ApplyDelete lineage (the incremental
-//     estimation layer: per-block factor caching, maintained witness
-//     sets, stratified draw reuse); after every mutation the lineage's
-//     exact answers must be big.Rat-equal to a cold from-scratch
-//     instance (and to the oracle, when in budget) under all six modes,
+//  4. Delta traces — random insert/delete traces are played through one
+//     ApplyInsert/ApplyDelete lineage (the incremental estimation layer:
+//     per-block factor caching, maintained witness sets, stratified draw
+//     reuse); after every mutation the lineage's exact answers must be
+//     big.Rat-equal to a cold from-scratch instance, through the facade
+//     and the core enumeration engines (and to the oracle, when in
+//     budget) under all six modes,
 //     and its warm stratified estimates must land inside the stated
 //     (ε, δ) envelope around the cold exact probability.
 //
@@ -79,7 +83,7 @@ type Config struct {
 	// (default 24).
 	Traces, TraceOps int
 	// DeltaTraces is the number of mutation traces played through the
-	// Prepared.ApplyInsert/ApplyDelete incremental-estimation lineage
+	// ApplyInsert/ApplyDelete incremental-estimation lineage
 	// (default 4); DeltaOps the mutations per trace (default 12). After
 	// every mutation the warm lineage is checked against a cold
 	// instance and the oracle under all six modes.
@@ -315,13 +319,15 @@ func checkScenario(cfg Config, rep *Report, sc workload.Scenario) (bool, error) 
 		if err != nil {
 			return false, err
 		}
-		gotAns, err := inst.ConsistentAnswers(mode, sc.Query, 0)
-		if err != nil {
-			fail(mode, "ConsistentAnswers error: %v", err)
-			clean = false
-		} else if msg := compareAnswers(wantAns, gotAns); msg != "" {
-			fail(mode, "ConsistentAnswers ≠ oracle: %s", msg)
-			clean = false
+		for _, eng := range engines(inst) {
+			gotAns, err := eng.ConsistentAnswers(mode, sc.Query, 0)
+			if err != nil {
+				fail(mode, "%s ConsistentAnswers error: %v", eng.name, err)
+				clean = false
+			} else if msg := compareAnswers(wantAns, gotAns); msg != "" {
+				fail(mode, "%s ConsistentAnswers ≠ oracle: %s", eng.name, msg)
+				clean = false
+			}
 		}
 
 		// (3) Single-tuple exact probability, for a present tuple (the
@@ -335,20 +341,22 @@ func checkScenario(cfg Config, rep *Report, sc workload.Scenario) (bool, error) 
 				tup = wantAns[0].Tuple
 			}
 		}
-		if tup != nil {
-			if msg := compareProbability(orc, inst, mode, sc.Query, tup); msg != "" {
-				fail(mode, "ExactProbability ≠ oracle: %s", msg)
-				clean = false
+		for _, eng := range engines(inst) {
+			if tup != nil {
+				if msg := compareProbability(orc, eng, mode, sc.Query, tup); msg != "" {
+					fail(mode, "%s ExactProbability ≠ oracle: %s", eng.name, msg)
+					clean = false
+				}
 			}
-		}
-		if n := len(sc.Query.AnswerVars); n > 0 {
-			absent := make(cq.Tuple, n)
-			for i := range absent {
-				absent[i] = "@absent"
-			}
-			if msg := compareProbability(orc, inst, mode, sc.Query, absent); msg != "" {
-				fail(mode, "ExactProbability(absent) ≠ oracle: %s", msg)
-				clean = false
+			if n := len(sc.Query.AnswerVars); n > 0 {
+				absent := make(cq.Tuple, n)
+				for i := range absent {
+					absent[i] = "@absent"
+				}
+				if msg := compareProbability(orc, eng, mode, sc.Query, absent); msg != "" {
+					fail(mode, "%s ExactProbability(absent) ≠ oracle: %s", eng.name, msg)
+					clean = false
+				}
 			}
 		}
 
@@ -370,12 +378,33 @@ func checkScenario(cfg Config, rep *Report, sc workload.Scenario) (bool, error) 
 	return clean, nil
 }
 
-func compareProbability(orc *oracle.Oracle, inst *ocqa.Instance, mode core.Mode, q *cq.Query, tup cq.Tuple) string {
+// exactEngine is the exact surface the facade and the core enumeration
+// engines share.
+type exactEngine interface {
+	ExactProbability(mode core.Mode, q *cq.Query, c cq.Tuple, limit int) (*big.Rat, error)
+	ConsistentAnswers(mode core.Mode, q *cq.Query, limit int) ([]core.ConsistentAnswer, error)
+}
+
+// namedEngine is one exact route of an instance.
+type namedEngine struct {
+	name string
+	exactEngine
+}
+
+// engines lists the two exact routes of an instance, in a fixed order:
+// the facade, which answers M^ur under primary keys by block
+// factorization, and the core enumeration engines it otherwise
+// delegates to.
+func engines(inst *ocqa.Instance) []namedEngine {
+	return []namedEngine{{"facade", inst}, {"core", inst.Core()}}
+}
+
+func compareProbability(orc *oracle.Oracle, eng exactEngine, mode core.Mode, q *cq.Query, tup cq.Tuple) string {
 	want, err := orc.Probability(mode, q, tup)
 	if err != nil {
 		return fmt.Sprintf("oracle error: %v", err)
 	}
-	got, err := inst.ExactProbability(mode, q, tup, 0)
+	got, err := eng.ExactProbability(mode, q, tup, 0)
 	if err != nil {
 		return fmt.Sprintf("engine error: %v", err)
 	}
@@ -517,10 +546,10 @@ func estimatorEnvelopes(cfg Config, rep *Report, logf func(string, ...any)) {
 				rep.EstMisses++
 			}
 		}
-		// Under primary keys a Prepared answers stopping-rule M^ur and
-		// M^{ur,1} by block factorization instead of the whole-instance
-		// FPRAS the bare Instance runs; a cold Prepared's answers are
-		// audited beside the Instance's, under the same budget.
+		// Under primary keys the facade answers stopping-rule M^ur and
+		// M^{ur,1} by block factorization; the whole-instance stopping
+		// rule is audited beside it through WholeInstanceStoppingRule,
+		// under the same budget.
 		factorized := inst.Class() == fd.PrimaryKeys && ec.mode.Gen == core.UniformRepairs
 
 		// The multiplicative guarantee (and the stopping rule's
@@ -534,7 +563,12 @@ func estimatorEnvelopes(cfg Config, rep *Report, logf func(string, ...any)) {
 					{Epsilon: eps, Delta: delta, Seed: seed, UseAA: true},       // 𝒜𝒜 optimal estimator
 					{Epsilon: eps, Delta: delta, Seed: seed, UseChernoff: true}, // FPRAS fixed-sample construction
 				} {
-					est, err := inst.Approximate(noCtx, ec.mode, ec.sc.Query, tup, opts)
+					var est ocqa.Estimate
+					if factorized && !opts.UseAA && !opts.UseChernoff {
+						est, err = WholeInstanceStoppingRule(noCtx, inst, ec.mode, ec.sc.Query, tup, opts)
+					} else {
+						est, err = inst.Approximate(noCtx, ec.mode, ec.sc.Query, tup, opts)
+					}
 					if err != nil {
 						fail("estimator error (opts %+v): %v", opts, err)
 						continue
@@ -543,13 +577,15 @@ func estimatorEnvelopes(cfg Config, rep *Report, logf func(string, ...any)) {
 				}
 			}
 			if factorized {
+				// A fresh instance per trial, so no trial reuses another's
+				// stratum statistics.
 				opts := ocqa.ApproxOptions{Epsilon: eps, Delta: delta, Seed: seed}
-				est, err := inst.PrepareLazy().Approximate(noCtx, ec.mode, ec.sc.Query, tup, opts)
+				est, err := ocqa.NewInstance(ec.sc.DB, ec.sc.Sigma).Approximate(noCtx, ec.mode, ec.sc.Query, tup, opts)
 				if err != nil {
-					fail("cold Prepared estimator error (opts %+v): %v", opts, err)
+					fail("factorized estimator error (opts %+v): %v", opts, err)
 					continue
 				}
-				check(fmt.Sprintf("cold Prepared, tuple %v", tup), est.Value, p)
+				check(fmt.Sprintf("factorized, tuple %v", tup), est.Value, p)
 			}
 		}
 
@@ -579,11 +615,14 @@ func estimatorEnvelopes(cfg Config, rep *Report, logf func(string, ...any)) {
 					Seed:       cfg.Seed + int64(1000*ci+trial) + 41,
 					MaxSamples: 200_000,
 				}
-				ests, err := inst.ApproximateAnswers(noCtx, ec.mode, ec.sc.Query, opts)
-				checkPass("multi estimator", ests, err)
 				if factorized {
-					ests, err = inst.PrepareLazy().ApproximateAnswers(noCtx, ec.mode, ec.sc.Query, opts)
-					checkPass("cold Prepared answers", ests, err)
+					ests, err := WholeInstanceStoppingRuleAnswers(noCtx, inst, ec.mode, ec.sc.Query, opts)
+					checkPass("multi estimator", ests, err)
+					ests, err = ocqa.NewInstance(ec.sc.DB, ec.sc.Sigma).ApproximateAnswers(noCtx, ec.mode, ec.sc.Query, opts)
+					checkPass("factorized answers", ests, err)
+				} else {
+					ests, err := inst.ApproximateAnswers(noCtx, ec.mode, ec.sc.Query, opts)
+					checkPass("multi estimator", ests, err)
 				}
 			}
 		}
@@ -629,7 +668,7 @@ func storeTraces(cfg Config, rep *Report, logf func(string, ...any)) error {
 }
 
 // replayTrace journals one random mutation trace through a fresh
-// store, mirrors it through the facade's copy-on-write mutation path,
+// store, mirrors it through the facade's ApplyInsert/ApplyDelete path,
 // then reopens the store and demands three-way agreement: live
 // instance ≡ reloaded state ≡ fresh oracle.
 func replayTrace(cfg Config, rep *Report, rng *rand.Rand, sc workload.Scenario, trace int) error {
@@ -663,9 +702,9 @@ func replayTrace(cfg Config, rep *Report, rng *rand.Rand, sc workload.Scenario, 
 			if !ok {
 				insert = false
 			} else {
-				ni, _, err := inst.InsertFact(f)
+				ni, _, err := inst.ApplyInsert(f)
 				if err != nil {
-					fail("InsertFact(%v): %v", f, err)
+					fail("ApplyInsert(%v): %v", f, err)
 					break
 				}
 				if err := st.LogInsertFact(id, f); err != nil {
@@ -676,9 +715,9 @@ func replayTrace(cfg Config, rep *Report, rng *rand.Rand, sc workload.Scenario, 
 		}
 		if !insert && inst.DB().Len() > 0 {
 			idx := rng.Intn(inst.DB().Len())
-			ni, err := inst.DeleteFact(idx)
+			ni, err := inst.ApplyDelete(idx)
 			if err != nil {
-				fail("DeleteFact(%d): %v", idx, err)
+				fail("ApplyDelete(%d): %v", idx, err)
 				break
 			}
 			if err := st.LogDeleteFact(id, idx); err != nil {
@@ -763,7 +802,7 @@ func deltaTraces(cfg Config, rep *Report, logf func(string, ...any)) {
 	rng := rand.New(rand.NewSource(cfg.Seed + 3))
 	// Primary keys under M^ur are the delta fast path (per-block factor
 	// caching, stratified draw reuse); the Keys and general-FD entries
-	// ride along to pin the fallback — a Prepared that cannot route
+	// ride along to pin the fallback — a lineage that cannot route
 	// delta must still answer exactly like a cold instance.
 	rotation := []workload.ScenarioSpec{
 		{Class: fd.PrimaryKeys, Shape: workload.ShapeBlocks, AnswerVars: false},
@@ -787,20 +826,20 @@ func deltaTraces(cfg Config, rep *Report, logf func(string, ...any)) {
 	}
 }
 
-// deltaTrace advances one Prepared lineage through random mutations via
+// deltaTrace advances one instance lineage through random mutations via
 // ApplyInsert/ApplyDelete — never rebuilding it — and after every
 // mutation demands agreement with a cold from-scratch instance and the
 // oracle (deltaStep). The lineage accumulates warm factor caches,
 // witness images and draw strata across the whole trace, so a stale
 // cache entry surfaces as a divergence at the step that exposes it.
 func deltaTrace(cfg Config, rep *Report, rng *rand.Rand, sc workload.Scenario, trace int) {
-	p := ocqa.NewInstance(sc.DB, sc.Sigma).PrepareLazy()
+	p := ocqa.NewInstance(sc.DB, sc.Sigma)
 	rels := sc.Schema.Relations()
 	for k := 0; k < cfg.DeltaOps && len(rep.Failures) < maxFailures; k++ {
 		mutated := false
 		insert := p.DB().Len() == 0 || (p.DB().Len() < 9 && rng.Intn(2) == 0)
 		if insert {
-			if f, ok := insertableFact(rng, p.Instance, rels); ok {
+			if f, ok := insertableFact(rng, p, rels); ok {
 				np, _, err := p.ApplyInsert(f)
 				if err != nil {
 					rep.Failures = append(rep.Failures, fmt.Sprintf(
@@ -829,10 +868,11 @@ func deltaTrace(cfg Config, rep *Report, rng *rand.Rand, sc workload.Scenario, t
 }
 
 // deltaStep demands three-way agreement at the lineage's current state:
-// the warm Prepared (delta-routed where eligible), a cold instance on
-// the same database, and the oracle — exact answers bitwise, warm
+// the warm lineage (delta-routed where eligible), a cold recomputation
+// on the same database — through a fresh facade and through the core
+// enumeration engines — and the oracle: exact answers bitwise, warm
 // stratified estimates inside the (ε, δ) envelope.
-func deltaStep(cfg Config, rep *Report, p *ocqa.Prepared, sc workload.Scenario, trace int, estSalt int64) {
+func deltaStep(cfg Config, rep *Report, p *ocqa.Instance, sc workload.Scenario, trace int, estSalt int64) {
 	db := p.DB()
 	orc, err := oracle.NewWithBudget(db, sc.Sigma, cfg.Budget)
 	if err != nil {
@@ -860,11 +900,13 @@ func deltaStep(cfg Config, rep *Report, p *ocqa.Prepared, sc workload.Scenario, 
 		if msg := compareAnswers(wantAns, gotAns); msg != "" {
 			fail(mode, "warm ConsistentAnswers ≠ oracle: %s", msg)
 		}
-		coldAns, err := cold.ConsistentAnswers(mode, sc.Query, 0)
-		if err != nil {
-			fail(mode, "cold ConsistentAnswers error: %v", err)
-		} else if msg := compareAnswerLists(coldAns, gotAns); msg != "" {
-			fail(mode, "warm ConsistentAnswers ≠ cold recomputation: %s", msg)
+		for _, eng := range engines(cold) {
+			coldAns, err := eng.ConsistentAnswers(mode, sc.Query, 0)
+			if err != nil {
+				fail(mode, "cold %s ConsistentAnswers error: %v", eng.name, err)
+			} else if msg := compareAnswerLists(coldAns, gotAns); msg != "" {
+				fail(mode, "warm ConsistentAnswers ≠ cold %s recomputation: %s", eng.name, msg)
+			}
 		}
 
 		// Single-tuple exact probabilities through the delta-routed

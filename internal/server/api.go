@@ -31,7 +31,7 @@ type RegisterResponse struct {
 	Facts      int    `json:"facts"`
 	Class      string `json:"class"`
 	Consistent bool   `json:"consistent"`
-	// Prepared reports whether the DP sampler artifacts were built at
+	// Prepared reports whether the block decomposition was built at
 	// registration (true exactly for primary-key instances).
 	Prepared bool `json:"prepared"`
 }

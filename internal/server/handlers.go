@@ -44,9 +44,9 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return RegisterResponse{}, badRequest("%v", err)
 		}
-		// Preparation happens outside the registry lock on purpose:
-		// DP-table construction is the expensive part and must not
-		// block lookups.
+		// Preparation (the block decomposition) happens outside the
+		// registry lock on purpose: it is linear in the facts and must
+		// not block lookups.
 		prepared := inst.Prepare()
 		now := time.Now()
 		id := s.reg.allocID()
@@ -209,9 +209,9 @@ func mutationError(err error) *httpError {
 // write lock: derive the new prepared instance, journal the mutation's
 // record frame, install a fresh entry, keep the frame in the
 // replication tail, and delta-refresh (or drop) the instance's cached
-// results. The op receives — and returns — a *Prepared rather than a
-// bare instance: Prepared.ApplyInsert/ApplyDelete derive the successor
-// generation's estimation state incrementally (per-block factor cache,
+// results. The op receives — and returns — the instance itself:
+// ApplyInsert/ApplyDelete derive the successor generation's
+// estimation state incrementally (per-block factor cache,
 // stratified draw statistics, maintained witness sets), so queries
 // after the mutation pay only for the touched block instead of a cold
 // rebuild. The WAL append happens inside the critical section, so the
@@ -223,7 +223,7 @@ func mutationError(err error) *httpError {
 // semaphore is held (by the handler), to bound simultaneous copy and
 // refresh work. tr, when the flight recorder armed one, receives the
 // write's spans: apply from op, wal.append and refresh from here.
-func (s *Server) mutateInstance(tr *ocqa.Trace, id string, frame []byte, op func(*ocqa.Prepared) (*ocqa.Prepared, *FactMutationResponse, error)) (FactMutationResponse, *httpError) {
+func (s *Server) mutateInstance(tr *ocqa.Trace, id string, frame []byte, op func(*ocqa.Instance) (*ocqa.Instance, *FactMutationResponse, error)) (FactMutationResponse, *httpError) {
 	var out FactMutationResponse
 	ne, err := s.reg.mutate(id, func(e *instanceEntry) (*instanceEntry, error) {
 		np, resp, err := op(e.prepared)
@@ -282,7 +282,7 @@ func (s *Server) handleInsertFact(w http.ResponseWriter, r *http.Request) {
 	s.compute <- struct{}{}
 	defer func() { <-s.compute }()
 	frame := store.Record{Kind: store.OpInsertFact, ID: id, Fact: f}.Frame()
-	resp, he := s.mutateInstance(tr, id, frame, func(p *ocqa.Prepared) (*ocqa.Prepared, *FactMutationResponse, error) {
+	resp, he := s.mutateInstance(tr, id, frame, func(p *ocqa.Instance) (*ocqa.Instance, *FactMutationResponse, error) {
 		endApply := tr.StartSpan("apply")
 		np, pos, err := p.ApplyInsert(f)
 		endApply()
@@ -317,7 +317,7 @@ func (s *Server) handleDeleteFact(w http.ResponseWriter, r *http.Request) {
 	s.compute <- struct{}{}
 	defer func() { <-s.compute }()
 	frame := store.Record{Kind: store.OpDeleteFact, ID: id, Index: idx}.Frame()
-	resp, he := s.mutateInstance(tr, id, frame, func(p *ocqa.Prepared) (*ocqa.Prepared, *FactMutationResponse, error) {
+	resp, he := s.mutateInstance(tr, id, frame, func(p *ocqa.Instance) (*ocqa.Instance, *FactMutationResponse, error) {
 		if idx < 0 || idx >= p.DB().Len() {
 			return nil, nil, fmt.Errorf("%w: %d not in [0,%d)", ocqa.ErrFactIndex, idx, p.DB().Len())
 		}

@@ -222,7 +222,7 @@ func (s *Server) collectInstanceGauges() {
 		v.Reset()
 	}
 	for _, e := range s.reg.list() {
-		in := e.prepared.Instance
+		in := e.prepared
 		m.instFacts.With(e.id).Set(float64(in.DB().Len()))
 		m.instConflicts.With(e.id).Set(float64(len(in.Core().ConflictPairs())))
 		m.instGen.With(e.id).Set(float64(e.gen))

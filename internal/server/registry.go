@@ -13,17 +13,17 @@ import (
 	ocqa "repro"
 )
 
-// instanceEntry is one registered instance: the prepared artifacts
-// (conflict structure, block decomposition, sequence-sampler DP
-// tables, constraint class) built once at registration — or lazily
-// after a mutation or a warm boot — and shared, read-only, by every
-// query that names the instance. Mutations never modify an entry's
-// Prepared in place: they install a fresh entry whose instance was
-// derived copy-on-write, so in-flight queries keep a consistent view.
+// instanceEntry is one registered instance: its conflict structure and
+// constraint class, the block decomposition built at registration (or
+// lazily after a mutation or a warm boot), and whatever else its queries
+// build lazily — all shared by every query that names the instance.
+// Mutations never modify an entry's instance in place: they install a
+// fresh entry whose instance was derived copy-on-write, so in-flight
+// queries keep a consistent view.
 type instanceEntry struct {
 	id       string
 	name     string
-	prepared *ocqa.Prepared
+	prepared *ocqa.Instance
 	created  time.Time
 	// gen counts the mutations applied to this id (1 at registration).
 	// It is folded into result-cache keys, so a query computed against
@@ -36,7 +36,7 @@ type instanceEntry struct {
 }
 
 func (e *instanceEntry) info() InstanceInfo {
-	in := e.prepared.Instance
+	in := e.prepared
 	return InstanceInfo{
 		ID:         e.id,
 		Name:       e.name,
@@ -84,7 +84,7 @@ func (r *registry) allocID() string {
 // capacity, least-recently-used entries are evicted until the new
 // entry fits, and returned so the caller can journal the evictions and
 // drop their cached results.
-func (r *registry) add(id, name string, prepared *ocqa.Prepared, now time.Time) (e *instanceEntry, evicted []*instanceEntry) {
+func (r *registry) add(id, name string, prepared *ocqa.Instance, now time.Time) (e *instanceEntry, evicted []*instanceEntry) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for len(r.entries) >= r.cap {
@@ -107,7 +107,7 @@ func (r *registry) add(id, name string, prepared *ocqa.Prepared, now time.Time) 
 // failover. Unlike add, a collision with a live id is an error — the
 // caller owns naming, so silently overwriting would mask a split brain.
 // Evictions behave as in add.
-func (r *registry) installExplicit(id, name string, prepared *ocqa.Prepared, created time.Time, gen int64) (e *instanceEntry, evicted []*instanceEntry, err error) {
+func (r *registry) installExplicit(id, name string, prepared *ocqa.Instance, created time.Time, gen int64) (e *instanceEntry, evicted []*instanceEntry, err error) {
 	if gen < 1 {
 		gen = 1
 	}
@@ -162,7 +162,7 @@ func (r *registry) evictLRULocked() *instanceEntry {
 // restore installs a replayed entry under its original ID without
 // consuming a new sequence number beyond it; used only at boot, before
 // the server accepts traffic.
-func (r *registry) restore(id, name string, prepared *ocqa.Prepared, created time.Time) {
+func (r *registry) restore(id, name string, prepared *ocqa.Instance, created time.Time) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	e := &instanceEntry{id: id, name: name, prepared: prepared, created: created, gen: 1}

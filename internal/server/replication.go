@@ -23,7 +23,7 @@ package server
 // generation intact, journalling the takeover so it survives a restart.
 //
 // Replication applies the SAME copy-on-write mutations the owner
-// applied (Prepared.ApplyInsert/ApplyDelete, in generation order), so a
+// applied (Instance.ApplyInsert/ApplyDelete, in generation order), so a
 // promoted replica's exact query answers are big.Rat-bitwise equal to
 // the owner's — the property the cluster failover audit checks. A
 // torn, checksum-failing or foreign frame, or a gap in the window,
@@ -97,7 +97,7 @@ type ReplPromoteResponse struct {
 type replicaEntry struct {
 	id       string
 	name     string
-	prepared *ocqa.Prepared
+	prepared *ocqa.Instance
 	created  time.Time
 	gen      int64
 }
@@ -358,7 +358,7 @@ func (s *Server) handleReplSync(w http.ResponseWriter, r *http.Request) {
 	}
 	rec := recs[0]
 	// Prepare eagerly: the whole point of a warm follower is that
-	// failover does not pay a cold DP-table build.
+	// failover does not pay a cold block-decomposition build.
 	re := &replicaEntry{id: rec.ID, name: rec.Name, prepared: ocqa.NewInstance(rec.DB, rec.Sigma).Prepare(), created: rec.Created, gen: gen}
 	s.repl.setReplica(re)
 	s.met.replFullSyncs.Inc()

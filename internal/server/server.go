@@ -21,9 +21,11 @@
 //	GET    /healthz                           liveness
 //	GET    /varz                              operational counters
 //
-// Registration eagerly prepares the instance (ocqa.Prepare), so every
-// subsequent query — including thousands running concurrently —
-// performs zero sampler constructions. The approximability matrix is
+// Registration prepares the instance (ocqa.Prepare builds its block
+// decomposition); the sequence-sampler DP tables build on the first
+// M^us or M^{us,1} query, after which every query — including thousands
+// running concurrently — performs zero sampler constructions. The
+// approximability matrix is
 // enforced exactly as in the library: a (generator, constraint-class)
 // pair without an FPRAS is refused with HTTP 422 and the error cites
 // the paper's theorem. Repeated identical queries are served from a
@@ -307,8 +309,7 @@ func New(opts Options) *Server {
 	})
 	if s.store != nil {
 		for _, is := range s.store.Instances() {
-			inst := ocqa.NewInstance(is.DB, is.Sigma)
-			s.reg.restore(is.ID, is.Name, inst.PrepareLazy(), is.Created)
+			s.reg.restore(is.ID, is.Name, ocqa.NewInstance(is.DB, is.Sigma), is.Created)
 		}
 		// A store written under a higher -max-instances may replay more
 		// entries than this boot's capacity: evict (and journal) down

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -183,57 +184,95 @@ func TestExactQueryMatchesLibrary(t *testing.T) {
 	}
 }
 
-// TestApproxMatchesLibraryWithZeroConstructions is the acceptance
-// check: after registration, queries reuse the prepared samplers — the
-// process-wide construction counter must not move — and the estimates
-// coincide with the library's prepared path under the same seed.
+// TestApproxMatchesLibraryWithZeroConstructions pins the sampler-
+// construction contract of a registered primary-key instance:
+// registration builds exactly one sampler (the block decomposition), the
+// first M^us and the first M^{us,1} query build exactly one each (their
+// sequence DP tables), and no repeat — M^ur, or M^us on another tuple so
+// the result cache cannot answer — builds any. The estimates coincide
+// with the library's under the same seed.
 func TestApproxMatchesLibraryWithZeroConstructions(t *testing.T) {
 	ts, _ := newTestServer(t, Options{})
-	reg := register(t, ts.URL, pkFacts, pkFDs)
+	step := func(what string, want int64, run func()) {
+		t.Helper()
+		before := sampler.Constructions()
+		run()
+		if got := sampler.Constructions() - before; got != want {
+			t.Fatalf("%s: %d sampler constructions, want %d", what, got, want)
+		}
+	}
+	var reg RegisterResponse
+	step("registration", 1, func() { reg = register(t, ts.URL, pkFacts, pkFDs) })
 	qURL := ts.URL + "/v1/instances/" + reg.ID + "/query"
+	query := func(gen string, singleton bool, tuple string) QueryResponse {
+		t.Helper()
+		var resp QueryResponse
+		if status := do(t, http.MethodPost, qURL, QueryRequest{Generator: gen, Singleton: singleton, Mode: "approx",
+			Query: "Ans(n) :- Emp(i, n)", Tuple: tuple, Seed: 7}, &resp); status != http.StatusOK {
+			t.Fatalf("%s singleton=%v %s: status %d", gen, singleton, tuple, status)
+		}
+		return resp
+	}
+	var us, ur QueryResponse
+	step("first M^us query", 1, func() { us = query("us", false, "Bob") })
+	step("first M^us,1 query", 1, func() { query("us", true, "Bob") })
+	step("repeat queries", 0, func() {
+		ur = query("ur", false, "Alice")
+		query("ur", true, "Alice")
+		query("us", false, "Alice")
+		query("us", true, "Alice")
+	})
 
 	inst, err := ocqa.NewInstanceFromText(pkFacts, pkFDs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prepared := inst.Prepare()
 	q, err := ocqa.ParseQuery("Ans(n) :- Emp(i, n)")
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, c := range []struct {
+		resp  QueryResponse
+		gen   ocqa.Generator
+		tuple string
+	}{{us, ocqa.UniformSequences, "Bob"}, {ur, ocqa.UniformRepairs, "Alice"}} {
+		est, err := inst.Approximate(context.Background(), ocqa.Mode{Gen: c.gen}, q, ocqa.ParseTuple(c.tuple), ocqa.ApproxOptions{Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(c.resp.Answers) != 1 || c.resp.Answers[0].Value != est.Value || c.resp.Answers[0].Samples != est.Samples {
+			t.Fatalf("server estimate %+v != library estimate %+v", c.resp.Answers, est)
+		}
+	}
+}
 
-	// First query (cold cache): constructions may not move even here,
-	// since registration prepared everything.
-	before := sampler.Constructions()
-	var first QueryResponse
-	if status := do(t, http.MethodPost, qURL,
-		QueryRequest{Generator: "us", Mode: "approx", Query: "Ans(n) :- Emp(i, n)", Tuple: "Bob", Seed: 7}, &first); status != http.StatusOK {
-		t.Fatalf("first query: status %d", status)
+// TestRegistrationBuildsOnlyTheBlockDecomposition: registering 1,000
+// primary-key blocks of 4 facts builds one sampler and keeps under 64 MB
+// of heap. The sequence-sampler DP tables, quadratic in the 4,000 facts
+// that sit in conflict blocks, wait for the first M^us query.
+func TestRegistrationBuildsOnlyTheBlockDecomposition(t *testing.T) {
+	var facts strings.Builder
+	for b := 0; b < 1000; b++ {
+		for i := 0; i < 4; i++ {
+			fmt.Fprintf(&facts, "R(k%d,v%d)\n", b, i)
+		}
 	}
-	// Second query, different tuple so the result cache cannot answer.
-	var second QueryResponse
-	if status := do(t, http.MethodPost, qURL,
-		QueryRequest{Generator: "ur", Mode: "approx", Query: "Ans(n) :- Emp(i, n)", Tuple: "Alice", Seed: 7}, &second); status != http.StatusOK {
-		t.Fatalf("second query: status %d", status)
+	ts, _ := newTestServer(t, Options{})
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
 	}
-	if after := sampler.Constructions(); after != before {
-		t.Fatalf("sampler constructions moved during queries: %d -> %d (prepared instance must be reused)", before, after)
+	h0, c0 := heap(), sampler.Constructions()
+	register(t, ts.URL, facts.String(), "R: A1 -> A2")
+	h1, c1 := heap(), sampler.Constructions()
+	t.Logf("registration built %d sampler(s) and kept %.2f MB", c1-c0, float64(int64(h1)-int64(h0))/(1<<20))
+	if c1-c0 != 1 {
+		t.Errorf("registration built %d samplers, want 1", c1-c0)
 	}
-
-	// The estimates equal the library's prepared path bit-for-bit.
-	est, err := prepared.Approximate(context.Background(), ocqa.Mode{Gen: ocqa.UniformSequences}, q, ocqa.ParseTuple("Bob"), ocqa.ApproxOptions{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(first.Answers) != 1 || first.Answers[0].Value != est.Value || first.Answers[0].Samples != est.Samples {
-		t.Fatalf("server estimate %+v != library estimate %+v", first.Answers, est)
-	}
-	est, err = prepared.Approximate(context.Background(), ocqa.Mode{Gen: ocqa.UniformRepairs}, q, ocqa.ParseTuple("Alice"), ocqa.ApproxOptions{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(second.Answers) != 1 || second.Answers[0].Value != est.Value || second.Answers[0].Samples != est.Samples {
-		t.Fatalf("server estimate %+v != library estimate %+v", second.Answers, est)
+	if kept := int64(h1) - int64(h0); kept >= 64<<20 {
+		t.Errorf("registration kept %.1f MB of heap, want under 64 MB", float64(kept)/(1<<20))
 	}
 }
 

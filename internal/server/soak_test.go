@@ -74,7 +74,7 @@ func TestSoakMutationsVsQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	instWith, _, err := instWithout.InsertFact(ocqa.Fact{Rel: "Emp", Args: []string{"1", "Hot"}})
+	instWith, _, err := instWithout.ApplyInsert(ocqa.Fact{Rel: "Emp", Args: []string{"1", "Hot"}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,13 @@
 // exists; the approximability matrix is enforced at this API and the
 // returned errors cite the corresponding theorem.
 //
+// One type, Instance, carries every route. It builds its samplers on
+// first use and shares them across goroutines, caches each query's
+// compiled witness sets, and derives successor instances with
+// ApplyInsert and ApplyDelete. Under primary keys it answers M^ur and
+// M^{ur,1} by block factorization (delta.go), exactly where the witness
+// structure allows, and incrementally across mutations.
+//
 //	inst, _ := ocqa.NewInstanceFromText("Emp(1,Alice)\nEmp(1,Tom)", "Emp: A1 -> A2")
 //	q, _ := ocqa.ParseQuery("Ans(n) :- Emp(i, n)")
 //	answers, _ := inst.ConsistentAnswers(ocqa.Mode{Gen: ocqa.UniformRepairs}, q, 0)
@@ -127,7 +134,7 @@ var (
 	FormatFact = parse.FormatFact
 )
 
-// Mutation errors of InsertFact/DeleteFact, matched with errors.Is.
+// Mutation errors of ApplyInsert/ApplyDelete, matched with errors.Is.
 var (
 	// ErrDuplicateFact: the inserted fact is already in D.
 	ErrDuplicateFact = core.ErrDuplicateFact
@@ -135,18 +142,56 @@ var (
 	ErrUnknownRelation = core.ErrUnknownRelation
 	// ErrArityMismatch: the fact's arity differs from the schema's.
 	ErrArityMismatch = core.ErrArityMismatch
-	// ErrFactIndex: DeleteFact index outside [0, |D|).
+	// ErrFactIndex: ApplyDelete index outside [0, |D|).
 	ErrFactIndex = core.ErrFactIndex
 )
 
 // Instance is a database together with its FD set, ready for exact or
-// approximate operational CQA.
+// approximate operational CQA. Everything it derives for queries is
+// built on first use, at most once, and shared by every later call: the
+// block decomposition behind SampleRepair (Lemma 5.2), the sequence-
+// sampler DP tables of each operation space (Lemma C.1), and, per query
+// fingerprint, the compiled witness sets and the block-factorized
+// estimation state (delta.go). All methods are safe for concurrent use.
+// ApplyInsert and ApplyDelete derive the next generation copy-on-write,
+// carrying the factorized state forward.
 type Instance struct {
 	db    *rel.Database
 	sigma *fd.Set
 	inner *core.Instance
 	class fd.Class
+
+	// Each sampler builds behind its own sync.Once, so a generator that
+	// needs only the block decomposition (M^ur) never waits on — or pays
+	// for — the quadratic sequence-sampler DP, and vice versa. built
+	// flips once the block decomposition exists; BlockCount reads it so
+	// a metrics scrape never forces a build.
+	blockOnce, seqOnce, seq1Once sync.Once
+	block                        *sampler.BlockSampler
+	seq, seq1                    *sampler.SequenceSampler
+	built                        atomic.Bool
+
+	// queryMu guards queries, the per-fingerprint cache (a fingerprint
+	// is the query's canonical text), and order, its FIFO eviction queue.
+	queryMu sync.Mutex
+	queries map[string]*queryEntry
+	order   []string
+
+	// warm marks an instance derived by ApplyInsert/ApplyDelete. It only
+	// labels the DeltaRefreshes counter; routing never reads it.
+	warm bool
+
+	// usage accumulates the instance's estimation totals across every
+	// sampling call — the per-instance accounting the serving layer
+	// reports.
+	usage struct {
+		runs, draws, cancelled, wallNanos atomic.Int64
+	}
 }
+
+// Prepared is Instance under the name it had when sampler reuse and the
+// factorized M^ur routes lived on a separate wrapper type.
+type Prepared = Instance
 
 // NewInstance builds an instance from a database and a validated FD set.
 func NewInstance(db *Database, sigma *FDSet) *Instance {
@@ -187,37 +232,167 @@ func (in *Instance) Class() ConstraintClass { return in.class }
 func (in *Instance) IsConsistent() bool { return len(in.inner.ConflictPairs()) == 0 }
 
 // Core exposes the underlying exact engine for advanced use (chain
-// construction, predicates over raw repair subsets).
+// construction, predicates over raw repair subsets, and the enumeration
+// engines that the factorized M^ur routes bypass under primary keys).
 func (in *Instance) Core() *core.Instance { return in.inner }
 
-// --- Incremental fact mutations (copy-on-write) ---------------------------
-
-// InsertFact returns a new instance for (D ∪ {f}, Σ) and the index
-// assigned to f, leaving the receiver untouched — in-flight queries
-// against the old instance are unaffected. The conflict pairs are
-// maintained incrementally instead of recomputed: the old ones are
-// remapped across the index shift and the new fact's are found by one
-// scan of the rows that can share its left-hand sides. Sampler
-// artifacts are not carried over, so a mutated instance rebuilds them
-// lazily on first use (see PrepareLazy). Fails with ErrDuplicateFact,
-// ErrUnknownRelation or ErrArityMismatch.
-func (in *Instance) InsertFact(f Fact) (*Instance, int, error) {
-	inner, pos, err := in.inner.InsertFact(f)
-	if err != nil {
-		return nil, 0, fmt.Errorf("ocqa: %w", err)
-	}
-	return &Instance{db: inner.D, sigma: in.sigma, inner: inner, class: in.class}, pos, nil
+// Prepare builds the block decomposition of a primary-key instance now
+// instead of on first use — linear work, which a registering service
+// would rather pay before its first query — and returns the instance.
+// The sequence-sampler DP tables, quadratic in the facts that sit in
+// conflict blocks, still wait for the first M^us or M^{us,1} query.
+func (in *Instance) Prepare() *Instance {
+	in.blockSampler()
+	return in
 }
 
-// DeleteFact returns a new instance for (D ∖ {f_i}, Σ), with the same
-// copy-on-write and incremental-maintenance semantics as InsertFact.
-// Fails with ErrFactIndex.
-func (in *Instance) DeleteFact(i int) (*Instance, error) {
-	inner, err := in.inner.DeleteFact(i)
-	if err != nil {
-		return nil, fmt.Errorf("ocqa: %w", err)
+// blockSampler returns the shared block sampler, building it at most
+// once; nil outside primary keys, where the approximability matrix never
+// asks for one.
+func (in *Instance) blockSampler() *sampler.BlockSampler {
+	if in.class != fd.PrimaryKeys {
+		return nil
 	}
-	return &Instance{db: inner.D, sigma: in.sigma, inner: inner, class: in.class}, nil
+	in.blockOnce.Do(func() {
+		in.block, _ = sampler.NewBlockSampler(in.inner)
+		in.built.Store(true)
+	})
+	return in.block
+}
+
+// seqSampler returns the shared sequence sampler for the operation
+// space, building it at most once; nil outside primary keys.
+func (in *Instance) seqSampler(singleton bool) *sampler.SequenceSampler {
+	if in.class != fd.PrimaryKeys {
+		return nil
+	}
+	if singleton {
+		in.seq1Once.Do(func() { in.seq1, _ = sampler.NewSequenceSampler(in.inner, true) })
+		return in.seq1
+	}
+	in.seqOnce.Do(func() { in.seq, _ = sampler.NewSequenceSampler(in.inner, false) })
+	return in.seq
+}
+
+// BlockCount reports the number of non-singleton conflict blocks, and
+// whether that number is available without building anything: it reads
+// the block sampler only once its build has completed, so a metrics
+// scrape never pays for it.
+func (in *Instance) BlockCount() (int, bool) {
+	if !in.built.Load() {
+		return 0, false
+	}
+	return len(in.block.Blocks()), true
+}
+
+// UsageTotals is a snapshot of an instance's accumulated estimation
+// cost: sampling runs served, Monte-Carlo draws performed (discarded
+// stopping-rule tails included), runs cancelled mid-flight, and total
+// estimation wall time. Mutations derive a fresh instance, so totals
+// cover the current generation only.
+type UsageTotals struct {
+	Runs, Draws, Cancelled int64
+	WallNanos              int64
+}
+
+// Usage returns the accumulated totals. Safe for concurrent use; the
+// fields are read individually, so a snapshot taken during a run may
+// straddle one update — fine for monitoring.
+func (in *Instance) Usage() UsageTotals {
+	return UsageTotals{
+		Runs:      in.usage.runs.Load(),
+		Draws:     in.usage.draws.Load(),
+		Cancelled: in.usage.cancelled.Load(),
+		WallNanos: in.usage.wallNanos.Load(),
+	}
+}
+
+func (in *Instance) recordUsage(a Accounting) {
+	// A zero-worker record means no draw loop ran at all (refused or
+	// failed before sampling) — nothing to account.
+	if a.Workers == 0 && a.Draws == 0 {
+		return
+	}
+	in.usage.runs.Add(1)
+	in.usage.draws.Add(a.Draws)
+	in.usage.wallNanos.Add(a.WallNanos)
+	if a.Cancelled {
+		in.usage.cancelled.Add(1)
+	}
+}
+
+// --- The per-fingerprint query cache --------------------------------------
+
+// maxCachedQueries bounds the query cache: past it the oldest
+// fingerprint is evicted (FIFO — deliberately simpler than LRU, since a
+// served result lands in the caller's own result cache and the compile
+// being saved is a single enumeration). Without a bound, a client
+// sweeping distinct queries against one long-lived instance would grow
+// memory without limit.
+const maxCachedQueries = 64
+
+// queryEntry is one fingerprint's cached state: this generation's
+// compiled multi-tuple witness sets, built at most once behind once, and
+// the factorized-estimation state (delta.go), built from them on first
+// use or carried across a mutation. compiling is set while the compile
+// runs; eviction skips such an entry, so a concurrent caller of the same
+// query never reruns its enumeration.
+type queryEntry struct {
+	q         *Query
+	once      sync.Once
+	mp        *core.MultiPred
+	compiling atomic.Bool
+
+	deltaOnce sync.Once
+	delta     atomic.Pointer[deltaQuery]
+}
+
+// query returns the cache entry of q's fingerprint, creating it on first
+// use.
+func (in *Instance) query(q *Query) *queryEntry {
+	key := q.String()
+	in.queryMu.Lock()
+	defer in.queryMu.Unlock()
+	if e, ok := in.queries[key]; ok {
+		return e
+	}
+	e := &queryEntry{q: q}
+	in.cache(key, e)
+	return e
+}
+
+// cache inserts an entry, first evicting the oldest one not mid-compile
+// when the cache is full. With every entry mid-compile the cache briefly
+// overshoots its bound by the number of concurrent compilers — bounded
+// and transient. Caller holds queryMu.
+func (in *Instance) cache(key string, e *queryEntry) {
+	if in.queries == nil {
+		in.queries = make(map[string]*queryEntry)
+	}
+	if len(in.order) >= maxCachedQueries {
+		for i, old := range in.order {
+			if !in.queries[old].compiling.Load() {
+				delete(in.queries, old)
+				in.order = append(in.order[:i], in.order[i+1:]...)
+				break
+			}
+		}
+	}
+	in.queries[key] = e
+	in.order = append(in.order, key)
+}
+
+// multiPred returns this generation's compiled witness sets for q,
+// compiling at most once per fingerprint.
+func (in *Instance) multiPred(q *Query) *core.MultiPred { return in.compiled(in.query(q)) }
+
+func (in *Instance) compiled(e *queryEntry) *core.MultiPred {
+	e.once.Do(func() {
+		e.compiling.Store(true)
+		e.mp = in.inner.CompileMultiPred(e.q, 0)
+		e.compiling.Store(false)
+	})
+	return e.mp
 }
 
 // --- Snapshots (durable single-instance persistence) ----------------------
@@ -250,8 +425,19 @@ func LoadSnapshot(r io.Reader) (*Instance, error) {
 // ExactProbability computes P_{M,Q}(D, c̄) exactly as a rational.
 // limit bounds the exponential engines' state budget (0 = unlimited);
 // a core.StateLimitError signals the instance is too large for exact
-// computation.
+// computation. M^ur under primary keys runs on the block-factorized
+// engine (delta.go) wherever the target's witness structure factorizes:
+// polynomial, with per-block factors cached here and refreshed per block
+// across ApplyInsert/ApplyDelete, so exact M^ur answers stay available
+// at sizes where the enumeration engines exhaust any state budget. Its
+// results are big.Rat-identical to the enumeration engines, which answer
+// every other case and remain reachable through Core.
 func (in *Instance) ExactProbability(mode Mode, q *Query, c Tuple, limit int) (*big.Rat, error) {
+	if in.deltaEligible(mode) && len(c) == len(q.AnswerVars) {
+		if r, ok := in.deltaExactProbability(q, c, mode.Singleton); ok {
+			return r, nil
+		}
+	}
 	return in.inner.ExactProbability(mode, q, c, limit)
 }
 
@@ -262,30 +448,40 @@ func (in *Instance) Semantics(mode Mode, limit int) ([]RepairProb, error) {
 }
 
 // ConsistentAnswers computes the operational consistent answers to Q
-// over D with exact probabilities.
+// over D with exact probabilities. M^ur under primary keys runs on the
+// block-factorized engine where every candidate tuple factorizes, as in
+// ExactProbability; otherwise the shared exact pass evaluates the
+// query's cached witness sets.
 func (in *Instance) ConsistentAnswers(mode Mode, q *Query, limit int) ([]ConsistentAnswer, error) {
-	return in.inner.ConsistentAnswers(mode, q, limit)
+	if in.deltaEligible(mode) {
+		if out, ok := in.deltaConsistentAnswers(mode, q); ok {
+			return out, nil
+		}
+	}
+	return in.inner.ConsistentAnswersWith(in.multiPred(q), mode, limit)
 }
 
 // RepairOf renders a repair subset as a database.
 func (in *Instance) RepairOf(rp RepairProb) *Database { return in.db.Restrict(rp.Repair) }
 
 // CountRepairs computes |CORep(D,Σ)| (or |CORep^1| with singleton):
-// polynomial-time up to independent-set counting per conflict
-// component; closed-form Π(|B|+1) for primary keys.
+// closed-form Π(|B|+1) over the block decomposition for primary keys;
+// otherwise polynomial-time up to independent-set counting per conflict
+// component.
 func (in *Instance) CountRepairs(singleton bool) *big.Int {
+	if bs := in.blockSampler(); bs != nil {
+		return bs.CountRepairs(singleton)
+	}
 	return in.inner.CountCandidateRepairs(singleton)
 }
 
 // CountSequences computes |CRS(D,Σ)| (or |CRS^1|). For primary keys it
-// uses the polynomial-time DP of Lemma C.1; otherwise it falls back to
-// the exponential DAG engine under the given state limit.
+// runs the polynomial-time DP of Lemma C.1 over the block-size profile;
+// otherwise it falls back to the exponential DAG engine under the given
+// state limit.
 func (in *Instance) CountSequences(singleton bool, limit int) (*big.Int, error) {
-	if in.class == fd.PrimaryKeys {
-		bs, err := sampler.NewBlockSampler(in.inner)
-		if err == nil {
-			return bs.CountSequences(singleton), nil
-		}
+	if bs := in.blockSampler(); bs != nil {
+		return bs.CountSequences(singleton), nil
 	}
 	return in.inner.CountCRS(singleton, limit)
 }
@@ -450,55 +646,20 @@ func (in *Instance) checkApproximable(mode Mode, force bool) error {
 	}
 }
 
-// preparedSamplers carries pre-built, shareable sampler artifacts into
-// the estimation paths. The zero value means "build on demand" — the
-// behaviour of a bare Instance. A Prepared instance fills it once so
-// every subsequent query performs zero sampler constructions.
-type preparedSamplers struct {
-	block     *sampler.BlockSampler
-	seq, seq1 *sampler.SequenceSampler
-}
-
-// sequence returns the prepared sequence sampler for the operation
-// space, or nil when none was prepared.
-func (ps preparedSamplers) sequence(singleton bool) *sampler.SequenceSampler {
-	if singleton {
-		return ps.seq1
-	}
-	return ps.seq
-}
-
-// blockOr returns the prepared block sampler, building one when the
-// caller came in without preparation.
-func (in *Instance) blockOr(ps preparedSamplers, mode Mode) (*sampler.BlockSampler, error) {
-	if ps.block != nil {
-		return ps.block, nil
-	}
-	bs, err := sampler.NewBlockSampler(in.inner)
-	if err != nil {
-		return nil, fmt.Errorf("ocqa: %s sampler unavailable: %w", mode.Symbol(), err)
-	}
-	return bs, nil
-}
-
-// sequenceOr returns the prepared sequence sampler for the operation
-// space, building one when the caller came in without preparation.
-func (in *Instance) sequenceOr(ps preparedSamplers, mode Mode) (*sampler.SequenceSampler, error) {
-	if ss := ps.sequence(mode.Singleton); ss != nil {
-		return ss, nil
-	}
-	ss, err := sampler.NewSequenceSampler(in.inner, mode.Singleton)
-	if err != nil {
-		return nil, fmt.Errorf("ocqa: %s sampler unavailable: %w", mode.Symbol(), err)
-	}
-	return ss, nil
-}
-
 // Approximate estimates P_{M,Q}(D, c̄) by Monte Carlo over the paper's
 // polynomial-time samplers. It refuses (mode, class) pairs whose status
 // is StatusOpen or StatusNoFPRAS, and StatusHeuristic pairs unless
-// opts.Force is set; the error cites the relevant theorem. Under M^uo
-// and M^{uo,1} a draw decides only the facts c̄'s witness images touch
+// opts.Force is set; the error cites the relevant theorem.
+//
+// Under primary keys every stopping-rule M^ur and M^{ur,1} query runs on
+// the block-factorized estimator (delta.go): the probability factorizes
+// over the few key blocks the query's witnesses touch, enumerable
+// clusters contribute exact factors — an answer can be exact with zero
+// draws — and only larger clusters are sampled, per stratum, with
+// statistics reused across ApplyInsert/ApplyDelete. The paper's
+// whole-instance estimators answer where it declines: UseAA,
+// UseChernoff, and witness structures past its caps. Under M^uo and
+// M^{uo,1} a draw decides only the facts c̄'s witness images touch
 // (sampler.UOLocal) instead of walking the whole chain. A c̄ with no
 // witness image has probability 0, which the stopping rule and 𝒜𝒜
 // return without drawing.
@@ -508,42 +669,43 @@ func (in *Instance) sequenceOr(ps preparedSamplers, mode Mode) (*sampler.Sequenc
 // returns the context's error (wrapped; match with errors.Is against
 // context.Canceled / context.DeadlineExceeded).
 func (in *Instance) Approximate(ctx context.Context, mode Mode, q *Query, c Tuple, opts ApproxOptions) (Estimate, error) {
-	return in.approximate(ctx, preparedSamplers{}, mode, q, c, opts)
+	est, ok, err := in.deltaApproximate(ctx, mode, q, c, opts)
+	if !ok {
+		est, err = in.approximate(ctx, mode, q, c, opts)
+	}
+	in.recordUsage(est.Acct)
+	return est, err
 }
 
 // subsetDrawer returns a per-worker factory of repair drawers for the
 // mode: one call of the inner function draws one repair subset under
 // the mode's sampler. It is the sampling substrate shared by the
-// single-tuple and the multi-tuple estimation paths.
-func (in *Instance) subsetDrawer(ps preparedSamplers, mode Mode) (func() func(*rand.Rand) rel.Subset, error) {
+// single-tuple and the multi-tuple estimation paths; the approximability
+// check that precedes it admits M^ur and M^us only under primary keys,
+// where their samplers exist.
+func (in *Instance) subsetDrawer(mode Mode) func() func(*rand.Rand) rel.Subset {
 	switch mode.Gen {
 	case UniformRepairs:
 		// One shared sampler: the block decomposition is immutable
 		// after construction and SampleRepair is concurrency-safe, so
 		// every worker draws from the same tables; only the rng is
 		// per-worker.
-		bs, err := in.blockOr(ps, mode)
-		if err != nil {
-			return nil, err
-		}
+		bs := in.blockSampler()
 		return func() func(*rand.Rand) rel.Subset {
 			return func(rng *rand.Rand) rel.Subset { return bs.SampleRepair(rng, mode.Singleton) }
-		}, nil
+		}
 	case UniformSequences:
 		// The profile-traceback sampler draws the same uniform CRS
 		// distribution as Algorithm 1 with O(‖D‖) work per sample. Its
 		// DP tables are immutable after construction and safe to
 		// share; only the rng is per-worker.
-		ss, err := in.sequenceOr(ps, mode)
-		if err != nil {
-			return nil, err
-		}
+		ss := in.seqSampler(mode.Singleton)
 		return func() func(*rand.Rand) rel.Subset {
 			return func(rng *rand.Rand) rel.Subset {
 				_, res := ss.Sample(rng)
 				return res
 			}
-		}, nil
+		}
 	default:
 		// The walker carries per-walk mutable state, so each worker
 		// receives its own instance via the factory; construction
@@ -554,7 +716,7 @@ func (in *Instance) subsetDrawer(ps preparedSamplers, mode Mode) (func() func(*r
 			return func(rng *rand.Rand) rel.Subset {
 				return walker.WalkResult(rng, mode.Singleton)
 			}
-		}, nil
+		}
 	}
 }
 
@@ -565,12 +727,12 @@ func (in *Instance) subsetDrawer(ps preparedSamplers, mode Mode) (func() func(*r
 // over the instance's shared conflict adjacency; the other generators
 // draw a whole repair subset. Past the image cap the draw falls back to
 // the subset-mask homomorphism search, on whole repairs.
-func (in *Instance) targetDrawer(ctx context.Context, ps preparedSamplers, mode Mode, q *Query, c Tuple) (func() engine.Sampler, error) {
+func (in *Instance) targetDrawer(ctx context.Context, mode Mode, q *Query, c Tuple) func() engine.Sampler {
 	endCompile := engine.TraceFrom(ctx).StartSpan("compile")
 	defer endCompile()
 	ws, ok := in.inner.TargetImages(q, c, 0)
 	if ok && len(ws) == 0 {
-		return nil, nil
+		return nil
 	}
 	if ok && mode.Gen == UniformOperations {
 		adj := in.inner.Adjacency()
@@ -580,31 +742,26 @@ func (in *Instance) targetDrawer(ctx context.Context, ps preparedSamplers, mode 
 				leaf.Draw(rng)
 				return core.Holds(ws, leaf)
 			}
-		}, nil
+		}
 	}
 	pred := func(s rel.Subset) bool { return core.Holds(ws, s) }
 	if !ok {
 		pred = in.inner.EntailPred(q, c)
 	}
-	newSubset, err := in.subsetDrawer(ps, mode)
-	if err != nil {
-		return nil, err
-	}
+	newSubset := in.subsetDrawer(mode)
 	return func() engine.Sampler {
 		draw := newSubset()
 		return func(rng *rand.Rand) bool { return pred(draw(rng)) }
-	}, nil
+	}
 }
 
-func (in *Instance) approximate(ctx context.Context, ps preparedSamplers, mode Mode, q *Query, c Tuple, opts ApproxOptions) (Estimate, error) {
+// approximate runs the whole-instance estimators of Approximate.
+func (in *Instance) approximate(ctx context.Context, mode Mode, q *Query, c Tuple, opts ApproxOptions) (Estimate, error) {
 	opts.fill()
 	if err := in.checkApproximable(mode, opts.Force); err != nil {
 		return Estimate{}, err
 	}
-	newDraw, err := in.targetDrawer(ctx, ps, mode, q, c)
-	if err != nil {
-		return Estimate{}, err
-	}
+	newDraw := in.targetDrawer(ctx, mode, q, c)
 	if newDraw == nil {
 		// No witness image: c̄ ∉ Q(D), or its arity is wrong, so by CQ
 		// monotonicity its probability is exactly 0 and every draw is
@@ -622,6 +779,7 @@ func (in *Instance) approximate(ctx context.Context, ps preparedSamplers, mode M
 	opts.Workers = engine.ResolveWorkers(opts.Workers, in.parallelHint(), int64(opts.MaxSamples))
 
 	var est Estimate
+	var err error
 	switch {
 	case opts.UseChernoff:
 		pmin := in.worstCaseLowerBound(mode, q)
@@ -668,30 +826,39 @@ func (in *Instance) worstCaseLowerBound(mode Mode, q *Query) float64 {
 // drawn repair is evaluated against every candidate tuple's compiled
 // witness sets at once — K candidates cost one Monte-Carlo pass
 // (max over tuples of the per-tuple stopping point) instead of K
-// independent estimations, and one homomorphism enumeration at prepare
-// time instead of K+1. Estimates are deterministic in (Seed, Workers).
-// opts.MaxSamples caps the draws of the shared pass as a whole. With
-// opts.UseAA the per-tuple loop is retained (the three-phase 𝒜𝒜
-// estimator adapts its later phases to each target's own crude
-// estimate and variance, which is inherently single-target).
-// Cancelling ctx stops the shared pass within one sample chunk per
-// worker; like Approximate, the partial per-tuple estimates accompany
-// the wrapped context error.
+// independent estimations, and one homomorphism enumeration, cached
+// per query fingerprint, instead of K+1. Estimates are deterministic in
+// (Seed, Workers). opts.MaxSamples caps the draws of the shared pass as
+// a whole. With opts.UseAA the per-tuple loop is retained (the
+// three-phase 𝒜𝒜 estimator adapts its later phases to each target's own
+// crude estimate and variance, which is inherently single-target).
+// Stopping-rule M^ur and M^{ur,1} queries under primary keys are
+// answered per tuple by the block-factorized estimator, as in
+// Approximate. Cancelling ctx stops the shared pass within one sample
+// chunk per worker; like Approximate, the partial per-tuple estimates
+// accompany the wrapped context error.
 func (in *Instance) ApproximateAnswers(ctx context.Context, mode Mode, q *Query, opts ApproxOptions) ([]ApproxAnswer, error) {
-	compile := func(q *Query) *core.MultiPred { return in.inner.CompileMultiPred(q, 0) }
-	out, _, err := in.approximateAnswers(ctx, preparedSamplers{}, compile, mode, q, opts)
+	out, _, err := in.ApproximateAnswersAcct(ctx, mode, q, opts)
 	return out, err
 }
 
-// approximateAnswers runs the shared-draw answers estimation. compile
-// supplies the multi-tuple witness predicate — the bare Instance
-// compiles per call, a Prepared instance serves its per-fingerprint
-// cache — and is only invoked once the approximability check passed,
-// on the shared-pass path alone (the per-tuple 𝒜𝒜 loop builds its own
-// single-tuple predicates and needs only the candidate list). The
-// returned Accounting is the run-level record of the shared pass, or
-// the per-tuple sum on the 𝒜𝒜 path.
-func (in *Instance) approximateAnswers(ctx context.Context, ps preparedSamplers, compile func(*Query) *core.MultiPred, mode Mode, q *Query, opts ApproxOptions) ([]ApproxAnswer, Accounting, error) {
+// ApproximateAnswersAcct is ApproximateAnswers with the run-level cost
+// accounting of the shared pass (or the per-tuple sum under UseAA).
+func (in *Instance) ApproximateAnswersAcct(ctx context.Context, mode Mode, q *Query, opts ApproxOptions) ([]ApproxAnswer, Accounting, error) {
+	out, acct, ok, err := in.deltaApproximateAnswers(ctx, mode, q, opts)
+	if !ok {
+		out, acct, err = in.approximateAnswers(ctx, mode, q, opts)
+	}
+	in.recordUsage(acct)
+	return out, acct, err
+}
+
+// approximateAnswers runs the whole-instance answers estimation: the
+// shared pass over the query's cached witness sets, or the per-tuple 𝒜𝒜
+// loop, which builds its own single-tuple predicates and needs only the
+// candidate list. The returned Accounting is the run-level record of the
+// shared pass, or the per-tuple sum on the 𝒜𝒜 path.
+func (in *Instance) approximateAnswers(ctx context.Context, mode Mode, q *Query, opts ApproxOptions) ([]ApproxAnswer, Accounting, error) {
 	opts.fill()
 	if err := in.checkApproximable(mode, opts.Force); err != nil {
 		return nil, Accounting{}, err
@@ -700,7 +867,7 @@ func (in *Instance) approximateAnswers(ctx context.Context, ps preparedSamplers,
 		var out []ApproxAnswer
 		var total Accounting
 		for _, c := range q.Answers(in.db) {
-			e, err := in.approximate(ctx, ps, mode, q, c, opts)
+			e, err := in.approximate(ctx, mode, q, c, opts)
 			total.Draws += e.Acct.Draws
 			total.Chunks += e.Acct.Chunks
 			total.WallNanos += e.Acct.WallNanos
@@ -714,17 +881,14 @@ func (in *Instance) approximateAnswers(ctx context.Context, ps preparedSamplers,
 		return out, total, nil
 	}
 	endCompile := engine.TraceFrom(ctx).StartSpan("compile")
-	mp := compile(q)
+	mp := in.multiPred(q)
 	tuples := mp.Tuples()
 	if len(tuples) == 0 {
 		endCompile()
 		return nil, Accounting{}, nil
 	}
-	newSubset, err := in.subsetDrawer(ps, mode)
+	newSubset := in.subsetDrawer(mode)
 	endCompile()
-	if err != nil {
-		return nil, Accounting{}, err
-	}
 	newMulti := func() engine.MultiSampler {
 		draw := newSubset()
 		return func(rng *rand.Rand, out []bool, active []int) {
@@ -735,6 +899,7 @@ func (in *Instance) approximateAnswers(ctx context.Context, ps preparedSamplers,
 	// pass has one pool for all targets.
 	opts.Workers = engine.ResolveWorkers(opts.Workers, in.parallelHint(), int64(opts.MaxSamples))
 	var ests []Estimate
+	var err error
 	if opts.UseChernoff {
 		pmin := in.worstCaseLowerBound(mode, q)
 		if pmin <= 0 {
@@ -774,348 +939,6 @@ func (in *Instance) approximateAnswers(ctx context.Context, ps preparedSamplers,
 type ApproxAnswer struct {
 	Tuple    Tuple
 	Estimate Estimate
-}
-
-// --- Prepared instances (sampler reuse across queries) --------------------
-
-// Prepared is an Instance whose expensive per-query artifacts — the
-// block decomposition behind SampleRepair (Lemma 5.2) and the
-// sequence-sampler DP tables (Lemma C.1) — are built at most once each
-// and reused by every subsequent call. Prepare forces the affordable
-// subset eagerly (the linear block decomposition always; the quadratic
-// sequence DP only up to seqEagerMaxDeletable deletable facts); the
-// rest builds on the first query that needs it. All methods are safe
-// for concurrent use: the database, FD set, conflict structure and DP
-// tables are immutable once built. It is the unit a long-running
-// service caches per registered instance.
-type Prepared struct {
-	*Instance
-
-	// Each sampler artifact builds behind its own sync.Once, so a
-	// generator that needs only the block decomposition (M^ur) never
-	// waits on — or pays for — the quadratic sequence-sampler DP, and
-	// vice versa. Prepare eagerly forces the affordable subset.
-	blockOnce sync.Once
-	seqOnce   sync.Once
-	seq1Once  sync.Once
-	ps        preparedSamplers
-
-	// predMu guards preds, the compiled multi-tuple witness sets keyed
-	// by query fingerprint (the canonical rendering): each distinct
-	// query pays for its homomorphism enumeration once per Prepared.
-	// Mutations derive a fresh Prepared, so entries can never go
-	// stale. predOrder tracks insertion order for the FIFO bound.
-	predMu    sync.Mutex
-	preds     map[string]*compiledPred
-	predOrder []string
-
-	// built flips when the deferred block-sampler build completed;
-	// scrape-time introspection (BlockCount) reads it to avoid forcing
-	// a build.
-	built atomic.Bool
-
-	// deltaMu guards delta, the factorized-estimation state (see
-	// delta.go): per-query witness images, per-block factor caches and
-	// per-stratum draw statistics. ApplyInsert/ApplyDelete carry it into
-	// the derived Prepared; on a cold Prepared it builds lazily the first
-	// time a delta path runs.
-	deltaMu sync.Mutex
-	delta   *deltaState
-
-	// usage accumulates the instance's estimation totals across every
-	// sampling call routed through this Prepared — the per-instance
-	// accounting the serving layer reports.
-	usage struct {
-		runs, draws, cancelled, wallNanos atomic.Int64
-	}
-}
-
-// UsageTotals is a snapshot of a Prepared's accumulated estimation
-// cost: sampling runs served, Monte-Carlo draws performed (discarded
-// stopping-rule tails included), runs cancelled mid-flight, and total
-// estimation wall time. Mutations derive a fresh Prepared, so totals
-// cover the current generation only.
-type UsageTotals struct {
-	Runs, Draws, Cancelled int64
-	WallNanos              int64
-}
-
-// Usage returns the accumulated totals. Safe for concurrent use; the
-// fields are read individually, so a snapshot taken during a run may
-// straddle one update — fine for monitoring.
-func (p *Prepared) Usage() UsageTotals {
-	return UsageTotals{
-		Runs:      p.usage.runs.Load(),
-		Draws:     p.usage.draws.Load(),
-		Cancelled: p.usage.cancelled.Load(),
-		WallNanos: p.usage.wallNanos.Load(),
-	}
-}
-
-func (p *Prepared) recordUsage(a Accounting) {
-	// A zero-worker record means no draw loop ran at all (refused or
-	// failed before sampling) — nothing to account.
-	if a.Workers == 0 && a.Draws == 0 {
-		return
-	}
-	p.usage.runs.Add(1)
-	p.usage.draws.Add(a.Draws)
-	p.usage.wallNanos.Add(a.WallNanos)
-	if a.Cancelled {
-		p.usage.cancelled.Add(1)
-	}
-}
-
-// BlockCount reports the number of non-singleton conflict blocks, and
-// whether that number is available without building anything: it reads
-// the prepared block sampler only if the deferred build has already
-// completed, so a metrics scrape never pays for DP-table construction.
-func (p *Prepared) BlockCount() (int, bool) {
-	if !p.built.Load() || p.ps.block == nil {
-		return 0, false
-	}
-	return len(p.ps.block.Blocks()), true
-}
-
-// maxCachedPreds bounds the per-instance witness-set cache: past it
-// the oldest fingerprint is evicted (FIFO — deliberately simpler than
-// LRU, since a served result lands in the caller's own result cache
-// and the compile being saved is a single enumeration). Without a
-// bound, a client sweeping distinct queries against one long-lived
-// instance would grow memory without limit.
-const maxCachedPreds = 64
-
-// compiledPred defers one query's witness-set compilation behind a
-// sync.Once, so only callers of the SAME fingerprint wait on its
-// enumeration — the registry mutex is never held across a compile.
-// done flips once the compile finished; eviction skips entries still
-// in flight so a concurrent caller is never forced to recompile.
-type compiledPred struct {
-	once sync.Once
-	mp   *core.MultiPred
-	done atomic.Bool
-}
-
-// multiPred returns the compiled witness sets for the query, compiling
-// at most once per distinct query fingerprint.
-func (p *Prepared) multiPred(q *Query) *core.MultiPred {
-	key := q.String()
-	p.predMu.Lock()
-	if p.preds == nil {
-		p.preds = make(map[string]*compiledPred)
-	}
-	e, ok := p.preds[key]
-	if !ok {
-		if len(p.predOrder) >= maxCachedPreds {
-			// Evict the oldest COMPLETED entry: dropping an in-flight
-			// compile would let a concurrent caller of the same query
-			// rerun the enumeration. With every entry in flight the map
-			// briefly overshoots the cap by the number of concurrent
-			// compilers — bounded and transient.
-			for i, old := range p.predOrder {
-				if p.preds[old].done.Load() {
-					delete(p.preds, old)
-					p.predOrder = append(p.predOrder[:i], p.predOrder[i+1:]...)
-					break
-				}
-			}
-		}
-		e = &compiledPred{}
-		p.preds[key] = e
-		p.predOrder = append(p.predOrder, key)
-	}
-	p.predMu.Unlock()
-	e.once.Do(func() {
-		e.mp = p.inner.CompileMultiPred(q, 0)
-		e.done.Store(true)
-	})
-	return e.mp
-}
-
-// seqEagerMaxDeletable bounds the instances whose sequence-sampler DP
-// tables Prepare builds eagerly: the interleaving DP is quadratic in
-// the number of deletable facts (facts inside non-singleton blocks) in
-// both time and big.Int table memory, so past a few thousand such
-// facts eager construction would dominate registration — a million-
-// fact instance would burn minutes and gigabytes preparing samplers
-// that M^ur workloads never touch. Above the bound the DP defers to
-// the first sequence-mode query.
-const seqEagerMaxDeletable = 4096
-
-// Prepare eagerly builds the shareable sampler artifacts that are
-// affordable at the instance's size. For primary-key instances this
-// always constructs the BlockSampler (linear work), and additionally
-// the two SequenceSamplers (pairwise and singleton operation spaces)
-// when at most seqEagerMaxDeletable facts sit in conflict blocks —
-// their interleaving DP is quadratic in that count, so at scale it is
-// deferred to the first sequence-mode query instead. Other constraint
-// classes have no poly-time DP sampler to prepare, so only the
-// conflict structure (already built by NewInstance) is reused and
-// construction-on-demand still applies where the matrix allows
-// sampling at all.
-func (in *Instance) Prepare() *Prepared {
-	p := in.PrepareLazy()
-	if bs := p.blockSampler(); bs != nil {
-		deletable := 0
-		for _, size := range bs.Blocks() {
-			deletable += size
-		}
-		if deletable <= seqEagerMaxDeletable {
-			p.seqSampler(false)
-			p.seqSampler(true)
-		}
-	}
-	return p
-}
-
-// PrepareLazy returns a Prepared whose sampler artifacts are built on
-// first use instead of up front (per-artifact sync.Onces make each
-// deferred build concurrency-safe and at-most-once). This is the right
-// shape after an incremental mutation: a burst of
-// InsertFact/DeleteFact calls then pays for DP-table construction
-// once, at the first query, rather than per mutation.
-func (in *Instance) PrepareLazy() *Prepared {
-	return &Prepared{Instance: in}
-}
-
-// blockSampler returns the shared block sampler, building it at most
-// once; nil for constraint classes without one.
-func (p *Prepared) blockSampler() *sampler.BlockSampler {
-	if p.class != fd.PrimaryKeys {
-		return nil
-	}
-	p.blockOnce.Do(func() {
-		p.ps.block, _ = sampler.NewBlockSampler(p.inner)
-		p.built.Store(true)
-	})
-	return p.ps.block
-}
-
-// seqSampler returns the shared sequence sampler for the operation
-// space, building it at most once; nil for constraint classes without
-// one.
-func (p *Prepared) seqSampler(singleton bool) *sampler.SequenceSampler {
-	if p.class != fd.PrimaryKeys {
-		return nil
-	}
-	if singleton {
-		p.seq1Once.Do(func() { p.ps.seq1, _ = sampler.NewSequenceSampler(p.inner, true) })
-		return p.ps.seq1
-	}
-	p.seqOnce.Do(func() { p.ps.seq, _ = sampler.NewSequenceSampler(p.inner, false) })
-	return p.ps.seq
-}
-
-// samplersFor assembles the prepared artifacts the mode's estimation
-// path will consult, building only those: an M^ur marginals pass over
-// a million-fact instance never pays for the sequence DP, and a
-// sequence-mode query never waits on anything but its own table.
-func (p *Prepared) samplersFor(mode Mode) preparedSamplers {
-	var ps preparedSamplers
-	switch mode.Gen {
-	case UniformRepairs:
-		ps.block = p.blockSampler()
-	case UniformSequences:
-		if mode.Singleton {
-			ps.seq1 = p.seqSampler(true)
-		} else {
-			ps.seq = p.seqSampler(false)
-		}
-	}
-	return ps
-}
-
-// Approximate is Instance.Approximate backed by the prepared samplers:
-// for primary-key instances it performs zero sampler constructions
-// beyond the one deferred build per artifact.
-// Under primary keys every stopping-rule M^ur and M^{ur,1} query runs
-// on the block-factorized estimator (delta.go), cold or warm: the
-// probability factorizes over the few key blocks the query's witnesses
-// touch, enumerable clusters contribute exact factors — an answer can be
-// exact with zero draws — and only larger clusters are sampled, per
-// stratum, with statistics reused across ApplyInsert/ApplyDelete. The
-// classic estimators answer where it declines: UseAA, UseChernoff, and
-// witness structures past its caps.
-func (p *Prepared) Approximate(ctx context.Context, mode Mode, q *Query, c Tuple, opts ApproxOptions) (Estimate, error) {
-	if est, ok, err := p.deltaApproximate(ctx, mode, q, c, opts); ok {
-		p.recordUsage(est.Acct)
-		return est, err
-	}
-	est, err := p.Instance.approximate(ctx, p.samplersFor(mode), mode, q, c, opts)
-	p.recordUsage(est.Acct)
-	return est, err
-}
-
-// ApproximateAnswers is Instance.ApproximateAnswers over the prepared
-// samplers and the per-fingerprint witness-set cache: repeated answers
-// queries for the same query perform zero sampler constructions and
-// zero homomorphism enumerations. Stopping-rule M^ur queries under
-// primary keys are answered per tuple by the block-factorized estimator,
-// as in Approximate.
-func (p *Prepared) ApproximateAnswers(ctx context.Context, mode Mode, q *Query, opts ApproxOptions) ([]ApproxAnswer, error) {
-	out, _, err := p.ApproximateAnswersAcct(ctx, mode, q, opts)
-	return out, err
-}
-
-// ApproximateAnswersAcct is ApproximateAnswers with the run-level cost
-// accounting of the shared pass (or the per-tuple sum under UseAA).
-func (p *Prepared) ApproximateAnswersAcct(ctx context.Context, mode Mode, q *Query, opts ApproxOptions) ([]ApproxAnswer, Accounting, error) {
-	if out, acct, ok, err := p.deltaApproximateAnswers(ctx, mode, q, opts); ok {
-		p.recordUsage(acct)
-		return out, acct, err
-	}
-	out, acct, err := p.Instance.approximateAnswers(ctx, p.samplersFor(mode), p.multiPred, mode, q, opts)
-	p.recordUsage(acct)
-	return out, acct, err
-}
-
-// ConsistentAnswers is Instance.ConsistentAnswers over the cached
-// witness sets: the exact shared pass reuses the compiled multi-tuple
-// predicate across calls. For M^ur under primary keys it runs on the
-// delta engine's per-tuple factor decomposition where the witness
-// structure allows (delta.go) — polynomial, and refreshed per-block
-// across ApplyInsert/ApplyDelete — falling back to the shared exact
-// pass otherwise.
-func (p *Prepared) ConsistentAnswers(mode Mode, q *Query, limit int) ([]ConsistentAnswer, error) {
-	if p.deltaEligible(mode) {
-		if out, ok := p.deltaConsistentAnswers(mode, q); ok {
-			return out, nil
-		}
-	}
-	return p.inner.ConsistentAnswersWith(p.multiPred(q), mode, limit)
-}
-
-// ApproximateFactMarginals is Instance.ApproximateFactMarginals over
-// the prepared samplers.
-func (p *Prepared) ApproximateFactMarginals(ctx context.Context, mode Mode, opts ApproxOptions) ([]float64, error) {
-	out, _, err := p.ApproximateFactMarginalsAcct(ctx, mode, opts)
-	return out, err
-}
-
-// ApproximateFactMarginalsAcct is ApproximateFactMarginals with the
-// run's cost accounting.
-func (p *Prepared) ApproximateFactMarginalsAcct(ctx context.Context, mode Mode, opts ApproxOptions) ([]float64, Accounting, error) {
-	out, acct, err := p.Instance.approximateFactMarginals(ctx, p.samplersFor(mode), mode, opts)
-	p.recordUsage(acct)
-	return out, acct, err
-}
-
-// CountRepairs reuses the prepared block decomposition where available.
-func (p *Prepared) CountRepairs(singleton bool) *big.Int {
-	if bs := p.blockSampler(); bs != nil {
-		return bs.CountRepairs(singleton)
-	}
-	return p.Instance.CountRepairs(singleton)
-}
-
-// CountSequences reads |CRS| off the prepared DP tables where
-// available (no recomputation), falling back to the Instance path
-// otherwise.
-func (p *Prepared) CountSequences(singleton bool, limit int) (*big.Int, error) {
-	if ss := p.seqSampler(singleton); ss != nil {
-		return ss.Count(), nil
-	}
-	return p.Instance.CountSequences(singleton, limit)
 }
 
 // --- Weighted chains (the general Definition 3.5 mechanism) ---------------
@@ -1206,21 +1029,26 @@ func (in *Instance) FactMarginals(mode Mode, limit int) ([]FactMarginal, error) 
 // (Seed, Workers). Cancelling ctx stops the draws within one chunk per
 // worker and returns the context's error.
 func (in *Instance) ApproximateFactMarginals(ctx context.Context, mode Mode, opts ApproxOptions) ([]float64, error) {
-	out, _, err := in.approximateFactMarginals(ctx, preparedSamplers{}, mode, opts)
+	out, _, err := in.ApproximateFactMarginalsAcct(ctx, mode, opts)
 	return out, err
 }
 
-func (in *Instance) approximateFactMarginals(ctx context.Context, ps preparedSamplers, mode Mode, opts ApproxOptions) ([]float64, Accounting, error) {
+// ApproximateFactMarginalsAcct is ApproximateFactMarginals with the
+// run's cost accounting.
+func (in *Instance) ApproximateFactMarginalsAcct(ctx context.Context, mode Mode, opts ApproxOptions) ([]float64, Accounting, error) {
+	out, acct, err := in.approximateFactMarginals(ctx, mode, opts)
+	in.recordUsage(acct)
+	return out, acct, err
+}
+
+func (in *Instance) approximateFactMarginals(ctx context.Context, mode Mode, opts ApproxOptions) ([]float64, Accounting, error) {
 	opts.fillMarginals()
 	if err := in.checkApproximable(mode, opts.Force); err != nil {
 		return nil, Accounting{}, err
 	}
 	endCompile := engine.TraceFrom(ctx).StartSpan("compile")
-	newCounter, always, err := in.countingDrawer(ps, mode)
+	newCounter, always := in.countingDrawer(mode)
 	endCompile()
-	if err != nil {
-		return nil, Accounting{}, err
-	}
 	opts.Workers = engine.ResolveWorkers(opts.Workers, in.parallelHint(), int64(opts.MaxSamples))
 	counts, acct, err := engine.Marginals(ctx, newCounter, in.db.Len(), opts.MaxSamples, opts.Seed, opts.Workers)
 	if err != nil {
@@ -1243,33 +1071,26 @@ func (in *Instance) approximateFactMarginals(ctx context.Context, ps preparedSam
 // survival counter of each of its facts — plus the indices of facts
 // that survive every repair (only the block-based M^ur drawer skips
 // those per draw; the other modes count them like any other fact).
-// Prepared samplers are reused when available.
-func (in *Instance) countingDrawer(ps preparedSamplers, mode Mode) (func() engine.CountSampler, []int, error) {
+func (in *Instance) countingDrawer(mode Mode) (func() engine.CountSampler, []int) {
 	switch mode.Gen {
 	case UniformRepairs:
 		// The block decomposition is shared across workers (immutable,
 		// concurrency-safe); fixed facts are hoisted out of the hot
 		// loop entirely, so a draw costs O(#blocks), not O(‖D‖).
-		bs, err := in.blockOr(ps, mode)
-		if err != nil {
-			return nil, nil, err
-		}
+		bs := in.blockSampler()
 		return func() engine.CountSampler {
 			return func(rng *rand.Rand, counts []int) {
 				bs.AddRepairCounts(rng, mode.Singleton, counts)
 			}
-		}, bs.FixedIndices(), nil
+		}, bs.FixedIndices()
 	case UniformSequences:
-		ss, err := in.sequenceOr(ps, mode)
-		if err != nil {
-			return nil, nil, err
-		}
+		ss := in.seqSampler(mode.Singleton)
 		return func() engine.CountSampler {
 			return func(rng *rand.Rand, counts []int) {
 				_, res := ss.Sample(rng)
 				res.AddTo(counts)
 			}
-		}, nil, nil
+		}, nil
 	default:
 		// The walker carries per-walk mutable state: one instance per
 		// worker via the factory.
@@ -1278,6 +1099,6 @@ func (in *Instance) countingDrawer(ps preparedSamplers, mode Mode) (func() engin
 			return func(rng *rand.Rand, counts []int) {
 				walker.WalkAddCounts(rng, mode.Singleton, counts)
 			}
-		}, nil, nil
+		}, nil
 	}
 }

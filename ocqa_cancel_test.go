@@ -36,14 +36,14 @@ func TestApproximatePreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
-		_, err := inst.Approximate(ctx, ocqa.Mode{Gen: ocqa.UniformRepairs}, q, ocqa.ParseTuple("Alice"),
+		_, err := inst.Approximate(ctx, ocqa.Mode{Gen: ocqa.UniformSequences}, q, ocqa.ParseTuple("Alice"),
 			ocqa.ApproxOptions{Seed: 3, Workers: workers})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
 	}
 	// The AA estimator path observes the context too.
-	_, err = inst.Approximate(ctx, ocqa.Mode{Gen: ocqa.UniformRepairs}, q, ocqa.ParseTuple("Alice"),
+	_, err = inst.Approximate(ctx, ocqa.Mode{Gen: ocqa.UniformSequences}, q, ocqa.ParseTuple("Alice"),
 		ocqa.ApproxOptions{Seed: 3, UseAA: true})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("UseAA: err = %v, want context.Canceled", err)

@@ -9,6 +9,8 @@ import (
 	"math/big"
 	"math/rand"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -35,7 +37,7 @@ func TestInsertFactCopyOnWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ni, pos, err := inst.InsertFact(f)
+	ni, pos, err := inst.ApplyInsert(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +68,11 @@ func TestInsertFactCopyOnWrite(t *testing.T) {
 func TestDeleteFactRestoresCounts(t *testing.T) {
 	inst := mustInstance(t, "Emp(1,Alice)\nEmp(1,Tom)\nEmp(2,Bob)", "Emp: A1 -> A2")
 	f, _ := ocqa.ParseFact("Emp(2,Carol)")
-	ni, pos, err := inst.InsertFact(f)
+	ni, pos, err := inst.ApplyInsert(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ni.DeleteFact(pos)
+	back, err := ni.ApplyDelete(pos)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,16 +86,16 @@ func TestDeleteFactRestoresCounts(t *testing.T) {
 
 func TestMutationErrorsSurfaceSentinels(t *testing.T) {
 	inst := mustInstance(t, "Emp(1,Alice)", "Emp: A1 -> A2")
-	if _, _, err := inst.InsertFact(ocqa.Fact{Rel: "Emp", Args: []string{"1", "Alice"}}); !errors.Is(err, ocqa.ErrDuplicateFact) {
+	if _, _, err := inst.ApplyInsert(ocqa.Fact{Rel: "Emp", Args: []string{"1", "Alice"}}); !errors.Is(err, ocqa.ErrDuplicateFact) {
 		t.Fatalf("duplicate: %v", err)
 	}
-	if _, _, err := inst.InsertFact(ocqa.Fact{Rel: "Zz", Args: []string{"1"}}); !errors.Is(err, ocqa.ErrUnknownRelation) {
+	if _, _, err := inst.ApplyInsert(ocqa.Fact{Rel: "Zz", Args: []string{"1"}}); !errors.Is(err, ocqa.ErrUnknownRelation) {
 		t.Fatalf("unknown relation: %v", err)
 	}
-	if _, _, err := inst.InsertFact(ocqa.Fact{Rel: "Emp", Args: []string{"1"}}); !errors.Is(err, ocqa.ErrArityMismatch) {
+	if _, _, err := inst.ApplyInsert(ocqa.Fact{Rel: "Emp", Args: []string{"1"}}); !errors.Is(err, ocqa.ErrArityMismatch) {
 		t.Fatalf("arity: %v", err)
 	}
-	if _, err := inst.DeleteFact(5); !errors.Is(err, ocqa.ErrFactIndex) {
+	if _, err := inst.ApplyDelete(5); !errors.Is(err, ocqa.ErrFactIndex) {
 		t.Fatalf("index: %v", err)
 	}
 }
@@ -187,23 +189,26 @@ func TestLoadSnapshotRejectsFullLookupTable(t *testing.T) {
 	}
 }
 
-func TestPrepareLazyDefersConstruction(t *testing.T) {
-	inst := mustInstance(t, "Emp(1,Alice)\nEmp(1,Tom)\nEmp(2,Bob)", "Emp: A1 -> A2")
+// TestInstanceDefersConstruction: an instance builds no sampler until a
+// query needs one, then each at most once — the block decomposition on
+// first M^ur use, each sequence DP table on its first M^us use — and a
+// derived instance starts over, lazily.
+func TestInstanceDefersConstruction(t *testing.T) {
 	before := sampler.Constructions()
-	p := inst.PrepareLazy()
+	inst := mustInstance(t, "Emp(1,Alice)\nEmp(1,Tom)\nEmp(2,Bob)", "Emp: A1 -> A2")
 	if sampler.Constructions() != before {
-		t.Fatal("PrepareLazy built samplers eagerly")
+		t.Fatal("NewInstance built samplers eagerly")
 	}
 	// One violating block of size 2 (keep Alice, keep Tom, or delete
 	// the pair) and the conflict-free Bob: |CORep| = 3.
-	if got := p.CountRepairs(false); got.Cmp(big.NewInt(3)) != 0 {
+	if got := inst.CountRepairs(false); got.Cmp(big.NewInt(3)) != 0 {
 		t.Fatalf("CountRepairs = %v, want 3", got)
 	}
 	afterFirst := sampler.Constructions()
-	if afterFirst == before {
-		t.Fatal("first use did not build samplers")
+	if afterFirst != before+1 {
+		t.Fatalf("first block use built %d samplers, want 1", afterFirst-before)
 	}
-	if got := p.CountRepairs(false); got.Cmp(big.NewInt(3)) != 0 {
+	if got := inst.CountRepairs(false); got.Cmp(big.NewInt(3)) != 0 {
 		t.Fatalf("CountRepairs (repeat) = %v, want 3", got)
 	}
 	if sampler.Constructions() != afterFirst {
@@ -213,21 +218,35 @@ func TestPrepareLazyDefersConstruction(t *testing.T) {
 	// artifacts are lazy per generator, so the block-only use above did
 	// not pay for it...
 	q, _ := ocqa.ParseQuery("Ans(n) :- Emp(i, n)")
-	if _, err := p.Approximate(context.Background(), ocqa.Mode{Gen: ocqa.UniformSequences}, q, ocqa.ParseTuple("Alice"),
-		ocqa.ApproxOptions{MaxSamples: 2000}); err != nil {
-		t.Fatal(err)
+	seqQuery := func(in *ocqa.Instance) {
+		t.Helper()
+		if _, err := in.Approximate(context.Background(), ocqa.Mode{Gen: ocqa.UniformSequences}, q, ocqa.ParseTuple("Alice"),
+			ocqa.ApproxOptions{MaxSamples: 2000}); err != nil {
+			t.Fatal(err)
+		}
 	}
+	seqQuery(inst)
 	afterSeq := sampler.Constructions()
-	if afterSeq == afterFirst {
-		t.Fatal("first sequence-mode use did not build its sampler")
+	if afterSeq != afterFirst+1 {
+		t.Fatalf("first sequence-mode use built %d samplers, want 1", afterSeq-afterFirst)
 	}
 	// ...and repeating it is free.
-	if _, err := p.Approximate(context.Background(), ocqa.Mode{Gen: ocqa.UniformSequences}, q, ocqa.ParseTuple("Alice"),
-		ocqa.ApproxOptions{MaxSamples: 2000}); err != nil {
+	seqQuery(inst)
+	if sampler.Constructions() != afterSeq {
+		t.Fatal("repeated sequence use rebuilt samplers: laziness is not at-most-once")
+	}
+	// A mutation derives an instance without samplers; its first
+	// sequence-mode query builds exactly its own table.
+	ni, _, err := inst.ApplyInsert(mustFact(t, "Emp(2,Carol)"))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if sampler.Constructions() != afterSeq {
-		t.Fatal("repeated sequence use rebuilt samplers: laziness is not at-most-once")
+		t.Fatal("ApplyInsert built samplers eagerly")
+	}
+	seqQuery(ni)
+	if got := sampler.Constructions() - afterSeq; got != 1 {
+		t.Fatalf("derived instance's first sequence-mode use built %d samplers, want 1", got)
 	}
 }
 
@@ -251,7 +270,7 @@ func TestIsConsistentAlongLineage(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ni, _, err := inst.InsertFact(f)
+			ni, _, err := inst.ApplyInsert(f)
 			if errors.Is(err, ocqa.ErrDuplicateFact) {
 				continue
 			}
@@ -260,7 +279,7 @@ func TestIsConsistentAlongLineage(t *testing.T) {
 			}
 			inst = ni
 		} else {
-			ni, err := inst.DeleteFact(rng.Intn(inst.DB().Len()))
+			ni, err := inst.ApplyDelete(rng.Intn(inst.DB().Len()))
 			if err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
@@ -287,7 +306,7 @@ func TestIsConsistentAlongLineage(t *testing.T) {
 func TestApplyWriteAllocsFlat(t *testing.T) {
 	allocs := func(facts int) float64 {
 		w := workload.BlockDatabase(rand.New(rand.NewSource(3)), workload.UniformBlockSizes(facts/4, 4))
-		p := ocqa.NewInstance(w.DB, w.Sigma).PrepareLazy()
+		p := ocqa.NewInstance(w.DB, w.Sigma)
 		// Both constants exist, so the insert extends block k1 without
 		// cloning the symbol table.
 		f := ocqa.Fact{Rel: "R", Args: []string{"k1", "v0"}}
@@ -305,5 +324,75 @@ func TestApplyWriteAllocsFlat(t *testing.T) {
 	t.Logf("allocations per insert+delete: %.0f at 2k facts, %.0f at 20k", small, large)
 	if large > 2*small {
 		t.Fatalf("ApplyInsert+ApplyDelete allocations: %.0f at 20k facts vs %.0f at 2k, want within 2×", large, small)
+	}
+}
+
+// TestInstanceConcurrentFirstUse: 8 goroutines share one never-prepared
+// instance and race on everything it builds lazily — the block and
+// sequence samplers, the query cache, the factorized state — and on
+// deriving successors from it while those builds run. Every result must
+// equal a serial run's on a fresh instance. Run it under -race -count=10.
+func TestInstanceConcurrentFirstUse(t *testing.T) {
+	const facts = "Emp(1,Alice)\nEmp(1,Tom)\nEmp(1,Bob)\nEmp(2,Bob)\nEmp(3,Carol)\nEmp(3,Dan)"
+	q, err := ocqa.ParseQuery("Ans(n) :- Emp(i, n)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	// job g runs one generator's answers pass and one single-target
+	// estimate, then the same on a successor derived by an insert.
+	job := func(in *ocqa.Instance, g int) (string, error) {
+		mode := ocqa.Mode{Gen: []ocqa.Generator{ocqa.UniformRepairs, ocqa.UniformSequences}[g%2], Singleton: g%4 >= 2}
+		opts := ocqa.ApproxOptions{Seed: int64(g + 1), Workers: 1 + g%2}
+		var out strings.Builder
+		for step := 0; step < 2; step++ {
+			as, err := in.ApproximateAnswers(ctx, mode, q, opts)
+			if err != nil {
+				return "", err
+			}
+			e, err := in.Approximate(ctx, mode, q, ocqa.ParseTuple("Tom"), opts)
+			if err != nil {
+				return "", err
+			}
+			n, err := in.CountSequences(mode.Singleton, 0)
+			if err != nil {
+				return "", err
+			}
+			fmt.Fprintf(&out, "%v %v/%d %v;", len(as), e.Value, e.Samples, n)
+			for _, a := range as {
+				fmt.Fprintf(&out, " %v=%v/%d", a.Tuple, a.Estimate.Value, a.Estimate.Samples)
+			}
+			if in, _, err = in.ApplyInsert(ocqa.Fact{Rel: "Emp", Args: []string{"3", fmt.Sprintf("New%d_%d", g, step)}}); err != nil {
+				return "", err
+			}
+		}
+		return out.String(), nil
+	}
+	const goroutines = 8
+	want := make([]string, goroutines)
+	for g := range want {
+		if want[g], err = job(mustInstance(t, facts, "Emp: A1 -> A2"), g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shared := mustInstance(t, facts, "Emp: A1 -> A2")
+	got := make([]string, goroutines)
+	errs := make([]error, goroutines)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g], errs[g] = job(shared, g)
+		}(g)
+	}
+	wg.Wait()
+	for g := range got {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
+		if got[g] != want[g] {
+			t.Errorf("goroutine %d:\n got  %s\n want %s", g, got[g], want[g])
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	ocqa "repro"
+	"repro/internal/core"
 	"repro/internal/sampler"
 )
 
@@ -534,72 +535,65 @@ func TestApproximateFactMarginalsRefusal(t *testing.T) {
 
 // --- Prepared instances ---------------------------------------------------
 
-// checkFactorizedEstimate pins the contract of M^ur and M^{ur,1} on a
-// primary-key Prepared, where the block-factorized estimator answers
-// instead of the whole-instance FPRAS: the prepared estimate is the exact
-// probability (to float rounding) with zero draws, it is deterministic,
-// and the bare Instance's estimate lies within ε of it.
-func checkFactorizedEstimate(t *testing.T, label string, got, again, instance ocqa.Estimate, exact float64) {
+// checkFactorizedEstimate pins the contract of M^ur and M^{ur,1} under
+// primary keys, where the block-factorized estimator answers: the
+// estimate is the exact probability (to float rounding) with zero draws,
+// and it is deterministic.
+func checkFactorizedEstimate(t *testing.T, label string, got, again ocqa.Estimate, exact float64) {
 	t.Helper()
 	if math.Abs(got.Value-exact) > 1e-12 || got.Samples != 0 || got.Acct.Draws != 0 {
-		t.Errorf("%s: prepared estimate %+v, want exactly %v with 0 draws", label, got, exact)
+		t.Errorf("%s: estimate %+v, want exactly %v with 0 draws", label, got, exact)
 	}
 	if !sameEstimate(got, again) {
-		t.Errorf("%s: prepared estimate not deterministic: %+v then %+v", label, got, again)
-	}
-	if math.Abs(instance.Value-exact) > instance.Epsilon*exact {
-		t.Errorf("%s: instance estimate %v outside the ε-envelope of %v", label, instance.Value, exact)
+		t.Errorf("%s: estimate not deterministic: %+v then %+v", label, got, again)
 	}
 }
 
-// TestPreparedMatchesInstance: the sampler-reuse path must be
-// observationally identical to the one-shot path under a fixed seed —
-// bitwise for M^us, M^uo and the marginals; for M^ur and M^{ur,1}, which
-// the Prepared answers by block factorization, per
+// TestPreparedMatchesInstance: Prepare only moves the block
+// decomposition's construction earlier, so a never-prepared instance
+// and a separately Prepare()d one answer bit for bit alike — estimates,
+// draws, marginals and counts under every generator. Under M^ur and
+// M^{ur,1} both answer by block factorization, per
 // checkFactorizedEstimate.
 func TestPreparedMatchesInstance(t *testing.T) {
 	inst := figure2Instance(t)
-	p := inst.Prepare()
+	p := figure2Instance(t).Prepare()
 	q, err := ocqa.ParseQuery("Ans(y) :- R(x, y)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []ocqa.Mode{
-		{Gen: ocqa.UniformRepairs},
-		{Gen: ocqa.UniformRepairs, Singleton: true},
-		{Gen: ocqa.UniformSequences},
-		{Gen: ocqa.UniformSequences, Singleton: true},
-		{Gen: ocqa.UniformOperations},
-	} {
+	ctx := context.Background()
+	for _, mode := range core.AllModes() {
 		opts := ocqa.ApproxOptions{Seed: 17}
-		want, err := inst.Approximate(context.Background(), mode, q, ocqa.ParseTuple("b1"), opts)
+		want, err := inst.Approximate(ctx, mode, q, ocqa.ParseTuple("b1"), opts)
 		if err != nil {
 			t.Fatalf("%s: %v", mode.Symbol(), err)
 		}
-		got, err := p.Approximate(context.Background(), mode, q, ocqa.ParseTuple("b1"), opts)
+		got, err := p.Approximate(ctx, mode, q, ocqa.ParseTuple("b1"), opts)
 		if err != nil {
 			t.Fatalf("%s prepared: %v", mode.Symbol(), err)
 		}
+		if !sameEstimate(got, want) || got.Acct.Draws != want.Acct.Draws {
+			t.Errorf("%s: prepared estimate %+v != instance estimate %+v", mode.Symbol(), got, want)
+		}
 		if mode.Gen == ocqa.UniformRepairs {
-			again, err := p.Approximate(context.Background(), mode, q, ocqa.ParseTuple("b1"), opts)
+			again, err := p.Approximate(ctx, mode, q, ocqa.ParseTuple("b1"), opts)
 			if err != nil {
 				t.Fatalf("%s prepared: %v", mode.Symbol(), err)
 			}
-			exact, err := inst.ExactProbability(mode, q, ocqa.ParseTuple("b1"), 0)
+			exact, err := inst.Core().ExactProbability(mode, q, ocqa.ParseTuple("b1"), 0)
 			if err != nil {
 				t.Fatalf("%s exact: %v", mode.Symbol(), err)
 			}
 			ef, _ := exact.Float64()
-			checkFactorizedEstimate(t, mode.Symbol(), got, again, want, ef)
-		} else if got.Value != want.Value || got.Samples != want.Samples {
-			t.Errorf("%s: prepared estimate %+v != instance estimate %+v", mode.Symbol(), got, want)
+			checkFactorizedEstimate(t, mode.Symbol(), got, again, ef)
 		}
 
-		wantM, err := inst.ApproximateFactMarginals(context.Background(), mode, ocqa.ApproxOptions{Seed: 19, MaxSamples: 5000})
+		wantM, err := inst.ApproximateFactMarginals(ctx, mode, ocqa.ApproxOptions{Seed: 19, MaxSamples: 5000})
 		if err != nil {
 			t.Fatalf("%s marginals: %v", mode.Symbol(), err)
 		}
-		gotM, err := p.ApproximateFactMarginals(context.Background(), mode, ocqa.ApproxOptions{Seed: 19, MaxSamples: 5000})
+		gotM, err := p.ApproximateFactMarginals(ctx, mode, ocqa.ApproxOptions{Seed: 19, MaxSamples: 5000})
 		if err != nil {
 			t.Fatalf("%s prepared marginals: %v", mode.Symbol(), err)
 		}
@@ -627,33 +621,52 @@ func TestPreparedMatchesInstance(t *testing.T) {
 	}
 }
 
-// TestPreparedPerformsNoConstructions: after Prepare, estimation and
-// counting never rebuild a DP sampler.
+// TestPreparedPerformsNoConstructions pins the sampler-construction
+// contract of a registered primary-key instance: Prepare builds exactly
+// one sampler (the block decomposition); the first M^us and the first
+// M^{us,1} query build exactly one each (their sequence DP tables); and
+// no repeat — M^ur or M^us, estimates, marginals or counts — builds any.
 func TestPreparedPerformsNoConstructions(t *testing.T) {
-	p := figure2Instance(t).Prepare()
+	inst := figure2Instance(t)
 	q, err := ocqa.ParseQuery("Ans(y) :- R(x, y)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := sampler.Constructions()
+	step := func(what string, want int64, run func()) {
+		t.Helper()
+		before := sampler.Constructions()
+		run()
+		if got := sampler.Constructions() - before; got != want {
+			t.Errorf("%s: %d sampler constructions, want %d", what, got, want)
+		}
+	}
+	use := func(mode ocqa.Mode) func() {
+		return func() {
+			if _, err := inst.Approximate(context.Background(), mode, q, ocqa.ParseTuple("b1"), ocqa.ApproxOptions{Seed: 23, Workers: 4}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := inst.ApproximateFactMarginals(context.Background(), mode, ocqa.ApproxOptions{Seed: 23, MaxSamples: 2000}); err != nil {
+				t.Fatal(err)
+			}
+			inst.CountRepairs(mode.Singleton)
+			if _, err := inst.CountSequences(mode.Singleton, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	step("Prepare", 1, func() { inst.Prepare() })
+	step("first M^ur queries", 0, use(ocqa.Mode{Gen: ocqa.UniformRepairs}))
+	step("first M^us queries", 1, use(ocqa.Mode{Gen: ocqa.UniformSequences}))
+	step("first M^us,1 queries", 1, use(ocqa.Mode{Gen: ocqa.UniformSequences, Singleton: true}))
 	for _, mode := range []ocqa.Mode{
 		{Gen: ocqa.UniformRepairs},
+		{Gen: ocqa.UniformRepairs, Singleton: true},
+		{Gen: ocqa.UniformSequences},
 		{Gen: ocqa.UniformSequences, Singleton: true},
 	} {
-		if _, err := p.Approximate(context.Background(), mode, q, ocqa.ParseTuple("b1"), ocqa.ApproxOptions{Seed: 23, Workers: 4}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := p.ApproximateFactMarginals(context.Background(), mode, ocqa.ApproxOptions{Seed: 23, MaxSamples: 2000}); err != nil {
-			t.Fatal(err)
-		}
+		step("repeat "+mode.Symbol(), 0, use(mode))
 	}
-	p.CountRepairs(false)
-	if _, err := p.CountSequences(true, 0); err != nil {
-		t.Fatal(err)
-	}
-	if after := sampler.Constructions(); after != before {
-		t.Errorf("prepared instance rebuilt samplers: %d constructions", after-before)
-	}
+	step("repeat Prepare", 0, func() { inst.Prepare() })
 }
 
 // TestApproximateFactMarginalsRespectsMaxSamples: an explicit large

@@ -52,7 +52,7 @@ const (
 	// RouteCached: the result came from a cache; zero draws.
 	RouteCached = "cached"
 	// RouteDeltaExact: a stopping-rule M^ur query on a primary-key
-	// Prepared, cold or warm, whose every cluster of the block
+	// instance, fresh or derived, whose every cluster of the block
 	// decomposition is exactly enumerable — the block-factorized
 	// estimator answers exactly, from per-block factors, with zero draws
 	// (delta.go).
@@ -148,9 +148,9 @@ func mulSaturating(a, b int64) int64 {
 // single-tuple path (a candidate tuple or a Boolean query) versus the
 // shared multi-target answers pass. The same approximability matrix is
 // enforced as on the execution paths.
-func (p *Prepared) PlanApproximate(mode Mode, q *Query, single bool, opts ApproxOptions) (QueryPlan, error) {
+func (in *Instance) PlanApproximate(mode Mode, q *Query, single bool, opts ApproxOptions) (QueryPlan, error) {
 	opts.fill()
-	if err := p.checkApproximable(mode, opts.Force); err != nil {
+	if err := in.checkApproximable(mode, opts.Force); err != nil {
 		return QueryPlan{}, err
 	}
 	plan := QueryPlan{
@@ -158,9 +158,9 @@ func (p *Prepared) PlanApproximate(mode Mode, q *Query, single bool, opts Approx
 		Blocks:  -1,
 		Epsilon: opts.Epsilon,
 		Delta:   opts.Delta,
-		PMin:    p.worstCaseLowerBound(mode, q),
+		PMin:    in.worstCaseLowerBound(mode, q),
 	}
-	if bs := p.blockSampler(); bs != nil {
+	if bs := in.blockSampler(); bs != nil {
 		plan.Blocks = len(bs.Blocks())
 	}
 	if !single {
@@ -168,7 +168,7 @@ func (p *Prepared) PlanApproximate(mode Mode, q *Query, single bool, opts Approx
 		// compiled target count comes from the same per-fingerprint
 		// cache the execution path reads, so planning a query warms the
 		// compile the run then reuses.
-		plan.Targets = len(p.multiPred(q).Tuples())
+		plan.Targets = len(in.multiPred(q).Tuples())
 	}
 
 	switch {
@@ -227,9 +227,9 @@ func (p *Prepared) PlanApproximate(mode Mode, q *Query, single bool, opts Approx
 			return plan, nil
 		}
 	default:
-		if strata, ok := p.deltaPlanRoute(mode, q, opts); ok {
+		if strata, ok := in.deltaPlanRoute(mode, q, opts); ok {
 			// The block-factorized estimator will answer (see
-			// Prepared.Approximate): delta-exact computes per-block factors
+			// Instance.Approximate): delta-exact computes per-block factors
 			// with zero draws; delta-stratified draws at most the strata
 			// without reusable statistics, each under a (ε/S, δ/S)
 			// stopping rule.

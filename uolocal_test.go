@@ -15,7 +15,7 @@ import (
 // not an answer of Q(D), or of the wrong arity — has probability
 // exactly 0 by CQ monotonicity, so the adaptive estimators answer 0
 // with zero draws and a converged estimate instead of running to their
-// sample cap, on a bare Instance and a Prepared alike.
+// sample cap, on a never-prepared and a Prepare()d instance alike.
 func TestZeroWitnessTargetsDrawNothing(t *testing.T) {
 	ctx := context.Background()
 	// Primary keys, so that M^us and M^uo are FPRAS cells too.
@@ -46,7 +46,7 @@ func TestZeroWitnessTargetsDrawNothing(t *testing.T) {
 	for _, side := range []struct {
 		name string
 		est  estimator
-	}{{"instance", in}, {"prepared", in.Prepare()}} {
+	}{{"instance", in}, {"prepared", ocqa.NewInstance(in.DB(), in.Sigma()).Prepare()}} {
 		for _, mode := range []ocqa.Mode{
 			{Gen: ocqa.UniformRepairs},
 			{Gen: ocqa.UniformSequences},
@@ -72,7 +72,8 @@ func TestZeroWitnessTargetsDrawNothing(t *testing.T) {
 
 // TestUniformOperationsConcurrentDeterminism: single-target M^uo and
 // M^{uo,1} estimates repeat bit for bit per (Seed, Workers) when many
-// goroutines query one Prepared at once, and equal the bare Instance's.
+// goroutines query one Prepare()d instance at once, and equal a
+// never-prepared instance's.
 // Run it under -race -count=10: the workers of concurrent requests
 // share the instance's conflict adjacency.
 func TestUniformOperationsConcurrentDeterminism(t *testing.T) {
@@ -98,7 +99,7 @@ func TestUniformOperationsConcurrentDeterminism(t *testing.T) {
 			[]string{"Ans() :- R(x, 'hot', z)", "Ans() :- R(x, 'b5', z)", "Ans() :- R(x, 'b9', z), R(x2, 'b11', z2)"}},
 	} {
 		in := ocqa.NewInstance(w.inst.DB, w.inst.Sigma)
-		p := in.Prepare()
+		p := ocqa.NewInstance(w.inst.DB, w.inst.Sigma).Prepare()
 		for _, mode := range w.modes {
 			for _, qs := range w.queries {
 				q, err := ocqa.ParseQuery(qs)
