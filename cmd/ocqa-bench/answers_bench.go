@@ -97,7 +97,7 @@ func perTupleBaseline(ctx context.Context, inst *ocqa.Instance, mode ocqa.Mode, 
 }
 
 // inversionRuns is the number of alternating runs per side behind the
-// answers suite's worker-inversion gate.
+// answers and delta suites' worker-inversion gates.
 const inversionRuns = 5
 
 // medianRun returns the run with the median ns/op.

@@ -299,22 +299,26 @@ func runDeltaBenchmarks(outPath string, facts int) error {
 		return err
 	}
 	coldDraws := probeEst.Acct.Draws
-	coldApprox1 := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := coldApprox(1); err != nil {
-				b.Fatal(err)
+	coldApproxRun := func(workers int) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := coldApprox(workers); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
-	})
-	coldApproxAuto := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := coldApprox(engine.AutoWorkers); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
+	// The worker-inversion gate compares the two rungs of the ladder.
+	// One run per side lets host noise invert them, so each side is
+	// measured over alternating repeated runs and reported by its median
+	// run, as in the answers suite.
+	var runs1, runsAuto []testing.BenchmarkResult
+	for r := 0; r < inversionRuns; r++ {
+		runs1 = append(runs1, testing.Benchmark(coldApproxRun(1)))
+		runsAuto = append(runsAuto, testing.Benchmark(coldApproxRun(engine.AutoWorkers)))
+	}
+	coldApprox1, coldApproxAuto := medianRun(runs1), medianRun(runsAuto)
 	auto := int(engine.LastAutoWorkers())
 	if auto < 1 {
 		return fmt.Errorf("adaptive selection did not run (LastAutoWorkers = %d)", auto)

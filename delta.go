@@ -16,10 +16,17 @@ package ocqa
 //
 // with p_c the probability that some witness local to cluster c holds —
 // exactly enumerable over the cluster's small outcome product. A
-// single-fact mutation changes one block, hence one cluster's factor:
-// the others are served from a per-query factor cache keyed by the
-// cluster's block identities and content, and re-multiplied in
-// O(#clusters). The same decomposition drives the delta-stratified
+// single-fact mutation changes one block, hence only the clusters whose
+// witnesses read that block. Each target's decomposition — its clusters
+// in ascending order of their smallest member index, each with a
+// content signature — is built once per generation, shared by the run,
+// the planner and the server's refresh, and carried whole across a
+// mutation that leaves the target's images and blocks alone (see
+// touchedBy); a touched target is re-decomposed on first use. Either
+// way the clusters the write left alone keep their signatures, so their
+// factors are served from a per-query factor cache keyed by the
+// signature and re-multiplied in O(#clusters), in the same order, so
+// estimates stay bit-identical. The same decomposition drives the delta-stratified
 // estimator: clusters too large to enumerate are sampled per stratum
 // under a (ε/S, δ/S) stopping rule, and their draw statistics persist
 // across generations — after a mutation only the touched stratum is
@@ -32,23 +39,27 @@ package ocqa
 // (UseAA, UseChernoff, witness images past the cap, more than
 // deltaMaxSampledStrata sampled strata).
 //
-// The state is a fingerprint's deltaQuery in the instance's query cache.
-// ApplyInsert/ApplyDelete carry it into the derived instance, remapped
-// and refreshed: deleted witness images are dropped, inserted facts
-// discover their new images by the anchored homomorphism search
-// (core.AnchoredWitnesses) instead of a full re-enumeration, and fact
-// indices are shifted in place. The exact results are big.Rat-identical
+// The state is a fingerprint's deltaQuery in the instance's query cache:
+// its witness images grouped by answer tuple and, per tuple and
+// operation variant, the decomposition. ApplyInsert/ApplyDelete carry it
+// into the derived instance in one flat pass over the images: deleted
+// images are dropped, inserted facts discover their new images by the
+// anchored homomorphism search (core.AnchoredWitnesses) instead of a
+// full re-enumeration, fact indices are shifted, and every decomposition
+// the write left alone is carried. The exact results are big.Rat-identical
 // to the core enumeration engines (the oracle harness audits this); the
 // stratified estimates keep the requested (ε, δ) by a union bound over
 // strata, since the exact strata contribute no error and
 // |P̂ − P| ≤ Σ_sampled |p̂_c − p_c| ≤ (ε/S)·Σ_c p_c ≤ ε·P.
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"hash/fnv"
 	"math/big"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -109,11 +120,16 @@ func DeltaReusedDraws() int64 { return deltaReusedTotal.Load() }
 type deltaQuery struct {
 	mu sync.Mutex
 	q  *Query
-	// wits are the live witness images of the current generation,
-	// tagged with the answer tuple each witnesses. Maintained
-	// incrementally: remapped across every mutation's index shift,
-	// pruned on delete, extended by the anchored search on insert.
-	wits []core.Witness
+	// facts and offs hold the live witness images of the current
+	// generation: image w is the sorted fact indices
+	// facts[offs[w]:offs[w+1]]. They are maintained incrementally, in
+	// one flat pass per mutation: shifted across the index shift, pruned
+	// on delete, extended by the anchored search on insert.
+	facts []int32
+	offs  []int32
+	// targets groups the images by answer tuple, sorted by tuple key;
+	// each target's images are contiguous.
+	targets []deltaTarget
 	// overflow marks a fingerprint whose image count exceeded the cap
 	// (at compile time or through growth); every delta entry point then
 	// declines and the non-delta paths answer.
@@ -124,6 +140,30 @@ type deltaQuery struct {
 	// strata persists the sampled clusters' draw statistics across
 	// generations, keyed by the same signatures.
 	strata map[string]deltaStratum
+}
+
+// deltaTarget is one candidate answer tuple: its images, [lo, hi) in
+// the fingerprint's image list, and its decomposition under each
+// operation variant (dec[1] singleton), built on first use in a
+// generation or carried across the mutation that made it. Guarded by
+// the fingerprint's mu.
+type deltaTarget struct {
+	key    string
+	tuple  Tuple
+	lo, hi int32
+	dec    [2]*deltaDecomp
+}
+
+// image returns the fact indices of image w.
+func (dq *deltaQuery) image(w int32) []int32 { return dq.facts[dq.offs[w]:dq.offs[w+1]] }
+
+// target returns the tuple's target, nil when it has no image.
+func (dq *deltaQuery) target(key string) *deltaTarget {
+	i := sort.Search(len(dq.targets), func(i int) bool { return dq.targets[i].key >= key })
+	if i < len(dq.targets) && dq.targets[i].key == key {
+		return &dq.targets[i]
+	}
+	return nil
 }
 
 // deltaStratum is one sampled cluster's persisted statistics, with the
@@ -167,24 +207,34 @@ func newDeltaQuery(q *Query, mp *core.MultiPred) *deltaQuery {
 		factors: make(map[string]*big.Rat),
 		strata:  make(map[string]deltaStratum),
 	}
-	tuples := mp.Tuples()
-	total := 0
+	tuples := mp.Tuples() // sorted by tuple key
+	images, facts := 0, 0
 	for t := range tuples {
 		ws, ok := mp.TupleWitnesses(t)
-		if !ok {
+		if images += len(ws); !ok || images > deltaMaxWitnesses {
 			dq.overflow = true
-			dq.wits = nil
-			return dq
-		}
-		total += len(ws)
-		if total > deltaMaxWitnesses {
-			dq.overflow = true
-			dq.wits = nil
 			return dq
 		}
 		for _, w := range ws {
-			dq.wits = append(dq.wits, core.Witness{Tuple: tuples[t], Facts: append([]int(nil), w...)})
+			facts += len(w)
 		}
+	}
+	dq.facts = make([]int32, 0, facts)
+	dq.offs = make([]int32, 1, images+1)
+	dq.targets = make([]deltaTarget, 0, len(tuples))
+	for t := range tuples {
+		ws, _ := mp.TupleWitnesses(t)
+		if len(ws) == 0 {
+			continue
+		}
+		lo := int32(len(dq.offs) - 1)
+		for _, w := range ws {
+			for _, f := range w {
+				dq.facts = append(dq.facts, int32(f))
+			}
+			dq.offs = append(dq.offs, int32(len(dq.facts)))
+		}
+		dq.targets = append(dq.targets, deltaTarget{key: tuples[t].Key(), tuple: tuples[t], lo: lo, hi: int32(len(dq.offs) - 1)})
 	}
 	return dq
 }
@@ -197,11 +247,12 @@ func newDeltaQuery(q *Query, mp *core.MultiPred) *deltaQuery {
 // incrementally: the old ones are remapped across the index shift and
 // the new fact's are found by one scan of the rows that can share its
 // left-hand sides. The factorized state is carried over warm — witness
-// images are remapped and the inserted fact's new images are discovered
-// by the anchored homomorphism search, so the next query refreshes only
-// the touched block's factor (or stratum) instead of recomputing from
-// scratch. Samplers and witness-set compiles rebuild lazily. Fails with
-// ErrDuplicateFact, ErrUnknownRelation or ErrArityMismatch.
+// images are remapped, the inserted fact's new images are discovered by
+// the anchored homomorphism search, and every target decomposition the
+// insert leaves alone is kept, so the next query re-decomposes only the
+// targets whose images or blocks it touched. Samplers and witness-set
+// compiles rebuild lazily. Fails with ErrDuplicateFact,
+// ErrUnknownRelation or ErrArityMismatch.
 func (in *Instance) ApplyInsert(f Fact) (*Instance, int, error) {
 	inner, pos, err := in.inner.InsertFact(f)
 	if err != nil {
@@ -237,22 +288,36 @@ func (in *Instance) derive(inner *core.Instance, insertPos, deletePos int) *Inst
 		entries[i] = in.queries[k]
 	}
 	in.queryMu.Unlock()
+	var dc *decomposer
+	var written uint64
 	for i, e := range entries {
 		dq := e.delta.Load()
 		if dq == nil {
 			continue
 		}
+		if dc == nil {
+			// The written block, named off the database that holds its fact.
+			dc = ni.newDecomposer()
+			if insertPos >= 0 {
+				written = dc.blockHash(ni.db, insertPos)
+			} else {
+				written = dc.blockHash(in.db, deletePos)
+			}
+		}
 		ne := &queryEntry{q: dq.q}
-		ne.delta.Store(dq.deriveAcross(ni, insertPos, deletePos))
+		ne.delta.Store(dq.deriveAcross(dc, insertPos, deletePos, written))
 		ni.cache(keys[i], ne)
 	}
 	return ni
 }
 
-// deriveAcross produces the next generation of one fingerprint's state:
-// witness indices shifted, dead images dropped, anchored images
-// appended, caches carried.
-func (dq *deltaQuery) deriveAcross(ni *Instance, insertPos, deletePos int) *deltaQuery {
+// deriveAcross produces the next generation of one fingerprint's state
+// in one flat pass over its images: indices shifted, dead images
+// dropped, anchored images appended to their tuples' targets, and the
+// decompositions built in this generation carried where the write left
+// them alone. dc reads the successor's blocks; written names the
+// written block.
+func (dq *deltaQuery) deriveAcross(dc *decomposer, insertPos, deletePos int, written uint64) *deltaQuery {
 	dq.mu.Lock()
 	defer dq.mu.Unlock()
 	ndq := &deltaQuery{
@@ -270,107 +335,305 @@ func (dq *deltaQuery) deriveAcross(ni *Instance, insertPos, deletePos int) *delt
 	if ndq.overflow {
 		return ndq
 	}
-	for _, w := range dq.wits {
-		facts := make([]int, 0, len(w.Facts))
-		dead := false
-		for _, fi := range w.Facts {
-			switch {
-			case deletePos >= 0 && fi == deletePos:
-				dead = true
-			case deletePos >= 0 && fi > deletePos:
-				facts = append(facts, fi-1)
-			case insertPos >= 0 && fi >= insertPos:
-				facts = append(facts, fi+1)
-			default:
-				facts = append(facts, fi)
-			}
-		}
-		if !dead {
-			ndq.wits = append(ndq.wits, core.Witness{Tuple: w.Tuple, Facts: facts})
-		}
-	}
+	var fresh []core.Witness
+	var freshKeys []string
 	if insertPos >= 0 {
-		fresh, ok := ni.inner.AnchoredWitnesses(dq.q, insertPos, deltaMaxWitnesses)
-		if !ok {
+		var ok bool
+		if fresh, ok = dc.in.inner.AnchoredWitnesses(dq.q, insertPos, deltaMaxWitnesses); !ok {
 			ndq.overflow = true
-			ndq.wits = nil
 			return ndq
 		}
-		ndq.wits = append(ndq.wits, fresh...)
+		freshKeys = make([]string, len(fresh))
+		for i := range fresh {
+			freshKeys[i] = fresh[i].Tuple.Key()
+		}
+		sort.Stable(byTupleKey{fresh, freshKeys})
 	}
-	if len(ndq.wits) > deltaMaxWitnesses {
+	shift := func(f int32) int32 {
+		if deletePos >= 0 && int(f) > deletePos {
+			return f - 1
+		}
+		if insertPos >= 0 && int(f) >= insertPos {
+			return f + 1
+		}
+		return f
+	}
+	ndq.facts = make([]int32, 0, len(dq.facts)+2*len(fresh))
+	ndq.offs = make([]int32, 1, len(dq.offs)+len(fresh))
+	ndq.targets = make([]deltaTarget, 0, len(dq.targets)+len(fresh))
+	for i, j := 0, 0; i < len(dq.targets) || j < len(fresh); {
+		var old *deltaTarget
+		nt := deltaTarget{lo: int32(len(ndq.offs) - 1)}
+		if i < len(dq.targets) && (j == len(fresh) || dq.targets[i].key <= freshKeys[j]) {
+			old = &dq.targets[i]
+			nt.key, nt.tuple = old.key, old.tuple
+			i++
+		} else {
+			nt.key, nt.tuple = freshKeys[j], fresh[j].Tuple
+		}
+		if old != nil {
+		images:
+			for w := old.lo; w < old.hi; w++ {
+				start := len(ndq.facts)
+				for _, f := range dq.image(w) {
+					if int(f) == deletePos {
+						ndq.facts = ndq.facts[:start]
+						continue images
+					}
+					ndq.facts = append(ndq.facts, shift(f))
+				}
+				ndq.offs = append(ndq.offs, int32(len(ndq.facts)))
+			}
+		}
+		kept := int32(len(ndq.offs)-1) - nt.lo
+		for ; j < len(fresh) && freshKeys[j] == nt.key; j++ {
+			for _, f := range fresh[j].Facts {
+				ndq.facts = append(ndq.facts, int32(f))
+			}
+			ndq.offs = append(ndq.offs, int32(len(ndq.facts)))
+		}
+		if nt.hi = int32(len(ndq.offs) - 1); nt.hi == nt.lo {
+			continue
+		}
+		// Only a target whose images all survived and none arrived keeps
+		// its decompositions: its image numbering is unchanged, and its
+		// clusters hold no fact index.
+		if old != nil && kept == old.hi-old.lo && nt.hi == nt.lo+kept {
+			for v, dec := range old.dec {
+				if dec != nil && !dc.touchedBy(ndq, &nt, dec, written) {
+					nt.dec[v] = dec
+				}
+			}
+		}
+		ndq.targets = append(ndq.targets, nt)
+	}
+	if len(ndq.offs)-1 > deltaMaxWitnesses {
 		ndq.overflow = true
-		ndq.wits = nil
+		ndq.facts, ndq.offs, ndq.targets = nil, nil, nil
 	}
 	return ndq
 }
 
+// byTupleKey orders anchored images by tuple key; sorted stably it
+// keeps each tuple's images in the anchored search's order.
+type byTupleKey struct {
+	ws   []core.Witness
+	keys []string
+}
+
+func (b byTupleKey) Len() int           { return len(b.ws) }
+func (b byTupleKey) Less(i, j int) bool { return b.keys[i] < b.keys[j] }
+func (b byTupleKey) Swap(i, j int) {
+	b.ws[i], b.ws[j] = b.ws[j], b.ws[i]
+	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
+}
+
 // --- decomposition ---------------------------------------------------------
 
-// witReq is one witness's per-block requirements during decomposition:
-// the block roots it spans and the fact it needs kept in each.
-type witReq struct {
-	blocks []int
-	facts  []int
+// deltaBlock is one conflict block as a decomposition reads it.
+type deltaBlock struct {
+	members []int // sorted fact indices; members[0] is the block's root
+	hash    uint64
+	// Decomposition scratch: the union-find parent (nil at a root), a
+	// root's group and the block's position in its cluster (-1 until
+	// assigned).
+	up         *deltaBlock
+	group, pos int
 }
 
 // deltaCluster is one independent group of conflict blocks coupled by
-// witness images, with the witnesses' requirements rewritten to
-// (block position, member position) pairs.
+// witness images, with the images' requirements rewritten to (block
+// position, member position) pairs. Its content depends on the blocks'
+// facts only, never on indices. Immutable once built.
 type deltaCluster struct {
 	sig string
 	// radix[b] is block b's outcome count: m+1 pairwise (one survivor
 	// or none), m singleton (exactly one survivor).
 	radix []int
-	// reqs[w] lists witness w's requirements as {block, member} pairs;
-	// the witness holds iff every listed block's outcome keeps exactly
-	// the listed member.
+	// reqs[w] lists image w's requirements as {block, member} pairs;
+	// the image holds iff every listed block's outcome keeps exactly the
+	// listed member.
 	reqs [][][2]int
 	// outcomes is Π radix, saturated just past deltaExactOutcomes.
 	outcomes int64
+	// blocks are the sorted hashes of every block the cluster's images
+	// read: its coupled blocks and the singleton blocks of their fixed
+	// facts, which an insert can grow. A write into any of them changes
+	// the cluster.
+	blocks []uint64
 }
 
-// deltaDecomp is the evaluated decomposition of one (query, tuple)
-// target.
+// reads reports whether a write into the block hashing to h can change
+// the cluster.
+func (c *deltaCluster) reads(h uint64) bool {
+	_, found := slices.BinarySearch(c.blocks, h)
+	return found
+}
+
+// deltaDecomp is the decomposition of one target under one operation
+// variant. It holds no fact index, so it stays valid across a write
+// that leaves the target's images and blocks alone (see touchedBy).
 type deltaDecomp struct {
-	certain  bool // some witness uses only fixed facts: P = 1
+	// certain: image cert uses only fixed facts, so P = 1 and no cluster
+	// is built.
+	certain bool
+	cert    int32
+	// clusters in ascending order of their smallest member index.
 	clusters []deltaCluster
 }
 
-// decompose classifies the target's witnesses against the CURRENT block
-// structure — read live off the current database by BlockOf — and
-// groups coupled blocks into clusters. Block membership of a fact
-// is stable under primary keys (blocks never merge or split), which is
-// what makes content-addressed factor caching sound; block sizes and
-// fixedness are still recomputed here every time, because a mutation
-// can turn a fixed fact into a block fact and vice versa.
-func (in *Instance) decompose(wits []core.Witness, singleton bool) deltaDecomp {
-	var out deltaDecomp
-	var wreqs []witReq
-	rootOf := make(map[int]int)    // fact → block root (min member)
-	members := make(map[int][]int) // root → sorted block members
-	for _, w := range wits {
-		var wr witReq
-		impossible := false
-		for _, fi := range w.Facts {
-			root, ok := rootOf[fi]
-			if !ok {
-				blk := in.inner.BlockOf(fi)
-				root = blk[0]
-				for _, m := range blk {
-					rootOf[m] = root
-				}
-				members[root] = blk
+// decomposer reads one generation's block structure: it names blocks
+// (blockHash) and serves one decompose call, scanning each block at
+// most once.
+type decomposer struct {
+	in     *Instance
+	blocks map[int]*deltaBlock // fact → its block
+	keys   []relKey
+}
+
+// relKey is a keyed relation's primary key in Σ: the positions its
+// blocks agree on.
+type relKey struct {
+	rid int32
+	lhs []int
+}
+
+// newDecomposer resolves the keys of Σ's relations once, by id.
+func (in *Instance) newDecomposer() *decomposer {
+	dc := &decomposer{in: in, blocks: make(map[int]*deltaBlock)}
+	for _, phi := range in.sigma.FDs() {
+		if rid, ok := in.db.Symbols().Lookup(phi.Rel); ok {
+			dc.keys = append(dc.keys, relKey{rid, phi.LHS})
+		}
+	}
+	return dc
+}
+
+// blockHash names fact fi's conflict block by content: the row hash of
+// its relation and its values on the relation's primary key — every
+// attribute for a keyless relation, whose facts are singleton blocks.
+// db is the decomposer's database or its parent, which share a symbol
+// table. The name survives index shifts and needs no block scan. Equal
+// blocks hash equal; a collision can only make two blocks look alike,
+// and every use answers "alike" by rebuilding, never by reusing.
+func (dc *decomposer) blockHash(db *rel.Database, fi int) uint64 {
+	rid, row := db.RelID(fi), db.ArgIDs(fi)
+	for _, k := range dc.keys {
+		if k.rid == rid {
+			var buf [8]int32
+			key := buf[:0]
+			for _, a := range k.lhs {
+				key = append(key, row[a])
 			}
-			if len(members[root]) == 1 {
-				continue // fixed: survives every repair
+			return rel.HashRow(rid, key)
+		}
+	}
+	return rel.HashRow(rid, row)
+}
+
+// block returns fact fi's block, read live off the current database by
+// BlockOf.
+func (dc *decomposer) block(fi int) *deltaBlock {
+	b := dc.blocks[fi]
+	if b == nil {
+		b = &deltaBlock{members: dc.in.inner.BlockOf(fi), hash: dc.blockHash(dc.in.db, fi), group: -1, pos: -1}
+		for _, m := range b.members {
+			dc.blocks[m] = b
+		}
+	}
+	return b
+}
+
+// find returns the union-find root of b, halving the path.
+func find(b *deltaBlock) *deltaBlock {
+	for b.up != nil {
+		if b.up.up != nil {
+			b.up = b.up.up
+		}
+		b = b.up
+	}
+	return b
+}
+
+// decomposition returns the target's decomposition for this generation,
+// building it on first use. A nil target (a tuple without images) has
+// the empty one. Caller holds dq.mu.
+func (in *Instance) decomposition(dq *deltaQuery, t *deltaTarget, singleton bool) *deltaDecomp {
+	if t == nil {
+		return &deltaDecomp{}
+	}
+	v := 0
+	if singleton {
+		v = 1
+	}
+	if t.dec[v] == nil {
+		t.dec[v] = in.newDecomposer().decompose(dq, t, singleton)
+	}
+	return t.dec[v]
+}
+
+// touchedBy reports whether a write into the block hashing to written
+// can change dec, the decomposition of target t, whose images the write
+// left as they were: some cluster reads the block or, for a certain
+// target, a fact of the certain image lies in it — an insert there
+// leaves the fact unfixed.
+func (dc *decomposer) touchedBy(dq *deltaQuery, t *deltaTarget, dec *deltaDecomp, written uint64) bool {
+	if dec.certain {
+		for _, f := range dq.image(t.lo + dec.cert) {
+			if dc.blockHash(dc.in.db, int(f)) == written {
+				return true
+			}
+		}
+		return false
+	}
+	for i := range dec.clusters {
+		if dec.clusters[i].reads(written) {
+			return true
+		}
+	}
+	return false
+}
+
+// blockReq is one requirement of an image: keep fact f of block b.
+type blockReq struct {
+	b *deltaBlock
+	f int
+}
+
+// heldImage is an image that can hold, as decompose classified it: its
+// requirements reqs[req[0]:req[1]], the singleton blocks
+// fixed[fix[0]:fix[1]] it reads, and its group.
+type heldImage struct {
+	group    int
+	req, fix [2]int
+}
+
+// decompose classifies the target's images against the current block
+// structure and groups the blocks they couple into clusters, ascending
+// by root. Facts in singleton blocks survive every repair ("fixed"); an
+// image needing two facts of one block can never hold; an image of
+// fixed facts alone makes the target certain.
+func (dc *decomposer) decompose(dq *deltaQuery, t *deltaTarget, singleton bool) *deltaDecomp {
+	// Most decompositions are of a handful of images; these start on the
+	// stack.
+	var heldBuf [4]heldImage
+	var reqBuf [8]blockReq
+	var fixedBuf [8]*deltaBlock
+	var rootBuf [4]int
+	held, reqs, fixed, roots := heldBuf[:0], reqBuf[:0], fixedBuf[:0], rootBuf[:0]
+	for w := int32(0); w < t.hi-t.lo; w++ {
+		start, fixStart := len(reqs), len(fixed)
+		impossible := false
+		for _, f := range dq.image(t.lo + w) {
+			b := dc.block(int(f))
+			if len(b.members) == 1 {
+				fixed = append(fixed, b)
+				continue
 			}
 			found := false
-			for bi, r := range wr.blocks {
-				if r == root {
-					if wr.facts[bi] != fi {
-						impossible = true // two facts of one block
-					}
+			for _, r := range reqs[start:] {
+				if r.b == b {
+					impossible = r.f != int(f)
 					found = true
 					break
 				}
@@ -379,100 +642,99 @@ func (in *Instance) decompose(wits []core.Witness, singleton bool) deltaDecomp {
 				break
 			}
 			if !found {
-				wr.blocks = append(wr.blocks, root)
-				wr.facts = append(wr.facts, fi)
+				reqs = append(reqs, blockReq{b, int(f)})
 			}
 		}
-		if impossible {
-			continue
+		switch {
+		case impossible:
+			reqs, fixed = reqs[:start], fixed[:fixStart]
+		case len(reqs) == start:
+			return &deltaDecomp{certain: true, cert: w}
+		default:
+			held = append(held, heldImage{req: [2]int{start, len(reqs)}, fix: [2]int{fixStart, len(fixed)}})
 		}
-		if len(wr.blocks) == 0 {
-			out.certain = true
-			return out
-		}
-		wreqs = append(wreqs, wr)
 	}
-	if len(wreqs) == 0 {
-		return out
-	}
-	// Union-find over block roots: witnesses couple the blocks they
-	// span.
-	parent := make(map[int]int)
-	var find func(int) int
-	find = func(x int) int {
-		if parent[x] != x {
-			parent[x] = find(parent[x])
-		}
-		return parent[x]
-	}
-	for _, wr := range wreqs {
-		for _, r := range wr.blocks {
-			if _, ok := parent[r]; !ok {
-				parent[r] = r
+	// Union-find over the coupled blocks: images couple the blocks they
+	// require. Then group the images by their blocks' root, each group
+	// rooted at the smallest member index of its blocks.
+	for _, h := range held {
+		rs := reqs[h.req[0]:h.req[1]]
+		first := find(rs[0].b)
+		for _, r := range rs[1:] {
+			if x := find(r.b); x != first {
+				x.up = first
 			}
 		}
-		for _, r := range wr.blocks[1:] {
-			parent[find(r)] = find(wr.blocks[0])
+	}
+	for k := range held {
+		h := &held[k]
+		rs := reqs[h.req[0]:h.req[1]]
+		r := find(rs[0].b)
+		if r.group < 0 {
+			r.group = len(roots)
+			roots = append(roots, rs[0].b.members[0])
 		}
+		for _, q := range rs {
+			roots[r.group] = min(roots[r.group], q.b.members[0])
+		}
+		h.group = r.group
 	}
-	grouped := make(map[int][]witReq)
-	for _, wr := range wreqs {
-		g := find(wr.blocks[0])
-		grouped[g] = append(grouped[g], wr)
+	// Distinct groups have distinct roots, so ordering the images by
+	// their group's root lays the groups out in cluster order.
+	slices.SortStableFunc(held, func(a, b heldImage) int { return cmp.Compare(roots[a.group], roots[b.group]) })
+	dec := &deltaDecomp{clusters: make([]deltaCluster, 0, len(roots))}
+	for lo := 0; lo < len(held); {
+		hi := lo + 1
+		for hi < len(held) && held[hi].group == held[lo].group {
+			hi++
+		}
+		dec.clusters = append(dec.clusters, dc.buildCluster(held[lo:hi], reqs, fixed, singleton))
+		lo = hi
 	}
-	groups := make([]int, 0, len(grouped))
-	for g := range grouped {
-		groups = append(groups, g)
-	}
-	sort.Ints(groups)
-	for _, g := range groups {
-		out.clusters = append(out.clusters, buildCluster(in.db, members, grouped[g], singleton))
-	}
-	return out
+	return dec
 }
 
-// buildCluster canonicalises one cluster: blocks sorted by root,
-// requirements rewritten to (block, member) positions, and the content
-// signature composed from the block identities — each member's interned
-// relation and argument ids, stable across a lineage's append-only
-// symbol tables — plus the requirement structure and the operation
-// variant. The signature is the "(block id, block content)" key of the
-// factor cache; it is an exact rendering rather than a hash, so a
-// collision can never serve a stale factor.
-func buildCluster(db *rel.Database, members map[int][]int, wreqs []witReq, singleton bool) deltaCluster {
-	rootSet := make(map[int]bool)
-	for _, wr := range wreqs {
-		for _, r := range wr.blocks {
-			rootSet[r] = true
+// buildCluster canonicalises the cluster of the given images: blocks
+// sorted by root, requirements rewritten to (block, member) positions,
+// and the content signature composed from the block identities — each
+// member's interned relation and argument ids, stable across a
+// lineage's shared symbol table — plus the requirement structure and
+// the operation variant. The signature is the "(block id, block
+// content)" key of the factor cache; it is an exact rendering rather
+// than a hash, so a collision can never serve a stale factor.
+func (dc *decomposer) buildCluster(imgs []heldImage, reqs []blockReq, fixed []*deltaBlock, singleton bool) deltaCluster {
+	db := dc.in.db
+	var blocks []*deltaBlock
+	nfixed := 0
+	for _, h := range imgs {
+		for _, r := range reqs[h.req[0]:h.req[1]] {
+			if r.b.pos < 0 {
+				r.b.pos = 0
+				blocks = append(blocks, r.b)
+			}
 		}
+		nfixed += h.fix[1] - h.fix[0]
 	}
-	roots := make([]int, 0, len(rootSet))
-	for r := range rootSet {
-		roots = append(roots, r)
-	}
-	sort.Ints(roots)
-	blockPos := make(map[int]int, len(roots))
-	memberPos := make(map[int]int)
-	var c deltaCluster
+	slices.SortFunc(blocks, func(a, b *deltaBlock) int { return cmp.Compare(a.members[0], b.members[0]) })
+	c := deltaCluster{radix: make([]int, len(blocks)), blocks: make([]uint64, 0, len(blocks)+nfixed)}
 	var sig strings.Builder
 	if singleton {
 		sig.WriteString("s|")
 	}
 	outcomes := int64(1)
-	for bp, r := range roots {
-		blockPos[r] = bp
-		ms := members[r]
-		radix := len(ms) + 1
+	for bp, b := range blocks {
+		b.pos = bp
+		c.blocks = append(c.blocks, b.hash)
+		radix := len(b.members) + 1
 		if singleton {
-			radix = len(ms)
+			radix = len(b.members)
 		}
-		c.radix = append(c.radix, radix)
+		c.radix[bp] = radix
 		if outcomes <= deltaExactOutcomes {
 			outcomes *= int64(radix)
 		}
 		sig.WriteString("b")
-		for mi, fi := range ms {
-			memberPos[fi] = mi
+		for _, fi := range b.members {
 			sig.WriteString(" ")
 			sig.WriteString(strconv.Itoa(int(db.RelID(fi))))
 			for _, a := range db.ArgIDs(fi) {
@@ -483,29 +745,39 @@ func buildCluster(db *rel.Database, members map[int][]int, wreqs []witReq, singl
 		sig.WriteString("|")
 	}
 	c.outcomes = outcomes
-	reqStrs := make([]string, 0, len(wreqs))
-	for _, wr := range wreqs {
-		pairs := make([][2]int, 0, len(wr.blocks))
-		for i, r := range wr.blocks {
-			pairs = append(pairs, [2]int{blockPos[r], memberPos[wr.facts[i]]})
+	// The singleton blocks the images read besides the coupled ones.
+	for _, h := range imgs {
+		for _, b := range fixed[h.fix[0]:h.fix[1]] {
+			c.blocks = append(c.blocks, b.hash)
 		}
-		sort.Slice(pairs, func(i, j int) bool {
-			if pairs[i][0] != pairs[j][0] {
-				return pairs[i][0] < pairs[j][0]
-			}
-			return pairs[i][1] < pairs[j][1]
-		})
-		var rs strings.Builder
-		for _, pr := range pairs {
-			rs.WriteString(strconv.Itoa(pr[0]))
-			rs.WriteString(":")
-			rs.WriteString(strconv.Itoa(pr[1]))
-			rs.WriteString(" ")
-		}
-		c.reqs = append(c.reqs, pairs)
-		reqStrs = append(reqStrs, rs.String())
 	}
-	sort.Strings(reqStrs)
+	slices.Sort(c.blocks)
+	c.blocks = slices.Compact(c.blocks)
+	c.reqs = make([][][2]int, len(imgs))
+	reqStrs := make([]string, len(imgs))
+	for w, h := range imgs {
+		rs := reqs[h.req[0]:h.req[1]]
+		pairs := make([][2]int, len(rs))
+		for k, r := range rs {
+			pairs[k] = [2]int{r.b.pos, sort.SearchInts(r.b.members, r.f)}
+		}
+		slices.SortFunc(pairs, func(p, q [2]int) int {
+			if p[0] != q[0] {
+				return cmp.Compare(p[0], q[0])
+			}
+			return cmp.Compare(p[1], q[1])
+		})
+		var rstr strings.Builder
+		for _, pr := range pairs {
+			rstr.WriteString(strconv.Itoa(pr[0]))
+			rstr.WriteString(":")
+			rstr.WriteString(strconv.Itoa(pr[1]))
+			rstr.WriteString(" ")
+		}
+		c.reqs[w] = pairs
+		reqStrs[w] = rstr.String()
+	}
+	slices.Sort(reqStrs)
 	sig.WriteString("w")
 	for _, rs := range reqStrs {
 		sig.WriteString(";")
@@ -588,13 +860,13 @@ func (c *deltaCluster) newDraw() func() engine.Sampler {
 
 // --- exact delta path ------------------------------------------------------
 
-// deltaFactors decomposes the target and serves every enumerable
-// cluster's complement 1 − p_c — from the cache when its content is
-// unchanged, else by enumeration, then cached — alongside the clusters
-// too large to enumerate. certain reports a witness of fixed facts alone
-// (P = 1). Caller holds dq.mu.
-func (in *Instance) deltaFactors(dq *deltaQuery, wits []core.Witness, singleton bool) (certain bool, factors []*big.Rat, sampled []*deltaCluster) {
-	dec := in.decompose(wits, singleton)
+// deltaFactors serves every enumerable cluster of the target's
+// decomposition its complement 1 − p_c — from the cache when its
+// content is unchanged, else by enumeration, then cached — alongside the
+// clusters too large to enumerate. certain reports an image of fixed
+// facts alone (P = 1). Caller holds dq.mu.
+func (in *Instance) deltaFactors(dq *deltaQuery, t *deltaTarget, singleton bool) (certain bool, factors []*big.Rat, sampled []*deltaCluster) {
+	dec := in.decomposition(dq, t, singleton)
 	for i := range dec.clusters {
 		c := &dec.clusters[i]
 		f, ok := dq.factors[c.sig]
@@ -616,8 +888,8 @@ func (in *Instance) deltaFactors(dq *deltaQuery, wits []core.Witness, singleton 
 // deltaExactTarget computes the target's exact probability from the
 // factors. ok=false when some cluster exceeds the enumeration cap (the
 // caller falls back to the classic engines). Caller holds dq.mu.
-func (in *Instance) deltaExactTarget(dq *deltaQuery, wits []core.Witness, singleton bool) (*big.Rat, bool) {
-	certain, factors, sampled := in.deltaFactors(dq, wits, singleton)
+func (in *Instance) deltaExactTarget(dq *deltaQuery, t *deltaTarget, singleton bool) (*big.Rat, bool) {
+	certain, factors, sampled := in.deltaFactors(dq, t, singleton)
 	if len(sampled) > 0 {
 		return nil, false
 	}
@@ -642,7 +914,7 @@ func (in *Instance) deltaExactProbability(q *Query, c Tuple, singleton bool) (*b
 	}
 	dq.mu.Lock()
 	defer dq.mu.Unlock()
-	return in.deltaExactTarget(dq, dq.witsOf(c.Key()), singleton)
+	return in.deltaExactTarget(dq, dq.target(c.Key()), singleton)
 }
 
 // deltaConsistentAnswers computes the exact operational consistent
@@ -660,51 +932,16 @@ func (in *Instance) deltaConsistentAnswers(mode Mode, q *Query) ([]ConsistentAns
 	}
 	dq.mu.Lock()
 	defer dq.mu.Unlock()
-	keys, tuples, byKey := dq.liveTuples()
-	out := make([]ConsistentAnswer, 0, len(keys))
-	for i, k := range keys {
-		r, ok := in.deltaExactTarget(dq, byKey[k], mode.Singleton)
+	out := make([]ConsistentAnswer, 0, len(dq.targets))
+	for i := range dq.targets {
+		t := &dq.targets[i]
+		r, ok := in.deltaExactTarget(dq, t, mode.Singleton)
 		if !ok {
 			return nil, false
 		}
-		out = append(out, ConsistentAnswer{Tuple: tuples[i], Prob: r})
+		out = append(out, ConsistentAnswer{Tuple: t.tuple, Prob: r})
 	}
 	return out, true
-}
-
-// witsOf returns the live witness images of one tuple. Caller holds
-// dq.mu.
-func (dq *deltaQuery) witsOf(tupleKey string) []core.Witness {
-	var out []core.Witness
-	for _, w := range dq.wits {
-		if w.Tuple.Key() == tupleKey {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
-// liveTuples groups the current generation's witness images by answer
-// tuple and returns the candidate tuples sorted by key — the order
-// every exact consumer uses. Caller holds dq.mu.
-func (dq *deltaQuery) liveTuples() ([]string, []Tuple, map[string][]core.Witness) {
-	byKey := make(map[string][]core.Witness)
-	tupOf := make(map[string]Tuple)
-	for _, w := range dq.wits {
-		k := w.Tuple.Key()
-		byKey[k] = append(byKey[k], w)
-		tupOf[k] = w.Tuple
-	}
-	keys := make([]string, 0, len(byKey))
-	for k := range byKey {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	tuples := make([]Tuple, len(keys))
-	for i, k := range keys {
-		tuples[i] = tupOf[k]
-	}
-	return keys, tuples, byKey
 }
 
 // --- stratified delta path -------------------------------------------------
@@ -717,10 +954,10 @@ func (dq *deltaQuery) liveTuples() ([]string, []Tuple, map[string][]core.Witness
 // the split as Acct.Draws (fresh) vs Acct.ReusedDraws. opts must be
 // filled; opts.MaxSamples caps the fresh draws exactly. ok=false routes
 // the caller to the classic estimator. Caller holds dq.mu.
-func (in *Instance) deltaApproxTarget(ctx context.Context, dq *deltaQuery, wits []core.Witness, mode Mode, opts ApproxOptions) (Estimate, bool, error) {
+func (in *Instance) deltaApproxTarget(ctx context.Context, dq *deltaQuery, t *deltaTarget, mode Mode, opts ApproxOptions) (Estimate, bool, error) {
 	end := engine.TraceFrom(ctx).StartSpan("delta-refresh")
 	defer end()
-	certain, factors, sampled := in.deltaFactors(dq, wits, mode.Singleton)
+	certain, factors, sampled := in.deltaFactors(dq, t, mode.Singleton)
 	if len(sampled) > deltaMaxSampledStrata {
 		return Estimate{}, false, nil
 	}
@@ -821,8 +1058,8 @@ func (in *Instance) deltaRoute(ctx context.Context, mode Mode, q *Query, opts Ap
 // would answer the query under these options and with how many sampled
 // strata (the max over targets; 0 means every cluster is exactly
 // enumerable — the zero-draw delta-exact route). Like the rest of the
-// planner it warms the compile the run then reuses; it never mutates the
-// factor or stratum caches.
+// planner it warms the compile and the decompositions the run then
+// reuses; it never mutates the factor or stratum caches.
 func (in *Instance) deltaPlanRoute(mode Mode, q *Query, opts ApproxOptions) (int, bool) {
 	dq := in.deltaRoute(context.Background(), mode, q, opts)
 	if dq == nil {
@@ -830,10 +1067,9 @@ func (in *Instance) deltaPlanRoute(mode Mode, q *Query, opts ApproxOptions) (int
 	}
 	dq.mu.Lock()
 	defer dq.mu.Unlock()
-	_, _, byKey := dq.liveTuples()
 	maxStrata := 0
-	for _, wits := range byKey {
-		dec := in.decompose(wits, mode.Singleton)
+	for i := range dq.targets {
+		dec := in.decomposition(dq, &dq.targets[i], mode.Singleton)
 		if dec.certain {
 			continue
 		}
@@ -875,7 +1111,7 @@ func (in *Instance) deltaApproximate(ctx context.Context, mode Mode, q *Query, c
 	}
 	dq.mu.Lock()
 	defer dq.mu.Unlock()
-	return in.deltaApproxTarget(ctx, dq, dq.witsOf(c.Key()), mode, opts)
+	return in.deltaApproxTarget(ctx, dq, dq.target(c.Key()), mode, opts)
 }
 
 // deltaApproximateAnswers is the factorized routing of the answers
@@ -888,14 +1124,14 @@ func (in *Instance) deltaApproximateAnswers(ctx context.Context, mode Mode, q *Q
 	opts.fill()
 	dq.mu.Lock()
 	defer dq.mu.Unlock()
-	keys, tuples, byKey := dq.liveTuples()
-	out := make([]ApproxAnswer, 0, len(keys))
+	out := make([]ApproxAnswer, 0, len(dq.targets))
 	var total Accounting
-	for i, k := range keys {
+	for i := range dq.targets {
+		t := &dq.targets[i]
 		// MaxSamples caps the pass as a whole, as it does the shared pass.
 		o := opts
 		o.MaxSamples -= int(total.Draws)
-		e, ok, err := in.deltaApproxTarget(ctx, dq, byKey[k], mode, o)
+		e, ok, err := in.deltaApproxTarget(ctx, dq, t, mode, o)
 		if !ok {
 			return nil, Accounting{}, false, nil
 		}
@@ -906,7 +1142,7 @@ func (in *Instance) deltaApproximateAnswers(ctx context.Context, mode Mode, q *Q
 		if err != nil {
 			return out, total, true, err
 		}
-		out = append(out, ApproxAnswer{Tuple: tuples[i], Estimate: e})
+		out = append(out, ApproxAnswer{Tuple: t.tuple, Estimate: e})
 	}
 	return out, total, true, nil
 }

@@ -11,6 +11,8 @@ import (
 	"testing"
 
 	ocqa "repro"
+	"repro/internal/fd"
+	"repro/internal/rel"
 )
 
 // deltaModes are the generator modes the delta engine serves.
@@ -652,5 +654,73 @@ func TestQueryCacheBoundAcrossLineage(t *testing.T) {
 	if ocqa.DeltaFactorCacheMisses() != misses+1 || ocqa.DeltaFactorCacheHits() != hits {
 		t.Errorf("oldest fingerprint still cached: hits +%d, misses +%d",
 			ocqa.DeltaFactorCacheHits()-hits, ocqa.DeltaFactorCacheMisses()-misses)
+	}
+}
+
+// TestDeltaStratifiedRefreshAllocsNearExact guards the cost shape of a
+// write's refresh on the -delta bench fixture (two 64-fact hot blocks
+// beside 4-fact blocks): a write away from the hot blocks followed by
+// re-estimating the 4,096-image stratified query must allocate within
+// 2× of the same write followed by a single-block exact query. The
+// write leaves the sampled cluster's blocks alone, so its decomposition
+// is carried and its stored stratum reused; only the flat remap of the
+// images depends on their number. Re-decomposing them costs some 300×.
+func TestDeltaStratifiedRefreshAllocsNearExact(t *testing.T) {
+	var facts []ocqa.Fact
+	for _, h := range []string{"h0", "h1"} {
+		for i := 0; i < 64; i++ {
+			facts = append(facts, ocqa.Fact{Rel: "R", Args: []string{h, fmt.Sprintf("v%d", i)}})
+		}
+	}
+	for b := 0; len(facts) < 2000; b++ {
+		for i := 0; i < 4; i++ {
+			facts = append(facts, ocqa.Fact{Rel: "R", Args: []string{fmt.Sprintf("k%d", b), fmt.Sprintf("v%d", i)}})
+		}
+	}
+	sch := rel.MustSchema(rel.NewRelation("R", 2))
+	sigma := fd.MustSet(sch, fd.New("R", []int{0}, []int{1}))
+	db := rel.NewDatabase(facts...)
+	mode := ocqa.Mode{Gen: ocqa.UniformRepairs}
+	ctx := context.Background()
+	hotQ := mustQuery(t, "Ans() :- R('h0', x), R('h1', y)")
+	probeQ := mustQuery(t, "Ans() :- R('k0', x)")
+	opts := ocqa.ApproxOptions{Epsilon: 0.1, Delta: 0.05, Seed: 11}
+	allocs := func(query func(*ocqa.Instance) error) float64 {
+		cur := ocqa.NewInstance(db, sigma)
+		if err := query(cur); err != nil {
+			t.Fatal(err)
+		}
+		pos, have, i := 0, false, 0
+		return testing.AllocsPerRun(40, func() {
+			var err error
+			if !have {
+				i++
+				cur, pos, err = cur.ApplyInsert(ocqa.Fact{Rel: "R", Args: []string{"k3", fmt.Sprintf("w%d", i)}})
+			} else {
+				cur, err = cur.ApplyDelete(pos)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			have = !have
+			if err := query(cur); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	strat := allocs(func(in *ocqa.Instance) error {
+		e, err := in.Approximate(ctx, mode, hotQ, ocqa.Tuple{}, opts)
+		if err == nil && in.DB().Len() != db.Len() && e.Acct.Draws != 0 {
+			err = fmt.Errorf("the write redrew the untouched stratum: %d fresh draws", e.Acct.Draws)
+		}
+		return err
+	})
+	exact := allocs(func(in *ocqa.Instance) error {
+		_, err := in.ExactProbability(mode, probeQ, ocqa.Tuple{}, 0)
+		return err
+	})
+	t.Logf("allocations per write + query: %.0f stratified (4,096 images), %.0f exact (4 images)", strat, exact)
+	if strat > 2*exact {
+		t.Fatalf("write + stratified re-estimate: %.0f allocations, write + exact query: %.0f, want within 2×", strat, exact)
 	}
 }

@@ -7,8 +7,10 @@ package core
 // they are remapped across the index shift in one pass (the shift is
 // monotone, so they stay sorted), and an inserted fact's partners come
 // from one Sigma.ConflictsOf scan, merged in linearly. What remains per
-// write is O(‖D‖) copying: the database columns and fact table
-// (rel.Database.Insert/Remove) and the pair remap. Both are
+// write is O(‖D‖) copying: the database columns, the pair remap, and one
+// pass deriving the fact table from the parent's
+// (rel.Database.Insert/Remove); an unseen constant is interned into the
+// lineage's shared symbol table, not copied with it. All of it is
 // copy-on-write: the receiver, its database and its conflict pairs are
 // never mutated, so in-flight readers of the old instance are
 // unaffected.

@@ -3,6 +3,7 @@ package rel
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -129,12 +130,20 @@ func TestInternedLookupMatchesLinearScan(t *testing.T) {
 }
 
 // TestSymbolsSharingAcrossMutations checks the copy-on-write contract:
-// inserting a fact made of known strings shares the parent's symbol
-// table, inserting an unseen string clones it, and the parent is
-// unchanged either way.
+// every insert shares the parent's symbol table — an unseen string is
+// interned into it, not into a copy — and the parent's facts and ids
+// are unchanged either way.
 func TestSymbolsSharingAcrossMutations(t *testing.T) {
 	d := NewDatabase(NewFact("R", "a"), NewFact("R", "b"))
 	before := d.Symbols().Len()
+	ids := func(db *Database) [][]int32 {
+		var out [][]int32
+		for i := 0; i < db.Len(); i++ {
+			out = append(out, append([]int32{db.RelID(i)}, db.ArgIDs(i)...))
+		}
+		return out
+	}
+	wantIDs, wantStr := ids(d), d.String()
 
 	nd, _, ok := d.Insert(NewFact("R", "a"))
 	if ok || nd != d {
@@ -156,18 +165,63 @@ func TestSymbolsSharingAcrossMutations(t *testing.T) {
 		t.Fatalf("insert of known strings must share the symbol table")
 	}
 
-	// Unseen string: clone, parent untouched.
+	// Unseen string: interned into the shared table.
 	grown, _, ok := d.Insert(NewFact("R", "zzz"))
 	if !ok {
 		t.Fatalf("insert of new fact failed")
 	}
-	if grown.Symbols() == d.Symbols() {
-		t.Fatalf("insert of an unseen string must clone the symbol table")
+	if grown.Symbols() != d.Symbols() {
+		t.Fatalf("insert of an unseen string must share the symbol table")
 	}
-	if d.Symbols().Len() != before {
-		t.Fatalf("parent symbol table grew from %d to %d", before, d.Symbols().Len())
+	if got := d.Symbols().Len(); got != before+1 {
+		t.Fatalf("shared symbol table has %d symbols after one unseen string, want %d", got, before+1)
 	}
-	if _, ok := d.Symbols().Lookup("zzz"); ok {
-		t.Fatalf("parent symbol table learned the child's string")
+	if id, ok := d.Symbols().Lookup("zzz"); !ok || grown.ArgIDs(grown.IndexOf(NewFact("R", "zzz")))[0] != id {
+		t.Fatalf("unseen string not interned under the id the child uses")
+	}
+	if got := ids(d); !reflect.DeepEqual(got, wantIDs) || d.String() != wantStr {
+		t.Fatalf("parent changed: ids %v %s, want %v %s", got, d, wantIDs, wantStr)
+	}
+	if d.Contains(NewFact("R", "zzz")) || d.Len() != 2 {
+		t.Fatalf("parent gained the child's fact")
+	}
+	if !grown.Restrict(grown.FullSubset()).Equal(grown) {
+		t.Fatalf("child does not equal its own restriction")
+	}
+}
+
+// TestSymbolsInternNeverWritesIntoSource: a table adopts a decoded
+// string column without copying, so interning into it must never write
+// into that column's spare capacity — nor into the column of the table
+// whose Strings() it was rebuilt from.
+func TestSymbolsInternNeverWritesIntoSource(t *testing.T) {
+	buf := make([]string, 2, 8)
+	buf[0], buf[1] = "a", "b"
+	s, err := NewSymbolsFromStrings(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id := s.Intern("c"); id != 2 || s.Str(2) != "c" {
+		t.Fatalf("Intern(c) = %d (%q), want 2", id, s.Str(id))
+	}
+	if spare := buf[:cap(buf)]; spare[2] != "" {
+		t.Fatalf("Intern wrote %q into the decoded buffer's spare capacity", spare[2])
+	}
+
+	src := NewSymbols()
+	for _, str := range []string{"x", "y", "z"} {
+		src.Intern(str)
+	}
+	copyOf, err := NewSymbolsFromStrings(src.Strings())
+	if err != nil {
+		t.Fatal(err)
+	}
+	copyOf.Intern("from-copy")
+	src.Intern("from-src")
+	if copyOf.Str(3) != "from-copy" || src.Str(3) != "from-src" {
+		t.Fatalf("tables sharing a column corrupted each other: copy id 3 = %q, source id 3 = %q", copyOf.Str(3), src.Str(3))
+	}
+	if _, err := NewSymbolsFromStrings([]string{"a", "b", "a"}); err == nil {
+		t.Fatal("duplicate strings accepted")
 	}
 }

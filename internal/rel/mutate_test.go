@@ -104,3 +104,73 @@ func TestInsertRemoveEquivalentToRebuild(t *testing.T) {
 		}
 	}
 }
+
+// TestLookupTableAcrossInsertRemove is the property test of the lookup
+// table Insert and Remove derive from their parent's: random writes
+// walk the fact count across tableSize boundaries in both directions,
+// over three relations of mixed arity, and after every step the table
+// must be one a snapshot can carry (NewDatabaseFromParts accepts
+// LookupSlots), find every fact at its own index, and find no absent
+// fact. The relation spans derived alongside must match a scan.
+func TestLookupTableAcrossInsertRemove(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	randomFact := func() Fact {
+		a, b := string(rune('a'+rng.Intn(9))), string(rune('a'+rng.Intn(9)))
+		switch rng.Intn(3) {
+		case 0:
+			return NewFact("R", a, b)
+		case 1:
+			return NewFact("S", a)
+		default:
+			return NewFact("T", a, b, "c")
+		}
+	}
+	cur := NewDatabase()
+	grows, shrinks := 0, 0
+	target := 3
+	for step := 0; step < 1500; step++ {
+		if step%150 == 0 {
+			// Alternate between filling towards 70 facts and draining
+			// towards 3, crossing the 4/8/16/32/64-fact boundaries.
+			target = 73 - target
+		}
+		before := len(cur.LookupSlots())
+		if cur.Len() == 0 || cur.Len() < target && rng.Intn(4) > 0 || cur.Len() >= target && rng.Intn(4) == 0 {
+			cur, _, _ = cur.Insert(randomFact())
+		} else {
+			cur = cur.Remove(rng.Intn(cur.Len()))
+		}
+		switch after := len(cur.LookupSlots()); {
+		case after > before:
+			grows++
+		case after < before:
+			shrinks++
+		}
+		syms, rels, offs, args := cur.Columns()
+		if _, err := NewDatabaseFromParts(syms, rels, offs, args, cur.LookupSlots()); err != nil {
+			t.Fatalf("step %d (%d facts): NewDatabaseFromParts rejects the derived table: %v", step, cur.Len(), err)
+		}
+		for i := 0; i < cur.Len(); i++ {
+			if got := cur.IndexOf(cur.Fact(i)); got != i {
+				t.Fatalf("step %d: IndexOf(%v) = %d, want %d", step, cur.Fact(i), got, i)
+			}
+		}
+		for k := 0; k < 10; k++ {
+			f := randomFact()
+			want := -1
+			for i := 0; i < cur.Len(); i++ {
+				if cur.Fact(i).Equal(f) {
+					want = i
+				}
+			}
+			if got := cur.IndexOf(f); got != want {
+				t.Fatalf("step %d: IndexOf(%v) = %d, want %d", step, f, got, want)
+			}
+		}
+		checkSpans(t, cur, []string{"R", "S", "T"})
+	}
+	t.Logf("table size changes: %d grows, %d shrinks", grows, shrinks)
+	if grows < 20 || shrinks < 20 {
+		t.Fatalf("walk crossed tableSize boundaries %d times up and %d down, want ≥ 20 each", grows, shrinks)
+	}
+}

@@ -4,13 +4,15 @@
 // machinery the repair engines use to explore the space of databases
 // D' ⊆ D.
 //
-// Databases are stored columnar and dictionary-encoded: a per-database
-// symbol table interns every constant and relation name to a dense
-// int32 id, and the fact set lives in three flat columns (per-fact
-// relation id, argument offsets, argument ids) plus an open-addressing
-// hash index. The string-based Fact API remains for construction,
-// formatting, and the exact engines; the samplers, the homomorphism
-// search, and the conflict indexes operate on the id columns directly.
+// Databases are stored columnar and dictionary-encoded: a symbol table,
+// shared by every database of a copy-on-write lineage, interns every
+// constant and relation name to a dense int32 id, and the fact set lives
+// in three flat columns (per-fact relation id, argument offsets,
+// argument ids) plus an open-addressing hash index, which Insert and
+// Remove derive from the parent's instead of rehashing. The
+// string-based Fact API remains for construction, formatting, and the
+// exact engines; the samplers, the homomorphism search, and the
+// conflict indexes operate on the id columns directly.
 package rel
 
 import (
@@ -264,6 +266,8 @@ func (d *Database) buildTable() {
 // interning into d.syms. Interning in sorted fact order keeps id
 // assignment deterministic for a given fact set.
 func (d *Database) encodeFacts(facts []Fact) {
+	d.syms.mu.Lock()
+	defer d.syms.mu.Unlock()
 	d.rels = make([]int32, len(facts))
 	d.offs = make([]int32, len(facts)+1)
 	total := 0
@@ -272,9 +276,9 @@ func (d *Database) encodeFacts(facts []Fact) {
 	}
 	d.args = make([]int32, 0, total)
 	for i, f := range facts {
-		d.rels[i] = d.syms.Intern(f.Rel)
+		d.rels[i] = d.syms.internLocked(f.Rel)
 		for _, a := range f.Args {
-			d.args = append(d.args, d.syms.Intern(a))
+			d.args = append(d.args, d.syms.internLocked(a))
 		}
 		d.offs[i+1] = int32(len(d.args))
 	}
@@ -461,9 +465,9 @@ func (d *Database) Facts() []Fact {
 	return d.factsAll
 }
 
-// Symbols returns the database's symbol table. It is read-only from the
-// caller's perspective: interning into a live database's table corrupts
-// sharing.
+// Symbols returns the database's symbol table, shared with every
+// database of its copy-on-write lineage. Interning into it is safe —
+// ids never change — but adds no fact.
 func (d *Database) Symbols() *Symbols { return d.syms }
 
 // RelID returns the interned relation id of fact i.
@@ -680,34 +684,21 @@ func (d *Database) String() string {
 // assigned. Every fact previously at index ≥ pos moves to index+1 in
 // the new database — callers maintaining index-based structures must
 // remap. ok is false (and d is returned unchanged with f's existing
-// index) when the fact is already present.
+// index) when the fact is already present. An unseen constant is
+// interned into the lineage's shared symbol table, and the lookup table
+// is derived from d's rather than rehashed.
 func (d *Database) Insert(f Fact) (nd *Database, pos int, ok bool) {
 	if i := d.IndexOf(f); i >= 0 {
 		return d, i, false
 	}
 	pos = sort.Search(d.Len(), func(i int) bool { return d.factLessRow(f, i) })
-	// Share the symbol table unless f mentions unseen strings; then
-	// clone before interning so d's table stays frozen.
-	syms := d.syms
-	needClone := false
-	if _, ok := syms.Lookup(f.Rel); !ok {
-		needClone = true
-	}
-	for _, a := range f.Args {
-		if _, ok := syms.Lookup(a); !ok {
-			needClone = true
-		}
-	}
-	if needClone {
-		syms = syms.Clone()
-	}
-	rid := syms.Intern(f.Rel)
+	rid := d.syms.Intern(f.Rel)
 	ids := make([]int32, len(f.Args))
 	for k, a := range f.Args {
-		ids[k] = syms.Intern(a)
+		ids[k] = d.syms.Intern(a)
 	}
 
-	nd = &Database{syms: syms}
+	nd = &Database{syms: d.syms}
 	n := d.Len()
 	nd.rels = make([]int32, 0, n+1)
 	nd.rels = append(nd.rels, d.rels[:pos]...)
@@ -724,7 +715,11 @@ func (d *Database) Insert(f Fact) (nd *Database, pos int, ok bool) {
 	for _, o := range d.offs[pos+1:] {
 		nd.offs = append(nd.offs, o+int32(len(ids)))
 	}
-	nd.buildTable()
+	if len(d.table.slots) != tableSize(n+1) {
+		nd.buildTable()
+	} else {
+		nd.table = d.table.withInsert(nd, pos)
+	}
 	nd.buildSpans()
 	return nd, pos, true
 }
@@ -732,7 +727,8 @@ func (d *Database) Insert(f Fact) (nd *Database, pos int, ok bool) {
 // Remove returns a new database with the fact at index i removed,
 // leaving d untouched (copy-on-write). Every fact previously at index
 // > i moves to index−1 in the new database. It panics when i is out of
-// range, matching slice-index semantics.
+// range, matching slice-index semantics. Like Insert it derives the
+// lookup table from d's.
 func (d *Database) Remove(i int) *Database {
 	if i < 0 || i >= d.Len() {
 		panic(fmt.Sprintf("rel: Remove index %d out of range [0,%d)", i, d.Len()))
@@ -752,7 +748,11 @@ func (d *Database) Remove(i int) *Database {
 	for _, o := range d.offs[i+2:] {
 		nd.offs = append(nd.offs, o-gap)
 	}
-	nd.buildTable()
+	if len(d.table.slots) != tableSize(n-1) {
+		nd.buildTable()
+	} else {
+		nd.table = d.table.withRemove(d, nd, i)
+	}
 	nd.buildSpans()
 	return nd
 }

@@ -9,6 +9,7 @@ import (
 	"math/big"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -324,6 +325,144 @@ func TestApplyWriteAllocsFlat(t *testing.T) {
 	t.Logf("allocations per insert+delete: %.0f at 2k facts, %.0f at 20k", small, large)
 	if large > 2*small {
 		t.Fatalf("ApplyInsert+ApplyDelete allocations: %.0f at 20k facts vs %.0f at 2k, want within 2×", large, small)
+	}
+}
+
+// TestUnseenConstantInsertBytesFlat guards the other half of a write's
+// cost model: an insert that brings an unseen constant interns it into
+// the lineage's shared symbol table rather than copying the table, so
+// the bytes it allocates beyond an insert of known constants — averaged
+// over 200 inserts, which amortises the table's occasional doubling —
+// must not grow with the instance: at 20k facts at most 2× the 2k
+// figure plus 4 KiB. A copy would cost the whole table, some 1.5 MB at
+// 20k facts.
+func TestUnseenConstantInsertBytesFlat(t *testing.T) {
+	extra := func(facts int) float64 {
+		w := workload.BlockDatabase(rand.New(rand.NewSource(3)), workload.UniformBlockSizes(facts/4, 4))
+		p := ocqa.NewInstance(w.DB, w.Sigma)
+		const inserts = 200
+		perInsert := func(val func(i int) string) float64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < inserts; i++ {
+				// Block k1 holds v4..v7; v8 on are constants of other blocks.
+				if _, _, err := p.ApplyInsert(ocqa.Fact{Rel: "R", Args: []string{"k1", val(i)}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			return float64(after.TotalAlloc-before.TotalAlloc) / inserts
+		}
+		seen := perInsert(func(i int) string { return fmt.Sprintf("v%d", 8+i) })
+		unseen := perInsert(func(i int) string { return fmt.Sprintf("u%d", 8+i) })
+		return unseen - seen
+	}
+	small, large := extra(2000), extra(20000)
+	t.Logf("bytes an unseen constant adds to an insert: %.0f at 2k facts, %.0f at 20k", small, large)
+	if large > 2*small+4096 {
+		t.Fatalf("unseen-constant insert overhead %.0f B at 20k facts vs %.0f B at 2k, want flat", large, small)
+	}
+}
+
+// TestSymbolTableSharedAcrossBranches: every generation of a lineage
+// shares one symbol table, so two branches inserting unseen constants
+// concurrently intern into it while readers work on older generations —
+// formatting facts, compiling and answering queries, encoding
+// snapshots. Every generation must decode Equal to itself, and an
+// instance decoded from a snapshot must intern into a table of its own
+// without corrupting the generation it came from. Run it under -race.
+func TestSymbolTableSharedAcrossBranches(t *testing.T) {
+	base := mustInstance(t, "R(a,x)\nR(a,y)\nR(b,x)", "R: A1 -> A2")
+	q := mustQuery(t, "Ans(v) :- R(k, v)")
+	mode := ocqa.Mode{Gen: ocqa.UniformRepairs}
+	const steps = 150
+	gens := make(chan *ocqa.Instance, 2*steps+2)
+	var writers sync.WaitGroup
+	for br := 0; br < 2; br++ {
+		writers.Add(1)
+		go func(br int) {
+			defer writers.Done()
+			cur := base
+			for i := 0; i < steps; i++ {
+				next, _, err := cur.ApplyInsert(ocqa.Fact{Rel: "R", Args: []string{fmt.Sprintf("k%d", i%5), fmt.Sprintf("u%d_%d", br, i)}})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				gens <- cur
+				cur = next
+			}
+			gens <- cur
+		}(br)
+	}
+	go func() {
+		writers.Wait()
+		close(gens)
+	}()
+	var readers sync.WaitGroup
+	var mu sync.Mutex
+	var last *ocqa.Instance
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for g := range gens {
+				text := g.DB().String()
+				if _, err := g.ConsistentAnswers(mode, q, 0); err != nil {
+					t.Error(err)
+				}
+				var buf bytes.Buffer
+				if err := g.Snapshot(&buf); err != nil {
+					t.Error(err)
+					continue
+				}
+				d, err := ocqa.LoadSnapshot(&buf)
+				if err != nil {
+					t.Error(err)
+					continue
+				}
+				if !d.DB().Equal(g.DB()) || d.DB().String() != text {
+					t.Errorf("generation of %d facts does not decode Equal to itself", g.DB().Len())
+				}
+				mu.Lock()
+				if last == nil || g.DB().Len() > last.DB().Len() {
+					last = g
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	readers.Wait()
+	if t.Failed() {
+		return
+	}
+	want := last.DB().String()
+	var buf bytes.Buffer
+	if err := last.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	d, err := ocqa.LoadSnapshot(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		if d, _, err = d.ApplyInsert(ocqa.Fact{Rel: "R", Args: []string{"k0", fmt.Sprintf("decoded%d", i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf.Reset()
+	if err := last.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	again, err := ocqa.LoadSnapshot(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := last.DB().String(); got != want || !again.DB().Equal(last.DB()) {
+		t.Fatalf("interning into a decoded instance changed its source:\n got  %s\n want %s", got, want)
+	}
+	if d.DB().Len() != last.DB().Len()+50 || last.DB().Contains(ocqa.Fact{Rel: "R", Args: []string{"k0", "decoded0"}}) {
+		t.Fatalf("decoded lineage and its source are not independent")
 	}
 }
 
