@@ -19,7 +19,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
-	"time"
 )
 
 // regressionTolerance is the fractional slowdown allowed before the
@@ -37,11 +36,9 @@ const regressionTolerance = 0.15
 const scaleTolerance = 0.40
 
 // suiteTolerance returns the fractional slowdown allowed for a suite's
-// wall-time comparisons (ns/op and draws/sec). The cluster suite's rows
-// are HTTP tail latencies over loopback — as noisy as the scale suite's
-// seconds-long ops — so it shares the wide band.
+// wall-time comparisons (ns/op and draws/sec).
 func suiteTolerance(suite string) float64 {
-	if suite == "scale" || suite == "cluster" {
+	if suite == "scale" {
 		return scaleTolerance
 	}
 	return regressionTolerance
@@ -63,12 +60,8 @@ type genericBenchFile struct {
 	SharedDraws   int64  `json:"shared_draws"`
 	// BytesPerFactDisk is the scale suite's on-disk density; zero for
 	// suites that do not record it.
-	BytesPerFactDisk float64 `json:"bytes_per_fact_disk"`
-	// ClusterSeconds and ClusterQPS are the cluster suite's run
-	// parameters, so a recheck replays the baseline's exact load.
-	ClusterSeconds float64       `json:"cluster_seconds"`
-	ClusterQPS     []float64     `json:"cluster_qps"`
-	Results        []benchResult `json:"results"`
+	BytesPerFactDisk float64       `json:"bytes_per_fact_disk"`
+	Results          []benchResult `json:"results"`
 }
 
 func readBenchFile(path string) (genericBenchFile, error) {
@@ -234,14 +227,8 @@ func rerunSuite(baseline genericBenchFile) (genericBenchFile, error) {
 			return f, fmt.Errorf("delta baseline records no fact count")
 		}
 		err = runDeltaBenchmarks(out, baseline.Facts)
-	case "cluster":
-		if len(baseline.ClusterQPS) < 2 || baseline.ClusterSeconds <= 0 {
-			return f, fmt.Errorf("cluster baseline records no QPS levels / duration")
-		}
-		err = runClusterBenchmarks(out, baseline.ClusterQPS,
-			time.Duration(baseline.ClusterSeconds*float64(time.Second)))
 	default:
-		return f, fmt.Errorf("unknown suite %q (want store, engine, answers, scale, delta or cluster)", baseline.Suite)
+		return f, fmt.Errorf("unknown suite %q (want store, engine, answers, scale or delta)", baseline.Suite)
 	}
 	if err != nil {
 		return f, err

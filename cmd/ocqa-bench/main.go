@@ -27,15 +27,6 @@
 // BENCH_delta.json; -delta-facts shrinks the instance for CI smoke
 // runs.
 //
-// With -cluster it runs the serving-tier macro benchmark: an
-// in-process cluster harness (coordinator + backends over loopback)
-// measured with deterministic loadgen traffic at each -cluster-qps
-// level against three topologies (one bare backend, coordinator over
-// one backend, coordinator over three with replication and hedging
-// on). Emits BENCH_cluster.json and fails outright if the 3-backend
-// coordinator's p99 exceeds the 1-backend coordinator's band — adding
-// backends must not cost latency.
-//
 // With -check BASELINE.json it reruns the suite named in the baseline
 // trajectory file and exits non-zero when any benchmark's ns_per_op
 // grew — or its draws/sec shrank — by more than the suite's tolerance
@@ -68,7 +59,6 @@
 //	ocqa-bench -answers [-answers-out BENCH_answers.json]
 //	ocqa-bench -scale [-scale-facts 1000000] [-scale-out BENCH_scale.json]
 //	ocqa-bench -delta [-delta-facts 100000] [-delta-out BENCH_delta.json]
-//	ocqa-bench -cluster [-cluster-qps 10,40] [-cluster-duration 8s] [-cluster-out BENCH_cluster.json]
 //	ocqa-bench -check BENCH_engine.json
 //	ocqa-bench -check-selftest BENCH_engine.json
 //	ocqa-bench -oracle [-seed N] [-oracle-scenarios 500]
@@ -100,10 +90,6 @@ func main() {
 		deltaRun   = flag.Bool("delta", false, "run the incremental-estimation mutate-then-query suite instead of the experiment suite")
 		deltaFacts = flag.Int("delta-facts", 100_000, "instance size for -delta (CI smoke runs use ~10k)")
 		deltaOut   = flag.String("delta-out", "BENCH_delta.json", "trajectory file for -delta results")
-		clusterRun = flag.Bool("cluster", false, "run the serving-tier macro benchmark (in-process coordinator + backends) instead of the experiment suite")
-		clusterOut = flag.String("cluster-out", "BENCH_cluster.json", "trajectory file for -cluster results")
-		clusterQPS = flag.String("cluster-qps", "10,40", "comma-separated offered QPS levels for -cluster (at least two)")
-		clusterDur = flag.Duration("cluster-duration", 8*time.Second, "per-cell measurement window for -cluster")
 		oracleRun  = flag.Bool("oracle", false, "run the oracle differential verification gate instead of the experiment suite")
 		oracleN    = flag.Int("oracle-scenarios", 500, "random scenarios for the -oracle gate (each checked under all six modes)")
 		check      = flag.String("check", "", "baseline BENCH_*.json: rerun its suite and exit non-zero on an ns/op or draws/sec regression past the suite's tolerance band")
@@ -154,17 +140,6 @@ func main() {
 	}
 	if *scaleRun {
 		if err := runScaleBenchmarks(*scaleOut, *scaleFacts); err != nil {
-			fmt.Fprintln(os.Stderr, "ocqa-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *clusterRun {
-		qps, err := parseQPSLevels(*clusterQPS)
-		if err == nil {
-			err = runClusterBenchmarks(*clusterOut, qps, *clusterDur)
-		}
-		if err != nil {
 			fmt.Fprintln(os.Stderr, "ocqa-bench:", err)
 			os.Exit(1)
 		}

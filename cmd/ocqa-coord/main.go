@@ -1,18 +1,18 @@
 // Command ocqa-coord runs the cluster coordinator: a stateless proxy
 // that consistent-hashes instance ids across a static list of
 // ocqa-serve backends, routes all /v1/instances/* traffic to each
-// instance's owning backend, hedges straggling reads against the
-// owner's tracked p99, passes backend load shedding through (opening a
-// per-backend circuit breaker on consecutive failures), and keeps one
-// warm follower replica per instance so a dead owner fails over
-// without losing an acked mutation.
+// instance's owning backend, hedges straggling reads against the p99
+// of the owner's last 512 to 1,024 successes, passes backend load
+// shedding through (opening a per-backend circuit breaker on
+// consecutive failures), and keeps one warm follower replica per
+// instance so a dead owner fails over without losing an acked
+// mutation.
 //
 // Usage:
 //
 //	ocqa-coord -backends http://h1:8080,http://h2:8080,http://h3:8080
-//	           [-listen :8090] [-hedge-floor 25ms] [-hedge-quantile 0.99]
-//	           [-breaker-cooldown 2s] [-health-interval 500ms]
-//	           [-health-timeout 1s] [-no-replicate]
+//	           [-listen :8090] [-hedge-floor 25ms] [-breaker-cooldown 2s]
+//	           [-health-interval 500ms] [-health-timeout 1s]
 //
 // The coordinator serves the same /v1/instances surface as a single
 // backend — clients need no changes — plus GET /v1/cluster/shards (the
@@ -50,22 +50,18 @@ func main() {
 		listen          = flag.String("listen", ":8090", "listen address")
 		backends        = flag.String("backends", "", "comma-separated backend base URLs (required)")
 		hedgeFloor      = flag.Duration("hedge-floor", 0, "minimum hedge delay (0 = default 25ms, negative disables hedging)")
-		hedgeQuantile   = flag.Float64("hedge-quantile", 0, "latency quantile the hedge delay tracks (0 = default 0.99)")
 		breakerCooldown = flag.Duration("breaker-cooldown", 0, "open-circuit cooldown before a half-open probe (0 = default 2s)")
 		healthInterval  = flag.Duration("health-interval", 0, "background health-probe period (0 = default 500ms, negative disables)")
 		healthTimeout   = flag.Duration("health-timeout", 0, "per-probe timeout (0 = default 1s)")
-		noReplicate     = flag.Bool("no-replicate", false, "disable follower replication (no warm failover)")
 	)
 	flag.Parse()
 	if err := run(context.Background(), *listen, cluster.Options{
-		Backends:           splitBackends(*backends),
-		HedgeFloor:         *hedgeFloor,
-		HedgeQuantile:      *hedgeQuantile,
-		BreakerCooldown:    *breakerCooldown,
-		HealthInterval:     *healthInterval,
-		HealthTimeout:      *healthTimeout,
-		DisableReplication: *noReplicate,
-		Log:                slog.New(slog.NewTextHandler(os.Stderr, nil)),
+		Backends:        splitBackends(*backends),
+		HedgeFloor:      *hedgeFloor,
+		BreakerCooldown: *breakerCooldown,
+		HealthInterval:  *healthInterval,
+		HealthTimeout:   *healthTimeout,
+		Log:             slog.New(slog.NewTextHandler(os.Stderr, nil)),
 	}, nil); err != nil {
 		fmt.Fprintln(os.Stderr, "ocqa-coord:", err)
 		os.Exit(1)

@@ -29,9 +29,6 @@ type Options struct {
 	// the same backend only after max(HedgeFloor, tracked-p99) with no
 	// response. Default 25ms. Negative disables hedging.
 	HedgeFloor time.Duration
-	// HedgeQuantile is the latency quantile the hedge delay tracks.
-	// Default 0.99.
-	HedgeQuantile float64
 	// BreakerCooldown is how long an opened circuit rejects requests
 	// before admitting a half-open probe. Default 2s.
 	BreakerCooldown time.Duration
@@ -42,10 +39,6 @@ type Options struct {
 	HealthInterval time.Duration
 	// HealthTimeout bounds one health probe. Default 1s.
 	HealthTimeout time.Duration
-	// DisableReplication turns off follower maintenance: registrations
-	// and mutations stop syncing a follower, and failover degrades to
-	// unavailability. For measuring replication's cost, not for serving.
-	DisableReplication bool
 	// BatchChunk is the fan-out granularity: a batch request is split
 	// into chunks of this many queries proxied concurrently (each chunk
 	// hedged independently). Default 16; negative disables splitting.
@@ -62,9 +55,6 @@ type Options struct {
 func (o *Options) fill() {
 	if o.HedgeFloor == 0 {
 		o.HedgeFloor = 25 * time.Millisecond
-	}
-	if o.HedgeQuantile <= 0 || o.HedgeQuantile > 1 {
-		o.HedgeQuantile = 0.99
 	}
 	if o.BreakerCooldown <= 0 {
 		o.BreakerCooldown = defaultBreakerCooldown
@@ -90,8 +80,8 @@ func (o *Options) fill() {
 }
 
 // shard is one instance's placement: its current owner, its warm
-// follower (empty without replication or with a single backend), and
-// the last mutation generation the coordinator acked.
+// follower (empty with a single backend), and the last mutation
+// generation the coordinator acked.
 type shard struct {
 	id       string
 	owner    string
@@ -212,12 +202,11 @@ func (c *Coordinator) bases() []string {
 }
 
 // placementFor computes an id's rendezvous placement over the full
-// member list: owner and (with ≥2 backends and replication on) the
-// follower.
+// member list: owner and (with ≥2 backends) the follower.
 func (c *Coordinator) placementFor(id string) (owner, follower string) {
 	rank := Rank(c.bases(), id)
 	owner = rank[0]
-	if len(rank) > 1 && !c.opts.DisableReplication {
+	if len(rank) > 1 {
 		follower = rank[1]
 	}
 	return owner, follower
@@ -243,7 +232,7 @@ func (c *Coordinator) livePlacementFor(id string) (owner, follower string) {
 		return c.placementFor(id)
 	}
 	owner = live[0]
-	if len(live) > 1 && !c.opts.DisableReplication {
+	if len(live) > 1 {
 		follower = live[1]
 	}
 	return owner, follower
@@ -309,7 +298,7 @@ type proxyResult struct {
 }
 
 // doOnce performs one buffered exchange against a member and feeds its
-// breaker and latency ring.
+// breaker and latency window.
 func (c *Coordinator) doOnce(ctx context.Context, m *member, method, path string, body []byte, hdr http.Header) (*proxyResult, error) {
 	req, err := http.NewRequestWithContext(ctx, method, m.base+path, bytes.NewReader(body))
 	if err != nil {
@@ -369,7 +358,7 @@ func (c *Coordinator) hedgedDo(ctx context.Context, m *member, method, path stri
 	if c.opts.HedgeFloor < 0 {
 		return c.doOnce(ctx, m, method, path, body, hdr)
 	}
-	delay := m.latencyQuantile(c.opts.HedgeQuantile)
+	delay := m.latencyQuantile(hedgeQuantile)
 	if delay < c.opts.HedgeFloor {
 		delay = c.opts.HedgeFloor
 	}

@@ -9,9 +9,8 @@ import (
 )
 
 // Harness is an in-process cluster: N ocqa-serve backends and one
-// coordinator, all on loopback listeners. The failover test and the
-// `ocqa-bench -cluster` suite run against it, so the same topology is
-// exercised in CI that the cmd binaries deploy for real.
+// coordinator, all on loopback listeners, the same topology the cmd
+// binaries deploy for real.
 type Harness struct {
 	// Backends are the backend HTTP listeners, index-aligned with
 	// Servers; a killed backend's entry stays (closed) so indices keep

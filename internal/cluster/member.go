@@ -1,20 +1,26 @@
 package cluster
 
 import (
-	"sort"
+	"math"
 	"sync"
 	"time"
+
+	"repro/internal/metrics"
 )
 
-// latencyRingSize bounds the per-backend latency sample ring the hedge
-// delay is computed from. 512 successes cover the recent past without
-// letting a one-off spike dominate for long.
-const latencyRingSize = 512
+// hedgeWindow is how many successes fill one half of a backend's
+// latency window. The hedge delay tracks p99 over the last 512 to
+// 1,024 successes: enough to cover the recent past without letting a
+// one-off spike dominate for long.
+const hedgeWindow = 512
+
+// hedgeQuantile is the latency quantile the hedge delay tracks.
+const hedgeQuantile = 0.99
 
 // member is one backend as the coordinator sees it: its base URL, a
 // circuit breaker fed by consecutive failures (hard transport errors
-// and 503 sheds both count), and a ring of recent request latencies
-// whose tracked quantile sets the hedge delay.
+// and 503 sheds both count), and a window of recent success latencies
+// whose p99 sets the hedge delay.
 type member struct {
 	base string
 
@@ -26,11 +32,11 @@ type member struct {
 	// single probe request; further requests stay rejected until the
 	// probe reports back.
 	probing bool
-	// ring is the latency sample buffer; pos/full implement the
-	// overwrite cursor.
-	ring [latencyRingSize]time.Duration
-	pos  int
-	full bool
+	// window holds recent success latencies in seconds as two
+	// histograms: window[cur] fills, and once it holds hedgeWindow
+	// observations the older one is emptied and takes over.
+	window [2]metrics.Histogram
+	cur    int
 }
 
 // breaker tuning. Three consecutive failures open the circuit — low
@@ -66,17 +72,17 @@ func (m *member) open(now time.Time) bool {
 	return m.fails >= breakerThreshold && (now.Before(m.openUntil) || m.probing)
 }
 
-// recordSuccess closes the breaker and feeds the latency ring.
+// recordSuccess closes the breaker and feeds the latency window.
 func (m *member) recordSuccess(d time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.fails = 0
 	m.probing = false
-	m.ring[m.pos] = d
-	m.pos++
-	if m.pos == latencyRingSize {
-		m.pos, m.full = 0, true
+	if m.window[m.cur].Count() == hedgeWindow {
+		m.cur ^= 1
+		m.window[m.cur] = metrics.Histogram{}
 	}
+	m.window[m.cur].Observe(d.Seconds())
 }
 
 // recordFailure counts one failure toward the breaker, (re)opening it
@@ -94,29 +100,16 @@ func (m *member) recordFailure(now time.Time, cooldown time.Duration) {
 	}
 }
 
-// latencyQuantile returns the q-quantile (0 < q ≤ 1) of the ring, or 0
-// when no successes have been recorded yet — the caller then falls back
-// to its hedge floor.
+// latencyQuantile returns the q-quantile (0 < q ≤ 1) of the latency
+// window, or 0 when no successes have been recorded yet; the caller
+// then falls back to its hedge floor. It copies, sorts and allocates
+// nothing.
 func (m *member) latencyQuantile(q float64) time.Duration {
 	m.mu.Lock()
-	n := m.pos
-	if m.full {
-		n = latencyRingSize
-	}
-	if n == 0 {
-		m.mu.Unlock()
+	defer m.mu.Unlock()
+	s := metrics.Quantile(q, &m.window[0], &m.window[1])
+	if math.IsNaN(s) {
 		return 0
 	}
-	samples := make([]time.Duration, n)
-	copy(samples, m.ring[:n])
-	m.mu.Unlock()
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	idx := int(q*float64(n)) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	return samples[idx]
+	return time.Duration(s * float64(time.Second))
 }

@@ -1,14 +1,15 @@
 // Package metrics is the reproduction's dependency-free metrics core:
-// atomic counters, gauges, and fixed-bucket histograms with quantile
-// estimation, grouped into labelled families and exportable in the
-// Prometheus text exposition format. It replaces the server's ad-hoc
-// counter blob so the same registered values feed both the JSON /varz
-// snapshot and GET /metrics.
+// atomic counters, gauges, and log-linear histograms with bounded
+// relative error, grouped into labelled families and exportable in the
+// Prometheus text exposition format. It is the only code in the
+// program that turns observations into quantiles: the server's /varz
+// and /metrics read its histograms, and so does the coordinator's
+// hedge delay.
 //
-// Everything on the hot path is a single atomic operation: Counter.Add
-// and Gauge.Set are one atomic.Int64 op; Histogram.Observe is a binary
-// search over a small bounds slice plus two atomic adds and a CAS loop
-// for the float sum. Families resolve label values through a mutex-
+// Everything on the hot path is lock-free: Counter.Add and Gauge.Set
+// are one atomic.Int64 op; Histogram.Observe finds its bucket from the
+// float's bits, then does two atomic adds and a CAS loop for the float
+// sum. Families resolve label values through a mutex-
 // guarded map, so callers on hot paths should resolve children once
 // (With) and retain them.
 package metrics
@@ -17,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -55,30 +55,50 @@ func (g *Gauge) Add(d float64) {
 // Value returns the current gauge value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Histogram counts observations into fixed buckets with cumulative
-// Prometheus semantics: bucket i counts observations ≤ bounds[i], and
-// an implicit +Inf bucket counts everything.
+// Histogram is a log-linear histogram with bounded relative error, in
+// the spirit of HdrHistogram and DDSketch (Masson et al., VLDB 2019).
+// Each power of two (2^e, 2^(e+1)] splits into subBuckets buckets of
+// equal width, so a bucket is at most 1/subBuckets of its lower bound
+// wide and its midpoint lies within 1/(2·subBuckets) ≈ 1.6% of any
+// value in it. The octaves cover (2^minExp, 2^(minExp+numOctaves)],
+// about 1 µs to 1.8e13, which holds latencies in seconds and draw
+// counts alike; values at or below 2^minExp (zero included) count in a
+// zero bucket that reports 0, larger ones in the +Inf bucket.
+//
+// An octave's counts are allocated on its first observation, so a
+// histogram takes about 0.5 KB plus 256 B per octave its values reach:
+// under 2 KB for five. Observe is lock-free. The zero value is an empty
+// histogram.
 type Histogram struct {
-	bounds  []float64
-	counts  []atomic.Int64 // len(bounds)+1; last is the +Inf bucket
-	sumBits atomic.Uint64
+	octaves [numOctaves]atomic.Pointer[octave]
+	zero    atomic.Int64 // observations ≤ lowest
+	over    atomic.Int64 // observations > highest
 	count   atomic.Int64
+	sumBits atomic.Uint64
 }
 
-func newHistogram(bounds []float64) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("metrics: histogram bounds not strictly ascending: %v", bounds))
-		}
-	}
-	b := append([]float64(nil), bounds...)
-	return &Histogram{bounds: b, counts: make([]atomic.Int64, len(b)+1)}
-}
+// octave holds the counts of one power of two's buckets.
+type octave [subBuckets]atomic.Int64
+
+const (
+	subBits    = 5
+	subBuckets = 1 << subBits
+	minExp     = -20
+	numOctaves = 64
+	// lowest and highest bound the octaves: 2^minExp and
+	// 2^(minExp+numOctaves).
+	lowest  = 1.0 / (1 << -minExp)
+	highest = 1 << (minExp + numOctaves)
+	// exposeStride thins the Prometheus exposition to every fourth
+	// bucket bound, 8 `le` lines per octave rather than 32, so a scrape
+	// stays short and every bound is still a bucket bound, whose
+	// cumulative count is exact.
+	exposeStride = 4
+)
 
 // Observe records one observation.
 func (h *Histogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(1)
+	h.slot(v).Add(1)
 	h.count.Add(1)
 	for {
 		old := h.sumBits.Load()
@@ -88,75 +108,111 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
+// slot returns the counter of the bucket (lower, upper] holding v,
+// allocating its octave on first use. Positive floats order like their
+// bit patterns, so the exponent and the top subBits mantissa bits of
+// the float just below v name the bucket; taking the one below puts a
+// value equal to a bound in the bucket that bound closes, as
+// Prometheus' `le` semantics need.
+func (h *Histogram) slot(v float64) *atomic.Int64 {
+	if !(v > lowest) {
+		return &h.zero
+	}
+	if v > highest {
+		return &h.over
+	}
+	bits := math.Float64bits(v) - 1
+	e := int(bits>>52) - 1023 - minExp
+	o := h.octaves[e].Load()
+	if o == nil {
+		o = new(octave)
+		if !h.octaves[e].CompareAndSwap(nil, o) {
+			o = h.octaves[e].Load()
+		}
+	}
+	return &o[bits>>(52-subBits)&(subBuckets-1)]
+}
+
+// bound returns the lower bound of bucket s of octave e; bound(e, s+1)
+// is its upper bound.
+func bound(e, s int) float64 {
+	return math.Ldexp(1+float64(s)/subBuckets, e+minExp)
+}
+
 // Count returns the total number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Quantile estimates the q-quantile (0 < q < 1) by linear
-// interpolation inside the bucket the rank falls into — the standard
-// Prometheus histogram_quantile estimate. Observations in the +Inf
-// bucket clamp to the highest finite bound. Returns NaN when empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
+// Quantile estimates the q-quantile of h's observations; see the
+// package-level Quantile.
+func (h *Histogram) Quantile(q float64) float64 { return Quantile(q, h) }
+
+// Quantile estimates the q-quantile (0 < q ≤ 1) of the observations of
+// hs taken together, e.g. a sliding window kept as two histograms. It
+// returns the midpoint of the bucket holding the observation of rank
+// ⌈q·n⌉ (the nearest-rank order statistic), so between 2^minExp and
+// 2^(minExp+numOctaves) it is within 1.6% of that observation; the zero
+// bucket reports 0 and the +Inf bucket the top bound. It scans from the
+// largest bucket down, so high quantiles read few buckets, and it
+// allocates nothing. Returns NaN when hs hold no observations.
+func Quantile(q float64, hs ...*Histogram) float64 {
+	var n, seen int64
+	for _, h := range hs {
+		n += h.count.Load()
+		seen += h.over.Load()
+	}
+	if n == 0 {
 		return math.NaN()
 	}
-	rank := q * float64(total)
-	cum := int64(0)
-	for i := range h.counts {
-		c := h.counts[i].Load()
-		if c == 0 {
-			cum += c
+	rank := min(max(int64(math.Ceil(q*float64(n))), 1), n)
+	// The answer's bucket is the first, from the top, past which more
+	// than n−rank observations lie.
+	above := n - rank
+	if seen > above {
+		return highest
+	}
+	for e := numOctaves - 1; e >= 0; e-- {
+		for s := subBuckets - 1; s >= 0; s-- {
+			allocated := false
+			for _, h := range hs {
+				if o := h.octaves[e].Load(); o != nil {
+					seen += o[s].Load()
+					allocated = true
+				}
+			}
+			if !allocated {
+				break
+			}
+			if seen > above {
+				return (bound(e, s) + bound(e, s+1)) / 2
+			}
+		}
+	}
+	return 0
+}
+
+// cumulative calls emit with the cumulative count at each exposed
+// bucket bound in ascending order, and returns the total, the +Inf
+// bucket's count. Octaves once allocated stay, so a series' set of
+// bounds never shrinks.
+func (h *Histogram) cumulative(emit func(le float64, cum int64)) int64 {
+	cum := h.zero.Load()
+	emit(lowest, cum)
+	for e := range h.octaves {
+		o := h.octaves[e].Load()
+		if o == nil {
 			continue
 		}
-		if float64(cum+c) >= rank {
-			if i == len(h.bounds) {
-				// +Inf bucket: clamp to the largest finite bound.
-				if len(h.bounds) == 0 {
-					return math.NaN()
-				}
-				return h.bounds[len(h.bounds)-1]
+		for s := range o {
+			cum += o[s].Load()
+			if (s+1)%exposeStride == 0 {
+				emit(bound(e, s+1), cum)
 			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			hi := h.bounds[i]
-			return lo + (hi-lo)*(rank-float64(cum))/float64(c)
 		}
-		cum += c
 	}
-	return h.bounds[len(h.bounds)-1]
-}
-
-// snapshot returns cumulative bucket counts aligned with bounds plus
-// the +Inf total.
-func (h *Histogram) snapshot() (cum []int64, total int64) {
-	cum = make([]int64, len(h.bounds)+1)
-	running := int64(0)
-	for i := range h.counts {
-		running += h.counts[i].Load()
-		cum[i] = running
-	}
-	return cum, running
-}
-
-// ExponentialBuckets returns n strictly ascending bounds starting at
-// start and growing by factor — the usual shape for latency and draw
-// histograms.
-func ExponentialBuckets(start, factor float64, n int) []float64 {
-	if start <= 0 || factor <= 1 || n < 1 {
-		panic("metrics: invalid exponential bucket spec")
-	}
-	out := make([]float64, n)
-	v := start
-	for i := range out {
-		out[i] = v
-		v *= factor
-	}
-	return out
+	return cum + h.over.Load()
 }
 
 const (
@@ -178,7 +234,6 @@ type child struct {
 type family struct {
 	name, help, typ string
 	labelNames      []string
-	buckets         []float64
 	isFunc          bool
 
 	mu       sync.Mutex
@@ -205,7 +260,7 @@ func (f *family) child(values []string) *child {
 	case typeGauge:
 		c.gauge = &Gauge{}
 	case typeHistogram:
-		c.hist = newHistogram(f.buckets)
+		c.hist = &Histogram{}
 	}
 	f.children[key] = c
 	f.order = append(f.order, key)
@@ -266,7 +321,7 @@ func (r *Registry) OnCollect(f func()) {
 	r.collectors = append(r.collectors, f)
 }
 
-func (r *Registry) register(name, help, typ string, labelNames []string, buckets []float64, isFunc bool) *family {
+func (r *Registry) register(name, help, typ string, labelNames []string, isFunc bool) *family {
 	if !validName(name) {
 		panic("metrics: invalid metric name " + name)
 	}
@@ -283,8 +338,8 @@ func (r *Registry) register(name, help, typ string, labelNames []string, buckets
 	f := &family{
 		name: name, help: help, typ: typ,
 		labelNames: append([]string(nil), labelNames...),
-		buckets:    buckets, isFunc: isFunc,
-		children: make(map[string]*child),
+		isFunc:     isFunc,
+		children:   make(map[string]*child),
 	}
 	r.families = append(r.families, f)
 	r.byName[name] = f
@@ -293,27 +348,27 @@ func (r *Registry) register(name, help, typ string, labelNames []string, buckets
 
 // NewCounter registers an unlabelled counter.
 func (r *Registry) NewCounter(name, help string) *Counter {
-	return r.register(name, help, typeCounter, nil, nil, false).child(nil).counter
+	return r.register(name, help, typeCounter, nil, false).child(nil).counter
 }
 
 // NewCounterVec registers a counter family with the given label names.
 func (r *Registry) NewCounterVec(name, help string, labelNames ...string) *CounterVec {
-	return &CounterVec{f: r.register(name, help, typeCounter, labelNames, nil, false)}
+	return &CounterVec{f: r.register(name, help, typeCounter, labelNames, false)}
 }
 
 // NewGauge registers an unlabelled gauge.
 func (r *Registry) NewGauge(name, help string) *Gauge {
-	return r.register(name, help, typeGauge, nil, nil, false).child(nil).gauge
+	return r.register(name, help, typeGauge, nil, false).child(nil).gauge
 }
 
 // NewGaugeVec registers a gauge family with the given label names.
 func (r *Registry) NewGaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	return &GaugeVec{f: r.register(name, help, typeGauge, labelNames, nil, false)}
+	return &GaugeVec{f: r.register(name, help, typeGauge, labelNames, false)}
 }
 
 // NewGaugeFunc registers a gauge whose value is read at render time.
 func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) {
-	f := r.register(name, help, typeGauge, nil, nil, true)
+	f := r.register(name, help, typeGauge, nil, true)
 	f.child(nil).fn = fn
 }
 
@@ -321,20 +376,19 @@ func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) {
 // render time — for monotone totals owned elsewhere (engine counters,
 // store stats).
 func (r *Registry) NewCounterFunc(name, help string, fn func() float64) {
-	f := r.register(name, help, typeCounter, nil, nil, true)
+	f := r.register(name, help, typeCounter, nil, true)
 	f.child(nil).fn = fn
 }
 
-// NewHistogram registers an unlabelled histogram with the given
-// ascending bucket bounds (an +Inf bucket is implicit).
-func (r *Registry) NewHistogram(name, help string, buckets []float64) *Histogram {
-	return r.register(name, help, typeHistogram, nil, buckets, false).child(nil).hist
+// NewHistogram registers an unlabelled histogram.
+func (r *Registry) NewHistogram(name, help string) *Histogram {
+	return r.register(name, help, typeHistogram, nil, false).child(nil).hist
 }
 
 // NewHistogramVec registers a histogram family with the given label
 // names.
-func (r *Registry) NewHistogramVec(name, help string, buckets []float64, labelNames ...string) *HistogramVec {
-	return &HistogramVec{f: r.register(name, help, typeHistogram, labelNames, buckets, false)}
+func (r *Registry) NewHistogramVec(name, help string, labelNames ...string) *HistogramVec {
+	return &HistogramVec{f: r.register(name, help, typeHistogram, labelNames, false)}
 }
 
 // CounterVec is a counter family; With resolves one labelled child.
@@ -424,11 +478,10 @@ func renderFamily(b *strings.Builder, f *family) {
 		case c.gauge != nil:
 			fmt.Fprintf(b, "%s%s %s\n", f.name, labels, formatFloat(c.gauge.Value()))
 		case c.hist != nil:
-			cum, total := c.hist.snapshot()
-			for i, bound := range c.hist.bounds {
+			total := c.hist.cumulative(func(bound float64, cum int64) {
 				le := labelString(f.labelNames, c.labelValues, "le", formatFloat(bound))
-				fmt.Fprintf(b, "%s_bucket%s %d\n", f.name, le, cum[i])
-			}
+				fmt.Fprintf(b, "%s_bucket%s %d\n", f.name, le, cum)
+			})
 			le := labelString(f.labelNames, c.labelValues, "le", "+Inf")
 			fmt.Fprintf(b, "%s_bucket%s %d\n", f.name, le, total)
 			fmt.Fprintf(b, "%s_sum%s %s\n", f.name, labels, formatFloat(c.hist.Sum()))

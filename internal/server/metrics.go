@@ -81,10 +81,6 @@ type serverMetrics struct {
 	instWall      *metrics.GaugeVec
 }
 
-// latencyBuckets spans 1 ms – ~65 s in ×4 steps: wide enough for both
-// cache hits and near-deadline estimations, cheap enough to render.
-func latencyBuckets() []float64 { return metrics.ExponentialBuckets(0.001, 4, 9) }
-
 func newServerMetrics(s *Server) *serverMetrics {
 	r := metrics.New()
 	m := &serverMetrics{reg: r}
@@ -110,8 +106,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	m.cacheRefreshes = r.NewCounter("ocqa_result_cache_delta_refreshes_total",
 		"Result-cache entries re-executed against the post-mutation generation and re-cached in place.")
 	m.deltaRefreshLatency = r.NewHistogram("ocqa_delta_refresh_seconds",
-		"Latency of one result-cache entry's delta-refresh after a fact mutation.",
-		metrics.ExponentialBuckets(0.0001, 4, 10))
+		"Latency of one result-cache entry's delta-refresh after a fact mutation.")
 
 	m.replFeeds = r.NewCounter("ocqa_replication_feeds_total",
 		"Replication feed pulls served to follower backends.")
@@ -127,13 +122,11 @@ func newServerMetrics(s *Server) *serverMetrics {
 	m.httpRequests = r.NewCounterVec("ocqa_http_requests_total",
 		"HTTP requests by classified endpoint and status code.", "endpoint", "code")
 	m.httpLatency = r.NewHistogramVec("ocqa_http_request_duration_seconds",
-		"HTTP request latency by classified endpoint.", latencyBuckets(), "endpoint")
+		"HTTP request latency by classified endpoint.", "endpoint")
 
 	m.engineDraws = r.NewHistogram("ocqa_engine_run_draws",
-		"Monte-Carlo draws per estimation run (discarded parallel tails included).",
-		metrics.ExponentialBuckets(256, 4, 10))
-	m.engineWall = r.NewHistogram("ocqa_engine_run_duration_seconds",
-		"Wall time per estimation run.", metrics.ExponentialBuckets(0.0001, 4, 10))
+		"Monte-Carlo draws per estimation run (discarded parallel tails included).")
+	m.engineWall = r.NewHistogram("ocqa_engine_run_duration_seconds", "Wall time per estimation run.")
 
 	m.coverageChecks = r.NewCounterVec("ocqa_coverage_checks_total",
 		"Approx results compared against a cached exact counterpart.", "instance")

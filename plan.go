@@ -80,7 +80,8 @@ type QueryPlan struct {
 	// single-tuple query, the candidate answer count for a shared pass).
 	Targets int `json:"targets"`
 	// Blocks is the instance's non-singleton conflict block count, -1
-	// when no block decomposition exists for the instance.
+	// until its block decomposition is built (by Prepare or a route that
+	// samples blocks; planning never builds it).
 	Blocks int `json:"blocks"`
 	// Epsilon / Delta echo the requested guarantee after defaulting.
 	Epsilon float64 `json:"epsilon"`
@@ -160,8 +161,8 @@ func (in *Instance) PlanApproximate(mode Mode, q *Query, single bool, opts Appro
 		Delta:   opts.Delta,
 		PMin:    in.worstCaseLowerBound(mode, q),
 	}
-	if bs := in.blockSampler(); bs != nil {
-		plan.Blocks = len(bs.Blocks())
+	if n, ok := in.BlockCount(); ok {
+		plan.Blocks = n
 	}
 	if !single {
 		// The shared pass estimates every candidate answer tuple; the

@@ -22,6 +22,7 @@ import (
 	ocqa "repro"
 	"repro/internal/engine"
 	"repro/internal/fd"
+	"repro/internal/sampler"
 	"repro/internal/workload"
 )
 
@@ -193,5 +194,46 @@ func TestPlanRefusesLikeExecution(t *testing.T) {
 	_, err = inst.Prepare().PlanApproximate(ocqa.Mode{Gen: ocqa.UniformRepairs}, q, true, ocqa.ApproxOptions{})
 	if err == nil {
 		t.Fatal("plan for a refused pair did not error")
+	}
+}
+
+// TestPlanBuildsNoBlockDecomposition: planning reports the block count
+// only once the decomposition exists and never builds it itself. An
+// ApplyInsert-derived primary-key instance has none until something
+// samples blocks, and the factorized M^ur route never does.
+func TestPlanBuildsNoBlockDecomposition(t *testing.T) {
+	inst, err := ocqa.NewInstanceFromText("R(a,b)\nR(a,c)\nR(d,e)", "R: A1 -> A2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := ocqa.ParseFact("R(d,f)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	derived, _, err := inst.Prepare().ApplyInsert(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := ocqa.ParseQuery("Ans() :- R(x, y)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mode := ocqa.Mode{Gen: ocqa.UniformRepairs}
+	before := sampler.Constructions()
+	plan, err := derived.PlanApproximate(mode, q, true, ocqa.ApproxOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := sampler.Constructions() - before; n != 0 {
+		t.Fatalf("planning built %d samplers, want 0", n)
+	}
+	if plan.Blocks != -1 {
+		t.Fatalf("plan.Blocks = %d before the decomposition is built, want -1", plan.Blocks)
+	}
+	if plan, err = derived.Prepare().PlanApproximate(mode, q, true, ocqa.ApproxOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if plan.Blocks != 2 {
+		t.Fatalf("plan.Blocks = %d once built, want 2", plan.Blocks)
 	}
 }
