@@ -196,19 +196,19 @@ func TestApproximateAnswersDrawReduction(t *testing.T) {
 	opts := ocqa.ApproxOptions{Epsilon: 0.1, Delta: 0.05, Seed: 3, Workers: 1}
 
 	tuples := q.Answers(inst.DB())
-	mark := engine.SamplesDrawn()
+	mark := engine.SamplesDrawn.Value()
 	for _, c := range tuples {
 		if _, err := inst.Approximate(ctx, mode, q, c, opts); err != nil {
 			t.Fatal(err)
 		}
 	}
-	perTuple := engine.SamplesDrawn() - mark
+	perTuple := engine.SamplesDrawn.Value() - mark
 
-	mark = engine.SamplesDrawn()
+	mark = engine.SamplesDrawn.Value()
 	if _, err := inst.ApproximateAnswers(ctx, mode, q, opts); err != nil {
 		t.Fatal(err)
 	}
-	shared := engine.SamplesDrawn() - mark
+	shared := engine.SamplesDrawn.Value() - mark
 
 	if shared == 0 || perTuple == 0 {
 		t.Fatalf("draw accounting broken: perTuple=%d shared=%d", perTuple, shared)

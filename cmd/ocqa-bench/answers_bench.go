@@ -145,19 +145,19 @@ func runAnswersBenchmarks(outPath string) error {
 	// Draw accounting via the engine's process-wide counter, so the
 	// comparison includes every draw actually performed (parallel
 	// discarded tails included).
-	mark := engine.SamplesDrawn()
+	mark := engine.SamplesDrawn.Value()
 	base, err := perTupleBaseline(ctx, inst, mode, q, opts)
 	if err != nil {
 		return err
 	}
-	baselineDraws := engine.SamplesDrawn() - mark
+	baselineDraws := engine.SamplesDrawn.Value() - mark
 
-	mark = engine.SamplesDrawn()
+	mark = engine.SamplesDrawn.Value()
 	shared, err := inst.ApproximateAnswers(ctx, mode, q, opts)
 	if err != nil {
 		return err
 	}
-	sharedDraws := engine.SamplesDrawn() - mark
+	sharedDraws := engine.SamplesDrawn.Value() - mark
 
 	// Cross-check before timing: baseline and shared estimates target
 	// the same probabilities under the same (ε, δ), so they must agree
@@ -203,7 +203,7 @@ func runAnswersBenchmarks(outPath string) error {
 			deterministic = false
 		}
 	}
-	auto := int(engine.LastAutoWorkers())
+	auto := int(engine.LastAutoWorkers.Value())
 	if auto < 1 {
 		return fmt.Errorf("adaptive selection did not run (LastAutoWorkers = %d)", auto)
 	}

@@ -319,7 +319,7 @@ func runDeltaBenchmarks(outPath string, facts int) error {
 		runsAuto = append(runsAuto, testing.Benchmark(coldApproxRun(engine.AutoWorkers)))
 	}
 	coldApprox1, coldApproxAuto := medianRun(runs1), medianRun(runsAuto)
-	auto := int(engine.LastAutoWorkers())
+	auto := int(engine.LastAutoWorkers.Value())
 	if auto < 1 {
 		return fmt.Errorf("adaptive selection did not run (LastAutoWorkers = %d)", auto)
 	}

@@ -165,7 +165,7 @@ func runEngineBenchmarks(outPath string) error {
 			}
 		}
 	}
-	auto := int(engine.LastAutoWorkers())
+	auto := int(engine.LastAutoWorkers.Value())
 	if auto < 1 {
 		return fmt.Errorf("adaptive selection did not run (LastAutoWorkers = %d)", auto)
 	}

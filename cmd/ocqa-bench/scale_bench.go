@@ -183,7 +183,7 @@ func runScaleBenchmarks(outPath string, facts int) error {
 	if err != nil {
 		return err
 	}
-	auto := int(engine.LastAutoWorkers())
+	auto := int(engine.LastAutoWorkers.Value())
 	if auto < 1 {
 		return fmt.Errorf("adaptive selection did not run (LastAutoWorkers = %d)", auto)
 	}

@@ -17,8 +17,10 @@
 // The coordinator serves the same /v1/instances surface as a single
 // backend — clients need no changes — plus GET /v1/cluster/shards (the
 // placement table), GET /healthz (503 once every backend's breaker is
-// open) and GET /varz (proxy counters: hedges, hedge wins, shed
-// passthroughs, breaker rejections, failovers, follower syncs).
+// open), and GET /varz and GET /metrics: one registry of proxy
+// counters (hedges, hedge wins, shed passthroughs, breaker rejections,
+// failovers, follower syncs) and backend and shard gauges, as JSON and
+// as Prometheus text.
 //
 // Placement is rendezvous hashing: deterministic in the backend list,
 // so any number of coordinators over the same -backends agree without

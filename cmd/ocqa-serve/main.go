@@ -13,7 +13,8 @@
 //	           [-delta-refresh 8] [-watch-wait 25s] [-shed-inflight 0]
 //
 // Observability: GET /varz serves the JSON counter snapshot, GET
-// /metrics the same registry in Prometheus text format. Every response
+// /metrics the same series (the server's registry and the process-wide
+// one) in Prometheus text format. Every response
 // carries an X-Request-Id header (propagated from the client's, minted
 // otherwise); -access-log emits one structured log line per request to
 // stderr. Any query endpoint accepts ?explain=1 and then returns the

@@ -64,11 +64,11 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/fd"
+	"repro/internal/metrics"
 	"repro/internal/rel"
 )
 
@@ -90,31 +90,25 @@ const (
 	deltaMaxSampledStrata = 16
 )
 
-// Process-wide delta counters, bridged into /varz and /metrics by the
-// server (the sampler.Constructions / engine.SamplesDrawn pattern).
+// Process-wide delta counters, registered in metrics.Process.
 var (
-	deltaRefreshCount atomic.Int64
-	deltaFactorHits   atomic.Int64
-	deltaFactorMisses atomic.Int64
-	deltaReusedTotal  atomic.Int64
+	// DeltaRefreshes counts warm delta evaluations: targets answered by
+	// refreshing factors or strata carried across a mutation instead of
+	// recomputing cold.
+	DeltaRefreshes = metrics.Process.NewCounter("ocqa_delta_refreshes_total",
+		"Warm delta-path evaluations served by the incremental estimation layer process-wide.")
+	// DeltaFactorCacheHits counts per-cluster DP factors served from the
+	// factor cache; DeltaFactorCacheMisses those recomputed because the
+	// cluster's content changed or was never seen.
+	DeltaFactorCacheHits = metrics.Process.NewCounter("ocqa_delta_factor_cache_hits_total",
+		"Per-block exact factor cache hits in the delta estimation layer.")
+	DeltaFactorCacheMisses = metrics.Process.NewCounter("ocqa_delta_factor_cache_misses_total",
+		"Per-block exact factor cache misses (factors recomputed) in the delta estimation layer.")
+	// DeltaReusedDraws counts stratum draws whose statistics were reused
+	// from a previous generation instead of being redrawn.
+	DeltaReusedDraws = metrics.Process.NewCounter("ocqa_delta_reused_draws_total",
+		"Monte-Carlo draws whose statistics were reused from a previous generation's strata instead of being redrawn.")
 )
-
-// DeltaRefreshes counts warm delta evaluations: targets answered by
-// refreshing factors or strata carried across a mutation instead of
-// recomputing cold.
-func DeltaRefreshes() int64 { return deltaRefreshCount.Load() }
-
-// DeltaFactorCacheHits counts per-cluster DP factors served from the
-// factor cache.
-func DeltaFactorCacheHits() int64 { return deltaFactorHits.Load() }
-
-// DeltaFactorCacheMisses counts per-cluster DP factors recomputed
-// because the cluster's content changed or was never seen.
-func DeltaFactorCacheMisses() int64 { return deltaFactorMisses.Load() }
-
-// DeltaReusedDraws counts stratum draws whose statistics were reused
-// from a previous generation instead of being redrawn.
-func DeltaReusedDraws() int64 { return deltaReusedTotal.Load() }
 
 // deltaQuery is the maintained state of one query fingerprint.
 type deltaQuery struct {
@@ -871,9 +865,9 @@ func (in *Instance) deltaFactors(dq *deltaQuery, t *deltaTarget, singleton bool)
 		c := &dec.clusters[i]
 		f, ok := dq.factors[c.sig]
 		if ok {
-			deltaFactorHits.Add(1)
+			DeltaFactorCacheHits.Inc()
 		} else if f, ok = c.exactFactor(); ok {
-			deltaFactorMisses.Add(1)
+			DeltaFactorCacheMisses.Inc()
 			dq.factors[c.sig] = f
 		}
 		if ok {
@@ -998,7 +992,7 @@ func (in *Instance) deltaApproxTarget(ctx context.Context, dq *deltaQuery, t *de
 			est.Acct.ReusedDraws = reused
 			est.Acct.Workers = 1
 			est.Acct.Cancelled = e.Acct.Cancelled
-			deltaReusedTotal.Add(reused)
+			DeltaReusedDraws.Add(reused)
 			return est, true, fmt.Errorf("ocqa: estimation stopped: %w", err)
 		}
 		dq.strata[c.sig] = deltaStratum{est: e.Value, draws: e.Acct.Draws, eps: epsC, delta: deltaC, converged: e.Converged}
@@ -1012,7 +1006,7 @@ func (in *Instance) deltaApproxTarget(ctx context.Context, dq *deltaQuery, t *de
 	if fresh > 0 {
 		est.Acct.Workers = 1
 	}
-	deltaReusedTotal.Add(reused)
+	DeltaReusedDraws.Add(reused)
 	in.deltaBumpRefresh()
 	return est, true, nil
 }
@@ -1021,7 +1015,7 @@ func (in *Instance) deltaApproxTarget(ctx context.Context, dq *deltaQuery, t *de
 // generation) evaluations build state but are not refreshes.
 func (in *Instance) deltaBumpRefresh() {
 	if in.warm {
-		deltaRefreshCount.Add(1)
+		DeltaRefreshes.Inc()
 	}
 }
 

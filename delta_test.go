@@ -643,17 +643,17 @@ func TestQueryCacheBoundAcrossLineage(t *testing.T) {
 	if p, _, err = p.ApplyInsert(mustFact(t, "R(z9,w)")); err != nil {
 		t.Fatal(err)
 	}
-	hits, misses := ocqa.DeltaFactorCacheHits(), ocqa.DeltaFactorCacheMisses()
+	hits, misses := ocqa.DeltaFactorCacheHits.Value(), ocqa.DeltaFactorCacheMisses.Value()
 	query(next - 1)
-	if ocqa.DeltaFactorCacheHits() != hits+1 || ocqa.DeltaFactorCacheMisses() != misses {
+	if ocqa.DeltaFactorCacheHits.Value() != hits+1 || ocqa.DeltaFactorCacheMisses.Value() != misses {
 		t.Errorf("newest fingerprint not served warm: hits +%d, misses +%d",
-			ocqa.DeltaFactorCacheHits()-hits, ocqa.DeltaFactorCacheMisses()-misses)
+			ocqa.DeltaFactorCacheHits.Value()-hits, ocqa.DeltaFactorCacheMisses.Value()-misses)
 	}
-	hits, misses = ocqa.DeltaFactorCacheHits(), ocqa.DeltaFactorCacheMisses()
+	hits, misses = ocqa.DeltaFactorCacheHits.Value(), ocqa.DeltaFactorCacheMisses.Value()
 	query(0)
-	if ocqa.DeltaFactorCacheMisses() != misses+1 || ocqa.DeltaFactorCacheHits() != hits {
+	if ocqa.DeltaFactorCacheMisses.Value() != misses+1 || ocqa.DeltaFactorCacheHits.Value() != hits {
 		t.Errorf("oldest fingerprint still cached: hits +%d, misses +%d",
-			ocqa.DeltaFactorCacheHits()-hits, ocqa.DeltaFactorCacheMisses()-misses)
+			ocqa.DeltaFactorCacheHits.Value()-hits, ocqa.DeltaFactorCacheMisses.Value()-misses)
 	}
 }
 

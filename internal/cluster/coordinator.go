@@ -11,9 +11,9 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/server"
 )
 
@@ -89,16 +89,36 @@ type shard struct {
 	gen      int64
 }
 
-// coordMetrics are the coordinator's own counters, served on /varz.
+// coordMetrics is the coordinator's registry and the counters its proxy,
+// breaker, failover and follower-sync paths update. GET /varz and
+// GET /metrics render it; a coordinator runs no engine, so neither
+// renders metrics.Process.
 type coordMetrics struct {
-	proxied      atomic.Int64
-	hedges       atomic.Int64
-	hedgeWins    atomic.Int64
-	shedPassed   atomic.Int64
-	breakerDrops atomic.Int64
-	failovers    atomic.Int64
-	syncs        atomic.Int64
-	syncFailures atomic.Int64
+	reg                                                  *metrics.Registry
+	proxied, hedges, hedgeWins, shedPassed, breakerDrops *metrics.Counter
+	failovers, syncs, syncFailures                       *metrics.Counter
+}
+
+func newCoordMetrics(c *Coordinator) coordMetrics {
+	r := metrics.New()
+	r.NewGaugeFunc("ocqa_backends", "Backends in the coordinator's member list.",
+		func() float64 { return float64(len(c.members)) })
+	r.NewGaugeFunc("ocqa_shards", "Instances the coordinator has placed.", func() float64 {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return float64(len(c.shards))
+	})
+	return coordMetrics{
+		reg:          r,
+		proxied:      r.NewCounter("ocqa_proxied_requests_total", "Client requests the coordinator handled by proxying to backends."),
+		hedges:       r.NewCounter("ocqa_hedged_requests_total", "Duplicate reads fired after the hedge delay."),
+		hedgeWins:    r.NewCounter("ocqa_hedge_wins_total", "Hedged duplicates that answered before their primary."),
+		shedPassed:   r.NewCounter("ocqa_shed_passthroughs_total", "Backend 5xx responses, 503 load sheds among them, passed through to the client."),
+		breakerDrops: r.NewCounter("ocqa_breaker_rejections_total", "Requests rejected by an open circuit breaker without reaching the backend."),
+		failovers:    r.NewCounter("ocqa_failovers_total", "Shards failed over from a dead owner to its follower."),
+		syncs:        r.NewCounter("ocqa_follower_syncs_total", "Follower replica syncs requested."),
+		syncFailures: r.NewCounter("ocqa_follower_sync_failures_total", "Follower replica syncs that failed."),
+	}
 }
 
 // Coordinator is the cluster front door: an http.Handler serving the
@@ -153,6 +173,7 @@ func New(opts Options) (*Coordinator, error) {
 		c.members = append(c.members, m)
 		c.byBase[b] = m
 	}
+	c.met = newCoordMetrics(c)
 	c.routes()
 	if opts.HealthInterval > 0 {
 		c.wg.Add(1)
@@ -183,6 +204,7 @@ func (c *Coordinator) routes() {
 	c.mux.HandleFunc("GET /v1/cluster/shards", c.handleShards)
 	c.mux.HandleFunc("GET /healthz", c.handleHealthz)
 	c.mux.HandleFunc("GET /varz", c.handleVarz)
+	c.mux.HandleFunc("GET /metrics", metrics.Handler(c.met.reg))
 }
 
 // ServeHTTP implements http.Handler.
@@ -921,33 +943,8 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(out)
 }
 
+// handleVarz serves the coordinator's registry as JSON (metrics.Varz).
 func (c *Coordinator) handleVarz(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	shardCount := len(c.shards)
-	c.mu.Unlock()
-	out := struct {
-		Backends     int   `json:"backends"`
-		Shards       int   `json:"shards"`
-		Proxied      int64 `json:"proxied_requests"`
-		Hedges       int64 `json:"hedged_requests"`
-		HedgeWins    int64 `json:"hedge_wins"`
-		ShedPassed   int64 `json:"shed_passthroughs"`
-		BreakerDrops int64 `json:"breaker_rejections"`
-		Failovers    int64 `json:"failovers"`
-		Syncs        int64 `json:"follower_syncs"`
-		SyncFailures int64 `json:"follower_sync_failures"`
-	}{
-		Backends:     len(c.members),
-		Shards:       shardCount,
-		Proxied:      c.met.proxied.Load(),
-		Hedges:       c.met.hedges.Load(),
-		HedgeWins:    c.met.hedgeWins.Load(),
-		ShedPassed:   c.met.shedPassed.Load(),
-		BreakerDrops: c.met.breakerDrops.Load(),
-		Failovers:    c.met.failovers.Load(),
-		Syncs:        c.met.syncs.Load(),
-		SyncFailures: c.met.syncFailures.Load(),
-	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(out)
+	_ = json.NewEncoder(w).Encode(metrics.Varz(c.met.reg))
 }

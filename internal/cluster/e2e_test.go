@@ -329,9 +329,9 @@ func TestHedgedRequestWinsOverStraggler(t *testing.T) {
 	if got := calls.Load(); got != 2 {
 		t.Fatalf("backend saw %d requests, want primary + hedge = 2", got)
 	}
-	if c.met.hedges.Load() != 1 || c.met.hedgeWins.Load() != 1 {
+	if c.met.hedges.Value() != 1 || c.met.hedgeWins.Value() != 1 {
 		t.Fatalf("hedge counters = %d fired / %d won, want 1/1",
-			c.met.hedges.Load(), c.met.hedgeWins.Load())
+			c.met.hedges.Value(), c.met.hedgeWins.Value())
 	}
 }
 

@@ -227,7 +227,7 @@ func runFailoverTrace(t *testing.T, seed int64) {
 		}
 	}
 
-	if h.C.met.failovers.Load() < 1 {
+	if h.C.met.failovers.Value() < 1 {
 		t.Fatal("failover counter never moved")
 	}
 }

@@ -11,6 +11,10 @@ import (
 	"repro/internal/rel"
 )
 
+// SubtreeLeaves returns |CRS_s|, the number of complete sequences with
+// this node's sequence as a prefix.
+func (n *TreeNode) SubtreeLeaves() *big.Int { return new(big.Int).Set(n.crs) }
+
 // runningExample is Example 3.6: D = {f1, f2, f3} over R/3 with
 // f1 = R(a1,b1,c1), f2 = R(a1,b2,c2), f3 = R(a2,b1,c2) and
 // Σ = {R: A→B, R: C→B}. The sorted fact order matches f1, f2, f3.
@@ -1018,6 +1022,35 @@ func TestPropositionA2A4LeafDistributions(t *testing.T) {
 				t.Fatalf("trial %d: non-canonical leaf %d has prob %s", trial, i, urDist[i].RatString())
 			}
 		}
+	}
+}
+
+// TestSemanticsSortedOnce: the exact semantics come out strictly
+// increasing in repair key, and sorting them builds each key once. On
+// 4 key blocks of 4 facts (625 repairs) SemanticsUR then allocates a
+// few thousand objects; the bound sits an order of magnitude below the
+// ~200,000 of a sort that rebuilds two keys per comparison.
+func TestSemanticsSortedOnce(t *testing.T) {
+	inst := NewInstance(benchDB(4, 4))
+	rps, err := inst.SemanticsUR(false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rps) != 625 {
+		t.Fatalf("%d repairs, want 625", len(rps))
+	}
+	for i := 1; i < len(rps); i++ {
+		if rps[i-1].Repair.Key() >= rps[i].Repair.Key() {
+			t.Fatalf("repairs %d and %d out of key order", i-1, i)
+		}
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := inst.SemanticsUR(false, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs >= 20_000 {
+		t.Fatalf("SemanticsUR allocates %.0f objects per call, want under 20,000", allocs)
 	}
 }
 

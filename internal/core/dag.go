@@ -2,6 +2,8 @@ package core
 
 import (
 	"math/big"
+	"slices"
+	"strings"
 
 	"repro/internal/rel"
 )
@@ -27,18 +29,14 @@ func (e StateLimitError) Error() string {
 	return "core: exact engine exceeded state limit"
 }
 
-// dagEngine memoises per-state values across a DAG exploration.
-type dagEngine struct {
-	inst      *Instance
-	singleton bool
-	limit     int // 0 = unlimited
-	states    int
-}
+// stateBudget charges the distinct states an exact engine explores
+// against its limit (0 = unlimited).
+type stateBudget struct{ limit, states int }
 
-func (e *dagEngine) charge() error {
-	e.states++
-	if e.limit > 0 && e.states > e.limit {
-		return StateLimitError{Limit: e.limit}
+func (b *stateBudget) charge() error {
+	b.states++
+	if b.limit > 0 && b.states > b.limit {
+		return StateLimitError{Limit: b.limit}
 	}
 	return nil
 }
@@ -49,50 +47,18 @@ func (e *dagEngine) charge() error {
 //	N(S) = 1                       if S |= Σ
 //	N(S) = Σ_{op justified at S} N(op(S))   otherwise.
 //
-// limit bounds the number of distinct states explored (0 = unlimited).
+// With pair removals a state with no justified ops is consistent; with
+// singleton removals only, the same holds, since any surviving
+// violation justifies its two singleton removals. limit bounds the
+// number of distinct states explored (0 = unlimited).
 func (inst *Instance) CountCRS(singleton bool, limit int) (*big.Int, error) {
-	e := &dagEngine{inst: inst, singleton: singleton, limit: limit}
-	memo := make(map[string]*big.Int)
-	n, err := e.countCRS(inst.Full(), memo)
-	if err != nil {
-		return nil, err
-	}
-	return n, nil
-}
-
-func (e *dagEngine) countCRS(s rel.Subset, memo map[string]*big.Int) (*big.Int, error) {
-	key := s.Key()
-	if v, ok := memo[key]; ok {
-		return v, nil
-	}
-	if err := e.charge(); err != nil {
-		return nil, err
-	}
-	ops := e.inst.JustifiedOps(s, e.singleton)
-	if len(ops) == 0 {
-		// With pair removals, a state with no justified ops is
-		// consistent. With singleton removals only, the same holds:
-		// any surviving violation justifies its two singleton removals.
-		one := big.NewInt(1)
-		memo[key] = one
-		return one, nil
-	}
-	total := big.NewInt(0)
-	for _, op := range ops {
-		n, err := e.countCRS(op.Apply(s), memo)
-		if err != nil {
-			return nil, err
-		}
-		total.Add(total, n)
-	}
-	memo[key] = total
-	return total, nil
+	return inst.CountCRSWhere(singleton, limit, func(rel.Subset) bool { return true })
 }
 
 // CountCRSWhere computes |{s ∈ CRS(D,Σ) | pred(s(D))}| exactly, where
 // pred is evaluated on the final (consistent) state.
 func (inst *Instance) CountCRSWhere(singleton bool, limit int, pred func(rel.Subset) bool) (*big.Int, error) {
-	e := &dagEngine{inst: inst, singleton: singleton, limit: limit}
+	budget := stateBudget{limit: limit}
 	memo := make(map[string]*big.Int)
 	var recur func(rel.Subset) (*big.Int, error)
 	recur = func(s rel.Subset) (*big.Int, error) {
@@ -100,26 +66,20 @@ func (inst *Instance) CountCRSWhere(singleton bool, limit int, pred func(rel.Sub
 		if v, ok := memo[key]; ok {
 			return v, nil
 		}
-		if err := e.charge(); err != nil {
+		if err := budget.charge(); err != nil {
 			return nil, err
 		}
-		ops := e.inst.JustifiedOps(s, e.singleton)
-		var res *big.Int
-		if len(ops) == 0 {
-			if pred(s) {
-				res = big.NewInt(1)
-			} else {
-				res = big.NewInt(0)
+		ops := inst.JustifiedOps(s, singleton)
+		res := big.NewInt(0)
+		if len(ops) == 0 && pred(s) {
+			res.SetInt64(1)
+		}
+		for _, op := range ops {
+			n, err := recur(op.Apply(s))
+			if err != nil {
+				return nil, err
 			}
-		} else {
-			res = big.NewInt(0)
-			for _, op := range ops {
-				n, err := recur(op.Apply(s))
-				if err != nil {
-					return nil, err
-				}
-				res.Add(res, n)
-			}
+			res.Add(res, n)
 		}
 		memo[key] = res
 		return res, nil
@@ -148,48 +108,10 @@ func (inst *Instance) SRFreq(singleton bool, limit int, pred func(rel.Subset) bo
 
 // ProbUO computes P_{M^uo,Q}(D, c̄) exactly (with singleton set, the
 // M^{uo,1} analogue): the probability that a run of the uniform-
-// operations chain ends in a state satisfying pred. The recursion
-//
-//	p(S) = [pred(S)]                          if S is a leaf
-//	p(S) = (1/|Ops(S)|) · Σ_op p(op(S))       otherwise
-//
-// is exact on the DAG because the chain's transition law is a function
-// of the state.
+// operations chain ends in a state satisfying pred. It is ProbWeighted
+// with every operation weighing 1.
 func (inst *Instance) ProbUO(singleton bool, limit int, pred func(rel.Subset) bool) (*big.Rat, error) {
-	e := &dagEngine{inst: inst, singleton: singleton, limit: limit}
-	memo := make(map[string]*big.Rat)
-	var recur func(rel.Subset) (*big.Rat, error)
-	recur = func(s rel.Subset) (*big.Rat, error) {
-		key := s.Key()
-		if v, ok := memo[key]; ok {
-			return v, nil
-		}
-		if err := e.charge(); err != nil {
-			return nil, err
-		}
-		ops := e.inst.JustifiedOps(s, e.singleton)
-		var res *big.Rat
-		if len(ops) == 0 {
-			if pred(s) {
-				res = big.NewRat(1, 1)
-			} else {
-				res = new(big.Rat)
-			}
-		} else {
-			sum := new(big.Rat)
-			for _, op := range ops {
-				p, err := recur(op.Apply(s))
-				if err != nil {
-					return nil, err
-				}
-				sum.Add(sum, p)
-			}
-			res = sum.Mul(sum, big.NewRat(1, int64(len(ops))))
-		}
-		memo[key] = res
-		return res, nil
-	}
-	return recur(inst.Full())
+	return inst.ProbWeighted(nil, singleton, limit, pred)
 }
 
 // RepairProb pairs a repair (as a subset of D) with its probability.
@@ -199,59 +121,10 @@ type RepairProb struct {
 }
 
 // SemanticsUO computes the operational semantics [[D]]_{M^uo} exactly
-// (Definition 3.8): the distribution over operational repairs, by
-// forward-propagating path probabilities through the state DAG in
-// decreasing-cardinality order.
+// (Definition 3.8): the distribution over operational repairs. It is
+// SemanticsWeighted with every operation weighing 1.
 func (inst *Instance) SemanticsUO(singleton bool, limit int) ([]RepairProb, error) {
-	type entry struct {
-		s    rel.Subset
-		mass *big.Rat
-	}
-	mass := map[string]*entry{}
-	full := inst.Full()
-	mass[full.Key()] = &entry{s: full, mass: big.NewRat(1, 1)}
-	// Process states grouped by cardinality, largest first: every
-	// operation strictly shrinks the state.
-	byCard := make(map[int][]*entry)
-	byCard[full.Count()] = []*entry{mass[full.Key()]}
-	leaves := map[string]*entry{}
-	states := 0
-	for card := full.Count(); card >= 0; card-- {
-		for _, en := range byCard[card] {
-			states++
-			if limit > 0 && states > limit {
-				return nil, StateLimitError{Limit: limit}
-			}
-			ops := inst.JustifiedOps(en.s, singleton)
-			if len(ops) == 0 {
-				k := en.s.Key()
-				if l, ok := leaves[k]; ok {
-					l.mass.Add(l.mass, en.mass)
-				} else {
-					leaves[k] = &entry{s: en.s, mass: new(big.Rat).Set(en.mass)}
-				}
-				continue
-			}
-			share := new(big.Rat).Mul(en.mass, big.NewRat(1, int64(len(ops))))
-			for _, op := range ops {
-				t := op.Apply(en.s)
-				k := t.Key()
-				if nx, ok := mass[k]; ok {
-					nx.mass.Add(nx.mass, share)
-				} else {
-					nx = &entry{s: t, mass: new(big.Rat).Set(share)}
-					mass[k] = nx
-					byCard[t.Count()] = append(byCard[t.Count()], nx)
-				}
-			}
-		}
-	}
-	out := make([]RepairProb, 0, len(leaves))
-	for _, l := range leaves {
-		out = append(out, RepairProb{Repair: l.s, Prob: l.mass})
-	}
-	sortRepairProbs(out)
-	return out, nil
+	return inst.SemanticsWeighted(nil, singleton, limit)
 }
 
 // SemanticsUS computes [[D]]_{M^us} exactly: each repair's probability
@@ -268,12 +141,11 @@ func (inst *Instance) SemanticsUS(singleton bool, limit int) ([]RepairProb, erro
 	byCard := map[int][]*entry{full.Count(): {cnt[full.Key()]}}
 	leaves := map[string]*entry{}
 	total := big.NewInt(0)
-	states := 0
+	budget := stateBudget{limit: limit}
 	for card := full.Count(); card >= 0; card-- {
 		for _, en := range byCard[card] {
-			states++
-			if limit > 0 && states > limit {
-				return nil, StateLimitError{Limit: limit}
+			if err := budget.charge(); err != nil {
+				return nil, err
 			}
 			ops := inst.JustifiedOps(en.s, singleton)
 			if len(ops) == 0 {
@@ -307,11 +179,19 @@ func (inst *Instance) SemanticsUS(singleton bool, limit int) ([]RepairProb, erro
 	return out, nil
 }
 
+// sortRepairProbs orders rp by repair key, for deterministic output.
+// Each key is built once; the keys are distinct, so the order is total.
 func sortRepairProbs(rp []RepairProb) {
-	// Sort by repair key for deterministic output.
-	for i := 1; i < len(rp); i++ {
-		for j := i; j > 0 && rp[j].Repair.Key() < rp[j-1].Repair.Key(); j-- {
-			rp[j], rp[j-1] = rp[j-1], rp[j]
-		}
+	type keyed struct {
+		key string
+		rp  RepairProb
+	}
+	ks := make([]keyed, len(rp))
+	for i, r := range rp {
+		ks[i] = keyed{r.Repair.Key(), r}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+	for i, k := range ks {
+		rp[i] = k.rp
 	}
 }

@@ -42,10 +42,6 @@ type TreeNode struct {
 // IsLeaf reports whether the node is a complete repairing sequence.
 func (n *TreeNode) IsLeaf() bool { return len(n.Children) == 0 }
 
-// SubtreeLeaves returns |CRS_s|, the number of complete sequences with
-// this node's sequence as a prefix.
-func (n *TreeNode) SubtreeLeaves() *big.Int { return new(big.Int).Set(n.crs) }
-
 // CanonicalLeaves returns |CanCRS_s|.
 func (n *TreeNode) CanonicalLeaves() *big.Int { return new(big.Int).Set(n.can) }
 

@@ -48,12 +48,36 @@ func TrustWeights(trust func(f rel.Fact) *big.Rat) WeightFn {
 	}
 }
 
+// opWeights returns the weights of ops at s and their sum. Nil weights
+// stand for M^uo: no per-op weights, and the sum len(ops). It panics
+// if a weight is non-positive.
+func (inst *Instance) opWeights(weights WeightFn, s rel.Subset, ops []Op) ([]*big.Rat, *big.Rat) {
+	if weights == nil {
+		return nil, new(big.Rat).SetInt64(int64(len(ops)))
+	}
+	ws := make([]*big.Rat, len(ops))
+	total := new(big.Rat)
+	for i, op := range ops {
+		ws[i] = weights(inst.D, s, op)
+		if ws[i].Sign() <= 0 {
+			panic("core: WeightFn must return positive weights")
+		}
+		total.Add(total, ws[i])
+	}
+	return ws, total
+}
+
 // ProbWeighted computes the probability that the weighted chain ends
-// in a state satisfying pred, exactly, by the same memoised DAG
-// recursion as ProbUO but with caller-supplied transition weights. It
-// panics if a weight is non-positive.
+// in a state satisfying pred, exactly, by the memoised DAG recursion
+//
+//	p(S) = [pred(S)]                              if S is a leaf
+//	p(S) = Σ_op w(op)·p(op(S)) / Σ_op w(op)       otherwise,
+//
+// which is exact on the DAG because the chain's transition law is a
+// function of the state. Nil weights are M^uo's: every operation
+// weighs 1. It panics if a weight is non-positive.
 func (inst *Instance) ProbWeighted(weights WeightFn, singleton bool, limit int, pred func(rel.Subset) bool) (*big.Rat, error) {
-	e := &dagEngine{inst: inst, singleton: singleton, limit: limit}
+	budget := stateBudget{limit: limit}
 	memo := make(map[string]*big.Rat)
 	var recur func(rel.Subset) (*big.Rat, error)
 	recur = func(s rel.Subset) (*big.Rat, error) {
@@ -61,36 +85,26 @@ func (inst *Instance) ProbWeighted(weights WeightFn, singleton bool, limit int, 
 		if v, ok := memo[key]; ok {
 			return v, nil
 		}
-		if err := e.charge(); err != nil {
+		if err := budget.charge(); err != nil {
 			return nil, err
 		}
-		ops := e.inst.JustifiedOps(s, e.singleton)
-		var res *big.Rat
+		ops := inst.JustifiedOps(s, singleton)
+		res := new(big.Rat)
 		if len(ops) == 0 {
 			if pred(s) {
-				res = big.NewRat(1, 1)
-			} else {
-				res = new(big.Rat)
+				res.SetInt64(1)
 			}
 		} else {
-			total := new(big.Rat)
-			ws := make([]*big.Rat, len(ops))
-			for i, op := range ops {
-				w := weights(inst.D, s, op)
-				if w.Sign() <= 0 {
-					panic("core: WeightFn must return positive weights")
-				}
-				ws[i] = w
-				total.Add(total, w)
-			}
-			res = new(big.Rat)
+			ws, total := inst.opWeights(weights, s, ops)
 			for i, op := range ops {
 				p, err := recur(op.Apply(s))
 				if err != nil {
 					return nil, err
 				}
-				term := new(big.Rat).Mul(ws[i], p)
-				res.Add(res, term)
+				if ws != nil {
+					p = new(big.Rat).Mul(ws[i], p)
+				}
+				res.Add(res, p)
 			}
 			res.Quo(res, total)
 		}
@@ -101,8 +115,9 @@ func (inst *Instance) ProbWeighted(weights WeightFn, singleton bool, limit int, 
 }
 
 // SemanticsWeighted computes the exact repair distribution [[D]]_M of
-// the weighted chain by forward probability propagation (the weighted
-// analogue of SemanticsUO).
+// the weighted chain by forward-propagating path probabilities through
+// the state DAG in decreasing-cardinality order (every operation
+// strictly shrinks the state). Nil weights are M^uo's.
 func (inst *Instance) SemanticsWeighted(weights WeightFn, singleton bool, limit int) ([]RepairProb, error) {
 	type entry struct {
 		s    rel.Subset
@@ -113,12 +128,11 @@ func (inst *Instance) SemanticsWeighted(weights WeightFn, singleton bool, limit 
 	mass[full.Key()] = &entry{s: full, mass: big.NewRat(1, 1)}
 	byCard := map[int][]*entry{full.Count(): {mass[full.Key()]}}
 	leaves := map[string]*entry{}
-	states := 0
+	budget := stateBudget{limit: limit}
 	for card := full.Count(); card >= 0; card-- {
 		for _, en := range byCard[card] {
-			states++
-			if limit > 0 && states > limit {
-				return nil, StateLimitError{Limit: limit}
+			if err := budget.charge(); err != nil {
+				return nil, err
 			}
 			ops := inst.JustifiedOps(en.s, singleton)
 			if len(ops) == 0 {
@@ -130,25 +144,19 @@ func (inst *Instance) SemanticsWeighted(weights WeightFn, singleton bool, limit 
 				}
 				continue
 			}
-			total := new(big.Rat)
-			ws := make([]*big.Rat, len(ops))
+			ws, total := inst.opWeights(weights, en.s, ops)
+			base := new(big.Rat).Quo(en.mass, total)
 			for i, op := range ops {
-				w := weights(inst.D, en.s, op)
-				if w.Sign() <= 0 {
-					panic("core: WeightFn must return positive weights")
+				share := base
+				if ws != nil {
+					share = new(big.Rat).Mul(base, ws[i])
 				}
-				ws[i] = w
-				total.Add(total, w)
-			}
-			for i, op := range ops {
-				share := new(big.Rat).Mul(en.mass, ws[i])
-				share.Quo(share, total)
 				t := op.Apply(en.s)
 				k := t.Key()
 				if nx, ok := mass[k]; ok {
 					nx.mass.Add(nx.mass, share)
 				} else {
-					nx = &entry{s: t, mass: share}
+					nx = &entry{s: t, mass: new(big.Rat).Set(share)}
 					mass[k] = nx
 					byCard[t.Count()] = append(byCard[t.Count()], nx)
 				}
@@ -180,14 +188,9 @@ func (inst *Instance) SampleWeighted(weights WeightFn, singleton bool, rng *rand
 		}
 		// Scale the rational weights to a common denominator so the
 		// draw is an exact integer-weighted choice.
-		ws := make([]*big.Rat, len(ops))
+		ws, _ := inst.opWeights(weights, s, ops)
 		lcm := big.NewInt(1)
-		for i, op := range ops {
-			w := weights(inst.D, s, op)
-			if w.Sign() <= 0 {
-				panic("core: WeightFn must return positive weights")
-			}
-			ws[i] = w
+		for _, w := range ws {
 			g := new(big.Int).GCD(nil, nil, lcm, w.Denom())
 			lcm.Div(lcm, g)
 			lcm.Mul(lcm, w.Denom())

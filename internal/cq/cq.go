@@ -188,10 +188,11 @@ func (q *Query) Image(h Homomorphism) *rel.Database {
 	return rel.NewDatabase(facts...)
 }
 
-// homomorphisms is the shared enumeration driver behind every public
-// variant. It compiles the query against the database's symbol table
-// and runs the interned backtracking search, materialising the
-// Homomorphism map only at yield.
+// homomorphisms is the shared enumeration driver behind
+// HomomorphismsMatched and the tests' unmasked and masked variants. It
+// compiles the query against the database's symbol table and runs the
+// interned backtracking search, materialising the Homomorphism map
+// only at yield.
 func (q *Query) homomorphisms(d *rel.Database, mask rel.Subset, useMask bool, yield func(Homomorphism, []int) bool) {
 	c := q.CompileFor(d)
 	c.bindings(mask, useMask, nil, func(binding []int32, facts []int) bool {
@@ -199,27 +200,12 @@ func (q *Query) homomorphisms(d *rel.Database, mask rel.Subset, useMask bool, yi
 	})
 }
 
-// Homomorphisms enumerates every homomorphism from Q to D, invoking
-// yield for each; enumeration stops early if yield returns false.
-func (q *Query) Homomorphisms(d *rel.Database, yield func(Homomorphism) bool) {
-	q.homomorphisms(d, rel.Subset{}, false, func(h Homomorphism, _ []int) bool { return yield(h) })
-}
-
-// HomomorphismsIn enumerates every homomorphism from Q to the
-// sub-database D' ⊆ D identified by the subset, without materialising
-// D': candidate facts are tested against the bitset by their global
-// index. This is the repair-space hot path — one entailment check per
-// Monte-Carlo draw — where building a fresh Database per draw would
-// dominate the loop.
-func (q *Query) HomomorphismsIn(d *rel.Database, s rel.Subset, yield func(Homomorphism) bool) {
-	q.homomorphisms(d, s, true, func(h Homomorphism, _ []int) bool { return yield(h) })
-}
-
-// HomomorphismsMatched is Homomorphisms extended with the matched
-// facts: yield additionally receives facts, where facts[i] is the
-// global index (in d) of the fact body atom i unified with — exactly
-// the fact multiset of the image h(Q), with no fact materialisation.
-// The slice is reused between yields and must not be retained.
+// HomomorphismsMatched enumerates every homomorphism from Q to D with
+// its matched facts, invoking yield for each (enumeration stops early
+// if yield returns false): facts[i] is the global index (in d) of the
+// fact body atom i unified with — exactly the fact multiset of the
+// image h(Q), with no fact materialisation. The slice is reused
+// between yields and must not be retained.
 func (q *Query) HomomorphismsMatched(d *rel.Database, yield func(h Homomorphism, facts []int) bool) {
 	q.homomorphisms(d, rel.Subset{}, false, yield)
 }

@@ -9,6 +9,18 @@ import (
 	"repro/internal/rel"
 )
 
+// Homomorphisms enumerates every homomorphism from Q to D.
+func (q *Query) Homomorphisms(d *rel.Database, yield func(Homomorphism) bool) {
+	q.homomorphisms(d, rel.Subset{}, false, func(h Homomorphism, _ []int) bool { return yield(h) })
+}
+
+// HomomorphismsIn enumerates every homomorphism from Q to the
+// sub-database of d identified by the subset, testing candidate facts
+// against the bitset by their global index.
+func (q *Query) HomomorphismsIn(d *rel.Database, s rel.Subset, yield func(Homomorphism) bool) {
+	q.homomorphisms(d, s, true, func(h Homomorphism, _ []int) bool { return yield(h) })
+}
+
 func edgeDB(edges ...[2]string) *rel.Database {
 	var facts []rel.Fact
 	for _, e := range edges {

@@ -1,8 +1,9 @@
 package engine
 
 import (
-	"sync/atomic"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // Accounting is the structured cost record every estimation run
@@ -51,48 +52,26 @@ type Accounting struct {
 // Wall returns the run's wall-clock duration.
 func (a Accounting) Wall() time.Duration { return time.Duration(a.WallNanos) }
 
-// RunInfo is what the run hook observes: the phase that ran, the
-// number of multi-run targets (0 for single-target phases), and the
-// run's accounting.
-type RunInfo struct {
-	Phase   Phase
-	Targets int
-	Acct    Accounting
-}
-
-// RunHook observes one completed (or cancelled) estimation run. Hooks
-// must be cheap and must not block: they run inline on the estimation
-// goroutine, once per run — never per draw — so a histogram update
-// keeps engine overhead well under the instrumentation budget.
-type RunHook func(RunInfo)
-
-var runHook atomic.Pointer[RunHook]
-
-// SetRunHook installs the process-wide run hook (nil to remove). The
-// server uses it to feed per-run draw and latency histograms.
-func SetRunHook(h RunHook) {
-	if h == nil {
-		runHook.Store(nil)
-		return
-	}
-	runHook.Store(&h)
-}
+// The engine's run histograms: one observation per estimation run,
+// cancelled runs included — never per draw.
+var (
+	runDraws = metrics.Process.NewHistogram("ocqa_engine_run_draws",
+		"Monte-Carlo draws per estimation run (discarded parallel tails included).")
+	runSeconds = metrics.Process.NewHistogram("ocqa_engine_run_duration_seconds", "Wall time per estimation run.")
+)
 
 // record is the single exit point of every estimation run: it updates
-// the process-wide counters and fires the run hook. targets counts
-// only for multi-target phases.
+// the process-wide counters and run histograms. targets counts only
+// for multi-target phases.
 func record(phase Phase, targets int, acct Accounting) {
-	samplesDrawn.Add(acct.Draws)
+	SamplesDrawn.Add(acct.Draws)
 	if acct.Cancelled {
-		cancelledRuns.Add(1)
+		CancelledRuns.Inc()
 	}
 	if phase == PhaseMultiFixed || phase == PhaseMultiStopping {
-		multiRuns.Add(1)
-		multiTargets.Add(int64(targets))
-	} else {
-		targets = 0
+		MultiRuns.Inc()
+		MultiTargets.Add(int64(targets))
 	}
-	if h := runHook.Load(); h != nil {
-		(*h)(RunInfo{Phase: phase, Targets: targets, Acct: acct})
-	}
+	runDraws.Observe(float64(acct.Draws))
+	runSeconds.Observe(acct.Wall().Seconds())
 }

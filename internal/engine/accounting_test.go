@@ -77,7 +77,7 @@ func TestAccountingStoppingRuleParallel(t *testing.T) {
 func TestAccountingCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	before := CancelledRuns()
+	before := CancelledRuns.Value()
 	est, err := EstimateFixed(ctx, coin(0.5), 100_000, 1, 2)
 	if err == nil {
 		t.Fatal("want context error")
@@ -85,45 +85,58 @@ func TestAccountingCancelled(t *testing.T) {
 	if !est.Acct.Cancelled {
 		t.Fatalf("cancelled run not flagged: %+v", est.Acct)
 	}
-	if CancelledRuns() != before+1 {
-		t.Fatalf("cancelled-runs counter moved %d, want 1", CancelledRuns()-before)
+	if CancelledRuns.Value() != before+1 {
+		t.Fatalf("cancelled-runs counter moved %d, want 1", CancelledRuns.Value()-before)
 	}
 }
 
-// TestRunHook: the hook observes every run exactly once, with the
-// phase and the run's accounting; SetRunHook(nil) removes it.
-func TestRunHook(t *testing.T) {
-	var infos []RunInfo
-	SetRunHook(func(ri RunInfo) { infos = append(infos, ri) })
-	defer SetRunHook(nil)
+// TestRunHistograms: every run, single- or multi-target, adds one
+// observation of its draws and wall time to the run histograms in
+// metrics.Process; a multi-target run also adds one multi run and its
+// targets to the multi-run counters.
+func TestRunHistograms(t *testing.T) {
+	type snap struct {
+		runs, wallRuns, multiRuns, multiTargets int64
+		draws                                   float64
+	}
+	take := func() snap {
+		return snap{runDraws.Count(), runSeconds.Count(), MultiRuns.Value(), MultiTargets.Value(), runDraws.Sum()}
+	}
+	check := func(name string, before snap, wantMulti, wantTargets int64) {
+		t.Helper()
+		after := take()
+		if d := after.runs - before.runs; d != 1 {
+			t.Errorf("%s: run draws histogram took %d observations, want 1", name, d)
+		}
+		if d := after.wallRuns - before.wallRuns; d != 1 {
+			t.Errorf("%s: run duration histogram took %d observations, want 1", name, d)
+		}
+		if d := after.draws - before.draws; d != 1000 {
+			t.Errorf("%s: run draws histogram sum moved %v, want 1000", name, d)
+		}
+		if d := after.multiRuns - before.multiRuns; d != wantMulti {
+			t.Errorf("%s: multi runs moved %d, want %d", name, d, wantMulti)
+		}
+		if d := after.multiTargets - before.multiTargets; d != wantTargets {
+			t.Errorf("%s: multi targets moved %d, want %d", name, d, wantTargets)
+		}
+	}
 
+	before := take()
 	if _, err := EstimateFixed(context.Background(), coin(0.5), 1000, 1, 1); err != nil {
 		t.Fatal(err)
 	}
+	check("fixed", before, 0, 0)
+
 	multi := func() MultiSampler {
 		return func(rng *rand.Rand, out []bool, _ []int) {
 			out[0] = rng.Float64() < 0.5
 			out[1] = rng.Float64() < 0.2
 		}
 	}
+	before = take()
 	if _, err := EstimateFixedMulti(context.Background(), multi, 2, 1000, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if len(infos) != 2 {
-		t.Fatalf("hook fired %d times, want 2", len(infos))
-	}
-	if infos[0].Phase != PhaseFixed || infos[0].Targets != 0 || infos[0].Acct.Draws != 1000 {
-		t.Fatalf("fixed run info %+v", infos[0])
-	}
-	if infos[1].Phase != PhaseMultiFixed || infos[1].Targets != 2 || infos[1].Acct.Draws != 1000 {
-		t.Fatalf("multi run info %+v", infos[1])
-	}
-
-	SetRunHook(nil)
-	if _, err := EstimateFixed(context.Background(), coin(0.5), 1000, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if len(infos) != 2 {
-		t.Fatal("hook fired after removal")
-	}
+	check("multi", before, 1, 2)
 }

@@ -27,7 +27,7 @@ func TestEstimateFixedPreCancelled(t *testing.T) {
 	cancel()
 	var total atomic.Int64
 	for _, workers := range []int{1, 4} {
-		before := CancelledRuns()
+		before := CancelledRuns.Value()
 		e, err := EstimateFixed(ctx, countingFactory(&total, nil, -1), 1_000_000, 5, workers)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
@@ -35,7 +35,7 @@ func TestEstimateFixedPreCancelled(t *testing.T) {
 		if e.Samples != 0 && int64(e.Samples) > int64(workers)*Chunk {
 			t.Fatalf("workers=%d: pre-cancelled run drew %d samples", workers, e.Samples)
 		}
-		if CancelledRuns() <= before {
+		if CancelledRuns.Value() <= before {
 			t.Fatalf("workers=%d: cancelled-runs counter did not move", workers)
 		}
 	}

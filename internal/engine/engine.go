@@ -32,13 +32,15 @@
 //     to their workers for the same user seed.
 //
 //   - Accounted: the driver fills each run's Accounting, feeds the
-//     process-wide counters and the run hook, and records the run's
-//     span and convergence checkpoints on a traced context.
+//     process-wide counters and run histograms it registers in
+//     metrics.Process, and records the run's span and convergence
+//     checkpoints on a traced context.
 package engine
 
 import (
 	"math/rand"
-	"sync/atomic"
+
+	"repro/internal/metrics"
 )
 
 // Sampler draws one Bernoulli observation: whether a sampled repair
@@ -138,33 +140,26 @@ func rngFor(seed int64, phase Phase, worker int) *rand.Rand {
 	return rand.New(rand.NewSource(Substream(seed, phase, worker)))
 }
 
-// Process-wide operational counters, exposed by the server as
-// engine_* fields of /varz.
+// Process-wide operational counters, registered in metrics.Process
+// and served as the engine_* keys of /varz.
 var (
-	samplesDrawn  atomic.Int64
-	cancelledRuns atomic.Int64
-	multiRuns     atomic.Int64
-	multiTargets  atomic.Int64
+	// SamplesDrawn counts the Monte-Carlo draws performed by this
+	// package's loops (partial draws of cancelled runs included).
+	SamplesDrawn = metrics.Process.NewCounter("ocqa_engine_samples_drawn_total",
+		"Monte-Carlo draws performed by the estimation engine process-wide.")
+	// CancelledRuns counts estimation runs stopped early by context
+	// cancellation.
+	CancelledRuns = metrics.Process.NewCounter("ocqa_engine_cancelled_runs_total",
+		"Estimation runs stopped early by context cancellation.")
+	// MultiRuns counts multi-target estimation runs (shared-draw passes
+	// serving every answer tuple at once), cancelled runs included;
+	// MultiTargets totals their targets, so MultiTargets/MultiRuns is
+	// the mean number of answer tuples a single shared pass served.
+	MultiRuns = metrics.Process.NewCounter("ocqa_engine_multi_runs_total",
+		"Shared-draw multi-target estimation passes.")
+	MultiTargets = metrics.Process.NewCounter("ocqa_engine_multi_targets_total",
+		"Answer tuples served by shared-draw passes.")
 )
-
-// SamplesDrawn returns the total Monte-Carlo draws performed by this
-// package's loops process-wide (partial draws of cancelled runs
-// included).
-func SamplesDrawn() int64 { return samplesDrawn.Load() }
-
-// CancelledRuns returns the number of estimation runs stopped early by
-// context cancellation process-wide.
-func CancelledRuns() int64 { return cancelledRuns.Load() }
-
-// MultiRuns returns the number of multi-target estimation runs
-// (shared-draw passes serving every answer tuple at once) performed
-// process-wide, cancelled runs included.
-func MultiRuns() int64 { return multiRuns.Load() }
-
-// MultiTargets returns the total number of targets estimated by
-// multi-target runs process-wide — MultiTargets/MultiRuns is the mean
-// number of answer tuples a single shared pass served.
-func MultiTargets() int64 { return multiTargets.Load() }
 
 // splitQuota divides n draws over workers as evenly as possible
 // (earlier workers take the remainder): worker w's share of a

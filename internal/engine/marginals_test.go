@@ -99,11 +99,11 @@ func TestMarginalsPanicsOnZeroBudget(t *testing.T) {
 }
 
 func TestSamplesDrawnCounterMoves(t *testing.T) {
-	before := SamplesDrawn()
+	before := SamplesDrawn.Value()
 	if _, _, err := Marginals(bg, biasedCounter([]float64{0.5}), 1, 1000, 1, 2); err != nil {
 		t.Fatal(err)
 	}
-	if got := SamplesDrawn() - before; got < 1000 {
+	if got := SamplesDrawn.Value() - before; got < 1000 {
 		t.Fatalf("samples-drawn counter moved by %d, want ≥ 1000", got)
 	}
 }

@@ -12,7 +12,8 @@ package engine
 import (
 	"math"
 	"runtime"
-	"sync/atomic"
+
+	"repro/internal/metrics"
 )
 
 // AutoWorkers is the workers value that requests adaptive selection.
@@ -27,8 +28,13 @@ const AutoWorkers = 0
 const autoWorkUnitsPerWorker = 1 << 21
 
 var (
-	autoRuns        atomic.Int64
-	lastAutoWorkers atomic.Int64
+	// AutoWorkerRuns counts the runs that resolved their worker count
+	// adaptively; LastAutoWorkers holds the count the most recent such
+	// resolution chose (0 before the first one).
+	AutoWorkerRuns = metrics.Process.NewCounter("ocqa_engine_auto_worker_runs_total",
+		"Estimation runs whose worker count was resolved adaptively.")
+	LastAutoWorkers = metrics.Process.NewGauge("ocqa_engine_last_auto_workers",
+		"Worker count chosen by the most recent adaptive resolution.")
 )
 
 // ChooseWorkers returns the adaptive worker count for a run expected
@@ -76,15 +82,7 @@ func ResolveWorkers(requested, blocks int, draws int64) int {
 		return requested
 	}
 	w := ChooseWorkers(blocks, draws)
-	autoRuns.Add(1)
-	lastAutoWorkers.Store(int64(w))
+	AutoWorkerRuns.Inc()
+	LastAutoWorkers.Set(float64(w))
 	return w
 }
-
-// AutoWorkerRuns returns how many runs resolved their worker count
-// adaptively process-wide.
-func AutoWorkerRuns() int64 { return autoRuns.Load() }
-
-// LastAutoWorkers returns the worker count chosen by the most recent
-// adaptive resolution (0 before the first one).
-func LastAutoWorkers() int64 { return lastAutoWorkers.Load() }

@@ -86,16 +86,16 @@ func TestResolveWorkers(t *testing.T) {
 	if got := ResolveWorkers(3, 1000, 1<<40); got != 3 {
 		t.Fatalf("explicit request must pass through, got %d", got)
 	}
-	before := AutoWorkerRuns()
+	before := AutoWorkerRuns.Value()
 	w := ResolveWorkers(AutoWorkers, 250, 20000)
 	if w < 1 || w > runtime.GOMAXPROCS(0) {
 		t.Fatalf("auto resolution out of range: %d", w)
 	}
-	if AutoWorkerRuns() != before+1 {
+	if AutoWorkerRuns.Value() != before+1 {
 		t.Fatalf("auto resolution did not bump AutoWorkerRuns")
 	}
-	if LastAutoWorkers() != int64(w) {
-		t.Fatalf("LastAutoWorkers=%d, want %d", LastAutoWorkers(), w)
+	if LastAutoWorkers.Value() != float64(w) {
+		t.Fatalf("LastAutoWorkers=%v, want %d", LastAutoWorkers.Value(), w)
 	}
 	if got := ResolveWorkers(-2, 1, 1); got != 1 {
 		t.Fatalf("negative request must resolve adaptively to ≥1, got %d", got)

@@ -4,7 +4,11 @@
 // Prometheus text exposition format. It is the only code in the
 // program that turns observations into quantiles: the server's /varz
 // and /metrics read its histograms, and so does the coordinator's
-// hedge delay.
+// hedge delay. It is also the one place a series is declared, named
+// and rendered: a Registry holds the series, WritePrometheus renders
+// them as /metrics and Varz as the JSON /varz object. Process holds
+// the process-wide series, each registered by the package that counts
+// it.
 //
 // Everything on the hot path is lock-free: Counter.Add and Gauge.Set
 // are one atomic.Int64 op; Histogram.Observe finds its bucket from the
@@ -18,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/http"
 	"strconv"
 	"strings"
 	"sync"
@@ -312,6 +317,12 @@ func New() *Registry {
 	return &Registry{byName: make(map[string]*family)}
 }
 
+// Process is the registry of the process-wide series: the engine's,
+// the samplers' and the delta layer's counters and the engine's run
+// histograms, each registered at package initialisation by the package
+// that updates it. Every server renders it beside its own registry.
+var Process = New()
+
 // OnCollect registers a hook that runs at the start of every render —
 // the place to refresh scrape-time gauges (per-instance state, store
 // stats) without paying for them on request paths.
@@ -373,7 +384,7 @@ func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) {
 }
 
 // NewCounterFunc registers a counter whose cumulative value is read at
-// render time — for monotone totals owned elsewhere (engine counters,
+// render time — for monotone totals owned elsewhere (cache evictions,
 // store stats).
 func (r *Registry) NewCounterFunc(name, help string, fn func() float64) {
 	f := r.register(name, help, typeCounter, nil, true)
@@ -437,9 +448,8 @@ func (v *HistogramVec) Each(visit func(labelValues []string, h *Histogram)) {
 	v.f.walk(func(c *child) { visit(c.labelValues, c.hist) })
 }
 
-// WritePrometheus renders every family in the Prometheus text
-// exposition format (version 0.0.4), running collect hooks first.
-func (r *Registry) WritePrometheus(w io.Writer) error {
+// collect runs r's collect hooks and returns its families.
+func (r *Registry) collect() []*family {
 	r.mu.Lock()
 	collectors := append([]func(){}, r.collectors...)
 	fams := append([]*family{}, r.families...)
@@ -447,12 +457,79 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for _, f := range collectors {
 		f()
 	}
+	return fams
+}
+
+// WritePrometheus renders every family of regs, in order, in the
+// Prometheus text exposition format (version 0.0.4), running each
+// registry's collect hooks first.
+func WritePrometheus(w io.Writer, regs ...*Registry) error {
 	var b strings.Builder
-	for _, f := range fams {
-		renderFamily(&b, f)
+	for _, r := range regs {
+		for _, f := range r.collect() {
+			renderFamily(&b, f)
+		}
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
+}
+
+// Handler serves regs as GET /metrics.
+func Handler(regs ...*Registry) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		_ = WritePrometheus(w, regs...)
+	}
+}
+
+// Varz returns the /varz view of regs, running their collect hooks
+// first: every unlabelled counter as an int64 and every unlabelled
+// gauge as a float64, keyed by VarzKey. Labelled families and
+// histograms have no /varz key; a server summarises those itself.
+func Varz(regs ...*Registry) map[string]any {
+	out := map[string]any{}
+	for _, r := range regs {
+		for _, f := range r.collect() {
+			if len(f.labelNames) > 0 || f.typ == typeHistogram {
+				continue
+			}
+			f.walk(func(c *child) {
+				switch {
+				case c.fn != nil && f.typ == typeCounter:
+					out[VarzKey(f.name)] = int64(c.fn())
+				case c.fn != nil:
+					out[VarzKey(f.name)] = c.fn()
+				case c.counter != nil:
+					out[VarzKey(f.name)] = c.counter.Value()
+				case c.gauge != nil:
+					out[VarzKey(f.name)] = c.gauge.Value()
+				}
+			})
+		}
+	}
+	return out
+}
+
+// varzAliases keeps the /varz keys that predate the registry names.
+var varzAliases = map[string]string{
+	"ocqa_result_cache_hits_total":   "cache_hits",
+	"ocqa_result_cache_misses_total": "cache_misses",
+	"ocqa_result_cache_entries":      "cache_entries",
+	"ocqa_instance_evictions_total":  "evictions",
+	"ocqa_store_wal_appends_total":   "wal_appends",
+	"ocqa_store_wal_records_total":   "wal_records",
+	"ocqa_store_snapshots_total":     "snapshots",
+	"ocqa_store_replayed_ops_total":  "replayed_ops",
+	"ocqa_store_compactions_total":   "compactions",
+}
+
+// VarzKey is the /varz key of the series name: the name less its
+// "ocqa_" prefix and "_total" suffix, or its entry in the alias table.
+func VarzKey(name string) string {
+	if k, ok := varzAliases[name]; ok {
+		return k
+	}
+	return strings.TrimSuffix(strings.TrimPrefix(name, "ocqa_"), "_total")
 }
 
 func renderFamily(b *strings.Builder, f *family) {

@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -205,7 +206,7 @@ func TestWritePrometheus(t *testing.T) {
 	r.OnCollect(func() { collected = true })
 
 	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
+	if err := WritePrometheus(&b, r); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -251,7 +252,7 @@ func TestWritePrometheus(t *testing.T) {
 	// A new octave adds its bounds; none of the earlier ones go.
 	h.Observe(1e-3)
 	b.Reset()
-	if err := r.WritePrometheus(&b); err != nil {
+	if err := WritePrometheus(&b, r); err != nil {
 		t.Fatal(err)
 	}
 	after := les(b.String())
@@ -265,12 +266,38 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
+// TestVarz: Varz keys every unlabelled counter and gauge of the
+// registries it is given by VarzKey — counters, func ones included, as
+// int64 (JSON integers), gauges as float64 — and leaves labelled
+// families and histograms out.
+func TestVarz(t *testing.T) {
+	a, b := New(), New()
+	a.NewCounter("ocqa_queries_served_total", "").Add(3)
+	a.NewCounter("ocqa_result_cache_hits_total", "").Add(2)
+	a.NewCounterFunc("ocqa_store_compactions_total", "", func() float64 { return 4 })
+	a.NewCounterVec("ocqa_http_requests_total", "", "code").With("200").Inc()
+	a.NewHistogram("ocqa_engine_run_draws", "").Observe(1)
+	b.NewGauge("ocqa_engine_last_auto_workers", "").Set(2)
+	b.NewGaugeFunc("ocqa_result_cache_entries", "", func() float64 { return 1.5 })
+	got := Varz(a, b)
+	want := map[string]any{
+		"queries_served":           int64(3),
+		"cache_hits":               int64(2),
+		"compactions":              int64(4),
+		"engine_last_auto_workers": 2.0,
+		"cache_entries":            1.5,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Varz = %v, want %v", got, want)
+	}
+}
+
 func TestLabelEscaping(t *testing.T) {
 	r := New()
 	v := r.NewGaugeVec("g", "", "name")
 	v.With("a\"b\\c\nd").Set(1)
 	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
+	if err := WritePrometheus(&b, r); err != nil {
 		t.Fatal(err)
 	}
 	if want := `g{name="a\"b\\c\nd"} 1`; !strings.Contains(b.String(), want) {

@@ -7,6 +7,19 @@ import (
 	"testing"
 )
 
+// NewDatabaseColumnar adopts a columnar encoding without a stored
+// lookup table, building the table instead; order and well-formedness
+// are validated as in NewDatabaseFromParts.
+func NewDatabaseColumnar(syms *Symbols, rels, offs, args []int32) (*Database, error) {
+	d, err := newColumnar(syms, rels, offs, args)
+	if err != nil {
+		return nil, err
+	}
+	d.buildTable()
+	d.buildSpans()
+	return d, nil
+}
+
 // TestColumnarRoundTrip re-assembles a database from its exposed
 // columns and checks the copy is indistinguishable from the original:
 // same facts, same indices, same spans, same lookup behaviour.

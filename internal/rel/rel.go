@@ -305,29 +305,17 @@ func NewDatabase(facts ...Fact) *Database {
 	return d
 }
 
-// NewDatabaseColumnar adopts a ready-made columnar encoding: a symbol
-// table and the three fact columns, already in Fact.Less order with no
-// duplicate rows. This is the snapshot codec's O(columns) boot path —
-// no string parsing, no re-sort, no per-fact allocation. Order and
-// well-formedness are validated (cheap integer scans plus one adjacent
-// string comparison per fact); violations return an error rather than a
-// silently corrupt database.
-func NewDatabaseColumnar(syms *Symbols, rels, offs, args []int32) (*Database, error) {
-	d, err := newColumnar(syms, rels, offs, args)
-	if err != nil {
-		return nil, err
-	}
-	d.buildTable()
-	d.buildSpans()
-	return d, nil
-}
-
-// NewDatabaseFromParts is NewDatabaseColumnar plus a precomputed hash
-// slot array (as exposed by LookupSlots), the warm-boot path for
-// mmap-style snapshot loads: adopting the stored table avoids
-// allocating and filling a new one. The table is verified, not
-// trusted: it must index exactly d's facts, each where its own probe
-// finds it, which leaves at least one empty slot to end every probe.
+// NewDatabaseFromParts adopts a ready-made columnar encoding — a symbol
+// table, the three fact columns, already in Fact.Less order with no
+// duplicate rows, and the hash slot array LookupSlots exposes. It is
+// the snapshot codec's boot path: no string parsing, no re-sort, no
+// per-fact allocation, and adopting the stored table avoids allocating
+// and filling a new one. Order and well-formedness are validated
+// (cheap integer scans plus one adjacent string comparison per fact),
+// and the table is verified, not trusted: it must index exactly d's
+// facts, each where its own probe finds it, which leaves at least one
+// empty slot to end every probe. Violations return an error rather
+// than a silently corrupt database.
 func NewDatabaseFromParts(syms *Symbols, rels, offs, args, slots []int32) (*Database, error) {
 	d, err := newColumnar(syms, rels, offs, args)
 	if err != nil {

@@ -32,23 +32,20 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/count"
 	"repro/internal/fd"
+	"repro/internal/metrics"
 	"repro/internal/rel"
 )
 
-// constructions counts successful DP-table sampler constructions
+// Constructions counts successful DP-table sampler constructions
 // (BlockSampler and SequenceSampler) process-wide. Caching layers use
 // it to verify that prepared samplers are actually reused rather than
 // rebuilt per query.
-var constructions atomic.Int64
-
-// Constructions returns the number of DP-table sampler constructions
-// performed so far in this process.
-func Constructions() int64 { return constructions.Load() }
+var Constructions = metrics.Process.NewCounter("ocqa_sampler_constructions_total",
+	"DP-table sampler constructions process-wide.")
 
 // BlockSampler holds the block decomposition of a primary-key instance
 // and a cache of |CRS| counts per block-size profile. It provides the
@@ -86,7 +83,7 @@ func NewBlockSampler(inst *core.Instance) (*BlockSampler, error) {
 			bs.fixed = append(bs.fixed, b.Indices...)
 		}
 	}
-	constructions.Add(1)
+	Constructions.Inc()
 	return bs, nil
 }
 

@@ -120,7 +120,7 @@ func NewSequenceSampler(inst *core.Instance, singleton bool) (*SequenceSampler, 
 			ss.splits[m] = perLen
 		}
 	}
-	constructions.Add(1)
+	Constructions.Inc()
 	return ss, nil
 }
 

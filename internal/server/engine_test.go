@@ -60,7 +60,7 @@ func TestBatchZeroWorkersRegression(t *testing.T) {
 func TestQueryDeadlineStopsSampling(t *testing.T) {
 	ts, _ := newTestServer(t, Options{QueryTimeout: 50 * time.Millisecond, SampleCap: 2_000_000_000})
 	reg := register(t, ts.URL, pkFacts, pkFDs)
-	before := engine.CancelledRuns()
+	before := engine.CancelledRuns.Value()
 	var out errorResponse
 	// A tiny (ε, δ) pushes the stopping rule's success threshold into
 	// the tens of millions, guaranteeing the deadline fires
@@ -75,7 +75,7 @@ func TestQueryDeadlineStopsSampling(t *testing.T) {
 	// The engine observes the cancellation within one chunk; give the
 	// abandoned goroutine a moment to reach its next chunk boundary.
 	deadline := time.Now().Add(10 * time.Second)
-	for engine.CancelledRuns() == before {
+	for engine.CancelledRuns.Value() == before {
 		if time.Now().After(deadline) {
 			t.Fatal("engine never recorded the cancelled run: sampling kept going")
 		}

@@ -6,20 +6,19 @@ import (
 	"strconv"
 	"time"
 
-	ocqa "repro"
 	"repro/internal/buildinfo"
-	"repro/internal/engine"
 	"repro/internal/metrics"
-	"repro/internal/sampler"
+	"repro/internal/store"
 )
 
-// serverMetrics is the server's metrics core: every operational counter
-// lives in one metrics.Registry, so the same registered values feed the
-// back-compatible JSON /varz snapshot and the Prometheus text at
-// GET /metrics. Handler hot paths touch pre-resolved handles (one
-// atomic op each); anything derivable from live state — registry size,
-// cache occupancy, per-instance gauges, store stats — is read at
-// scrape time instead, via func metrics and the collect hook.
+// serverMetrics is the server's own metrics registry and the handles
+// its handlers update. GET /metrics renders it beside metrics.Process,
+// the process-wide engine, sampler and delta series, and GET /varz is
+// rendered from the same two registries. Handler hot paths touch
+// pre-resolved handles (one atomic op each); anything derivable from
+// live state — registry size, cache occupancy, per-instance gauges,
+// store stats — is read at scrape time instead, via func metrics and
+// the collect hook.
 type serverMetrics struct {
 	reg *metrics.Registry
 
@@ -59,11 +58,6 @@ type serverMetrics struct {
 	// request (the classified endpoint label keeps cardinality fixed).
 	httpRequests *metrics.CounterVec   // endpoint, code
 	httpLatency  *metrics.HistogramVec // endpoint
-
-	// Engine run histograms, fed by the engine's run hook: one
-	// observation per estimation run, cancelled runs included.
-	engineDraws *metrics.Histogram
-	engineWall  *metrics.Histogram
 
 	// Empirical (ε, δ)-envelope coverage: an approx single-tuple result
 	// whose exact counterpart is in the result cache is checked against
@@ -124,10 +118,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 	m.httpLatency = r.NewHistogramVec("ocqa_http_request_duration_seconds",
 		"HTTP request latency by classified endpoint.", "endpoint")
 
-	m.engineDraws = r.NewHistogram("ocqa_engine_run_draws",
-		"Monte-Carlo draws per estimation run (discarded parallel tails included).")
-	m.engineWall = r.NewHistogram("ocqa_engine_run_duration_seconds", "Wall time per estimation run.")
-
 	m.coverageChecks = r.NewCounterVec("ocqa_coverage_checks_total",
 		"Approx results compared against a cached exact counterpart.", "instance")
 	m.coverageWithin = r.NewCounterVec("ocqa_coverage_within_total",
@@ -161,44 +151,28 @@ func newServerMetrics(s *Server) *serverMetrics {
 		func() float64 { return float64(s.cache.len()) })
 	r.NewCounterFunc("ocqa_result_cache_evictions_total", "Result-cache entries evicted by the LRU capacity bound.",
 		func() float64 { return float64(s.cache.evicted()) })
-	r.NewCounterFunc("ocqa_sampler_constructions_total", "DP-table sampler constructions process-wide.",
-		func() float64 { return float64(sampler.Constructions()) })
-	r.NewCounterFunc("ocqa_engine_samples_drawn_total", "Monte-Carlo draws performed by the estimation engine process-wide.",
-		func() float64 { return float64(engine.SamplesDrawn()) })
-	r.NewCounterFunc("ocqa_engine_cancelled_runs_total", "Estimation runs stopped early by context cancellation.",
-		func() float64 { return float64(engine.CancelledRuns()) })
-	r.NewCounterFunc("ocqa_engine_multi_runs_total", "Shared-draw multi-target estimation passes.",
-		func() float64 { return float64(engine.MultiRuns()) })
-	r.NewCounterFunc("ocqa_engine_multi_targets_total", "Answer tuples served by shared-draw passes.",
-		func() float64 { return float64(engine.MultiTargets()) })
-	r.NewCounterFunc("ocqa_engine_auto_worker_runs_total", "Estimation runs whose worker count was resolved adaptively.",
-		func() float64 { return float64(engine.AutoWorkerRuns()) })
-	r.NewCounterFunc("ocqa_delta_refreshes_total", "Warm delta-path evaluations served by the incremental estimation layer process-wide.",
-		func() float64 { return float64(ocqa.DeltaRefreshes()) })
-	r.NewCounterFunc("ocqa_delta_factor_cache_hits_total", "Per-block exact factor cache hits in the delta estimation layer.",
-		func() float64 { return float64(ocqa.DeltaFactorCacheHits()) })
-	r.NewCounterFunc("ocqa_delta_factor_cache_misses_total", "Per-block exact factor cache misses (factors recomputed) in the delta estimation layer.",
-		func() float64 { return float64(ocqa.DeltaFactorCacheMisses()) })
-	r.NewCounterFunc("ocqa_delta_reused_draws_total", "Monte-Carlo draws whose statistics were reused from a previous generation's strata instead of being redrawn.",
-		func() float64 { return float64(ocqa.DeltaReusedDraws()) })
-	r.NewGaugeFunc("ocqa_engine_last_auto_workers", "Worker count chosen by the most recent adaptive resolution.",
-		func() float64 { return float64(engine.LastAutoWorkers()) })
-
 	if s.store != nil {
-		r.NewCounterFunc("ocqa_store_wal_appends_total", "WAL append batches.",
-			func() float64 { return float64(s.store.Stats().WalAppends) })
-		r.NewCounterFunc("ocqa_store_wal_records_total", "WAL records written.",
-			func() float64 { return float64(s.store.Stats().WalRecords) })
-		r.NewCounterFunc("ocqa_store_snapshots_total", "Snapshots written.",
-			func() float64 { return float64(s.store.Stats().Snapshots) })
-		r.NewCounterFunc("ocqa_store_replayed_ops_total", "Operations replayed at boot.",
-			func() float64 { return float64(s.store.Stats().ReplayedOps) })
-		r.NewCounterFunc("ocqa_store_compactions_total", "Log compactions performed.",
-			func() float64 { return float64(s.store.Stats().Compactions) })
+		for _, ss := range storeSeries {
+			r.NewCounterFunc(ss.name, ss.help, func() float64 { return float64(ss.stat(s.store.Stats())) })
+		}
 	}
 
 	r.OnCollect(s.collectInstanceGauges)
 	return m
+}
+
+// storeSeries are the durable store's counters. Only a server with a
+// store registers them; a memory-only server's /varz reads their keys
+// as 0.
+var storeSeries = []struct {
+	name, help string
+	stat       func(store.Stats) int64
+}{
+	{"ocqa_store_wal_appends_total", "WAL append batches.", func(st store.Stats) int64 { return st.WalAppends }},
+	{"ocqa_store_wal_records_total", "WAL records written.", func(st store.Stats) int64 { return st.WalRecords }},
+	{"ocqa_store_snapshots_total", "Snapshots written.", func(st store.Stats) int64 { return st.Snapshots }},
+	{"ocqa_store_replayed_ops_total", "Operations replayed at boot.", func(st store.Stats) int64 { return st.ReplayedOps }},
+	{"ocqa_store_compactions_total", "Log compactions performed.", func(st store.Stats) int64 { return st.Compactions }},
 }
 
 // collectInstanceGauges rebuilds the per-instance gauge families from
@@ -229,131 +203,6 @@ func (s *Server) collectInstanceGauges() {
 	}
 }
 
-// varz is the JSON shape of GET /varz. The original field set is a
-// compatibility contract — dashboards read it — so fields are only ever
-// added, and every value is sourced from the same registry handles that
-// feed GET /metrics.
-type varz struct {
-	UptimeSeconds float64 `json:"uptime_seconds"`
-	Instances     int     `json:"instances"`
-	CacheEntries  int     `json:"cache_entries"`
-
-	// Build identifies the running binary — the same fields ocqa-bench
-	// stamps into BENCH_*.json, so a /varz snapshot and a bench file can
-	// be matched to the same build.
-	Build buildVarz `json:"build"`
-
-	QueriesServed int64 `json:"queries_served"`
-	ExactQueries  int64 `json:"exact_queries"`
-	ApproxQueries int64 `json:"approx_queries"`
-	// AnswersQueries counts queries executed in all-answers shape (no
-	// explicit tuple): every tuple of Q(D) served by one computation.
-	// AnswerTuples totals the tuples those queries returned.
-	AnswersQueries int64 `json:"answers_queries"`
-	AnswerTuples   int64 `json:"answer_tuples"`
-	BatchRequests  int64 `json:"batch_requests"`
-	CacheHits      int64 `json:"cache_hits"`
-	CacheMisses    int64 `json:"cache_misses"`
-	Refusals       int64 `json:"refusals"`
-	Timeouts       int64 `json:"timeouts"`
-	Errors         int64 `json:"errors"`
-	// SampleDraws totals the Monte-Carlo draws consumed by approx
-	// queries and marginals.
-	SampleDraws int64 `json:"sample_draws"`
-	// InstancesRegistered counts registrations over the server's
-	// lifetime (deletions do not decrement it).
-	InstancesRegistered int64 `json:"instances_registered"`
-	// FactMutations counts applied insert-fact/delete-fact operations.
-	FactMutations int64 `json:"fact_mutations"`
-	// Evictions counts LRU evictions performed by over-capacity
-	// registrations.
-	Evictions int64 `json:"evictions"`
-	// SamplerConstructions counts DP-table sampler constructions
-	// process-wide; with prepared instances it moves at registration
-	// time only, never per query.
-	SamplerConstructions int64 `json:"sampler_constructions"`
-
-	// EngineSamplesDrawn counts Monte-Carlo draws performed by the
-	// estimation engine process-wide, partial draws of cancelled runs
-	// included (unlike SampleDraws, which accounts requested budgets at
-	// the handler level).
-	EngineSamplesDrawn int64 `json:"engine_samples_drawn"`
-	// EngineCancelledRuns counts estimation runs stopped early by
-	// context cancellation (server deadline or client disconnect) —
-	// each one is sampling work that no longer burns a worker to
-	// completion.
-	EngineCancelledRuns int64 `json:"engine_cancelled_runs"`
-	// EngineMultiRuns counts shared-draw multi-target estimation
-	// passes (one per all-answers approximation); EngineMultiTargets
-	// totals the answer tuples those passes served, so
-	// EngineMultiTargets/EngineMultiRuns is the mean fan-out a single
-	// Monte-Carlo pass amortised.
-	EngineMultiRuns    int64 `json:"engine_multi_runs"`
-	EngineMultiTargets int64 `json:"engine_multi_targets"`
-	// EngineAutoWorkerRuns counts estimation runs whose worker count
-	// was resolved adaptively (request had workers ≤ 0);
-	// EngineLastAutoWorkers is the count the most recent such
-	// resolution chose, so an operator can see what "auto" currently
-	// means on this host and workload.
-	EngineAutoWorkerRuns  int64 `json:"engine_auto_worker_runs"`
-	EngineLastAutoWorkers int64 `json:"engine_last_auto_workers"`
-
-	// ResultCacheEvictions counts result-cache entries dropped by the
-	// LRU capacity bound (instance-scoped invalidations not included).
-	ResultCacheEvictions int64 `json:"result_cache_evictions"`
-	// DeltaRefreshes counts warm delta-path evaluations served by the
-	// incremental estimation layer (library-wide). DeltaFactorCacheHits
-	// and DeltaFactorCacheMisses split the per-block exact factor cache
-	// lookups behind them; DeltaReusedDraws totals the Monte-Carlo draws
-	// whose statistics were carried over from a previous generation's
-	// strata instead of being redrawn. CacheDeltaRefreshes counts
-	// result-cache entries the server re-executed and re-cached in place
-	// after a mutation.
-	DeltaRefreshes         int64 `json:"delta_refreshes"`
-	DeltaFactorCacheHits   int64 `json:"delta_factor_cache_hits"`
-	DeltaFactorCacheMisses int64 `json:"delta_factor_cache_misses"`
-	DeltaReusedDraws       int64 `json:"delta_reused_draws"`
-	CacheDeltaRefreshes    int64 `json:"result_cache_delta_refreshes"`
-	// Replication: ReplFeeds counts feed pulls served to followers,
-	// ReplApplied incremental mutations applied to local replicas,
-	// ReplFullSyncs syncs that fell back to a full-state transfer,
-	// ReplPromotes replicas promoted into the live registry (failovers),
-	// Replicas the warm replicas currently held, and ShedRequests
-	// query-path requests shed with 503 by the inflight load gate.
-	ReplFeeds     int64 `json:"replication_feeds"`
-	ReplApplied   int64 `json:"replication_ops_applied"`
-	ReplFullSyncs int64 `json:"replication_full_syncs"`
-	ReplPromotes  int64 `json:"replication_promotions"`
-	Replicas      int   `json:"replicas"`
-	ShedRequests  int64 `json:"shed_requests"`
-	// CoverageChecks / CoverageWithin total the empirical
-	// (ε, δ)-envelope checks across instances: approx results compared
-	// against a cached exact counterpart, and how many landed within
-	// ε relative error.
-	CoverageChecks int64 `json:"coverage_checks"`
-	CoverageWithin int64 `json:"coverage_within"`
-	// EndpointLatency summarises the per-endpoint request histograms;
-	// endpoints that have served no requests are omitted.
-	EndpointLatency map[string]endpointLatency `json:"endpoint_latency,omitempty"`
-
-	// Persistence counters, all zero when the server runs without a
-	// durable store (-data-dir unset).
-	Persistent  bool  `json:"persistent"`
-	WalAppends  int64 `json:"wal_appends"`
-	WalRecords  int64 `json:"wal_records"`
-	Snapshots   int64 `json:"snapshots"`
-	ReplayedOps int64 `json:"replayed_ops"`
-	Compactions int64 `json:"compactions"`
-}
-
-// buildVarz is the build-identity object in /varz.
-type buildVarz struct {
-	GitCommit  string `json:"git_commit"`
-	GoVersion  string `json:"go_version"`
-	NumCPU     int    `json:"num_cpu"`
-	GoMaxProcs int    `json:"gomaxprocs"`
-}
-
 // endpointLatency is one endpoint's latency summary in /varz.
 type endpointLatency struct {
 	Count int64   `json:"count"`
@@ -362,86 +211,48 @@ type endpointLatency struct {
 	P99   float64 `json:"p99_seconds"`
 }
 
+// handleVarz serves GET /varz: every unlabelled series of the server's
+// registry and of metrics.Process under its metrics.VarzKey, plus what
+// no single series holds — the build identity (the fields ocqa-bench
+// stamps into BENCH_*.json), whether the server is durable, the
+// coverage counters summed over instances, and the per-endpoint latency
+// summaries of the endpoints that have served a request. The key set is
+// a compatibility contract: dashboards read it.
 func (s *Server) handleVarz(w http.ResponseWriter, r *http.Request) {
 	m := s.met
-	v := varz{
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		Instances:     s.reg.len(),
-		CacheEntries:  s.cache.len(),
-		Build: buildVarz{
-			GitCommit:  buildinfo.Commit(),
-			GoVersion:  buildinfo.GoVersion(),
-			NumCPU:     buildinfo.NumCPU(),
-			GoMaxProcs: buildinfo.MaxProcs(),
-		},
-		QueriesServed:          m.queriesServed.Value(),
-		ExactQueries:           m.exactQueries.Value(),
-		ApproxQueries:          m.approxQueries.Value(),
-		AnswersQueries:         m.answersQueries.Value(),
-		AnswerTuples:           m.answerTuples.Value(),
-		BatchRequests:          m.batchRequests.Value(),
-		CacheHits:              m.cacheHits.Value(),
-		CacheMisses:            m.cacheMisses.Value(),
-		Refusals:               m.refusals.Value(),
-		Timeouts:               m.timeouts.Value(),
-		Errors:                 m.errors.Value(),
-		SampleDraws:            m.sampleDraws.Value(),
-		InstancesRegistered:    m.registered.Value(),
-		FactMutations:          m.mutations.Value(),
-		Evictions:              m.evictions.Value(),
-		SamplerConstructions:   sampler.Constructions(),
-		EngineSamplesDrawn:     engine.SamplesDrawn(),
-		EngineCancelledRuns:    engine.CancelledRuns(),
-		EngineMultiRuns:        engine.MultiRuns(),
-		EngineMultiTargets:     engine.MultiTargets(),
-		EngineAutoWorkerRuns:   engine.AutoWorkerRuns(),
-		EngineLastAutoWorkers:  engine.LastAutoWorkers(),
-		ResultCacheEvictions:   s.cache.evicted(),
-		DeltaRefreshes:         ocqa.DeltaRefreshes(),
-		DeltaFactorCacheHits:   ocqa.DeltaFactorCacheHits(),
-		DeltaFactorCacheMisses: ocqa.DeltaFactorCacheMisses(),
-		DeltaReusedDraws:       ocqa.DeltaReusedDraws(),
-		CacheDeltaRefreshes:    m.cacheRefreshes.Value(),
-		ReplFeeds:              m.replFeeds.Value(),
-		ReplApplied:            m.replApplied.Value(),
-		ReplFullSyncs:          m.replFullSyncs.Value(),
-		ReplPromotes:           m.replPromotes.Value(),
-		Replicas:               len(s.repl.listReplicas()),
-		ShedRequests:           m.shedRequests.Value(),
+	v := metrics.Varz(m.reg, metrics.Process)
+	v["build"] = map[string]any{
+		"git_commit": buildinfo.Commit(),
+		"go_version": buildinfo.GoVersion(),
+		"num_cpu":    buildinfo.NumCPU(),
+		"gomaxprocs": buildinfo.MaxProcs(),
 	}
-	m.coverageChecks.Each(func(_ []string, n int64) { v.CoverageChecks += n })
-	m.coverageWithin.Each(func(_ []string, n int64) { v.CoverageWithin += n })
+	v["persistent"] = s.store != nil
+	if s.store == nil {
+		for _, ss := range storeSeries {
+			v[metrics.VarzKey(ss.name)] = 0
+		}
+	}
+	var checks, within int64
+	m.coverageChecks.Each(func(_ []string, n int64) { checks += n })
+	m.coverageWithin.Each(func(_ []string, n int64) { within += n })
+	v["coverage_checks"], v["coverage_within"] = checks, within
+	latency := map[string]endpointLatency{}
 	m.httpLatency.Each(func(labels []string, h *metrics.Histogram) {
 		if h.Count() == 0 {
 			return // Quantile is NaN on an empty histogram, which JSON cannot carry
 		}
-		if v.EndpointLatency == nil {
-			v.EndpointLatency = make(map[string]endpointLatency)
-		}
-		v.EndpointLatency[labels[0]] = endpointLatency{
+		latency[labels[0]] = endpointLatency{
 			Count: h.Count(),
 			P50:   h.Quantile(0.5),
 			P90:   h.Quantile(0.9),
 			P99:   h.Quantile(0.99),
 		}
 	})
-	if s.store != nil {
-		st := s.store.Stats()
-		v.Persistent = true
-		v.WalAppends = st.WalAppends
-		v.WalRecords = st.WalRecords
-		v.Snapshots = st.Snapshots
-		v.ReplayedOps = st.ReplayedOps
-		v.Compactions = st.Compactions
+	if len(latency) > 0 {
+		v["endpoint_latency"] = latency
 	}
 	writeJSON(w, http.StatusOK, v)
-}
-
-// handleMetrics serves the registry in the Prometheus text exposition
-// format (version 0.0.4).
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.met.reg.WritePrometheus(w)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -47,7 +47,7 @@ func TestCancellationAccounting(t *testing.T) {
 	})
 	reg := register(t, ts.URL, bigBlockFacts(300), "R: A1 -> A2\n")
 
-	cancelledBefore := engine.CancelledRuns()
+	cancelledBefore := engine.CancelledRuns.Value()
 	body, _ := jsonBody(t, QueryRequest{
 		Generator: "uo", Mode: "approx",
 		Query: "Ans() :- R(k1, 'va1')",
@@ -82,7 +82,7 @@ func TestCancellationAccounting(t *testing.T) {
 	if len(er.Partial) != 1 || er.Partial[0].Samples == 0 {
 		t.Errorf("504 body carries no usable partial estimate: %+v", er.Partial)
 	}
-	if d := engine.CancelledRuns() - cancelledBefore; d < 1 {
+	if d := engine.CancelledRuns.Value() - cancelledBefore; d < 1 {
 		t.Errorf("engine cancelled-run counter moved by %d, want >= 1", d)
 	}
 }
@@ -340,6 +340,53 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 		if c, ok := counts[k]; !ok || last.v != c {
 			t.Errorf("%s%s: +Inf bucket %v != _count %v", k.name, k.labels, last.v, c)
 		}
+	}
+}
+
+// metricValue scrapes url's /metrics and returns the value of the
+// unlabelled sample name.
+func metricValue(t *testing.T, url, name string) float64 {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if v, ok := strings.CutPrefix(sc.Text(), name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("%s/metrics has no sample %s", url, name)
+	return 0
+}
+
+// TestRunHistogramsOnEveryServer: the engine's run histograms are
+// process-wide series, so every server in a process renders them. An
+// approximate query served by the first of two servers moves that
+// server's ocqa_engine_run_draws_count, though the second was built
+// after it.
+func TestRunHistogramsOnEveryServer(t *testing.T) {
+	first, _ := newTestServer(t, Options{})
+	newTestServer(t, Options{})
+	reg := register(t, first.URL, pkFacts, pkFDs)
+	before := metricValue(t, first.URL, "ocqa_engine_run_draws_count")
+	var qr QueryResponse
+	if status := do(t, http.MethodPost, first.URL+"/v1/instances/"+reg.ID+"/query", QueryRequest{
+		Generator: "uo", Mode: "approx", Query: "Ans(n) :- Emp(i, n)", Tuple: "Alice", Seed: 4,
+	}, &qr); status != http.StatusOK {
+		t.Fatalf("query: status %d", status)
+	}
+	if qr.Cost == nil || qr.Cost.Draws == 0 {
+		t.Fatalf("query drew nothing: %+v", qr.Cost)
+	}
+	if after := metricValue(t, first.URL, "ocqa_engine_run_draws_count"); after <= before {
+		t.Fatalf("first server's ocqa_engine_run_draws_count %v -> %v after a sampled query", before, after)
 	}
 }
 

@@ -320,9 +320,9 @@ func TestWarmBootPreparesLazily(t *testing.T) {
 
 	st2 := openTestStore(t, dir)
 	defer st2.Close()
-	before := sampler.Constructions()
+	before := sampler.Constructions.Value()
 	ts2, _ := newTestServer(t, Options{Store: st2})
-	if got := sampler.Constructions(); got != before {
+	if got := sampler.Constructions.Value(); got != before {
 		t.Fatalf("warm boot built %d samplers eagerly", got-before)
 	}
 	var resp QueryResponse
@@ -330,7 +330,7 @@ func TestWarmBootPreparesLazily(t *testing.T) {
 		QueryRequest{Generator: "us", Mode: "approx", Query: "Ans(n) :- Emp(i, n)", Tuple: "Alice", MaxSamples: 2000}, &resp); status != http.StatusOK {
 		t.Fatalf("query after warm boot: status %d", status)
 	}
-	if got := sampler.Constructions(); got == before {
+	if got := sampler.Constructions.Value(); got == before {
 		t.Fatal("first query after warm boot did not build samplers")
 	}
 }

@@ -55,7 +55,7 @@ import (
 
 	ocqa "repro"
 	"repro/internal/core"
-	"repro/internal/engine"
+	"repro/internal/metrics"
 	"repro/internal/store"
 )
 
@@ -299,14 +299,6 @@ func New(opts Options) *Server {
 		stop:      stop,
 	}
 	s.met = newServerMetrics(s)
-	// The engine reports every estimation run (cancelled ones included)
-	// through its run hook: one observation per run, far below the <5%
-	// instrumentation budget. Process-wide, so the most recently built
-	// server owns the histograms — in production there is one.
-	engine.SetRunHook(func(ri engine.RunInfo) {
-		s.met.engineDraws.Observe(float64(ri.Acct.Draws))
-		s.met.engineWall.Observe(ri.Acct.Wall().Seconds())
-	})
 	if s.store != nil {
 		for _, is := range s.store.Instances() {
 			s.reg.restore(is.ID, is.Name, ocqa.NewInstance(is.DB, is.Sigma), is.Created)
@@ -341,7 +333,7 @@ func New(opts Options) *Server {
 	s.mux.HandleFunc("POST /v1/replication/promote", s.handleReplPromote)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /varz", s.handleVarz)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	s.mux.HandleFunc("GET /metrics", metrics.Handler(s.met.reg, metrics.Process))
 	if opts.EnableDebugQueries {
 		s.flight = newFlightRecorder()
 		s.mux.HandleFunc("GET /debug/queries", s.handleDebugQueries)

@@ -68,6 +68,23 @@ func do(t *testing.T, method, url string, body, out any) int {
 	return resp.StatusCode
 }
 
+// varz is the part of GET /varz the tests read.
+type varz struct {
+	Instances            int   `json:"instances"`
+	QueriesServed        int64 `json:"queries_served"`
+	ExactQueries         int64 `json:"exact_queries"`
+	InstancesRegistered  int64 `json:"instances_registered"`
+	CacheHits            int64 `json:"cache_hits"`
+	CacheMisses          int64 `json:"cache_misses"`
+	Evictions            int64 `json:"evictions"`
+	ResultCacheEvictions int64 `json:"result_cache_evictions"`
+	EngineSamplesDrawn   int64 `json:"engine_samples_drawn"`
+	EngineCancelledRuns  int64 `json:"engine_cancelled_runs"`
+	CoverageChecks       int64 `json:"coverage_checks"`
+	Persistent           bool  `json:"persistent"`
+	ReplayedOps          int64 `json:"replayed_ops"`
+}
+
 func register(t *testing.T, base, facts, fds string) RegisterResponse {
 	t.Helper()
 	var reg RegisterResponse
@@ -195,9 +212,9 @@ func TestApproxMatchesLibraryWithZeroConstructions(t *testing.T) {
 	ts, _ := newTestServer(t, Options{})
 	step := func(what string, want int64, run func()) {
 		t.Helper()
-		before := sampler.Constructions()
+		before := sampler.Constructions.Value()
 		run()
-		if got := sampler.Constructions() - before; got != want {
+		if got := sampler.Constructions.Value() - before; got != want {
 			t.Fatalf("%s: %d sampler constructions, want %d", what, got, want)
 		}
 	}
@@ -264,9 +281,9 @@ func TestRegistrationBuildsOnlyTheBlockDecomposition(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
 	}
-	h0, c0 := heap(), sampler.Constructions()
+	h0, c0 := heap(), sampler.Constructions.Value()
 	register(t, ts.URL, facts.String(), "R: A1 -> A2")
-	h1, c1 := heap(), sampler.Constructions()
+	h1, c1 := heap(), sampler.Constructions.Value()
 	t.Logf("registration built %d sampler(s) and kept %.2f MB", c1-c0, float64(int64(h1)-int64(h0))/(1<<20))
 	if c1-c0 != 1 {
 		t.Errorf("registration built %d samplers, want 1", c1-c0)

@@ -80,13 +80,13 @@ func TestApproximateFactMarginalsMidFlightCancel(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 		cancel()
 	}()
-	before := engine.SamplesDrawn()
+	before := engine.SamplesDrawn.Value()
 	_, err := inst.ApproximateFactMarginals(ctx, ocqa.Mode{Gen: ocqa.UniformRepairs},
 		ocqa.ApproxOptions{Seed: 9, MaxSamples: budget, Workers: 2})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if drawn := engine.SamplesDrawn() - before; drawn >= budget {
+	if drawn := engine.SamplesDrawn.Value() - before; drawn >= budget {
 		t.Fatalf("cancelled marginals drained the full %d-draw budget (drew %d)", budget, drawn)
 	}
 }

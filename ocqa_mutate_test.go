@@ -195,9 +195,9 @@ func TestLoadSnapshotRejectsFullLookupTable(t *testing.T) {
 // first M^ur use, each sequence DP table on its first M^us use — and a
 // derived instance starts over, lazily.
 func TestInstanceDefersConstruction(t *testing.T) {
-	before := sampler.Constructions()
+	before := sampler.Constructions.Value()
 	inst := mustInstance(t, "Emp(1,Alice)\nEmp(1,Tom)\nEmp(2,Bob)", "Emp: A1 -> A2")
-	if sampler.Constructions() != before {
+	if sampler.Constructions.Value() != before {
 		t.Fatal("NewInstance built samplers eagerly")
 	}
 	// One violating block of size 2 (keep Alice, keep Tom, or delete
@@ -205,14 +205,14 @@ func TestInstanceDefersConstruction(t *testing.T) {
 	if got := inst.CountRepairs(false); got.Cmp(big.NewInt(3)) != 0 {
 		t.Fatalf("CountRepairs = %v, want 3", got)
 	}
-	afterFirst := sampler.Constructions()
+	afterFirst := sampler.Constructions.Value()
 	if afterFirst != before+1 {
 		t.Fatalf("first block use built %d samplers, want 1", afterFirst-before)
 	}
 	if got := inst.CountRepairs(false); got.Cmp(big.NewInt(3)) != 0 {
 		t.Fatalf("CountRepairs (repeat) = %v, want 3", got)
 	}
-	if sampler.Constructions() != afterFirst {
+	if sampler.Constructions.Value() != afterFirst {
 		t.Fatal("repeated block use rebuilt samplers: laziness is not at-most-once")
 	}
 	// A sequence-mode query builds its own DP table on first use —
@@ -227,13 +227,13 @@ func TestInstanceDefersConstruction(t *testing.T) {
 		}
 	}
 	seqQuery(inst)
-	afterSeq := sampler.Constructions()
+	afterSeq := sampler.Constructions.Value()
 	if afterSeq != afterFirst+1 {
 		t.Fatalf("first sequence-mode use built %d samplers, want 1", afterSeq-afterFirst)
 	}
 	// ...and repeating it is free.
 	seqQuery(inst)
-	if sampler.Constructions() != afterSeq {
+	if sampler.Constructions.Value() != afterSeq {
 		t.Fatal("repeated sequence use rebuilt samplers: laziness is not at-most-once")
 	}
 	// A mutation derives an instance without samplers; its first
@@ -242,11 +242,11 @@ func TestInstanceDefersConstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sampler.Constructions() != afterSeq {
+	if sampler.Constructions.Value() != afterSeq {
 		t.Fatal("ApplyInsert built samplers eagerly")
 	}
 	seqQuery(ni)
-	if got := sampler.Constructions() - afterSeq; got != 1 {
+	if got := sampler.Constructions.Value() - afterSeq; got != 1 {
 		t.Fatalf("derived instance's first sequence-mode use built %d samplers, want 1", got)
 	}
 }

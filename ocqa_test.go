@@ -634,9 +634,9 @@ func TestPreparedPerformsNoConstructions(t *testing.T) {
 	}
 	step := func(what string, want int64, run func()) {
 		t.Helper()
-		before := sampler.Constructions()
+		before := sampler.Constructions.Value()
 		run()
-		if got := sampler.Constructions() - before; got != want {
+		if got := sampler.Constructions.Value() - before; got != want {
 			t.Errorf("%s: %d sampler constructions, want %d", what, got, want)
 		}
 	}

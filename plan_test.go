@@ -219,12 +219,12 @@ func TestPlanBuildsNoBlockDecomposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	mode := ocqa.Mode{Gen: ocqa.UniformRepairs}
-	before := sampler.Constructions()
+	before := sampler.Constructions.Value()
 	plan, err := derived.PlanApproximate(mode, q, true, ocqa.ApproxOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := sampler.Constructions() - before; n != 0 {
+	if n := sampler.Constructions.Value() - before; n != 0 {
 		t.Fatalf("planning built %d samplers, want 0", n)
 	}
 	if plan.Blocks != -1 {
