@@ -1,7 +1,8 @@
 // Command ocqa-coord runs the cluster coordinator: a stateless proxy
 // that consistent-hashes instance ids across a static list of
 // ocqa-serve backends, routes all /v1/instances/* traffic to each
-// instance's owning backend, hedges straggling reads against the p99
+// instance's owning backend (a batch whole, as one read the owner runs
+// over its own worker pool), hedges straggling reads against the p99
 // of the owner's last 512 to 1,024 successes, passes backend load
 // shedding through (opening a per-backend circuit breaker on
 // consecutive failures), and keeps one warm follower replica per

@@ -12,6 +12,10 @@
 //	           [-access-log] [-pprof] [-debug-queries] [-slow-query 0]
 //	           [-delta-refresh 8] [-watch-wait 25s] [-shed-inflight 0]
 //
+// -batch-workers also caps the estimation workers a request asks for;
+// a request that omits them runs adaptive (the engine sizes each run
+// from the instance's conflict structure and draw budget).
+//
 // Observability: GET /varz serves the JSON counter snapshot, GET
 // /metrics the same series (the server's registry and the process-wide
 // one) in Prometheus text format. Every response
@@ -64,7 +68,6 @@ func main() {
 	var (
 		addr          = flag.String("addr", ":8080", "listen address")
 		batchWorkers  = flag.Int("batch-workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
-		workers       = flag.Int("workers", 0, "estimation workers for requests that omit workers (0 = adaptive)")
 		cacheSize     = flag.Int("cache", 1024, "result cache entries (negative disables)")
 		timeout       = flag.Duration("timeout", 30*time.Second, "per-query deadline (negative disables)")
 		exactLimit    = flag.Int("exact-limit", 2_000_000, "state-budget cap for the exact engines")
@@ -86,7 +89,6 @@ func main() {
 	flag.Parse()
 	opts := server.Options{
 		BatchWorkers:         *batchWorkers,
-		DefaultWorkers:       *workers,
 		CacheSize:            *cacheSize,
 		QueryTimeout:         *timeout,
 		ExactLimit:           *exactLimit,

@@ -39,10 +39,6 @@ type Options struct {
 	HealthInterval time.Duration
 	// HealthTimeout bounds one health probe. Default 1s.
 	HealthTimeout time.Duration
-	// BatchChunk is the fan-out granularity: a batch request is split
-	// into chunks of this many queries proxied concurrently (each chunk
-	// hedged independently). Default 16; negative disables splitting.
-	BatchChunk int
 	// MaxBodyBytes caps proxied request bodies. Default 16 MiB.
 	MaxBodyBytes int64
 	// Client is the backend-facing HTTP client. Default: 60s timeout.
@@ -64,9 +60,6 @@ func (o *Options) fill() {
 	}
 	if o.HealthTimeout <= 0 {
 		o.HealthTimeout = time.Second
-	}
-	if o.BatchChunk == 0 {
-		o.BatchChunk = 16
 	}
 	if o.MaxBodyBytes <= 0 {
 		o.MaxBodyBytes = 16 << 20
@@ -197,7 +190,7 @@ func (c *Coordinator) routes() {
 	c.mux.HandleFunc("DELETE /v1/instances/{id}/facts/{index}", c.proxyMutation)
 	c.mux.HandleFunc("POST /v1/instances/{id}/query", c.proxyRead)
 	c.mux.HandleFunc("GET /v1/instances/{id}/watch", c.proxyWatch)
-	c.mux.HandleFunc("POST /v1/instances/{id}/batch", c.handleBatch)
+	c.mux.HandleFunc("POST /v1/instances/{id}/batch", c.proxyRead)
 	c.mux.HandleFunc("POST /v1/instances/{id}/repairs/count", c.proxyRead)
 	c.mux.HandleFunc("POST /v1/instances/{id}/marginals", c.proxyRead)
 	c.mux.HandleFunc("POST /v1/instances/{id}/semantics", c.proxyRead)
@@ -550,46 +543,52 @@ func backendPath(r *http.Request) string {
 	return p
 }
 
-// proxyRead proxies an idempotent read to the owner with hedging.
-func (c *Coordinator) proxyRead(w http.ResponseWriter, r *http.Request) {
+// exchange is one buffered request to a member: doOnce, or hedgedDo
+// for idempotent reads.
+type exchange func(ctx context.Context, m *member, method, path string, body []byte, hdr http.Header) (*proxyResult, error)
+
+// proxy is the one route of every per-instance request: it counts the
+// request, reads its body under the cap, looks the instance's shard up
+// (owner and follower from one snapshot), checks the owner's breaker
+// and forwards the request there with do. It answers 413, 503 or 502
+// itself, returning a nil result.
+func (c *Coordinator) proxy(w http.ResponseWriter, r *http.Request, do exchange) (sh *shard, owner, follower string, res *proxyResult) {
 	c.met.proxied.Add(1)
 	body, ok := c.readBody(w, r)
 	if !ok {
-		return
+		return nil, "", "", nil
 	}
-	sh := c.shardFor(r.PathValue("id"))
-	owner, _, _ := c.snapshotShard(sh)
+	sh = c.shardFor(r.PathValue("id"))
+	owner, follower, _ = c.snapshotShard(sh)
 	m := c.byBase[owner]
 	if !c.admit(m) {
 		errorJSON(w, http.StatusServiceUnavailable, "owning backend %s is unavailable", owner)
-		return
+		return nil, "", "", nil
 	}
-	res, err := c.hedgedDo(r.Context(), m, r.Method, backendPath(r), body, r.Header)
+	res, err := do(r.Context(), m, r.Method, backendPath(r), body, r.Header)
 	if err != nil {
 		errorJSON(w, http.StatusBadGateway, "backend %s: %v", owner, err)
-		return
+		return nil, "", "", nil
 	}
-	writeResult(w, res)
+	return sh, owner, follower, res
+}
+
+// proxyRead proxies an idempotent read to the owner with hedging. A
+// batch is one such read, sent whole: the owner runs its elements over
+// its own worker pool and answers each with its index and status.
+func (c *Coordinator) proxyRead(w http.ResponseWriter, r *http.Request) {
+	if _, _, _, res := c.proxy(w, r, c.hedgedDo); res != nil {
+		writeResult(w, res)
+	}
 }
 
 // proxyWatch proxies a long-poll without hedging: a parked watch is
 // not a straggler, and duplicating it would double the backend's
 // waiter population for no latency win.
 func (c *Coordinator) proxyWatch(w http.ResponseWriter, r *http.Request) {
-	c.met.proxied.Add(1)
-	sh := c.shardFor(r.PathValue("id"))
-	owner, _, _ := c.snapshotShard(sh)
-	m := c.byBase[owner]
-	if !c.admit(m) {
-		errorJSON(w, http.StatusServiceUnavailable, "owning backend %s is unavailable", owner)
-		return
+	if _, _, _, res := c.proxy(w, r, c.doOnce); res != nil {
+		writeResult(w, res)
 	}
-	res, err := c.doOnce(r.Context(), m, r.Method, backendPath(r), nil, r.Header)
-	if err != nil {
-		errorJSON(w, http.StatusBadGateway, "backend %s: %v", owner, err)
-		return
-	}
-	writeResult(w, res)
 }
 
 // proxyMutation proxies a write to the owner and, before acking,
@@ -597,21 +596,8 @@ func (c *Coordinator) proxyWatch(w http.ResponseWriter, r *http.Request) {
 // acked write survives the owner's death. The replicated generation is
 // reported on the X-Replicated-Gen response header.
 func (c *Coordinator) proxyMutation(w http.ResponseWriter, r *http.Request) {
-	c.met.proxied.Add(1)
-	body, ok := c.readBody(w, r)
-	if !ok {
-		return
-	}
-	sh := c.shardFor(r.PathValue("id"))
-	owner, follower, _ := c.snapshotShard(sh)
-	m := c.byBase[owner]
-	if !c.admit(m) {
-		errorJSON(w, http.StatusServiceUnavailable, "owning backend %s is unavailable", owner)
-		return
-	}
-	res, err := c.doOnce(r.Context(), m, r.Method, backendPath(r), body, r.Header)
-	if err != nil {
-		errorJSON(w, http.StatusBadGateway, "backend %s: %v", owner, err)
+	sh, owner, follower, res := c.proxy(w, r, c.doOnce)
+	if res == nil {
 		return
 	}
 	if res.status == http.StatusOK {
@@ -640,101 +626,16 @@ func (c *Coordinator) proxyMutation(w http.ResponseWriter, r *http.Request) {
 
 // handleDeregister proxies an instance delete and drops its shard.
 func (c *Coordinator) handleDeregister(w http.ResponseWriter, r *http.Request) {
-	c.met.proxied.Add(1)
-	id := r.PathValue("id")
-	sh := c.shardFor(id)
-	owner, _, _ := c.snapshotShard(sh)
-	m := c.byBase[owner]
-	if !c.admit(m) {
-		errorJSON(w, http.StatusServiceUnavailable, "owning backend %s is unavailable", owner)
-		return
-	}
-	res, err := c.doOnce(r.Context(), m, r.Method, backendPath(r), nil, r.Header)
-	if err != nil {
-		errorJSON(w, http.StatusBadGateway, "backend %s: %v", owner, err)
+	sh, _, _, res := c.proxy(w, r, c.doOnce)
+	if res == nil {
 		return
 	}
 	if res.status == http.StatusNoContent || res.status == http.StatusOK {
 		c.mu.Lock()
-		delete(c.shards, id)
+		delete(c.shards, sh.id)
 		c.mu.Unlock()
 	}
 	writeResult(w, res)
-}
-
-// handleBatch fans a batch out in chunks: the query list is split into
-// BatchChunk-sized sub-batches proxied concurrently to the owner, each
-// hedged independently, and the results are reassembled in request
-// order. A chunk that fails wholesale surfaces per element, the way the
-// backend reports per-element errors.
-func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
-	c.met.proxied.Add(1)
-	body, ok := c.readBody(w, r)
-	if !ok {
-		return
-	}
-	sh := c.shardFor(r.PathValue("id"))
-	owner, _, _ := c.snapshotShard(sh)
-	m := c.byBase[owner]
-	if !c.admit(m) {
-		errorJSON(w, http.StatusServiceUnavailable, "owning backend %s is unavailable", owner)
-		return
-	}
-	var req server.BatchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		errorJSON(w, http.StatusBadRequest, "request body: %v", err)
-		return
-	}
-	chunk := c.opts.BatchChunk
-	if chunk <= 0 || len(req.Queries) <= chunk {
-		res, err := c.hedgedDo(r.Context(), m, r.Method, backendPath(r), body, r.Header)
-		if err != nil {
-			errorJSON(w, http.StatusBadGateway, "backend %s: %v", owner, err)
-			return
-		}
-		writeResult(w, res)
-		return
-	}
-	path := backendPath(r)
-	out := server.BatchResponse{Results: make([]server.BatchResult, len(req.Queries))}
-	var wg sync.WaitGroup
-	for lo := 0; lo < len(req.Queries); lo += chunk {
-		hi := lo + chunk
-		if hi > len(req.Queries) {
-			hi = len(req.Queries)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			sub, err := json.Marshal(server.BatchRequest{Queries: req.Queries[lo:hi]})
-			if err == nil {
-				var res *proxyResult
-				res, err = c.hedgedDo(r.Context(), m, http.MethodPost, path, sub, r.Header)
-				if err == nil && res.status == http.StatusOK {
-					var br server.BatchResponse
-					if jerr := json.Unmarshal(res.body, &br); jerr == nil && len(br.Results) == hi-lo {
-						for i, el := range br.Results {
-							el.Index = lo + i
-							out.Results[lo+i] = el
-						}
-						return
-					}
-					err = fmt.Errorf("malformed chunk response")
-				} else if err == nil {
-					err = fmt.Errorf("chunk status %d", res.status)
-				}
-			}
-			for i := lo; i < hi; i++ {
-				out.Results[i] = server.BatchResult{
-					Index: i, Status: http.StatusBadGateway,
-					Error: fmt.Sprintf("backend %s: %v", owner, err),
-				}
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(out)
 }
 
 // --- replication + failover -------------------------------------------------

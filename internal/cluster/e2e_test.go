@@ -179,7 +179,7 @@ func TestCoordinatorMutationReplicatesBeforeAck(t *testing.T) {
 }
 
 func TestCoordinatorBatchFanout(t *testing.T) {
-	h := newClusterHarness(t, 3, server.Options{}, Options{BatchChunk: 4})
+	h := newClusterHarness(t, 3, server.Options{}, Options{})
 	reg := clusterRegister(t, h.Coord.URL)
 
 	var queries []server.QueryRequest
@@ -216,6 +216,64 @@ func TestCoordinatorBatchFanout(t *testing.T) {
 		}
 		if !reflect.DeepEqual(el.Result.Answers, want.Answers) {
 			t.Fatalf("element %d answers diverge from the direct query", i)
+		}
+	}
+}
+
+// TestCoordinatorBatchProxiedWhole: a 40-query batch reaches its owner
+// as one request (hedging off, so nothing duplicates it), and the
+// owner's per-element answers come back in request order, each with its
+// own index and status.
+func TestCoordinatorBatchProxiedWhole(t *testing.T) {
+	h := newClusterHarness(t, 3, server.Options{}, Options{HedgeFloor: -1})
+	reg := clusterRegister(t, h.Coord.URL)
+	var shards []ShardInfo
+	cdo(t, http.MethodGet, h.Coord.URL+"/v1/cluster/shards", nil, &shards)
+	if len(shards) != 1 || shards[0].ID != reg.ID {
+		t.Fatalf("placement table %+v, want one shard for %s", shards, reg.ID)
+	}
+	batchRequests := func() float64 {
+		var v map[string]any
+		if status := cdo(t, http.MethodGet, shards[0].Owner+"/varz", nil, &v); status != http.StatusOK {
+			t.Fatalf("owner /varz: status %d", status)
+		}
+		return v["batch_requests"].(float64)
+	}
+
+	queries := make([]server.QueryRequest, 40)
+	for i := range queries {
+		queries[i] = server.QueryRequest{Generator: "ur", Mode: "exact", Query: empQ}
+		if i%13 == 7 {
+			queries[i].Query = "not a query"
+		}
+	}
+	before := batchRequests()
+	var br server.BatchResponse
+	if status := cdo(t, http.MethodPost, h.Coord.URL+"/v1/instances/"+reg.ID+"/batch",
+		server.BatchRequest{Queries: queries}, &br); status != http.StatusOK {
+		t.Fatalf("batch: status %d", status)
+	}
+	if got := batchRequests() - before; got != 1 {
+		t.Fatalf("the owner accepted %v batch requests for one 40-query batch, want 1", got)
+	}
+	if len(br.Results) != len(queries) {
+		t.Fatalf("%d results for %d queries", len(br.Results), len(queries))
+	}
+	var want server.QueryResponse
+	cdo(t, http.MethodPost, h.Coord.URL+"/v1/instances/"+reg.ID+"/query",
+		server.QueryRequest{Generator: "ur", Mode: "exact", Query: empQ}, &want)
+	for i, el := range br.Results {
+		if el.Index != i {
+			t.Fatalf("result %d carries index %d", i, el.Index)
+		}
+		if i%13 == 7 {
+			if el.Status != http.StatusBadRequest || el.Error == "" {
+				t.Fatalf("bad element %d answered %+v, want its own 400", i, el)
+			}
+			continue
+		}
+		if el.Status != http.StatusOK || el.Result == nil || !reflect.DeepEqual(el.Result.Answers, want.Answers) {
+			t.Fatalf("element %d: %+v, want the direct query's answers", i, el)
 		}
 	}
 }

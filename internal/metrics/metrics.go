@@ -47,16 +47,6 @@ type Gauge struct{ bits atomic.Uint64 }
 // Set replaces the gauge value.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add shifts the gauge by d.
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
-
 // Value returns the current gauge value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
@@ -424,17 +414,9 @@ type GaugeVec struct{ f *family }
 // first use.
 func (v *GaugeVec) With(values ...string) *Gauge { return v.f.child(values).gauge }
 
-// Remove drops the child with the given label values, if present.
-func (v *GaugeVec) Remove(values ...string) { v.f.remove(values) }
-
 // Reset drops every child; collect hooks use it to rebuild scrape-time
 // families from current state.
 func (v *GaugeVec) Reset() { v.f.reset() }
-
-// Each visits every child in insertion order.
-func (v *GaugeVec) Each(visit func(labelValues []string, value float64)) {
-	v.f.walk(func(c *child) { visit(c.labelValues, c.gauge.Value()) })
-}
 
 // HistogramVec is a histogram family.
 type HistogramVec struct{ f *family }
@@ -517,7 +499,7 @@ var varzAliases = map[string]string{
 	"ocqa_result_cache_entries":      "cache_entries",
 	"ocqa_instance_evictions_total":  "evictions",
 	"ocqa_store_wal_appends_total":   "wal_appends",
-	"ocqa_store_wal_records_total":   "wal_records",
+	"ocqa_store_wal_records":         "wal_records",
 	"ocqa_store_snapshots_total":     "snapshots",
 	"ocqa_store_replayed_ops_total":  "replayed_ops",
 	"ocqa_store_compactions_total":   "compactions",

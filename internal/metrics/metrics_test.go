@@ -20,9 +20,8 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 	g := r.NewGauge("test_gauge", "a gauge")
 	g.Set(2.5)
-	g.Add(-1)
-	if g.Value() != 1.5 {
-		t.Fatalf("gauge = %v, want 1.5", g.Value())
+	if g.Value() != 2.5 {
+		t.Fatalf("gauge = %v, want 2.5", g.Value())
 	}
 }
 

@@ -31,13 +31,11 @@ type cacheItem struct {
 	key  string
 	resp QueryResponse
 	// req and gen are the normalized request and instance generation the
-	// entry was computed for — recorded only by putQuery, and what lets
-	// a mutation delta-refresh the entry (re-execute req against the new
-	// generation) instead of merely dropping it. hasReq distinguishes
-	// refreshable entries from plain puts.
-	req    QueryRequest
-	gen    int64
-	hasReq bool
+	// entry was computed for: what lets a mutation delta-refresh the
+	// entry (re-execute req against the new generation) instead of
+	// merely dropping it.
+	req QueryRequest
+	gen int64
 }
 
 // newResultCache returns a cache holding at most capacity entries;
@@ -114,24 +112,15 @@ func (c *resultCache) get(key string) (QueryResponse, bool) {
 	return resp, true
 }
 
-// put stores a deep copy of resp, so later mutations by the caller
-// cannot reach the cached entry either.
-func (c *resultCache) put(key string, resp QueryResponse) {
-	c.putItem(&cacheItem{key: key, resp: resp})
-}
-
-// putQuery stores resp like put, additionally recording the normalized
-// request and the instance generation it was computed for, which makes
-// the entry delta-refreshable after a mutation (see takeRefreshable).
+// putQuery stores a deep copy of resp, so later mutations by the
+// caller cannot reach the cached entry, with the normalized request and
+// the instance generation it was computed for, which make the entry
+// delta-refreshable after a mutation (see takeRefreshable).
 func (c *resultCache) putQuery(key string, gen int64, req QueryRequest, resp QueryResponse) {
-	c.putItem(&cacheItem{key: key, resp: resp, req: req, gen: gen, hasReq: true})
-}
-
-func (c *resultCache) putItem(it *cacheItem) {
 	if c.cap <= 0 {
 		return
 	}
-	it.resp = cloneResponse(it.resp)
+	it := &cacheItem{key: key, resp: cloneResponse(resp), req: req, gen: gen}
 	it.resp.Cached = false
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -170,7 +159,7 @@ func (c *resultCache) takeRefreshable(instanceID string, beforeGen int64, limit 
 	for el := c.ll.Front(); el != nil; {
 		next := el.Next()
 		if it := el.Value.(*cacheItem); strings.HasPrefix(it.key, prefix) {
-			if it.hasReq && it.gen < beforeGen && len(reqs) < limit {
+			if it.gen < beforeGen && len(reqs) < limit {
 				reqs = append(reqs, it.req)
 			}
 			c.ll.Remove(el)

@@ -12,13 +12,13 @@ func respFor(id string) QueryResponse {
 
 func TestCacheLRUEviction(t *testing.T) {
 	c := newResultCache(2)
-	c.put(cacheKey("i1", "a"), respFor("i1"))
-	c.put(cacheKey("i1", "b"), respFor("i1"))
+	c.putQuery(cacheKey("i1", "a"), 1, QueryRequest{}, respFor("i1"))
+	c.putQuery(cacheKey("i1", "b"), 1, QueryRequest{}, respFor("i1"))
 	// Touch "a" so "b" is the eviction victim.
 	if _, ok := c.get(cacheKey("i1", "a")); !ok {
 		t.Fatal("a missing")
 	}
-	c.put(cacheKey("i1", "c"), respFor("i1"))
+	c.putQuery(cacheKey("i1", "c"), 1, QueryRequest{}, respFor("i1"))
 	if _, ok := c.get(cacheKey("i1", "b")); ok {
 		t.Fatal("b should have been evicted")
 	}
@@ -32,7 +32,7 @@ func TestCacheLRUEviction(t *testing.T) {
 
 func TestCacheMarksResponsesCached(t *testing.T) {
 	c := newResultCache(4)
-	c.put(cacheKey("i1", "a"), respFor("i1"))
+	c.putQuery(cacheKey("i1", "a"), 1, QueryRequest{}, respFor("i1"))
 	got, ok := c.get(cacheKey("i1", "a"))
 	if !ok || !got.Cached {
 		t.Fatalf("get = %+v, %v; want Cached=true", got, ok)
@@ -41,11 +41,11 @@ func TestCacheMarksResponsesCached(t *testing.T) {
 
 func TestCacheInvalidateByInstance(t *testing.T) {
 	c := newResultCache(8)
-	c.put(cacheKey("i1", "a"), respFor("i1"))
-	c.put(cacheKey("i2", "a"), respFor("i2"))
-	c.put(cacheKey("i1", "b"), respFor("i1"))
+	c.putQuery(cacheKey("i1", "a"), 1, QueryRequest{}, respFor("i1"))
+	c.putQuery(cacheKey("i2", "a"), 1, QueryRequest{}, respFor("i2"))
+	c.putQuery(cacheKey("i1", "b"), 1, QueryRequest{}, respFor("i1"))
 	// "i1" must not match "i10": the key separator prevents it.
-	c.put(cacheKey("i10", "a"), respFor("i10"))
+	c.putQuery(cacheKey("i10", "a"), 1, QueryRequest{}, respFor("i10"))
 
 	c.invalidate("i1")
 	if _, ok := c.get(cacheKey("i1", "a")); ok {
@@ -67,7 +67,7 @@ func TestCacheInvalidateByInstance(t *testing.T) {
 
 func TestCacheDisabled(t *testing.T) {
 	c := newResultCache(0)
-	c.put(cacheKey("i1", "a"), respFor("i1"))
+	c.putQuery(cacheKey("i1", "a"), 1, QueryRequest{}, respFor("i1"))
 	if _, ok := c.get(cacheKey("i1", "a")); ok {
 		t.Fatal("disabled cache must never hit")
 	}
@@ -97,7 +97,7 @@ func TestCacheIsolatesNestedState(t *testing.T) {
 	c := newResultCache(4)
 	k := cacheKey("i1", "q")
 	orig := deepResp("i1")
-	c.put(k, orig)
+	c.putQuery(k, 1, QueryRequest{}, orig)
 	// Mutating the put-input after the fact must not reach the cache.
 	orig.Answers[0].Tuple[0] = "CORRUPT"
 	*orig.Answers[0].Converged = false
@@ -125,7 +125,7 @@ func TestCacheIsolatesNestedState(t *testing.T) {
 func TestCacheConcurrentMutation(t *testing.T) {
 	c := newResultCache(4)
 	k := cacheKey("i1", "q")
-	c.put(k, deepResp("i1"))
+	c.putQuery(k, 1, QueryRequest{}, deepResp("i1"))
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -160,7 +160,7 @@ func TestCacheConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				k := cacheKey("i1", fmt.Sprint(i%32))
 				if i%2 == 0 {
-					c.put(k, respFor("i1"))
+					c.putQuery(k, 1, QueryRequest{}, respFor("i1"))
 				} else {
 					c.get(k)
 				}

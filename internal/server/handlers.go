@@ -16,6 +16,13 @@ import (
 
 // --- registry lifecycle ---------------------------------------------------
 
+// handleRegister registers an instance under the caller's id (the
+// coordinator names every instance it places) or a minted one. Parsing
+// and eager preparation are engine work like any query, so they run
+// under the same deadline and compute semaphore; a 504 abandons the
+// registration from the client's view, and the background goroutine
+// may still complete it, in which case the instance is discoverable via
+// GET /v1/instances.
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
 	if he := s.decodeJSON(w, r, &req); he != nil {
@@ -26,19 +33,10 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, badRequest("empty \"facts\": at least one fact is required"))
 		return
 	}
-	if req.ID != "" {
-		if !validRequestID(req.ID) {
-			s.writeError(w, badRequest("instance id %q: want at most %d characters of [A-Za-z0-9._-]", req.ID, maxRequestIDLen))
-			return
-		}
-		s.handleRegisterWithID(w, r, req)
+	if req.ID != "" && !validRequestID(req.ID) {
+		s.writeError(w, badRequest("instance id %q: want at most %d characters of [A-Za-z0-9._-]", req.ID, maxRequestIDLen))
 		return
 	}
-	// Parsing and eager preparation are engine work like any query, so
-	// they run under the same deadline and compute semaphore. A 504
-	// here abandons the registration from the client's view; the
-	// background goroutine may still complete it, in which case the
-	// instance is discoverable via GET /v1/instances.
 	resp, he := runWithDeadline(s, r.Context(), func(context.Context) (RegisterResponse, *httpError) {
 		inst, err := ocqa.NewInstanceFromText(req.Facts, req.FDs)
 		if err != nil {
@@ -47,53 +45,35 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		// Preparation (the block decomposition) happens outside the
 		// registry lock on purpose: it is linear in the facts and must
 		// not block lookups.
-		prepared := inst.Prepare()
-		now := time.Now()
-		id := s.reg.allocID()
-		// Journal before acknowledging: a registration the client saw
-		// succeed survives a restart.
-		if s.store != nil {
-			if err := s.store.LogRegister(id, req.Name, now, inst.DB(), inst.Sigma()); err != nil {
-				return RegisterResponse{}, &httpError{status: http.StatusInternalServerError, msg: fmt.Sprintf("journalling registration: %v", err)}
-			}
-		}
-		e, evicted := s.reg.add(id, req.Name, prepared, now)
-		s.dropEvicted(evicted...)
-		return s.registered(e), nil
-	})
-	if he != nil {
-		s.writeError(w, he)
-		return
-	}
-	writeJSON(w, http.StatusCreated, resp)
-}
-
-// handleRegisterWithID is the caller-named registration path the
-// cluster coordinator uses. The order differs from the auto-id path:
-// the registry install runs FIRST (it is the collision authority — a
-// 409 must not leave a journalled registration behind), and the WAL
-// record follows while the client still waits, rolled back from the
-// registry if journalling fails so the acknowledgement stays truthful.
-func (s *Server) handleRegisterWithID(w http.ResponseWriter, r *http.Request, req RegisterRequest) {
-	resp, he := runWithDeadline(s, r.Context(), func(context.Context) (RegisterResponse, *httpError) {
-		inst, err := ocqa.NewInstanceFromText(req.Facts, req.FDs)
-		if err != nil {
-			return RegisterResponse{}, badRequest("%v", err)
-		}
-		prepared := inst.Prepare()
-		now := time.Now()
-		e, evicted, err := s.reg.installExplicit(req.ID, req.Name, prepared, now, 1)
+		inst.Prepare()
+		// The registry is the collision authority, so the install runs
+		// first and a 409 leaves no journalled registration behind. The
+		// record follows while the client still waits, and a record that
+		// cannot be written takes the entry back out, so an acknowledged
+		// registration survives a restart. The evictions are journalled
+		// either way: they left the registry.
+		e, evicted, err := s.reg.install(req.ID, req.Name, inst, time.Now(), 1)
 		if err != nil {
 			return RegisterResponse{}, &httpError{status: http.StatusConflict, msg: err.Error()}
 		}
+		defer s.dropEvicted(evicted...)
 		if s.store != nil {
-			if err := s.store.LogRegister(e.id, req.Name, now, inst.DB(), inst.Sigma()); err != nil {
+			if err := s.store.LogRegister(e.id, e.name, e.created, inst.DB(), inst.Sigma()); err != nil {
 				s.reg.remove(e.id)
+				s.forget(e.id)
 				return RegisterResponse{}, &httpError{status: http.StatusInternalServerError, msg: fmt.Sprintf("journalling registration: %v", err)}
 			}
 		}
-		s.dropEvicted(evicted...)
-		return s.registered(e), nil
+		s.met.registered.Inc()
+		info := e.info()
+		return RegisterResponse{
+			ID:         e.id,
+			Name:       e.name,
+			Facts:      info.Facts,
+			Class:      info.Class,
+			Consistent: info.Consistent,
+			Prepared:   info.Prepared,
+		}, nil
 	})
 	if he != nil {
 		s.writeError(w, he)
@@ -102,36 +82,38 @@ func (s *Server) handleRegisterWithID(w http.ResponseWriter, r *http.Request, re
 	writeJSON(w, http.StatusCreated, resp)
 }
 
-// registered counts a new registration and renders its response.
-func (s *Server) registered(e *instanceEntry) RegisterResponse {
-	s.met.registered.Inc()
-	info := e.info()
-	return RegisterResponse{
-		ID:         e.id,
-		Name:       e.name,
-		Facts:      info.Facts,
-		Class:      info.Class,
-		Consistent: info.Consistent,
-		Prepared:   info.Prepared,
-	}
-}
-
-// dropEvicted forgets instances the registry evicted to make room:
-// their cached results and replication tails, and — best-effort — their
-// registration in the WAL. A failed unregister record only means the
-// instance resurrects at the next boot and is evicted again once the
-// registry refills: benign.
+// dropEvicted unregisters the instances the registry evicted to make
+// room.
 func (s *Server) dropEvicted(evicted ...*instanceEntry) {
 	for _, v := range evicted {
 		s.met.evictions.Inc()
-		s.cache.invalidate(v.id)
-		s.repl.dropTail(v.id)
-		if s.store != nil {
-			if err := s.store.LogUnregister(v.id); err != nil {
-				s.met.errors.Inc()
-			}
+		s.unregister(v.id)
+	}
+}
+
+// unregister journals an instance's removal from the registry, by a
+// delete or an eviction (durably the same operation), and forgets it.
+// A failed record only means the instance resurrects at the next boot,
+// where an evicted one is evicted again once the registry refills.
+func (s *Server) unregister(id string) {
+	if s.store != nil {
+		if err := s.store.LogUnregister(id); err != nil {
+			s.met.errors.Inc()
 		}
 	}
+	s.forget(id)
+}
+
+// forget is the one removal path for an instance that has left the
+// registry: it drops the instance's cached results, its replication
+// tail and its coverage series, and wakes its watchers, whose next
+// lookup 404s instead of blocking out the wait window.
+func (s *Server) forget(id string) {
+	s.cache.invalidate(id)
+	s.repl.dropTail(id)
+	s.met.coverageChecks.Remove(id)
+	s.met.coverageWithin.Remove(id)
+	s.watch.changed(id)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -172,18 +154,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, &httpError{status: http.StatusNotFound, msg: "unknown instance " + strconv.Quote(id)})
 		return
 	}
-	if s.store != nil {
-		if err := s.store.LogUnregister(id); err != nil {
-			// The instance is gone from the registry either way; a
-			// failed journal entry only means it resurrects at boot.
-			s.met.errors.Inc()
-		}
-	}
-	s.cache.invalidate(id)
-	s.repl.dropTail(id)
-	// Wake the instance's watchers: their next lookup 404s instead of
-	// blocking out the full wait window on a gone instance.
-	s.watch.changed(id)
+	s.unregister(id)
 	writeJSON(w, http.StatusOK, map[string]string{"status": "deleted", "id": id})
 }
 
@@ -205,28 +176,87 @@ func mutationError(err error) *httpError {
 	}
 }
 
-// mutateInstance runs one copy-on-write mutation under the registry's
-// write lock: derive the new prepared instance, journal the mutation's
-// record frame, install a fresh entry, keep the frame in the
-// replication tail, and delta-refresh (or drop) the instance's cached
-// results. The op receives — and returns — the instance itself:
-// ApplyInsert/ApplyDelete derive the successor generation's
-// estimation state incrementally (per-block factor cache,
-// stratified draw statistics, maintained witness sets), so queries
-// after the mutation pay only for the touched block instead of a cold
-// rebuild. The WAL append happens inside the critical section, so the
-// log order is the order the registry applied.
+// applyRecord applies one insert-fact or delete-fact record to inst:
+// the copy-on-write mutation an owner commits and its followers replay
+// in the owner's generation order, so a replica goes through exactly
+// the owner's transitions. ApplyInsert/ApplyDelete derive the successor
+// generation's estimation state incrementally (per-block factor cache,
+// stratified draw statistics, maintained witness sets), so queries after
+// the mutation pay only for the touched block. The response lacks only
+// its generation.
+func applyRecord(inst *ocqa.Instance, rec store.Record) (*ocqa.Instance, FactMutationResponse, error) {
+	out := FactMutationResponse{ID: rec.ID, Index: rec.Index}
+	var next *ocqa.Instance
+	var err error
+	switch rec.Kind {
+	case store.OpInsertFact:
+		out.Op, out.Fact = "insert", ocqa.FormatFact(rec.Fact)
+		next, out.Index, err = inst.ApplyInsert(rec.Fact)
+	case store.OpDeleteFact:
+		if rec.Index < 0 || rec.Index >= inst.DB().Len() {
+			return nil, out, fmt.Errorf("%w: %d not in [0,%d)", ocqa.ErrFactIndex, rec.Index, inst.DB().Len())
+		}
+		out.Op, out.Fact = "delete", ocqa.FormatFact(inst.DB().Fact(rec.Index))
+		next, err = inst.ApplyDelete(rec.Index)
+	default:
+		err = fmt.Errorf("unexpected %s record", rec.Kind)
+	}
+	if err != nil {
+		return nil, out, err
+	}
+	out.Facts, out.Consistent, out.ConflictPairs = next.DB().Len(), next.IsConsistent(), len(next.Core().ConflictPairs())
+	return next, out, nil
+}
+
+func (s *Server) handleInsertFact(w http.ResponseWriter, r *http.Request) {
+	var req InsertFactRequest
+	if he := s.decodeJSON(w, r, &req); he != nil {
+		s.writeError(w, he)
+		return
+	}
+	f, err := ocqa.ParseFact(req.Fact)
+	if err != nil {
+		s.writeError(w, badRequest("%v", err))
+		return
+	}
+	s.mutate(w, r, store.Record{Kind: store.OpInsertFact, ID: r.PathValue("id"), Fact: f})
+}
+
+func (s *Server) handleDeleteFact(w http.ResponseWriter, r *http.Request) {
+	idx, err := strconv.Atoi(r.PathValue("index"))
+	if err != nil {
+		s.writeError(w, badRequest("fact index %q is not an integer", r.PathValue("index")))
+		return
+	}
+	s.mutate(w, r, store.Record{Kind: store.OpDeleteFact, ID: r.PathValue("id"), Index: idx})
+}
+
+// mutate commits one fact record under the registry's write lock:
+// apply it to the instance, journal its frame, install a fresh entry,
+// keep the frame in the replication tail, and delta-refresh (or drop)
+// the instance's cached results. The WAL append happens inside the
+// critical section, so the log order is the order the registry applied.
 // Mutations deliberately do NOT run under runWithDeadline: abandoning a
 // write on timeout would report failure for an operation that still
 // commits (and journals) behind the client's back — for an
 // index-addressed API that is actively dangerous. Only the compute
-// semaphore is held (by the handler), to bound simultaneous copy and
-// refresh work. tr, when the flight recorder armed one, receives the
-// write's spans: apply from op, wal.append and refresh from here.
-func (s *Server) mutateInstance(tr *ocqa.Trace, id string, frame []byte, op func(*ocqa.Instance) (*ocqa.Instance, *FactMutationResponse, error)) (FactMutationResponse, *httpError) {
+// semaphore is held, to bound simultaneous copy and refresh work. When
+// the flight recorder armed a trace, it receives the write's apply,
+// wal.append and refresh spans.
+func (s *Server) mutate(w http.ResponseWriter, r *http.Request, rec store.Record) {
+	ri := infoFrom(r.Context())
+	if ri != nil {
+		ri.instance.Store(rec.ID)
+	}
+	tr := traceFor(ri, false)
+	s.compute <- struct{}{}
+	defer func() { <-s.compute }()
+	frame := rec.Frame()
 	var out FactMutationResponse
-	ne, err := s.reg.mutate(id, func(e *instanceEntry) (*instanceEntry, error) {
-		np, resp, err := op(e.prepared)
+	ne, err := s.reg.mutate(rec.ID, func(e *instanceEntry) (*instanceEntry, error) {
+		endApply := tr.StartSpan("apply")
+		next, resp, err := applyRecord(e.prepared, rec)
+		endApply()
 		if err != nil {
 			return nil, err
 		}
@@ -238,111 +268,23 @@ func (s *Server) mutateInstance(tr *ocqa.Trace, id string, frame []byte, op func
 				return nil, fmt.Errorf("journalling %s: %w", resp.Op, err)
 			}
 		}
-		out = *resp
-		return &instanceEntry{id: e.id, name: e.name, prepared: np, created: e.created, gen: e.gen + 1}, nil
+		out = resp
+		return &instanceEntry{id: e.id, name: e.name, prepared: next, created: e.created, gen: e.gen + 1}, nil
 	})
 	if err != nil {
-		return out, mutationError(err)
+		s.writeError(w, mutationError(err))
+		return
 	}
 	out.Gen = ne.gen
 	// Keep the journalled frame in the replication tail so a follower
 	// inside the window syncs incrementally instead of re-transferring
 	// the state.
-	s.repl.appendFrame(id, ne.gen, frame)
+	s.repl.appendFrame(rec.ID, ne.gen, frame)
 	s.met.mutations.Inc()
 	endRefresh := tr.StartSpan("refresh")
 	s.refreshAfterMutation(ne)
 	endRefresh()
-	return out, nil
-}
-
-// mutationTrace records the mutated instance on the request's trace
-// record and returns the trace its spans go to (nil unless armed).
-func mutationTrace(r *http.Request, id string) *ocqa.Trace {
-	ri := infoFrom(r.Context())
-	if ri != nil {
-		ri.instance.Store(id)
-	}
-	return traceFor(ri, false)
-}
-
-func (s *Server) handleInsertFact(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	var req InsertFactRequest
-	if he := s.decodeJSON(w, r, &req); he != nil {
-		s.writeError(w, he)
-		return
-	}
-	f, err := ocqa.ParseFact(req.Fact)
-	if err != nil {
-		s.writeError(w, badRequest("%v", err))
-		return
-	}
-	tr := mutationTrace(r, id)
-	s.compute <- struct{}{}
-	defer func() { <-s.compute }()
-	frame := store.Record{Kind: store.OpInsertFact, ID: id, Fact: f}.Frame()
-	resp, he := s.mutateInstance(tr, id, frame, func(p *ocqa.Instance) (*ocqa.Instance, *FactMutationResponse, error) {
-		endApply := tr.StartSpan("apply")
-		np, pos, err := p.ApplyInsert(f)
-		endApply()
-		if err != nil {
-			return nil, nil, err
-		}
-		return np, &FactMutationResponse{
-			ID:            id,
-			Op:            "insert",
-			Fact:          ocqa.FormatFact(f),
-			Index:         pos,
-			Facts:         np.DB().Len(),
-			Consistent:    np.IsConsistent(),
-			ConflictPairs: len(np.Core().ConflictPairs()),
-		}, nil
-	})
-	if he != nil {
-		s.writeError(w, he)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleDeleteFact(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	idx, err := strconv.Atoi(r.PathValue("index"))
-	if err != nil {
-		s.writeError(w, badRequest("fact index %q is not an integer", r.PathValue("index")))
-		return
-	}
-	tr := mutationTrace(r, id)
-	s.compute <- struct{}{}
-	defer func() { <-s.compute }()
-	frame := store.Record{Kind: store.OpDeleteFact, ID: id, Index: idx}.Frame()
-	resp, he := s.mutateInstance(tr, id, frame, func(p *ocqa.Instance) (*ocqa.Instance, *FactMutationResponse, error) {
-		if idx < 0 || idx >= p.DB().Len() {
-			return nil, nil, fmt.Errorf("%w: %d not in [0,%d)", ocqa.ErrFactIndex, idx, p.DB().Len())
-		}
-		removed := p.DB().Fact(idx)
-		endApply := tr.StartSpan("apply")
-		np, err := p.ApplyDelete(idx)
-		endApply()
-		if err != nil {
-			return nil, nil, err
-		}
-		return np, &FactMutationResponse{
-			ID:            id,
-			Op:            "delete",
-			Fact:          ocqa.FormatFact(removed),
-			Index:         idx,
-			Facts:         np.DB().Len(),
-			Consistent:    np.IsConsistent(),
-			ConflictPairs: len(np.Core().ConflictPairs()),
-		}, nil
-	})
-	if he != nil {
-		s.writeError(w, he)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, out)
 }
 
 // --- query execution ------------------------------------------------------
@@ -387,15 +329,9 @@ func (s *Server) normalizeQuery(req *QueryRequest) {
 		// Per-query estimator parallelism is bounded by the same pool
 		// size that bounds batches; an unbounded client value would
 		// spawn that many goroutines inside fpras. A request that omits
-		// workers (or sends ≤ 0) gets the server default — itself 0
-		// unless the operator pinned one, meaning adaptive selection in
-		// the engine, bounded by GOMAXPROCS.
-		if req.Workers <= 0 {
-			req.Workers = s.opts.DefaultWorkers
-		}
-		if req.Workers > s.opts.BatchWorkers {
-			req.Workers = s.opts.BatchWorkers
-		}
+		// workers (or sends ≤ 0) runs with 0: adaptive selection in the
+		// engine, bounded by GOMAXPROCS.
+		req.Workers = min(max(req.Workers, 0), s.opts.BatchWorkers)
 		req.MaxSamples = s.clampSamples(req.MaxSamples)
 		req.Limit = 0
 	}
@@ -471,6 +407,12 @@ func (s *Server) checkCoverage(e *instanceEntry, req QueryRequest, est ocqa.Esti
 	s.normalizeQuery(&exact)
 	cached, ok := s.cache.get(s.queryCacheKey(e, exact))
 	if !ok || len(cached.Answers) != 1 {
+		return
+	}
+	// A query racing the instance's removal must not bring its series
+	// back (forget dropped them): check the registry first, as the cache
+	// put does.
+	if _, live := s.reg.get(e.id); !live {
 		return
 	}
 	v := cached.Answers[0].Value
@@ -865,15 +807,8 @@ func (s *Server) handleMarginals(w http.ResponseWriter, r *http.Request) {
 			draws = s.clampSamples(draws)
 			// Marginal estimation parallelises like a batch: bound the
 			// per-request workers by the same pool size. Omitted (≤ 0)
-			// falls back to the server default, 0 meaning adaptive
-			// selection in the engine.
-			workers := req.Workers
-			if workers <= 0 {
-				workers = s.opts.DefaultWorkers
-			}
-			if workers > s.opts.BatchWorkers {
-				workers = s.opts.BatchWorkers
-			}
+			// runs with 0, adaptive selection in the engine.
+			workers := min(max(req.Workers, 0), s.opts.BatchWorkers)
 			if tr != nil {
 				ctx = ocqa.ContextWithTrace(ctx, tr)
 			}

@@ -153,7 +153,12 @@ func newServerMetrics(s *Server) *serverMetrics {
 		func() float64 { return float64(s.cache.evicted()) })
 	if s.store != nil {
 		for _, ss := range storeSeries {
-			r.NewCounterFunc(ss.name, ss.help, func() float64 { return float64(ss.stat(s.store.Stats())) })
+			fn := func() float64 { return float64(ss.stat(s.store.Stats())) }
+			if ss.gauge {
+				r.NewGaugeFunc(ss.name, ss.help, fn)
+			} else {
+				r.NewCounterFunc(ss.name, ss.help, fn)
+			}
 		}
 	}
 
@@ -161,18 +166,20 @@ func newServerMetrics(s *Server) *serverMetrics {
 	return m
 }
 
-// storeSeries are the durable store's counters. Only a server with a
-// store registers them; a memory-only server's /varz reads their keys
-// as 0.
+// storeSeries are the durable store's counters and its one gauge, the
+// WAL records a compaction has yet to fold into a snapshot. Only a
+// server with a store registers them; a memory-only server's /varz
+// reads their keys as 0.
 var storeSeries = []struct {
 	name, help string
+	gauge      bool
 	stat       func(store.Stats) int64
 }{
-	{"ocqa_store_wal_appends_total", "WAL append batches.", func(st store.Stats) int64 { return st.WalAppends }},
-	{"ocqa_store_wal_records_total", "WAL records written.", func(st store.Stats) int64 { return st.WalRecords }},
-	{"ocqa_store_snapshots_total", "Snapshots written.", func(st store.Stats) int64 { return st.Snapshots }},
-	{"ocqa_store_replayed_ops_total", "Operations replayed at boot.", func(st store.Stats) int64 { return st.ReplayedOps }},
-	{"ocqa_store_compactions_total", "Log compactions performed.", func(st store.Stats) int64 { return st.Compactions }},
+	{"ocqa_store_wal_appends_total", "WAL append batches.", false, func(st store.Stats) int64 { return st.WalAppends }},
+	{"ocqa_store_wal_records", "WAL records not yet folded into a snapshot.", true, func(st store.Stats) int64 { return st.WalRecords }},
+	{"ocqa_store_snapshots_total", "Snapshots written.", false, func(st store.Stats) int64 { return st.Snapshots }},
+	{"ocqa_store_replayed_ops_total", "Operations replayed at boot.", false, func(st store.Stats) int64 { return st.ReplayedOps }},
+	{"ocqa_store_compactions_total", "Log compactions performed.", false, func(st store.Stats) int64 { return st.Compactions }},
 }
 
 // collectInstanceGauges rebuilds the per-instance gauge families from

@@ -544,6 +544,98 @@ func TestCoverageCounters(t *testing.T) {
 	}
 }
 
+// TestRemovalDropsCoverageSeries: an instance's coverage series leave
+// /metrics with the instance, whether a delete or an eviction removes
+// it, so the label set does not grow with every instance ever checked.
+func TestRemovalDropsCoverageSeries(t *testing.T) {
+	ts, _ := newTestServer(t, Options{MaxInstances: 1})
+	coverage := func() string {
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		var samples []string
+		for _, ln := range strings.Split(string(body), "\n") {
+			if strings.HasPrefix(ln, "ocqa_coverage_") {
+				samples = append(samples, ln)
+			}
+		}
+		return strings.Join(samples, "\n")
+	}
+	check := func(id string) {
+		t.Helper()
+		exact := QueryRequest{Generator: "ur", Mode: "exact", Query: "Ans(n) :- Emp(i, n)", Tuple: "Alice", HasTuple: true}
+		approx := exact
+		approx.Mode, approx.Seed = "approx", 11
+		var qr QueryResponse
+		for _, q := range []QueryRequest{exact, approx} {
+			if st := do(t, http.MethodPost, ts.URL+"/v1/instances/"+id+"/query", q, &qr); st != http.StatusOK {
+				t.Fatalf("%s query: status %d", q.Mode, st)
+			}
+		}
+		if want := fmt.Sprintf("ocqa_coverage_checks_total{instance=%q} 1", id); !strings.Contains(coverage(), want) {
+			t.Fatalf("/metrics lacks %s:\n%s", want, coverage())
+		}
+	}
+	for round := 0; round < 3; round++ {
+		reg := register(t, ts.URL, pkFacts, pkFDs)
+		check(reg.ID)
+		if st := do(t, http.MethodDelete, ts.URL+"/v1/instances/"+reg.ID, nil, nil); st != http.StatusOK {
+			t.Fatalf("delete: status %d", st)
+		}
+		if left := coverage(); left != "" {
+			t.Fatalf("round %d: coverage series outlive the deleted instance:\n%s", round, left)
+		}
+	}
+	evicted := register(t, ts.URL, pkFacts, pkFDs)
+	check(evicted.ID)
+	register(t, ts.URL, pkFacts, pkFDs) // evicts it: MaxInstances is 1
+	if left := coverage(); left != "" {
+		t.Fatalf("coverage series outlive the evicted instance:\n%s", left)
+	}
+}
+
+// TestWalRecordsGauge: the store's pending WAL records are a gauge —
+// a compaction folds them into the snapshot and the series falls to 0,
+// which a counter must never do.
+func TestWalRecordsGauge(t *testing.T) {
+	st := openTestStore(t, t.TempDir())
+	defer st.Close()
+	ts, _ := newTestServer(t, Options{Store: st})
+	reg := register(t, ts.URL, pkFacts, pkFDs)
+	insertFact(t, ts.URL, reg.ID, "Emp(4,Dan)")
+	insertFact(t, ts.URL, reg.ID, "Emp(5,Fay)")
+	walRecords := func() float64 {
+		var v map[string]any
+		do(t, http.MethodGet, ts.URL+"/varz", nil, &v)
+		got := metricValue(t, ts.URL, "ocqa_store_wal_records")
+		if v["wal_records"] != got {
+			t.Fatalf("/varz wal_records = %v, /metrics reads %v", v["wal_records"], got)
+		}
+		return got
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !strings.Contains(string(body), "# TYPE ocqa_store_wal_records gauge\n") {
+		t.Fatalf("ocqa_store_wal_records is not a gauge:\n%s", grepLines(string(body), "wal_records"))
+	}
+	if got := walRecords(); got != 3 {
+		t.Fatalf("wal_records = %v after a register and two inserts, want 3", got)
+	}
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if got := walRecords(); got != 0 {
+		t.Fatalf("wal_records = %v after a compaction, want 0", got)
+	}
+}
+
 // TestPprofGate: the profiler is absent by default and mounted with
 // EnablePprof.
 func TestPprofGate(t *testing.T) {

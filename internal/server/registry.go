@@ -54,12 +54,12 @@ var errNotFound = errors.New("server: unknown instance")
 // registry maps instance IDs to prepared instances behind an RWMutex:
 // registration, removal and mutation take the write lock; the (vastly
 // more frequent) per-query lookups share the read lock. cap bounds the
-// number of live instances; at capacity, add evicts the
+// number of live instances; at capacity, install evicts the
 // least-recently-used entry instead of refusing, so a long-running
 // service keeps absorbing new registrations.
 type registry struct {
 	mu      sync.RWMutex
-	cap     int
+	cap     int // ≥ 1 (Options.fill)
 	seq     int
 	clock   atomic.Int64 // LRU clock, bumped on every lookup
 	entries map[string]*instanceEntry
@@ -69,110 +69,43 @@ func newRegistry(capacity int) *registry {
 	return &registry{cap: capacity, entries: make(map[string]*instanceEntry)}
 }
 
-// allocID reserves a fresh instance ID. IDs are allocated before the
-// WAL record is written so the durable log and the in-memory registry
-// agree on naming.
-func (r *registry) allocID() string {
+// install is the one way an instance enters the registry: a
+// registration (at generation 1), a promoted replica (carrying its
+// source's mutation count, so result-cache keys and watch ?since
+// cursors stay monotone across a failover) and a boot restore. An
+// empty id mints the next "i<n>"; a live id is refused, since silently
+// overwriting would mask a split brain. Least-recently-used entries are
+// evicted until the new one fits and returned, so the caller can
+// journal them and drop their state; the scan is O(capacity), tiny next
+// to the preparation a registration performs anyway. The sequence is
+// kept ahead of numeric ids, so a minted id never collides with one.
+func (r *registry) install(id, name string, inst *ocqa.Instance, created time.Time, gen int64) (e *instanceEntry, evicted []*instanceEntry, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.seq++
-	return fmt.Sprintf("i%d", r.seq)
-}
-
-// add registers a prepared instance under the pre-allocated ID. When
-// the registry is at (or, after a warm boot with a lowered cap, above)
-// capacity, least-recently-used entries are evicted until the new
-// entry fits, and returned so the caller can journal the evictions and
-// drop their cached results.
-func (r *registry) add(id, name string, prepared *ocqa.Instance, now time.Time) (e *instanceEntry, evicted []*instanceEntry) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for len(r.entries) >= r.cap {
-		v := r.evictLRULocked()
-		if v == nil {
-			break
-		}
-		evicted = append(evicted, v)
-	}
-	e = &instanceEntry{id: id, name: name, prepared: prepared, created: now, gen: 1}
-	e.used.Store(r.clock.Add(1))
-	r.entries[id] = e
-	return e, evicted
-}
-
-// installExplicit registers a prepared instance under a caller-chosen
-// id with an explicit starting generation: coordinator-minted ids at
-// gen 1, and replica promotions carrying their source's mutation count
-// so result-cache keys and watch ?since cursors stay monotone across a
-// failover. Unlike add, a collision with a live id is an error — the
-// caller owns naming, so silently overwriting would mask a split brain.
-// Evictions behave as in add.
-func (r *registry) installExplicit(id, name string, prepared *ocqa.Instance, created time.Time, gen int64) (e *instanceEntry, evicted []*instanceEntry, err error) {
-	if gen < 1 {
-		gen = 1
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.entries[id]; dup {
+	if id == "" {
+		r.seq++
+		id = fmt.Sprintf("i%d", r.seq)
+	} else if _, dup := r.entries[id]; dup {
 		return nil, nil, fmt.Errorf("instance id %q is already registered on this backend", id)
 	}
 	for len(r.entries) >= r.cap {
-		v := r.evictLRULocked()
-		if v == nil {
-			break
+		var victim *instanceEntry
+		for _, v := range r.entries {
+			if victim == nil || v.used.Load() < victim.used.Load() ||
+				(v.used.Load() == victim.used.Load() && v.id < victim.id) {
+				victim = v
+			}
 		}
-		evicted = append(evicted, v)
+		delete(r.entries, victim.id)
+		evicted = append(evicted, victim)
 	}
-	e = &instanceEntry{id: id, name: name, prepared: prepared, created: created, gen: gen}
+	e = &instanceEntry{id: id, name: name, prepared: inst, created: created, gen: gen}
 	e.used.Store(r.clock.Add(1))
 	r.entries[id] = e
-	// Keep the auto-allocation sequence ahead of numeric explicit ids so
-	// allocID never collides with one.
 	if n, err := strconv.Atoi(strings.TrimPrefix(id, "i")); err == nil && n > r.seq {
 		r.seq = n
 	}
 	return e, evicted, nil
-}
-
-// evictLRU evicts the least-recently-used entry, if any; the boot path
-// uses it to shrink a replayed registry down to a lowered capacity.
-func (r *registry) evictLRU() *instanceEntry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.evictLRULocked()
-}
-
-// evictLRULocked removes and returns the entry with the oldest lookup
-// clock. The scan is O(capacity), which is bounded and tiny next to
-// the preparation work a registration performs anyway.
-func (r *registry) evictLRULocked() *instanceEntry {
-	var victim *instanceEntry
-	for _, e := range r.entries {
-		if victim == nil || e.used.Load() < victim.used.Load() ||
-			(e.used.Load() == victim.used.Load() && e.id < victim.id) {
-			victim = e
-		}
-	}
-	if victim != nil {
-		delete(r.entries, victim.id)
-	}
-	return victim
-}
-
-// restore installs a replayed entry under its original ID without
-// consuming a new sequence number beyond it; used only at boot, before
-// the server accepts traffic.
-func (r *registry) restore(id, name string, prepared *ocqa.Instance, created time.Time) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e := &instanceEntry{id: id, name: name, prepared: prepared, created: created, gen: 1}
-	e.used.Store(r.clock.Add(1))
-	r.entries[id] = e
-	// Keep the ID sequence ahead of every restored ID so new
-	// registrations never collide with a live instance.
-	if n, err := strconv.Atoi(strings.TrimPrefix(id, "i")); err == nil && n > r.seq {
-		r.seq = n
-	}
 }
 
 func (r *registry) get(id string) (*instanceEntry, bool) {

@@ -23,7 +23,7 @@ package server
 // generation intact, journalling the takeover so it survives a restart.
 //
 // Replication applies the SAME copy-on-write mutations the owner
-// applied (Instance.ApplyInsert/ApplyDelete, in generation order), so a
+// applied (applyRecord, in generation order), so a
 // promoted replica's exact query answers are big.Rat-bitwise equal to
 // the owner's — the property the cluster failover audit checks. A
 // torn, checksum-failing or foreign frame, or a gap in the window,
@@ -367,29 +367,23 @@ func (s *Server) handleReplSync(w http.ResponseWriter, r *http.Request) {
 }
 
 // applyRecords advances a replica through an incremental feed, which
-// must hold exactly this instance's mutations (cur.gen, gen], applying
-// the same copy-on-write mutations the owner applied. Any mismatch or
-// apply failure aborts (the caller falls back to a full sync).
+// must hold exactly this instance's mutations (cur.gen, gen], with the
+// owner's own applyRecord. Any mismatch or apply failure aborts (the
+// caller falls back to a full sync).
 func applyRecords(cur *replicaEntry, recs []store.Record, gen int64) (*replicaEntry, error) {
 	if int64(len(recs)) != gen-cur.gen {
 		return nil, fmt.Errorf("%d records do not span generations (%d, %d]", len(recs), cur.gen, gen)
 	}
 	p := cur.prepared
 	for i, rec := range recs {
-		var err error
-		switch {
-		case rec.ID != cur.id:
-			err = fmt.Errorf("record of instance %q", rec.ID)
-		case rec.Kind == store.OpInsertFact:
-			p, _, err = p.ApplyInsert(rec.Fact)
-		case rec.Kind == store.OpDeleteFact:
-			p, err = p.ApplyDelete(rec.Index)
-		default:
-			err = fmt.Errorf("unexpected %s record", rec.Kind)
+		if rec.ID != cur.id {
+			return nil, fmt.Errorf("op gen %d: record of instance %q", cur.gen+int64(i)+1, rec.ID)
 		}
+		next, _, err := applyRecord(p, rec)
 		if err != nil {
 			return nil, fmt.Errorf("op gen %d: %w", cur.gen+int64(i)+1, err)
 		}
+		p = next
 	}
 	return &replicaEntry{id: cur.id, name: cur.name, prepared: p, created: cur.created, gen: gen}, nil
 }
@@ -415,7 +409,7 @@ func (s *Server) handleReplPromote(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, &httpError{status: http.StatusNotFound, msg: "no replica of instance " + strconv.Quote(req.ID) + " on this backend"})
 		return
 	}
-	e, evicted, err := s.reg.installExplicit(re.id, re.name, re.prepared, re.created, re.gen)
+	e, evicted, err := s.reg.install(re.id, re.name, re.prepared, re.created, re.gen)
 	if err != nil {
 		s.repl.setReplica(re) // promotion failed; keep following
 		s.writeError(w, &httpError{status: http.StatusConflict, msg: err.Error()})

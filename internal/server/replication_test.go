@@ -51,8 +51,13 @@ func TestMutationResponseCarriesGen(t *testing.T) {
 	}
 }
 
+// TestExplicitIDRegistration runs over a durable store: explicit and
+// minted ids share one install path, so both come back after a
+// restart, and a refused id journals nothing.
 func TestExplicitIDRegistration(t *testing.T) {
-	ts, _ := newTestServer(t, Options{})
+	dir := t.TempDir()
+	st := openTestStore(t, dir)
+	ts, _ := newTestServer(t, Options{Store: st})
 
 	var reg RegisterResponse
 	req := RegisterRequest{Facts: pkFacts, FDs: pkFDs, ID: "node7-i42"}
@@ -64,10 +69,14 @@ func TestExplicitIDRegistration(t *testing.T) {
 	}
 
 	// The id is now taken: a second registration under it must 409
-	// rather than silently overwrite.
+	// rather than silently overwrite, and leave the WAL alone.
+	appends := st.Stats().WalAppends
 	var e errorResponse
 	if status := do(t, http.MethodPost, ts.URL+"/v1/instances", req, &e); status != http.StatusConflict {
 		t.Fatalf("duplicate explicit id: status %d, want 409", status)
+	}
+	if got := st.Stats().WalAppends; got != appends {
+		t.Fatalf("a refused registration journalled %d record(s)", got-appends)
 	}
 
 	// Ill-formed ids are rejected before any engine work.
@@ -85,6 +94,27 @@ func TestExplicitIDRegistration(t *testing.T) {
 	auto := register(t, ts.URL, pkFacts, pkFDs)
 	if auto.ID == "i7" || auto.ID == "node7-i42" {
 		t.Fatalf("auto-allocated id %q collided with an explicit id", auto.ID)
+	}
+
+	// After a restart every instance is back at generation 1, and
+	// minting still steers clear of the restored ids.
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2 := openTestStore(t, dir)
+	defer st2.Close()
+	ts2, _ := newTestServer(t, Options{Store: st2})
+	var cursors []ReplInstanceInfo
+	do(t, http.MethodGet, ts2.URL+"/v1/replication/instances", nil, &cursors)
+	got := map[string]int64{}
+	for _, c := range cursors {
+		got[c.ID] = c.Gen
+	}
+	if want := map[string]int64{"node7-i42": 1, "i7": 1, auto.ID: 1}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after restart the registry holds %v, want %v", got, want)
+	}
+	if again := register(t, ts2.URL, pkFacts, pkFDs); got[again.ID] != 0 {
+		t.Fatalf("auto-allocated id %q collided with a restored id", again.ID)
 	}
 }
 

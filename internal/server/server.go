@@ -64,12 +64,6 @@ type Options struct {
 	// BatchWorkers bounds the worker pool a batch request fans out
 	// over. Default: GOMAXPROCS.
 	BatchWorkers int
-	// DefaultWorkers is the estimation worker count applied to approx
-	// query and marginals requests that omit workers (or request ≤ 0).
-	// Default 0 means adaptive: the engine sizes each run's pool from
-	// the instance's conflict structure and draw budget, bounded by
-	// GOMAXPROCS. Set a positive value to pin a fixed count instead.
-	DefaultWorkers int
 	// CacheSize bounds the LRU result cache (entries). 0 picks the
 	// default of 1024; negative disables caching.
 	CacheSize int
@@ -125,14 +119,6 @@ type Options struct {
 	// follower sync would cost durability, not just latency. 0 (the
 	// default) disables shedding.
 	ShedInflight int
-	// CancelGrace is how long a timed-out request waits for its
-	// computation to return cooperatively before giving up on it. The
-	// estimation engines stop within one sample chunk of cancellation
-	// and hand back partial estimates with their accounting; the grace
-	// window is what lets a 504 body carry that partial work instead of
-	// discarding it. 0 picks the default of 250ms; negative disables
-	// the wait (504s return immediately, without partial results).
-	CancelGrace time.Duration
 	// EnablePprof mounts net/http/pprof under GET /debug/pprof/. Off by
 	// default: the profiles expose internals and cost CPU to collect,
 	// so the operator opts in (ocqa-serve -pprof).
@@ -171,10 +157,6 @@ func (o *Options) fill() {
 	// an unbuffered jobs channel no goroutine ever reads — a deadlock,
 	// not a slow batch.
 	o.BatchWorkers = max(o.BatchWorkers, 1)
-	// DefaultWorkers 0 is meaningful (adaptive), only negatives are
-	// normalised; a positive pin is still bounded by the batch pool.
-	o.DefaultWorkers = max(o.DefaultWorkers, 0)
-	o.DefaultWorkers = min(o.DefaultWorkers, o.BatchWorkers)
 	switch {
 	case o.CacheSize == 0:
 		o.CacheSize = 1024
@@ -216,12 +198,6 @@ func (o *Options) fill() {
 		o.WatchWait = 25 * time.Second
 	case o.WatchWait < 0:
 		o.WatchWait = 0
-	}
-	switch {
-	case o.CancelGrace == 0:
-		o.CancelGrace = 250 * time.Millisecond
-	case o.CancelGrace < 0:
-		o.CancelGrace = 0
 	}
 }
 
@@ -300,18 +276,14 @@ func New(opts Options) *Server {
 	}
 	s.met = newServerMetrics(s)
 	if s.store != nil {
-		for _, is := range s.store.Instances() {
-			s.reg.restore(is.ID, is.Name, ocqa.NewInstance(is.DB, is.Sigma), is.Created)
-		}
 		// A store written under a higher -max-instances may replay more
-		// entries than this boot's capacity: evict (and journal) down
-		// so the documented memory bound holds from the first request.
-		for s.reg.len() > opts.MaxInstances {
-			v := s.reg.evictLRU()
-			if v == nil {
-				break
-			}
-			s.dropEvicted(v)
+		// instances than this boot's capacity: install evicts (and
+		// dropEvicted journals) down to it, so the documented memory
+		// bound holds from the first request. The store's ids are
+		// distinct, so no install is refused.
+		for _, is := range s.store.Instances() {
+			_, evicted, _ := s.reg.install(is.ID, is.Name, ocqa.NewInstance(is.DB, is.Sigma), is.Created, 1)
+			s.dropEvicted(evicted...)
 		}
 	}
 	s.mux.HandleFunc("POST /v1/instances", s.handleRegister)
@@ -465,6 +437,14 @@ func safeCall[T any](f func() (T, *httpError)) (v T, he *httpError) {
 	return f()
 }
 
+// cancelGrace is how long a timed-out request waits for its
+// computation to return cooperatively before giving up on it. The
+// estimation engines stop within one sample chunk of cancellation and
+// hand back partial estimates with their accounting; the grace window
+// is what lets a 504 body carry that partial work instead of
+// discarding it.
+const cancelGrace = 250 * time.Millisecond
+
 // runWithDeadline executes f with a context bounding it by the
 // server's query timeout (and the request's own lifetime: a client
 // disconnect cancels it). The estimation engines check that context
@@ -515,14 +495,12 @@ func runWithDeadline[T any](s *Server, parent context.Context, f func(ctx contex
 		// race, a computation that finished right at the deadline is
 		// served whole). Exact engines have no cancellation points, so
 		// the wait is bounded by the grace window, not by them.
-		if grace := s.opts.CancelGrace; grace > 0 {
-			t := time.NewTimer(grace)
-			select {
-			case o := <-ch:
-				t.Stop()
-				return o.v, o.he
-			case <-t.C:
-			}
+		t := time.NewTimer(cancelGrace)
+		select {
+		case o := <-ch:
+			t.Stop()
+			return o.v, o.he
+		case <-t.C:
 		}
 		if err := parent.Err(); err != nil {
 			return zero, s.classifyCtxErr(err)

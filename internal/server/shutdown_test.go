@@ -91,6 +91,40 @@ func TestShutdownWakesParkedWatchers(t *testing.T) {
 	}
 }
 
+// TestEvictionWakesParkedWatchers: a watcher parked on an instance that
+// a registration evicts gets its 404 at once, not at the end of a
+// minute-long wait window.
+func TestEvictionWakesParkedWatchers(t *testing.T) {
+	ts, s := newTestServer(t, Options{WatchWait: time.Minute, MaxInstances: 1})
+	reg := register(t, ts.URL, pkFacts, pkFDs)
+	watchURL := ts.URL + "/v1/instances/" + reg.ID +
+		"/watch?generator=ur&mode=exact&query=Ans(n)%20:-%20Emp(i,%20n)&since=1"
+	status := make(chan int, 1)
+	go func() {
+		r, err := http.Get(watchURL)
+		if err != nil {
+			status <- 0
+			return
+		}
+		r.Body.Close()
+		status <- r.StatusCode
+	}()
+	for deadline := time.Now().Add(5 * time.Second); s.watch.size() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the watcher never parked")
+		}
+	}
+	register(t, ts.URL, fdFacts, fdFDs) // evicts reg: MaxInstances is 1
+	select {
+	case st := <-status:
+		if st != http.StatusNotFound {
+			t.Fatalf("watcher of the evicted instance: status %d, want 404", st)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("eviction did not wake the parked watcher")
+	}
+}
+
 // TestWatchHubReleasesEntries: the hub map entry for an instance must
 // disappear when its last waiter times out or disconnects — pre-fix,
 // one channel per ever-watched id lived until the next mutation,

@@ -71,8 +71,10 @@ type InstanceState struct {
 	Sigma   *fd.Set
 }
 
-// Stats are the store's persistence counters, all monotone over the
-// store's lifetime (replayedOps counts boot replay only).
+// Stats are the store's persistence counters, monotone over the
+// store's lifetime (replayedOps counts boot replay only), except
+// WalRecords: the records in the WAL not yet folded into a snapshot,
+// which a compaction lowers.
 type Stats struct {
 	WalAppends  int64 `json:"wal_appends"`
 	Snapshots   int64 `json:"snapshots"`
