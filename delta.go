@@ -237,16 +237,17 @@ func newDeltaQuery(q *Query, mp *core.MultiPred) *deltaQuery {
 
 // ApplyInsert returns a new instance for (D ∪ {f}, Σ) and the index
 // assigned to f, leaving the receiver untouched — in-flight queries
-// against it are unaffected. The conflict pairs are maintained
-// incrementally: the old ones are remapped across the index shift and
-// the new fact's are found by one scan of the rows that can share its
-// left-hand sides. The factorized state is carried over warm — witness
-// images are remapped, the inserted fact's new images are discovered by
-// the anchored homomorphism search, and every target decomposition the
-// insert leaves alone is kept, so the next query re-decomposes only the
-// targets whose images or blocks it touched. Samplers and witness-set
-// compiles rebuild lazily. Fails with ErrDuplicateFact,
-// ErrUnknownRelation or ErrArityMismatch.
+// against it are unaffected. The write copies the database columns and
+// carries the conflict pair count, adjusted by the new fact's partners,
+// which one scan of the rows that can share its left-hand sides finds;
+// the pair list itself is built on the first query that reads it (the
+// M^uo samplers and the exact engines do). The factorized state is
+// carried over warm — witness images are remapped, the inserted fact's
+// new images are discovered by the anchored homomorphism search, and
+// every target decomposition the insert leaves alone is kept, so the
+// next query re-decomposes only the targets whose images or blocks it
+// touched. Samplers and witness-set compiles rebuild lazily. Fails with
+// ErrDuplicateFact, ErrUnknownRelation or ErrArityMismatch.
 func (in *Instance) ApplyInsert(f Fact) (*Instance, int, error) {
 	inner, pos, err := in.inner.InsertFact(f)
 	if err != nil {
@@ -256,8 +257,8 @@ func (in *Instance) ApplyInsert(f Fact) (*Instance, int, error) {
 }
 
 // ApplyDelete returns a new instance for (D ∖ {f_i}, Σ), with the same
-// copy-on-write, incremental-maintenance and warm-carry semantics as
-// ApplyInsert. Fails with ErrFactIndex.
+// copy-on-write, carried-count and warm-carry semantics as ApplyInsert:
+// the pair count drops by f_i's partners. Fails with ErrFactIndex.
 func (in *Instance) ApplyDelete(i int) (*Instance, error) {
 	inner, err := in.inner.DeleteFact(i)
 	if err != nil {

@@ -14,18 +14,20 @@ type Adjacency struct {
 }
 
 // Adjacency returns the instance's conflict adjacency. It is built on
-// the first call — O(|D| + |conflict pairs|) — and then shared, so an
-// instance that never samples the uniform-operations chain never pays
-// for it. Mutations derive a new instance, which builds its own.
+// the first call — O(|D| + |conflict pairs|), after ConflictPairs — and
+// then shared, so an instance that never samples the uniform-operations
+// chain never pays for it. Mutations derive a new instance, which
+// builds its own pairs and adjacency on first use.
 func (inst *Instance) Adjacency() *Adjacency {
 	inst.adjOnce.Do(func() {
+		pairs := inst.ConflictPairs()
 		n := inst.D.Len()
 		a := &Adjacency{
 			Start: make([]int, n+1),
-			Pair:  make([]int, 2*len(inst.pairs)),
-			Nbr:   make([]int, 2*len(inst.pairs)),
+			Pair:  make([]int, 2*len(pairs)),
+			Nbr:   make([]int, 2*len(pairs)),
 		}
-		for _, p := range inst.pairs {
+		for _, p := range pairs {
 			a.Start[p[0]+1]++
 			a.Start[p[1]+1]++
 		}
@@ -33,7 +35,7 @@ func (inst *Instance) Adjacency() *Adjacency {
 			a.Start[f+1] += a.Start[f]
 		}
 		next := append([]int(nil), a.Start[:n]...)
-		for pid, p := range inst.pairs {
+		for pid, p := range pairs {
 			for k, f := range p {
 				a.Pair[next[f]] = pid
 				a.Nbr[next[f]] = p[1-k]

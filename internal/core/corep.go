@@ -25,7 +25,7 @@ import (
 // ConflictGraph materialises CG(D,Σ) as a graph over fact indices.
 func (inst *Instance) ConflictGraph() *graph.Graph {
 	g := graph.New(inst.D.Len())
-	for _, p := range inst.pairs {
+	for _, p := range inst.ConflictPairs() {
 		g.AddEdge(p[0], p[1])
 	}
 	return g

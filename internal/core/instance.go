@@ -31,15 +31,23 @@ import (
 )
 
 // Instance bundles a database D and a set Σ of FDs together with the
-// precomputed conflict structure every engine needs: the deduplicated
-// conflict pairs of CG(D,Σ). A single fact's partners come from
+// conflict structure every engine needs: the deduplicated conflict
+// pairs of CG(D,Σ) and their number. A single fact's partners come from
 // Sigma.ConflictsOf (see BlockOf).
 type Instance struct {
 	D     *rel.Database
 	Sigma *fd.Set
 
-	// pairs are the edges of the conflict graph, sorted, with I < J.
-	pairs [][2]int
+	// npairs is the number of conflict pairs. NewInstance counts the
+	// pairs it builds; a write carries its parent's count, adjusted by
+	// the written fact's partners.
+	npairs int
+
+	// pairs are the edges of the conflict graph, sorted, with I < J,
+	// built at most once: by NewInstance, or on the first read of an
+	// instance a write derived.
+	pairsOnce sync.Once
+	pairs     [][2]int
 
 	// adj is the per-fact form of pairs, built at most once, on the
 	// first Adjacency call.
@@ -49,11 +57,22 @@ type Instance struct {
 
 // NewInstance precomputes the conflict structure of (D, Σ).
 func NewInstance(d *rel.Database, sigma *fd.Set) *Instance {
-	return &Instance{D: d, Sigma: sigma, pairs: sigma.ConflictPairs(d)}
+	inst := &Instance{D: d, Sigma: sigma}
+	inst.npairs = len(inst.ConflictPairs())
+	return inst
 }
 
 // ConflictPairs returns the edges of CG(D,Σ) as fact-index pairs (I<J).
-func (inst *Instance) ConflictPairs() [][2]int { return inst.pairs }
+// On an instance InsertFact or DeleteFact derived, the first call
+// builds them from D, as NewInstance does.
+func (inst *Instance) ConflictPairs() [][2]int {
+	inst.pairsOnce.Do(func() { inst.pairs = inst.Sigma.ConflictPairs(inst.D) })
+	return inst.pairs
+}
+
+// ConflictPairCount returns |E(CG(D,Σ))|, the length of ConflictPairs,
+// without building the pairs.
+func (inst *Instance) ConflictPairCount() int { return inst.npairs }
 
 // Full returns the subset representing D itself.
 func (inst *Instance) Full() rel.Subset { return inst.D.FullSubset() }
@@ -61,7 +80,7 @@ func (inst *Instance) Full() rel.Subset { return inst.D.FullSubset() }
 // IsConsistent reports whether the sub-database identified by s
 // satisfies Σ, i.e. no conflict pair survives in s.
 func (inst *Instance) IsConsistent(s rel.Subset) bool {
-	for _, p := range inst.pairs {
+	for _, p := range inst.ConflictPairs() {
 		if s.Has(p[0]) && s.Has(p[1]) {
 			return false
 		}
@@ -119,7 +138,7 @@ func (o Op) less(p Op) bool {
 func (inst *Instance) JustifiedOps(s rel.Subset, singleton bool) []Op {
 	singles := make(map[int]bool)
 	var ops []Op
-	for _, p := range inst.pairs {
+	for _, p := range inst.ConflictPairs() {
 		if !s.Has(p[0]) || !s.Has(p[1]) {
 			continue
 		}
@@ -147,12 +166,13 @@ type Sequence []Op
 // set, additionally every operation must be a singleton removal.
 func (inst *Instance) IsRepairing(s Sequence, singleton bool) bool {
 	cur := inst.Full()
+	pairs := inst.ConflictPairs()
 	for _, op := range s {
 		if singleton && !op.Singleton() {
 			return false
 		}
 		justified := false
-		for _, p := range inst.pairs {
+		for _, p := range pairs {
 			if !cur.Has(p[0]) || !cur.Has(p[1]) {
 				continue
 			}

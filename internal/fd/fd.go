@@ -6,7 +6,9 @@
 package fd
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -233,22 +235,25 @@ func (s *Set) Violations(d *rel.Database) []Violation {
 
 // ConflictPairs returns the edge set of the conflict graph CG(D,Σ): the
 // sorted, deduplicated pairs {i, j} of fact indices with {f_i, f_j} ̸|= Σ.
+// Every FD's violating pairs are appended as violationsOf finds them,
+// then one sort brings the pairs several FDs share next to each other
+// and a compaction drops the repeats.
 func (s *Set) ConflictPairs(d *rel.Database) [][2]int {
-	seen := make(map[[2]int]bool)
 	var out [][2]int
-	for _, v := range s.Violations(d) {
-		p := [2]int{v.I, v.J}
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
+	for _, phi := range s.fds {
+		violationsOf(d, phi, func(i, j int) { out = append(out, [2]int{i, j}) })
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a][0] != out[b][0] {
-			return out[a][0] < out[b][0]
+	slices.SortFunc(out, func(p, q [2]int) int {
+		if c := cmp.Compare(p[0], q[0]); c != 0 {
+			return c
 		}
-		return out[a][1] < out[b][1]
+		return cmp.Compare(p[1], q[1])
 	})
+	if k := len(slices.Compact(out)); k < len(out) {
+		// Keep an array no larger than appending the distinct pairs
+		// alone would have grown.
+		out = append([][2]int(nil), out[:k]...)
+	}
 	return out
 }
 

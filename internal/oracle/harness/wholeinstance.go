@@ -109,6 +109,6 @@ func wholeInstanceSetup(inst *ocqa.Instance, mode core.Mode, opts ocqa.ApproxOpt
 	if opts.Workers < 0 {
 		opts.Workers = engine.AutoWorkers
 	}
-	hint := max(len(inst.Core().ConflictPairs()), 1)
+	hint := max(inst.Core().ConflictPairCount(), 1)
 	return opts, engine.ResolveWorkers(opts.Workers, hint, int64(opts.MaxSamples)), bs, nil
 }

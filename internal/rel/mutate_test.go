@@ -106,12 +106,13 @@ func TestInsertRemoveEquivalentToRebuild(t *testing.T) {
 }
 
 // TestLookupTableAcrossInsertRemove is the property test of the lookup
-// table Insert and Remove derive from their parent's: random writes
-// walk the fact count across tableSize boundaries in both directions,
-// over three relations of mixed arity, and after every step the table
-// must be one a snapshot can carry (NewDatabaseFromParts accepts
-// LookupSlots), find every fact at its own index, and find no absent
-// fact. The relation spans derived alongside must match a scan.
+// table a database Insert or Remove derived builds on its first use:
+// random writes walk the fact count across tableSize boundaries in
+// both directions, over three relations of mixed arity, and after every
+// step the table must be one a snapshot can carry (NewDatabaseFromParts
+// accepts LookupSlots), find every fact at its own index, and find no
+// absent fact. The relation spans the write shifted from its parent's
+// must match a scan.
 func TestLookupTableAcrossInsertRemove(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	randomFact := func() Fact {

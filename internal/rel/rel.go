@@ -8,11 +8,13 @@
 // shared by every database of a copy-on-write lineage, interns every
 // constant and relation name to a dense int32 id, and the fact set lives
 // in three flat columns (per-fact relation id, argument offsets,
-// argument ids) plus an open-addressing hash index, which Insert and
-// Remove derive from the parent's instead of rehashing. The
-// string-based Fact API remains for construction, formatting, and the
-// exact engines; the samplers, the homomorphism search, and the
-// conflict indexes operate on the id columns directly.
+// argument ids) plus an open-addressing hash index. A single-fact
+// write (Insert, Remove) copies the three columns and nothing else: it
+// finds a duplicate by binary search, shifts the parent's relation
+// spans, and leaves the hash index to be built on the new database's
+// first lookup. The string-based Fact API remains for construction,
+// formatting, and the exact engines; the samplers, the homomorphism
+// search, and the conflict indexes operate on the id columns directly.
 package rel
 
 import (
@@ -216,7 +218,10 @@ type Database struct {
 	offs []int32
 	args []int32
 	// table maps a row to its fact index without materialising strings.
-	table factTable
+	// NewDatabase, NewDatabaseFromParts and Restrict fill it; a database
+	// Insert or Remove derived builds it on first use (lookupTable).
+	tableOnce sync.Once
+	table     factTable
 	// spans maps each relation id to its contiguous [lo, hi) index
 	// range. The sort order is relation-major, so every relation's facts
 	// occupy one run; caching the runs makes per-relation iteration a
@@ -260,6 +265,45 @@ func (d *Database) buildTable() {
 	for i := range d.rels {
 		d.table.insert(d, i)
 	}
+}
+
+// lookupTable returns the row hash index, building it on the first call
+// for a database whose constructor left it empty.
+func (d *Database) lookupTable() *factTable {
+	d.tableOnce.Do(func() {
+		if d.table.slots == nil {
+			d.buildTable()
+		}
+	})
+	return &d.table
+}
+
+// shiftedSpans returns d's relation spans after a write of one fact of
+// relation rid at index at, delta +1 for an insert and −1 for a
+// removal: rid's span grows or shrinks by one (a new relation starts at
+// at, an emptied one is dropped) and every span after at moves by
+// delta. The sort order is relation-major, so no other span contains
+// at. O(#relations), where buildSpans scans every row.
+func (d *Database) shiftedSpans(rid int32, at, delta int) map[int32]span {
+	out := make(map[int32]span, len(d.spans)+1)
+	for r, sp := range d.spans {
+		if r != rid && sp.lo >= at {
+			sp.lo += delta
+			sp.hi += delta
+		}
+		out[r] = sp
+	}
+	sp, ok := out[rid]
+	if !ok {
+		sp = span{at, at}
+	}
+	sp.hi += delta
+	if sp.lo == sp.hi {
+		delete(out, rid)
+	} else {
+		out[rid] = sp
+	}
+	return out
 }
 
 // encodeFacts fills the columns from sorted, deduplicated facts,
@@ -402,6 +446,20 @@ func (d *Database) rowLess(i, j int) bool {
 	return len(a) < len(b)
 }
 
+// rowIs reports whether fact i is f, without materialising fact i.
+func (d *Database) rowIs(i int, f Fact) bool {
+	row := d.argRow(i)
+	if d.syms.Str(d.rels[i]) != f.Rel || len(row) != len(f.Args) {
+		return false
+	}
+	for k, id := range row {
+		if d.syms.Str(id) != f.Args[k] {
+			return false
+		}
+	}
+	return true
+}
+
 // factLessRow is f.Less(fact i) without materialising fact i.
 func (d *Database) factLessRow(f Fact, i int) bool {
 	rn := d.syms.Str(d.rels[i])
@@ -488,12 +546,15 @@ func (d *Database) Columns() (syms *Symbols, rels, offs, args []int32) {
 }
 
 // LookupSlots exposes the open-addressing slot array (fact index + 1
-// per slot, 0 = empty) for the snapshot codec. Read-only.
-func (d *Database) LookupSlots() []int32 { return d.table.slots }
+// per slot, 0 = empty) for the snapshot codec, building it first on a
+// database Insert or Remove derived. Read-only.
+func (d *Database) LookupSlots() []int32 { return d.lookupTable().slots }
 
 // IndexOf returns the index of the fact, or -1 if it is absent. The
 // lookup translates the fact's strings through the symbol table and
-// probes the row hash — no allocation, no Key() escaping.
+// probes the row hash — no allocation, no Key() escaping. The first
+// lookup in a database Insert or Remove derived builds the hash, in one
+// pass over its rows.
 func (d *Database) IndexOf(f Fact) int {
 	rid, ok := d.syms.Lookup(f.Rel)
 	if !ok {
@@ -511,7 +572,7 @@ func (d *Database) IndexOf(f Fact) int {
 		}
 		ids = append(ids, id)
 	}
-	return d.table.lookup(d, rid, ids)
+	return d.lookupTable().lookup(d, rid, ids)
 }
 
 // Contains reports whether the fact is in the database.
@@ -672,14 +733,16 @@ func (d *Database) String() string {
 // assigned. Every fact previously at index ≥ pos moves to index+1 in
 // the new database — callers maintaining index-based structures must
 // remap. ok is false (and d is returned unchanged with f's existing
-// index) when the fact is already present. An unseen constant is
-// interned into the lineage's shared symbol table, and the lookup table
-// is derived from d's rather than rehashed.
+// index) when the fact is already present: the binary search for pos
+// finds it as the row just before pos. An unseen constant is interned
+// into the lineage's shared symbol table. The write copies the three
+// columns; the relation spans are shifted from d's, and the lookup
+// table is built on the new database's first lookup.
 func (d *Database) Insert(f Fact) (nd *Database, pos int, ok bool) {
-	if i := d.IndexOf(f); i >= 0 {
-		return d, i, false
-	}
 	pos = sort.Search(d.Len(), func(i int) bool { return d.factLessRow(f, i) })
+	if pos > 0 && d.rowIs(pos-1, f) {
+		return d, pos - 1, false
+	}
 	rid := d.syms.Intern(f.Rel)
 	ids := make([]int32, len(f.Args))
 	for k, a := range f.Args {
@@ -703,20 +766,15 @@ func (d *Database) Insert(f Fact) (nd *Database, pos int, ok bool) {
 	for _, o := range d.offs[pos+1:] {
 		nd.offs = append(nd.offs, o+int32(len(ids)))
 	}
-	if len(d.table.slots) != tableSize(n+1) {
-		nd.buildTable()
-	} else {
-		nd.table = d.table.withInsert(nd, pos)
-	}
-	nd.buildSpans()
+	nd.spans = d.shiftedSpans(rid, pos, 1)
 	return nd, pos, true
 }
 
 // Remove returns a new database with the fact at index i removed,
 // leaving d untouched (copy-on-write). Every fact previously at index
 // > i moves to index−1 in the new database. It panics when i is out of
-// range, matching slice-index semantics. Like Insert it derives the
-// lookup table from d's.
+// range, matching slice-index semantics. Like Insert it copies the
+// columns only.
 func (d *Database) Remove(i int) *Database {
 	if i < 0 || i >= d.Len() {
 		panic(fmt.Sprintf("rel: Remove index %d out of range [0,%d)", i, d.Len()))
@@ -736,12 +794,7 @@ func (d *Database) Remove(i int) *Database {
 	for _, o := range d.offs[i+2:] {
 		nd.offs = append(nd.offs, o-gap)
 	}
-	if len(d.table.slots) != tableSize(n-1) {
-		nd.buildTable()
-	} else {
-		nd.table = d.table.withRemove(d, nd, i)
-	}
-	nd.buildSpans()
+	nd.spans = d.shiftedSpans(d.rels[i], i, -1)
 	return nd
 }
 

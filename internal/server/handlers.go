@@ -59,7 +59,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		defer s.dropEvicted(evicted...)
 		if s.store != nil {
 			if err := s.store.LogRegister(e.id, e.name, e.created, inst.DB(), inst.Sigma()); err != nil {
-				s.reg.remove(e.id)
+				_ = s.reg.remove(e.id, nil) // an eviction may have taken it already
 				s.forget(e.id)
 				return RegisterResponse{}, &httpError{status: http.StatusInternalServerError, msg: fmt.Sprintf("journalling registration: %v", err)}
 			}
@@ -82,26 +82,20 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, resp)
 }
 
-// dropEvicted unregisters the instances the registry evicted to make
-// room.
+// dropEvicted journals the removal of the instances the registry
+// evicted to make room (durably the same operation as a delete) and
+// forgets them. A failed record only means the instance resurrects at
+// the next boot, where it is evicted again once the registry refills.
 func (s *Server) dropEvicted(evicted ...*instanceEntry) {
 	for _, v := range evicted {
 		s.met.evictions.Inc()
-		s.unregister(v.id)
-	}
-}
-
-// unregister journals an instance's removal from the registry, by a
-// delete or an eviction (durably the same operation), and forgets it.
-// A failed record only means the instance resurrects at the next boot,
-// where an evicted one is evicted again once the registry refills.
-func (s *Server) unregister(id string) {
-	if s.store != nil {
-		if err := s.store.LogUnregister(id); err != nil {
-			s.met.errors.Inc()
+		if s.store != nil {
+			if err := s.store.LogUnregister(v.id); err != nil {
+				s.met.errors.Inc()
+			}
 		}
+		s.forget(v.id)
 	}
-	s.forget(id)
 }
 
 // forget is the one removal path for an instance that has left the
@@ -148,13 +142,26 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, e.info())
 }
 
+// handleDelete journals the unregister record under the registry's
+// write lock, before the entry leaves, so an acknowledged delete is
+// never followed in the WAL by a record that brings the instance back.
+// While a registration has installed its entry but not yet journalled
+// it, the store does not know the id and the delete answers 409.
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if !s.reg.remove(id) {
+	var journal func() error
+	if s.store != nil {
+		journal = func() error { return s.store.LogUnregister(id) }
+	}
+	switch err := s.reg.remove(id, journal); {
+	case errors.Is(err, errNotFound):
 		s.writeError(w, &httpError{status: http.StatusNotFound, msg: "unknown instance " + strconv.Quote(id)})
 		return
+	case err != nil:
+		s.writeError(w, mutationError(fmt.Errorf("journalling delete: %w", err)))
+		return
 	}
-	s.unregister(id)
+	s.forget(id)
 	writeJSON(w, http.StatusOK, map[string]string{"status": "deleted", "id": id})
 }
 
@@ -165,7 +172,9 @@ func mutationError(err error) *httpError {
 	switch {
 	case errors.Is(err, errNotFound):
 		return &httpError{status: http.StatusNotFound, msg: err.Error()}
-	case errors.Is(err, ocqa.ErrDuplicateFact):
+	case errors.Is(err, ocqa.ErrDuplicateFact),
+		// The id's registration is installed but not yet journalled.
+		errors.Is(err, store.ErrUnknownInstance):
 		return &httpError{status: http.StatusConflict, msg: err.Error()}
 	case errors.Is(err, ocqa.ErrUnknownRelation),
 		errors.Is(err, ocqa.ErrArityMismatch),
@@ -204,7 +213,7 @@ func applyRecord(inst *ocqa.Instance, rec store.Record) (*ocqa.Instance, FactMut
 	if err != nil {
 		return nil, out, err
 	}
-	out.Facts, out.Consistent, out.ConflictPairs = next.DB().Len(), next.IsConsistent(), len(next.Core().ConflictPairs())
+	out.Facts, out.Consistent, out.ConflictPairs = next.DB().Len(), next.IsConsistent(), next.Core().ConflictPairCount()
 	return next, out, nil
 }
 
@@ -232,7 +241,9 @@ func (s *Server) handleDeleteFact(w http.ResponseWriter, r *http.Request) {
 }
 
 // mutate commits one fact record under the registry's write lock:
-// apply it to the instance, journal its frame, install a fresh entry,
+// apply it to the instance, journal its frame together with the
+// database it left (the store keeps that database as its state, so a
+// durable server holds one copy per instance), install a fresh entry,
 // keep the frame in the replication tail, and delta-refresh (or drop)
 // the instance's cached results. The WAL append happens inside the
 // critical section, so the log order is the order the registry applied.
@@ -262,7 +273,7 @@ func (s *Server) mutate(w http.ResponseWriter, r *http.Request, rec store.Record
 		}
 		if s.store != nil {
 			endWAL := tr.StartSpan("wal.append")
-			err := s.store.Append(frame)
+			err := s.store.Append(frame, next.DB())
 			endWAL()
 			if err != nil {
 				return nil, fmt.Errorf("journalling %s: %w", resp.Op, err)

@@ -198,7 +198,7 @@ func (s *Server) collectInstanceGauges() {
 	for _, e := range s.reg.list() {
 		in := e.prepared
 		m.instFacts.With(e.id).Set(float64(in.DB().Len()))
-		m.instConflicts.With(e.id).Set(float64(len(in.Core().ConflictPairs())))
+		m.instConflicts.With(e.id).Set(float64(in.Core().ConflictPairCount()))
 		m.instGen.With(e.id).Set(float64(e.gen))
 		if n, ok := e.prepared.BlockCount(); ok {
 			m.instBlocks.With(e.id).Set(float64(n))

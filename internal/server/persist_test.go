@@ -3,10 +3,12 @@ package server
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	ocqa "repro"
 	"repro/internal/sampler"
@@ -91,6 +93,113 @@ func TestServerPersistenceRestart(t *testing.T) {
 	}
 	if !v.Persistent || v.ReplayedOps != 3 { // 2 registers + 1 insert
 		t.Fatalf("varz persistence counters %+v, want persistent with 3 replayed ops", v)
+	}
+}
+
+// storeState returns the store's state for id, or nil.
+func storeState(st *store.Store, id string) *store.InstanceState {
+	for _, is := range st.Instances() {
+		if is.ID == id {
+			return is
+		}
+	}
+	return nil
+}
+
+// TestStoreStateIsRegistryDatabase: a durable server keeps one database
+// per instance. After every one of a random run of fact inserts and
+// deletes over HTTP, the store's state is the very database the
+// registry serves; after a restart, WAL replay gives an Equal database
+// with the conflict_pairs the last write reported.
+func TestStoreStateIsRegistryDatabase(t *testing.T) {
+	dir := t.TempDir()
+	st := openTestStore(t, dir)
+	ts, s := newTestServer(t, Options{Store: st})
+	reg := register(t, ts.URL, pkFacts, pkFDs)
+	url := ts.URL + "/v1/instances/" + reg.ID
+	rng := rand.New(rand.NewSource(13))
+	var last FactMutationResponse
+	writes := 0
+	for step := 0; step < 80; step++ {
+		e, _ := s.reg.get(reg.ID)
+		var mut FactMutationResponse
+		var status int
+		if n := e.prepared.DB().Len(); n < 3 || rng.Intn(2) == 0 {
+			f := fmt.Sprintf("Emp(%d,N%d)", rng.Intn(4), rng.Intn(5))
+			if status = do(t, http.MethodPost, url+"/facts", InsertFactRequest{Fact: f}, &mut); status == http.StatusConflict {
+				continue // already present
+			}
+		} else {
+			status = do(t, http.MethodDelete, fmt.Sprintf("%s/facts/%d", url, rng.Intn(n)), nil, &mut)
+		}
+		if status != http.StatusOK {
+			t.Fatalf("step %d: %s: status %d", step, mut.Op, status)
+		}
+		last, writes = mut, writes+1
+		e, _ = s.reg.get(reg.ID)
+		if is := storeState(st, reg.ID); is == nil || is.DB != e.prepared.DB() {
+			t.Fatalf("step %d: the store's state is not the registry's database", step)
+		}
+	}
+	if writes < 40 || last.Consistent {
+		t.Fatalf("%d writes, last consistent=%t: want ≥ 40 writes ending with conflicts", writes, last.Consistent)
+	}
+	e, _ := s.reg.get(reg.ID)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2 := openTestStore(t, dir)
+	defer st2.Close()
+	_, s2 := newTestServer(t, Options{Store: st2})
+	e2, ok := s2.reg.get(reg.ID)
+	if !ok {
+		t.Fatal("instance missing after restart")
+	}
+	if !e2.prepared.DB().Equal(e.prepared.DB()) {
+		t.Fatalf("replay gives %v, the registry served %v", e2.prepared.DB(), e.prepared.DB())
+	}
+	if got := len(e2.prepared.Core().ConflictPairs()); got != last.ConflictPairs {
+		t.Fatalf("conflict pairs after replay %d, the last write reported %d", got, last.ConflictPairs)
+	}
+}
+
+// TestDeleteDuringRegistrationIsRefused: a DELETE that lands after a
+// registration installed its entry but before the register record is
+// journalled must not be acknowledged, because the record written
+// after it would bring the instance back at the next boot. It gets
+// 409; once the record is written, a restart finds the instance, and
+// no acknowledged delete was undone.
+func TestDeleteDuringRegistrationIsRefused(t *testing.T) {
+	dir := t.TempDir()
+	st := openTestStore(t, dir)
+	ts, s := newTestServer(t, Options{Store: st})
+	inst, err := ocqa.NewInstanceFromText(pkFacts, pkFDs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, _, err := s.reg.install("racing", "", inst, time.Now(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var er errorResponse
+	if status := do(t, http.MethodDelete, ts.URL+"/v1/instances/racing", nil, &er); status != http.StatusConflict {
+		t.Fatalf("DELETE before the register record: status %d (%+v), want 409", status, er)
+	}
+	if err := st.LogRegister(e.id, e.name, e.created, inst.DB(), inst.Sigma()); err != nil {
+		t.Fatal(err)
+	}
+	if status := do(t, http.MethodGet, ts.URL+"/v1/instances/racing", nil, nil); status != http.StatusOK {
+		t.Fatalf("refused DELETE removed the instance: status %d", status)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2 := openTestStore(t, dir)
+	defer st2.Close()
+	ts2, _ := newTestServer(t, Options{Store: st2})
+	var info InstanceInfo
+	if status := do(t, http.MethodGet, ts2.URL+"/v1/instances/racing", nil, &info); status != http.StatusOK || info.Facts != inst.DB().Len() {
+		t.Fatalf("after restart: status %d, %+v", status, info)
 	}
 }
 

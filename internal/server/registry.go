@@ -141,14 +141,23 @@ func (r *registry) mutate(id string, f func(*instanceEntry) (*instanceEntry, err
 	return ne, nil
 }
 
-func (r *registry) remove(id string) bool {
+// remove takes id's entry out of the registry, or reports errNotFound.
+// journal, when not nil, runs under the write lock before the entry
+// leaves, so the removal reaches the WAL in the order the registry
+// applied it, as mutate's records do; an error from it keeps the entry.
+func (r *registry) remove(id string, journal func() error) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.entries[id]; !ok {
-		return false
+		return errNotFound
+	}
+	if journal != nil {
+		if err := journal(); err != nil {
+			return err
+		}
 	}
 	delete(r.entries, id)
-	return true
+	return nil
 }
 
 func (r *registry) list() []*instanceEntry {

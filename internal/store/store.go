@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -62,6 +63,11 @@ func (o *Options) fill() {
 	}
 }
 
+// ErrUnknownInstance is wrapped by the error of a record naming an id
+// the store holds no state for: an unregister, insert-fact or
+// delete-fact that reaches it before its instance's register record.
+var ErrUnknownInstance = errors.New("unknown instance")
+
 // InstanceState is the durable view of one registered instance.
 type InstanceState struct {
 	ID      string
@@ -90,7 +96,10 @@ type Stats struct {
 // maintains the logical state (id → instance) so compaction can
 // serialise it without help from the caller; the serving layer keeps
 // its own prepared artifacts and treats the store as the system of
-// record. All methods are safe for concurrent use.
+// record. A serving layer that applies its writes itself hands the
+// store the resulting database with each record (Append), so the state
+// points at the databases the layer serves instead of a second copy.
+// All methods are safe for concurrent use.
 type Store struct {
 	opts Options
 
@@ -351,11 +360,17 @@ func (st *Store) LogDeleteFact(id string, index int) error {
 	return st.log(Record{Kind: OpDeleteFact, ID: id, Index: index})
 }
 
-func (st *Store) log(rec Record) error { return st.append(rec, rec.Frame()) }
+func (st *Store) log(rec Record) error { return st.append(rec, rec.Frame(), nil) }
 
-// Append journals one frame built by Record.Frame — the caller keeps the
-// very bytes the WAL holds, e.g. to ship them to followers.
-func (st *Store) Append(frame []byte) error {
+// Append journals one insert-fact or delete-fact frame built by
+// Record.Frame — the caller keeps the very bytes the WAL holds, e.g. to
+// ship them to followers — together with db, the database the
+// record's write left the instance with. The caller has applied the
+// record already, and databases are immutable, so the store keeps db
+// as the instance's state instead of applying the record again to a
+// copy of its own. It refuses a db whose fact count is not its state's
+// plus one (insert) or minus one (delete).
+func (st *Store) Append(frame []byte, db *rel.Database) error {
 	recs, err := DecodeFrames(frame)
 	if err != nil {
 		return err
@@ -363,16 +378,24 @@ func (st *Store) Append(frame []byte) error {
 	if len(recs) != 1 {
 		return fmt.Errorf("store: Append takes one frame, got %d", len(recs))
 	}
-	return st.append(recs[0], frame)
+	if k := recs[0].Kind; k != OpInsertFact && k != OpDeleteFact {
+		return fmt.Errorf("store: Append takes an insert-fact or delete-fact frame, got %s", k)
+	}
+	if db == nil {
+		return fmt.Errorf("store: Append of %s(%s) without the database it leaves", recs[0].Kind, recs[0].ID)
+	}
+	return st.append(recs[0], frame, db)
 }
 
-// append applies the record to the logical state, writes its frame to
-// the WAL, and schedules compaction when the WAL has grown past the
-// threshold. The state is updated first (under the same lock) so a
-// record that cannot apply — an unknown id, say — is rejected before
-// it reaches the log; a record that fails to *write* is rolled back,
-// so a failure the client saw never persists, in memory or on disk.
-func (st *Store) append(rec Record, frame []byte) error {
+// append folds the record into the logical state — adopting db, the
+// database a fact record leaves, when the caller passes it, applying
+// the record otherwise — writes its frame to the WAL, and schedules
+// compaction when the WAL has grown past the threshold. The state is
+// updated first (under the same lock) so a record that cannot apply —
+// an unknown id, say — is rejected before it reaches the log; a record
+// that fails to *write* is rolled back, so a failure the client saw
+// never persists, in memory or on disk.
+func (st *Store) append(rec Record, frame []byte, db *rel.Database) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed {
@@ -381,7 +404,7 @@ func (st *Store) append(rec Record, frame []byte) error {
 	if st.failed {
 		return fmt.Errorf("store: WAL failed a previous append; compact or restart to recover")
 	}
-	undo, err := st.applyWithUndo(rec)
+	undo, err := st.applyWithUndo(rec, db)
 	if err != nil {
 		return err
 	}
@@ -454,11 +477,12 @@ func (st *Store) scheduleCompaction() {
 	}()
 }
 
-// applyWithUndo is apply plus a closure restoring the prior state,
-// used to roll a mutation back when its WAL write fails. The undo
-// closures restore pointers into immutable values (databases are
-// copy-on-write), so they are exact, not best-effort.
-func (st *Store) applyWithUndo(rec Record) (func(), error) {
+// applyWithUndo is apply (or, for a fact record with db, adopt) plus a
+// closure restoring the prior state, used to roll a mutation back when
+// its WAL write fails. The undo closures restore pointers into
+// immutable values (databases are copy-on-write), so they are exact,
+// not best-effort.
+func (st *Store) applyWithUndo(rec Record, db *rel.Database) (func(), error) {
 	switch rec.Kind {
 	case OpRegister, OpUnregister:
 		prev, had := st.state[rec.ID]
@@ -477,10 +501,30 @@ func (st *Store) applyWithUndo(rec Record) (func(), error) {
 			return func() {}, st.apply(rec) // apply will report the error
 		}
 		prevDB := s.DB
-		return func() { s.DB = prevDB }, st.apply(rec)
+		undo := func() { s.DB = prevDB }
+		if db != nil {
+			return undo, s.adopt(rec, db)
+		}
+		return undo, st.apply(rec)
 	default:
 		return func() {}, st.apply(rec)
 	}
+}
+
+// adopt makes db, the database the fact record rec left the instance
+// with, the instance's state, after the one check that needs no
+// re-application: db holds one fact more (insert) or fewer (delete)
+// than the state.
+func (s *InstanceState) adopt(rec Record, db *rel.Database) error {
+	want := s.DB.Len() + 1
+	if rec.Kind == OpDeleteFact {
+		want = s.DB.Len() - 1
+	}
+	if db.Len() != want {
+		return fmt.Errorf("store: %s(%s) leaves %d facts, want %d", rec.Kind, rec.ID, db.Len(), want)
+	}
+	s.DB = db
+	return nil
 }
 
 // apply folds one record into the logical state.
@@ -502,14 +546,14 @@ func (st *Store) apply(rec Record) error {
 		st.order = append(st.order, rec.ID)
 	case OpUnregister:
 		if _, ok := st.state[rec.ID]; !ok {
-			return fmt.Errorf("store: unregister of unknown instance %q", rec.ID)
+			return fmt.Errorf("store: unregister of %w %q", ErrUnknownInstance, rec.ID)
 		}
 		delete(st.state, rec.ID)
 		st.removeFromOrder(rec.ID)
 	case OpInsertFact:
 		s, ok := st.state[rec.ID]
 		if !ok {
-			return fmt.Errorf("store: insert-fact into unknown instance %q", rec.ID)
+			return fmt.Errorf("store: insert-fact into %w %q", ErrUnknownInstance, rec.ID)
 		}
 		nd, _, fresh := s.DB.Insert(rec.Fact)
 		if !fresh {
@@ -519,7 +563,7 @@ func (st *Store) apply(rec Record) error {
 	case OpDeleteFact:
 		s, ok := st.state[rec.ID]
 		if !ok {
-			return fmt.Errorf("store: delete-fact from unknown instance %q", rec.ID)
+			return fmt.Errorf("store: delete-fact from %w %q", ErrUnknownInstance, rec.ID)
 		}
 		if rec.Index < 0 || rec.Index >= s.DB.Len() {
 			return fmt.Errorf("store: delete-fact index %d out of range for %q (%d facts)", rec.Index, rec.ID, s.DB.Len())

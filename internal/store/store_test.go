@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -328,6 +329,54 @@ func TestAppendRejectsUnappliableRecords(t *testing.T) {
 	// None of the rejected records may have reached the WAL.
 	if got := st.Stats().WalAppends; got != 1 {
 		t.Fatalf("wal_appends = %d, want 1", got)
+	}
+}
+
+// TestAppendAdoptsDatabase: Append keeps the database the caller's
+// write left as the instance's state, the same pointer, and refuses a
+// database whose fact count the record cannot explain, a frame that is
+// not a fact write, and an id with no register record — none of which
+// reaches the WAL. Replay applies the journalled records and arrives at
+// an Equal database.
+func TestAppendAdoptsDatabase(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	d, sigma := fixture(t)
+	if err := st.LogRegister("i1", "", time.Now(), d, sigma); err != nil {
+		t.Fatal(err)
+	}
+	f := rel.NewFact("Emp", "2", "Carol")
+	ins := Record{Kind: OpInsertFact, ID: "i1", Fact: f}.Frame()
+	d2, _, _ := d.Insert(f)
+	if err := st.Append(ins, d); err == nil {
+		t.Fatal("insert-fact with an unchanged database accepted")
+	}
+	if err := st.Append(Record{Kind: OpUnregister, ID: "i1"}.Frame(), d); err == nil {
+		t.Fatal("unregister frame accepted")
+	}
+	if err := st.Append(Record{Kind: OpInsertFact, ID: "ghost", Fact: f}.Frame(), d2); !errors.Is(err, ErrUnknownInstance) {
+		t.Fatalf("insert-fact into an unregistered id: %v, want ErrUnknownInstance", err)
+	}
+	if err := st.Append(ins, d2); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Instances()[0].DB; got != d2 {
+		t.Fatal("the state is not the database passed to Append")
+	}
+	d3 := d2.Remove(0)
+	if err := st.Append(Record{Kind: OpDeleteFact, ID: "i1", Index: 0}.Frame(), d3); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Stats().WalAppends; got != 3 {
+		t.Fatalf("wal_appends = %d, want 3 (register, insert, delete)", got)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2 := openStore(t, dir)
+	defer st2.Close()
+	if got := st2.Instances()[0].DB; !got.Equal(d3) {
+		t.Fatalf("replay gives %v, want %v", got, d3)
 	}
 }
 

@@ -227,9 +227,9 @@ func (in *Instance) Sigma() *FDSet { return in.sigma }
 func (in *Instance) Class() ConstraintClass { return in.class }
 
 // IsConsistent reports whether D |= Σ. For FDs that holds iff V(D,Σ) is
-// empty, i.e. iff the conflict graph the instance maintains has no
-// edge, so the answer costs O(1).
-func (in *Instance) IsConsistent() bool { return len(in.inner.ConflictPairs()) == 0 }
+// empty, i.e. iff the conflict graph has no edge, so the answer reads
+// the conflict pair count the instance carries and costs O(1).
+func (in *Instance) IsConsistent() bool { return in.inner.ConflictPairCount() == 0 }
 
 // Core exposes the underlying exact engine for advanced use (chain
 // construction, predicates over raw repair subsets, and the enumeration
@@ -608,16 +608,17 @@ func (o *ApproxOptions) fillDefaults(defaultSamples int) {
 }
 
 // parallelHint is the per-draw cost proxy handed to the engine's
-// adaptive worker selection: the cached conflict-pair count, floored at
-// 1 for consistent instances. It tracks what a whole-repair draw walks:
-// the block structure of the repair and sequence samplers, the pairs a
-// UOWalker walk kills. A single-target M^uo or M^{uo,1} draw touches
-// only the few facts its witness images reach (UOLocal), so for it the
-// hint overstates the work; it is kept as is, so that the worker count,
-// and with it every estimate's (Seed, Workers) draw streams, does not
-// depend on which sampler answers.
+// adaptive worker selection: the conflict pair count the instance
+// carries, floored at 1 for consistent instances; reading the count
+// leaves a written instance's pair list unbuilt. It tracks what a
+// whole-repair draw walks: the block structure of the repair and
+// sequence samplers, the pairs a UOWalker walk kills. A single-target
+// M^uo or M^{uo,1} draw touches only the few facts its witness images
+// reach (UOLocal), so for it the hint overstates the work; it is kept
+// as is, so that the worker count, and with it every estimate's (Seed,
+// Workers) draw streams, does not depend on which sampler answers.
 func (in *Instance) parallelHint() int {
-	if n := len(in.inner.ConflictPairs()); n > 0 {
+	if n := in.inner.ConflictPairCount(); n > 0 {
 		return n
 	}
 	return 1

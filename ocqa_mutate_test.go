@@ -253,8 +253,10 @@ func TestInstanceDefersConstruction(t *testing.T) {
 
 // TestIsConsistentAlongLineage drives a random insert/delete lineage
 // over general FDs on two relations — one FD led by attribute 0, one
-// that omits it — and checks the O(1) IsConsistent against the
-// reference check Σ.Satisfies(D) at every step. The lineage must pass
+// that omits it, which takes ConflictsOf's whole-relation scan — and
+// checks the O(1) IsConsistent against the reference check
+// Σ.Satisfies(D), and the carried conflict pair count against a
+// from-scratch Σ.ConflictPairs(D), at every step. The lineage must pass
 // from consistent to inconsistent and back.
 func TestIsConsistentAlongLineage(t *testing.T) {
 	inst := mustInstance(t, "R(c0,c0,c0)\nS(c0,c0)", "R: A1 -> A2\nR: A3 -> A1\nS: A2 -> A1")
@@ -289,6 +291,9 @@ func TestIsConsistentAlongLineage(t *testing.T) {
 		got, want := inst.IsConsistent(), inst.Sigma().Satisfies(inst.DB())
 		if got != want {
 			t.Fatalf("step %d: IsConsistent() = %t, Σ.Satisfies(D) = %t on %v", step, got, want, inst.DB())
+		}
+		if n, want := inst.Core().ConflictPairCount(), len(inst.Sigma().ConflictPairs(inst.DB())); n != want {
+			t.Fatalf("step %d: carried conflict pair count %d, from scratch %d on %v", step, n, want, inst.DB())
 		}
 		if len(states) == 0 || states[len(states)-1] != got {
 			states = append(states, got)
@@ -325,6 +330,47 @@ func TestApplyWriteAllocsFlat(t *testing.T) {
 	t.Logf("allocations per insert+delete: %.0f at 2k facts, %.0f at 20k", small, large)
 	if large > 2*small {
 		t.Fatalf("ApplyInsert+ApplyDelete allocations: %.0f at 20k facts vs %.0f at 2k, want within 2×", large, small)
+	}
+}
+
+// TestApplyWriteBytesColumnsOnly pins what a single-fact write copies:
+// at 20k facts an ApplyInsert+ApplyDelete pair on a primary-key
+// instance allocates at most 1.25× the bytes of its two successors'
+// three database columns. Remapping the conflict pairs and deriving
+// the lookup table as well would cost about 3×.
+func TestApplyWriteBytesColumnsOnly(t *testing.T) {
+	w := workload.BlockDatabase(rand.New(rand.NewSource(3)), workload.UniformBlockSizes(5000, 4))
+	p := ocqa.NewInstance(w.DB, w.Sigma)
+	f := ocqa.Fact{Rel: "R", Args: []string{"k1", "v0"}}
+	write := func() (*ocqa.Instance, *ocqa.Instance) {
+		np, pos, err := p.ApplyInsert(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nd, err := np.ApplyDelete(pos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return np, nd
+	}
+	columns := 0
+	np, nd := write()
+	for _, in := range []*ocqa.Instance{np, nd} {
+		_, rels, offs, args := in.DB().Columns()
+		columns += 4 * (cap(rels) + cap(offs) + cap(args))
+	}
+	const writes = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < writes; i++ {
+		write()
+	}
+	runtime.ReadMemStats(&after)
+	perWrite := float64(after.TotalAlloc-before.TotalAlloc) / writes
+	t.Logf("insert+delete at %d facts: %.0f B allocated, successors' columns %d B (%.2f×)",
+		p.DB().Len(), perWrite, columns, perWrite/float64(columns))
+	if perWrite > 1.25*float64(columns) {
+		t.Fatalf("ApplyInsert+ApplyDelete allocates %.0f B, want at most 1.25× the %d B of the successors' columns", perWrite, columns)
 	}
 }
 
