@@ -54,7 +54,7 @@ type scaleBenchFile struct {
 	// instance on this host.
 	AutoWorkers int `json:"auto_workers"`
 	// BuildSeconds: interned columnar database construction (sort,
-	// dedup, dictionary, lookup table) for all facts. PrepareSeconds:
+	// dedup, dictionary) for all facts. PrepareSeconds:
 	// conflict graph + sampler preparation on top of it.
 	BuildSeconds   float64 `json:"build_seconds"`
 	PrepareSeconds float64 `json:"prepare_seconds"`

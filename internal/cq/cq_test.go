@@ -279,7 +279,11 @@ func TestRunningExampleQuery(t *testing.T) {
 	if !q.Entails(d) {
 		t.Error("monochromatic-1 edge should be detected")
 	}
-	d2 := d.Without(rel.NewFact("V", "v", "1"))
+	d2 := rel.NewDatabase(
+		rel.NewFact("E", "u", "v"),
+		rel.NewFact("V", "u", "1"),
+		rel.NewFact("T", "1"),
+	)
 	if q.Entails(d2) {
 		t.Error("no monochromatic edge after removal")
 	}

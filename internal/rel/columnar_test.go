@@ -7,19 +7,6 @@ import (
 	"testing"
 )
 
-// NewDatabaseColumnar adopts a columnar encoding without a stored
-// lookup table, building the table instead; order and well-formedness
-// are validated as in NewDatabaseFromParts.
-func NewDatabaseColumnar(syms *Symbols, rels, offs, args []int32) (*Database, error) {
-	d, err := newColumnar(syms, rels, offs, args)
-	if err != nil {
-		return nil, err
-	}
-	d.buildTable()
-	d.buildSpans()
-	return d, nil
-}
-
 // TestColumnarRoundTrip re-assembles a database from its exposed
 // columns and checks the copy is indistinguishable from the original:
 // same facts, same indices, same spans, same lookup behaviour.
@@ -33,9 +20,9 @@ func TestColumnarRoundTrip(t *testing.T) {
 	)
 	syms, rels, offs, args := d.Columns()
 
-	nd, err := NewDatabaseColumnar(syms, rels, offs, args)
+	nd, err := NewDatabaseFromParts(syms, rels, offs, args)
 	if err != nil {
-		t.Fatalf("NewDatabaseColumnar: %v", err)
+		t.Fatalf("NewDatabaseFromParts: %v", err)
 	}
 	if !d.Equal(nd) {
 		t.Fatalf("columnar round trip changed the fact set: %v vs %v", d, nd)
@@ -46,24 +33,13 @@ func TestColumnarRoundTrip(t *testing.T) {
 			t.Fatalf("IndexOf(%v) = %d, want %d", f, got, i)
 		}
 	}
-
-	np, err := NewDatabaseFromParts(syms, rels, offs, args, d.LookupSlots())
-	if err != nil {
-		t.Fatalf("NewDatabaseFromParts: %v", err)
-	}
-	if !d.Equal(np) {
-		t.Fatalf("from-parts round trip changed the fact set")
-	}
-	if got := np.IndexOf(NewFact("R", "a", "c")); got != d.IndexOf(NewFact("R", "a", "c")) {
-		t.Fatalf("from-parts lookup disagrees: %d", got)
-	}
-	if np.Contains(NewFact("R", "zzz", "b")) {
-		t.Fatalf("from-parts contains a fact that was never inserted")
+	if nd.Contains(NewFact("R", "zzz", "b")) {
+		t.Fatalf("round trip contains a fact that was never inserted")
 	}
 }
 
-// TestColumnarRejectsCorruptColumns feeds malformed columns to the
-// columnar constructors: each must error, never panic or accept.
+// TestColumnarRejectsCorruptColumns feeds malformed columns to
+// NewDatabaseFromParts: each must error, never panic or accept.
 func TestColumnarRejectsCorruptColumns(t *testing.T) {
 	d := NewDatabase(NewFact("R", "a"), NewFact("R", "b"), NewFact("S", "a"))
 	syms, rels, offs, args := d.Columns()
@@ -91,24 +67,15 @@ func TestColumnarRejectsCorruptColumns(t *testing.T) {
 		if tc.mutate != nil {
 			tc.mutate(tc.rels, tc.offs, tc.args)
 		}
-		if _, err := NewDatabaseColumnar(syms, tc.rels, tc.offs, tc.args); err == nil {
-			t.Errorf("%s: NewDatabaseColumnar accepted corrupt columns", tc.name)
+		if _, err := NewDatabaseFromParts(syms, tc.rels, tc.offs, tc.args); err == nil {
+			t.Errorf("%s: NewDatabaseFromParts accepted corrupt columns", tc.name)
 		}
-	}
-
-	if _, err := NewDatabaseFromParts(syms, rels, offs, args, []int32{1, 2, 3}); err == nil {
-		t.Errorf("NewDatabaseFromParts accepted a non-power-of-two slot array")
-	}
-	bad := cp(d.LookupSlots())
-	bad[0] = 99
-	if _, err := NewDatabaseFromParts(syms, rels, offs, args, bad); err == nil {
-		t.Errorf("NewDatabaseFromParts accepted out-of-range slot values")
 	}
 }
 
-// TestInternedLookupMatchesLinearScan cross-checks the hash index
-// against a brute-force scan on a randomized instance, including facts
-// that are almost-members (same relation, one argument off).
+// TestInternedLookupMatchesLinearScan cross-checks IndexOf's binary
+// search against a brute-force scan on a randomized instance, including
+// facts that are almost-members (same relation, one argument off).
 func TestInternedLookupMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var facts []Fact

@@ -8,13 +8,14 @@
 // shared by every database of a copy-on-write lineage, interns every
 // constant and relation name to a dense int32 id, and the fact set lives
 // in three flat columns (per-fact relation id, argument offsets,
-// argument ids) plus an open-addressing hash index. A single-fact
-// write (Insert, Remove) copies the three columns and nothing else: it
-// finds a duplicate by binary search, shifts the parent's relation
-// spans, and leaves the hash index to be built on the new database's
-// first lookup. The string-based Fact API remains for construction,
-// formatting, and the exact engines; the samplers, the homomorphism
-// search, and the conflict indexes operate on the id columns directly.
+// argument ids) sorted in Fact.Less order. The columns are the only
+// index: a fact is found by binary search over them, so a database
+// carries nothing a lookup must build or a snapshot must store. A
+// single-fact write (Insert, Remove) copies the three columns and
+// shifts the parent's relation spans. The string-based Fact API remains
+// for construction, formatting, and the exact engines; the samplers,
+// the homomorphism search, and the conflict indexes operate on the id
+// columns directly.
 package rel
 
 import (
@@ -148,29 +149,6 @@ func (f Fact) Equal(g Fact) bool {
 	return true
 }
 
-// Key returns a canonical string encoding of the fact, used as a map key.
-// The encoding escapes the separator so distinct facts cannot collide.
-// The data plane itself no longer uses Key — membership goes through the
-// interned hash index — but external consumers (oracles, tests, ad-hoc
-// dedup) still rely on it as a stable canonical form.
-func (f Fact) Key() string {
-	var b strings.Builder
-	b.WriteString(escape(f.Rel))
-	for _, a := range f.Args {
-		b.WriteByte('|')
-		b.WriteString(escape(a))
-	}
-	return b.String()
-}
-
-func escape(s string) string {
-	if !strings.ContainsAny(s, `|\`) {
-		return s
-	}
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	return strings.ReplaceAll(s, `|`, `\|`)
-}
-
 // String renders the fact as "R(c1,...,cn)".
 func (f Fact) String() string {
 	return fmt.Sprintf("%s(%s)", f.Rel, strings.Join(f.Args, ","))
@@ -205,7 +183,8 @@ func (f Fact) Less(g Fact) bool {
 // The representation is columnar: fact i is (rels[i],
 // args[offs[i]:offs[i+1]]) over the database's symbol table. The sort
 // order is relation-major string-lexicographic (Fact.Less), identical
-// to the pre-columnar layout.
+// to the pre-columnar layout, and it is how a fact is found: IndexOf,
+// Contains and Insert binary-search the rows (search).
 type Database struct {
 	syms *Symbols
 	// rels[i] is the relation id of fact i.
@@ -217,11 +196,6 @@ type Database struct {
 	// so offsets are explicit rather than derived.
 	offs []int32
 	args []int32
-	// table maps a row to its fact index without materialising strings.
-	// NewDatabase, NewDatabaseFromParts and Restrict fill it; a database
-	// Insert or Remove derived builds it on first use (lookupTable).
-	tableOnce sync.Once
-	table     factTable
 	// spans maps each relation id to its contiguous [lo, hi) index
 	// range. The sort order is relation-major, so every relation's facts
 	// occupy one run; caching the runs makes per-relation iteration a
@@ -257,25 +231,6 @@ func (d *Database) buildSpans() {
 		d.spans[d.rels[i]] = span{i, j}
 		i = j
 	}
-}
-
-// buildTable rebuilds the row hash index from the columns.
-func (d *Database) buildTable() {
-	d.table = newFactTable(len(d.rels))
-	for i := range d.rels {
-		d.table.insert(d, i)
-	}
-}
-
-// lookupTable returns the row hash index, building it on the first call
-// for a database whose constructor left it empty.
-func (d *Database) lookupTable() *factTable {
-	d.tableOnce.Do(func() {
-		if d.table.slots == nil {
-			d.buildTable()
-		}
-	})
-	return &d.table
 }
 
 // shiftedSpans returns d's relation spans after a write of one fact of
@@ -344,57 +299,18 @@ func NewDatabase(facts ...Fact) *Database {
 	}
 	d := &Database{syms: NewSymbols()}
 	d.encodeFacts(dedup)
-	d.buildTable()
 	d.buildSpans()
 	return d
 }
 
-// NewDatabaseFromParts adopts a ready-made columnar encoding — a symbol
-// table, the three fact columns, already in Fact.Less order with no
-// duplicate rows, and the hash slot array LookupSlots exposes. It is
-// the snapshot codec's boot path: no string parsing, no re-sort, no
-// per-fact allocation, and adopting the stored table avoids allocating
-// and filling a new one. Order and well-formedness are validated
-// (cheap integer scans plus one adjacent string comparison per fact),
-// and the table is verified, not trusted: it must index exactly d's
-// facts, each where its own probe finds it, which leaves at least one
-// empty slot to end every probe. Violations return an error rather
-// than a silently corrupt database.
-func NewDatabaseFromParts(syms *Symbols, rels, offs, args, slots []int32) (*Database, error) {
-	d, err := newColumnar(syms, rels, offs, args)
-	if err != nil {
-		return nil, err
-	}
-	t, ok := factTableFromSlots(slots)
-	if !ok {
-		return nil, fmt.Errorf("rel: lookup slot count %d is not a power of two", len(slots))
-	}
-	if len(slots) != tableSize(len(rels)) {
-		return nil, fmt.Errorf("rel: lookup slot count %d does not match %d facts", len(slots), len(rels))
-	}
-	used := 0
-	for _, s := range t.slots {
-		if int(s) < 0 || int(s) > len(rels) {
-			return nil, fmt.Errorf("rel: lookup slot value %d out of range", s)
-		}
-		if s != 0 {
-			used++
-		}
-	}
-	if used != len(rels) {
-		return nil, fmt.Errorf("rel: lookup table holds %d entries for %d facts", used, len(rels))
-	}
-	for i := range rels {
-		if t.lookup(d, rels[i], d.argRow(i)) != i {
-			return nil, fmt.Errorf("rel: lookup table does not find fact %d", i)
-		}
-	}
-	d.table = t
-	d.buildSpans()
-	return d, nil
-}
-
-func newColumnar(syms *Symbols, rels, offs, args []int32) (*Database, error) {
+// NewDatabaseFromParts adopts a ready-made columnar encoding: a symbol
+// table and the three fact columns, already in Fact.Less order with no
+// duplicate rows. It is the snapshot codec's boot path: no string
+// parsing, no re-sort, no per-fact allocation. The columns come from a
+// file or a peer, so they are validated, not trusted (cheap integer
+// scans plus one adjacent string comparison per fact): a violation
+// returns an error rather than a silently corrupt database.
+func NewDatabaseFromParts(syms *Symbols, rels, offs, args []int32) (*Database, error) {
 	n := len(rels)
 	if n == 0 && len(offs) == 0 {
 		offs = []int32{0}
@@ -425,6 +341,7 @@ func newColumnar(syms *Symbols, rels, offs, args []int32) (*Database, error) {
 			return nil, fmt.Errorf("rel: facts %d and %d out of order or duplicated", i-1, i)
 		}
 	}
+	d.buildSpans()
 	return d, nil
 }
 
@@ -458,6 +375,16 @@ func (d *Database) rowIs(i int, f Fact) bool {
 		}
 	}
 	return true
+}
+
+// search returns the index f takes in sorted order (the number of
+// rows that sort before or equal it) and whether the row just before
+// that index is f. It is the one way to find a fact by content: a
+// binary search over the columns, comparing symbol strings, O(log n)
+// rows.
+func (d *Database) search(f Fact) (pos int, found bool) {
+	pos = sort.Search(d.Len(), func(i int) bool { return d.factLessRow(f, i) })
+	return pos, pos > 0 && d.rowIs(pos-1, f)
 }
 
 // factLessRow is f.Less(fact i) without materialising fact i.
@@ -545,34 +472,13 @@ func (d *Database) Columns() (syms *Symbols, rels, offs, args []int32) {
 	return d.syms, d.rels, d.offs, d.args
 }
 
-// LookupSlots exposes the open-addressing slot array (fact index + 1
-// per slot, 0 = empty) for the snapshot codec, building it first on a
-// database Insert or Remove derived. Read-only.
-func (d *Database) LookupSlots() []int32 { return d.lookupTable().slots }
-
-// IndexOf returns the index of the fact, or -1 if it is absent. The
-// lookup translates the fact's strings through the symbol table and
-// probes the row hash — no allocation, no Key() escaping. The first
-// lookup in a database Insert or Remove derived builds the hash, in one
-// pass over its rows.
+// IndexOf returns the index of the fact, or -1 if it is absent. It
+// binary-searches the sorted rows (search) without allocating.
 func (d *Database) IndexOf(f Fact) int {
-	rid, ok := d.syms.Lookup(f.Rel)
-	if !ok {
-		return -1
+	if pos, found := d.search(f); found {
+		return pos - 1
 	}
-	var buf [8]int32
-	ids := buf[:0]
-	if len(f.Args) > len(buf) {
-		ids = make([]int32, 0, len(f.Args))
-	}
-	for _, a := range f.Args {
-		id, ok := d.syms.Lookup(a)
-		if !ok {
-			return -1
-		}
-		ids = append(ids, id)
-	}
-	return d.lookupTable().lookup(d, rid, ids)
+	return -1
 }
 
 // Contains reports whether the fact is in the database.
@@ -663,7 +569,6 @@ func (d *Database) Restrict(s Subset) *Database {
 			nd.offs = append(nd.offs, int32(len(nd.args)))
 		}
 	}
-	nd.buildTable()
 	nd.buildSpans()
 	return nd
 }
@@ -676,15 +581,32 @@ func (d *Database) Union(other *Database) *Database {
 	return NewDatabase(facts...)
 }
 
-// Without returns a new database with the given facts removed.
-func (d *Database) Without(remove ...Fact) *Database {
-	mask := d.FullSubset()
-	for _, f := range remove {
-		if i := d.IndexOf(f); i >= 0 {
-			mask.Clear(i)
+// HashRow hashes an interned row: a relation id and argument ids, all
+// of a fact's or a projection of them. FNV-style combining with a final
+// avalanche so that power-of-two masking sees well-mixed bits.
+func HashRow(rid int32, args []int32) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	h = (h ^ uint64(uint32(rid))) * prime
+	for _, a := range args {
+		h = (h ^ uint64(uint32(a))) * prime
+	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	return h
+}
+
+func eqIDs(a, b []int32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
 		}
 	}
-	return d.Restrict(mask)
+	return true
 }
 
 // Equal reports whether two databases contain the same set of facts.
@@ -733,14 +655,13 @@ func (d *Database) String() string {
 // assigned. Every fact previously at index ≥ pos moves to index+1 in
 // the new database — callers maintaining index-based structures must
 // remap. ok is false (and d is returned unchanged with f's existing
-// index) when the fact is already present: the binary search for pos
-// finds it as the row just before pos. An unseen constant is interned
-// into the lineage's shared symbol table. The write copies the three
-// columns; the relation spans are shifted from d's, and the lookup
-// table is built on the new database's first lookup.
+// index) when the fact is already present: the search for pos finds it
+// as the row just before pos. An unseen constant is interned into the
+// lineage's shared symbol table. The write copies the three columns;
+// the relation spans are shifted from d's.
 func (d *Database) Insert(f Fact) (nd *Database, pos int, ok bool) {
-	pos = sort.Search(d.Len(), func(i int) bool { return d.factLessRow(f, i) })
-	if pos > 0 && d.rowIs(pos-1, f) {
+	pos, found := d.search(f)
+	if found {
 		return d, pos - 1, false
 	}
 	rid := d.syms.Intern(f.Rel)

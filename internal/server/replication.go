@@ -418,9 +418,18 @@ func (s *Server) handleReplPromote(w http.ResponseWriter, r *http.Request) {
 	if s.store != nil {
 		// Journal the takeover so a restart replays the instance. The
 		// journalled state is the promoted generation's database; earlier
-		// generations never existed on this backend.
+		// generations never existed on this backend. A record that cannot
+		// be written takes the entry back out and keeps the replica, as
+		// a failed registration does, so an acknowledged promotion
+		// survives a restart. The evictions are journalled either way:
+		// they left the registry.
 		if err := s.store.LogRegister(e.id, e.name, e.created, re.prepared.DB(), re.prepared.Sigma()); err != nil {
-			s.met.errors.Inc()
+			_ = s.reg.remove(e.id, nil) // an eviction may have taken it already
+			s.forget(e.id)
+			s.repl.setReplica(re)
+			s.dropEvicted(evicted...)
+			s.writeError(w, &httpError{status: http.StatusInternalServerError, msg: fmt.Sprintf("journalling promotion: %v", err)})
+			return
 		}
 	}
 	s.dropEvicted(evicted...)

@@ -335,6 +335,35 @@ func TestReplicationPromoteCollision(t *testing.T) {
 	}
 }
 
+// TestReplicationPromoteUnjournalled: a promotion whose register record
+// cannot be written is not acknowledged. With the follower's store
+// closed, promote answers 500, the id stays unknown to the serving
+// surface, and the replica is kept for a later promotion.
+func TestReplicationPromoteUnjournalled(t *testing.T) {
+	owner, _ := newTestServer(t, Options{})
+	st := openTestStore(t, t.TempDir())
+	follower, _ := newTestServer(t, Options{Store: st})
+
+	reg := register(t, owner.URL, pkFacts, pkFDs)
+	syncReplica(t, follower.URL, owner.URL, reg.ID)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var e errorResponse
+	if status := do(t, http.MethodPost, follower.URL+"/v1/replication/promote", ReplPromoteRequest{ID: reg.ID}, &e); status != http.StatusInternalServerError {
+		t.Fatalf("promote with a closed store: status %d, want 500", status)
+	}
+	if status := do(t, http.MethodGet, follower.URL+"/v1/instances/"+reg.ID, nil, nil); status != http.StatusNotFound {
+		t.Fatalf("unjournalled promotion is served: status %d, want 404", status)
+	}
+	var reps []ReplInstanceInfo
+	do(t, http.MethodGet, follower.URL+"/v1/replication/replicas", nil, &reps)
+	if len(reps) != 1 || reps[0].ID != reg.ID {
+		t.Fatalf("replica lost by failed promotion: %+v", reps)
+	}
+}
+
 func TestReplicationSyncAfterTailOverflow(t *testing.T) {
 	owner, _ := newTestServer(t, Options{})
 	follower, _ := newTestServer(t, Options{})

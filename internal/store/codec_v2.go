@@ -12,21 +12,26 @@ package store
 //	rels:  nFacts × u32 LE        relation-id column
 //	offs:  (nFacts+1) × u32 LE    argument-offset column
 //	args:  argsLen × u32 LE       flattened argument-id column
-//	slots: slotsLen × u32 LE      open-addressing lookup table (idx+1, 0 empty)
+//	slots: slotsLen × u32 LE      skipped; see below
+//
+// slotsLen is written as 0, with no section after args. Payloads
+// written by earlier releases carry a fact hash table there; a database
+// needs none, since it finds a fact by binary search over its sorted
+// columns, so the decoder bounds-checks that section and skips it. A
+// release that reads the table cannot read a payload without one.
 //
 // Padding aligns to 4-byte offsets from a base: the start of a
 // standalone snapshot file (magic included), or the start of a record
 // frame, in which a register record pads to a 4-byte offset before its
-// v2 bytes (wal.go). Because the integer sections are
-// exactly the arrays the database holds at runtime (stored
-// little-endian, 4-aligned), a little-endian host decodes them with
-// zero copies — the columns alias the input buffer — and the stored
-// lookup slots make rebuilding the fact hash unnecessary (they are
-// verified, not trusted). Booting or seeding a replica therefore costs
-// the symbol table (O(distinct symbols)) plus validation scans, not a
-// per-fact string decode: on a memory-mapped file the column bytes are
-// only faulted in as pages are touched. Big-endian or misaligned hosts
-// fall back to a copying decode of the same bytes.
+// v2 bytes (wal.go). Because the integer sections are exactly the
+// arrays the database holds at runtime (stored little-endian,
+// 4-aligned), a little-endian host decodes them with zero copies — the
+// columns alias the input buffer. Booting or seeding a replica
+// therefore costs the symbol table (O(distinct symbols)) plus
+// validation scans, not a per-fact string decode: on a memory-mapped
+// file the column bytes are only faulted in as pages are touched.
+// Big-endian or misaligned hosts fall back to a copying decode of the
+// same bytes.
 
 import (
 	"bytes"
@@ -91,18 +96,17 @@ func int32Section(raw []byte, off, n int) []int32 {
 func encodeInstanceV2(b *bytes.Buffer, d *rel.Database, sigma *fd.Set) {
 	encodeSchemaFDs(b, sigma)
 	syms, relsCol, offsCol, argsCol := d.Columns()
-	slots := d.LookupSlots()
 	strs := syms.Strings()
 	blobLen := 0
 	for _, s := range strs {
 		blobLen += len(s)
 	}
-	b.Grow(4*(len(strs)+1+len(relsCol)+len(offsCol)+len(argsCol)+len(slots)) + blobLen + 64)
+	b.Grow(4*(len(strs)+1+len(relsCol)+len(offsCol)+len(argsCol)) + blobLen + 64)
 	putUvarint(b, uint64(len(strs)))
 	putUvarint(b, uint64(blobLen))
 	putUvarint(b, uint64(len(relsCol)))
 	putUvarint(b, uint64(len(argsCol)))
-	putUvarint(b, uint64(len(slots)))
+	putUvarint(b, 0) // slotsLen
 	pad4(b)
 	off := uint32(0)
 	putU32(b, 0)
@@ -117,7 +121,6 @@ func encodeInstanceV2(b *bytes.Buffer, d *rel.Database, sigma *fd.Set) {
 	putInt32s(b, relsCol)
 	putInt32s(b, offsCol)
 	putInt32s(b, argsCol)
-	putInt32s(b, slots)
 }
 
 // decodeInstanceV2 decodes the columnar body. raw starts at a 4-byte
@@ -190,8 +193,7 @@ func decodeInstanceV2(raw []byte, rd reader) (*rel.Database, *fd.Set, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	slotsAt, err := take(4 * slotsLen)
-	if err != nil {
+	if _, err := take(4 * slotsLen); err != nil {
 		return nil, nil, err
 	}
 
@@ -214,8 +216,7 @@ func decodeInstanceV2(raw []byte, rd reader) (*rel.Database, *fd.Set, error) {
 	db, err := rel.NewDatabaseFromParts(syms,
 		int32Section(raw, relsAt, nFacts),
 		int32Section(raw, offsAt, nFacts+1),
-		int32Section(raw, argsAt, argsLen),
-		int32Section(raw, slotsAt, slotsLen))
+		int32Section(raw, argsAt, argsLen))
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: columnar snapshot: %w", err)
 	}

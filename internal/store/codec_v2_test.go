@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
@@ -37,10 +36,45 @@ func randFixture(t *testing.T, rng *rand.Rand, n int) (*rel.Database, *fd.Set) {
 	return rel.NewDatabase(facts...), sigma
 }
 
+// declaredSlots reads the header of a v2 payload, rd positioned at its
+// schema, and returns the lookup-slot count it declares.
+func declaredSlots(t *testing.T, rd reader) int {
+	t.Helper()
+	if _, err := decodeSchemaFDs(rd); err != nil {
+		t.Fatal(err)
+	}
+	var n uint64
+	for i := 0; i < 5; i++ { // nSyms, symBlobLen, nFacts, argsLen, slotsLen
+		var err error
+		if n, err = rd.uvarint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return int(n)
+}
+
+// registerSlots is declaredSlots of a register record's payload.
+func registerSlots(t *testing.T, payload []byte) int {
+	t.Helper()
+	rd := reader{bytes.NewReader(payload[1:])}
+	if _, err := rd.string_(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rd.string_(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rd.uvarint(); err != nil {
+		t.Fatal(err)
+	}
+	at := (len(payload) - rd.r.Len() + 3) &^ 3
+	return declaredSlots(t, reader{bytes.NewReader(payload[at:])})
+}
+
 // TestV2RoundTrip: the columnar encoding reproduces the database and
 // FD set exactly, including the interned representation — same symbol
 // ids, same columns — so downstream id-keyed caches survive a
-// snapshot/boot cycle.
+// snapshot/boot cycle. A payload written now declares no lookup slots,
+// whether in a standalone snapshot or a register record.
 func TestV2RoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{0, 1, 7, 200} {
@@ -48,6 +82,13 @@ func TestV2RoundTrip(t *testing.T) {
 		var buf bytes.Buffer
 		if err := EncodeInstance(&buf, d, sigma); err != nil {
 			t.Fatal(err)
+		}
+		if got := declaredSlots(t, reader{bytes.NewReader(buf.Bytes()[len(instanceMagic)+1:])}); got != 0 {
+			t.Fatalf("n=%d: snapshot declares %d lookup slots, want 0", n, got)
+		}
+		frame := Record{Kind: OpRegister, ID: "i1", Name: "n", Created: time.Unix(0, 1), DB: d, Sigma: sigma}.Frame()
+		if got := registerSlots(t, frame[frameHeader:]); got != 0 {
+			t.Fatalf("n=%d: register record declares %d lookup slots, want 0", n, got)
 		}
 		d2, sigma2, err := DecodeInstance(&buf)
 		if err != nil {
@@ -172,7 +213,7 @@ func TestMapInstance(t *testing.T) {
 		// columns before unmapping.
 		for i := 0; i < db.Len(); i++ {
 			if db.IndexOf(db.Fact(i)) != i {
-				t.Fatalf("MapInstance(%s): fact %d not found via stored lookup slots", path, i)
+				t.Fatalf("MapInstance(%s): fact %d not found at its index", path, i)
 			}
 		}
 		if err := closeFn(); err != nil {
@@ -181,6 +222,71 @@ func TestMapInstance(t *testing.T) {
 	}
 	if _, _, _, err := MapInstance(filepath.Join(dir, "missing.snap")); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+// TestDecodeSnapshotWithLookupSlots decodes testdata/v2-slots.snap, a
+// standalone snapshot written by a release that stored a fact hash
+// table after the columns, through both the byte-stream and the mmap
+// path: each yields the database that release encoded, finds every fact
+// at its index, and re-encodes without the table. The skipped table is
+// still bounds-checked: the snapshot cut inside it is an error.
+func TestDecodeSnapshotWithLookupSlots(t *testing.T) {
+	path := filepath.Join("testdata", "v2-slots.snap")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := declaredSlots(t, reader{bytes.NewReader(raw[len(instanceMagic)+1:])}); got == 0 {
+		t.Fatal("fixture declares no lookup slots")
+	}
+	if _, _, err := DecodeInstance(bytes.NewReader(raw[:len(raw)-4])); err == nil {
+		t.Fatal("snapshot cut inside its lookup slots accepted")
+	}
+	want := rel.NewDatabase(
+		rel.NewFact("Emp", "1", "Alice"), rel.NewFact("Emp", "1", "Tom"), rel.NewFact("Emp", "2", "Bob"),
+		rel.NewFact("Emp", "3", "a|b"), rel.NewFact("Emp", "4", `c\d`), rel.NewFact("Emp", "5", "Zoë"),
+		rel.NewFact("Dept", "d1", "Alice", "hq"), rel.NewFact("Dept", "d1", "Bob", "hq"),
+		rel.NewFact("Dept", "d2", "Tom", "lab"), rel.NewFact("Dept", "d3", "a|b", "hq"),
+	)
+	const wantSigma = "{Emp: A1 -> A2; Dept: A1 -> A2}"
+	check := func(how string, d *rel.Database, sigma *fd.Set) {
+		t.Helper()
+		if !d.Equal(want) || sigma.String() != wantSigma {
+			t.Fatalf("%s: decoded %v %v, want %v %s", how, d, sigma, want, wantSigma)
+		}
+		for i := 0; i < d.Len(); i++ {
+			if d.IndexOf(d.Fact(i)) != i {
+				t.Fatalf("%s: fact %d not found at its index", how, i)
+			}
+		}
+		if d.Contains(rel.NewFact("Emp", "2", "Tom")) {
+			t.Fatalf("%s: Contains found an absent fact", how)
+		}
+		var buf bytes.Buffer
+		if err := EncodeInstance(&buf, d, sigma); err != nil {
+			t.Fatal(err)
+		}
+		if got := declaredSlots(t, reader{bytes.NewReader(buf.Bytes()[len(instanceMagic)+1:])}); got != 0 {
+			t.Fatalf("%s: re-encoded snapshot declares %d lookup slots", how, got)
+		}
+		d2, s2, err := DecodeInstance(&buf)
+		if err != nil || !d2.Equal(want) || s2.String() != wantSigma {
+			t.Fatalf("%s: re-encoded snapshot decodes to %v %v (%v)", how, d2, s2, err)
+		}
+	}
+	d, sigma, err := DecodeInstance(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("DecodeInstance", d, sigma)
+	d, sigma, closeFn, err := MapInstance(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("MapInstance", d, sigma)
+	if err := closeFn(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -196,19 +302,14 @@ func forgedMisfit(tb testing.TB) []byte {
 	return b.Bytes()
 }
 
-// forgedFullTable is a v2 snapshot of R(a,1), R(b,2) whose lookup slots
-// (the trailing section) all hold 1: in range, but with no empty slot
-// to end a probe.
+// forgedFullTable is a v2 snapshot of R(a,1), R(b,2) under R/2 with key
+// A1 -> A2, written by a release that stored a fact hash table, whose 8
+// lookup slots (the trailing section) were then all set to 1: in range,
+// but with no empty slot to end a probe of that table.
 func forgedFullTable(tb testing.TB) []byte {
-	_, sigma := seedInstance()
-	d := rel.NewDatabase(rel.NewFact("R", "a", "1"), rel.NewFact("R", "b", "2"))
-	var b bytes.Buffer
-	if err := EncodeInstance(&b, d, sigma); err != nil {
+	raw, err := os.ReadFile(filepath.Join("testdata", "v2-full-slots.snap"))
+	if err != nil {
 		tb.Fatal(err)
-	}
-	raw := b.Bytes()
-	for i := len(raw) - 4*len(d.LookupSlots()); i < len(raw); i += 4 {
-		binary.LittleEndian.PutUint32(raw[i:], 1)
 	}
 	return raw
 }
@@ -247,22 +348,37 @@ func TestDecodeRejectsMisfitFacts(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsFullLookupTable: stored lookup slots are verified,
-// not trusted. A table without an empty slot would make a probe for an
-// absent fact spin forever.
+// TestDecodeRejectsFullLookupTable: stored lookup slots are skipped, so
+// a table without an empty slot, which once made a probe for an absent
+// fact spin forever, is never used. The payload decodes to its two
+// facts, and a lookup of an absent fact ends and finds nothing.
 func TestDecodeRejectsFullLookupTable(t *testing.T) {
-	done := make(chan error, 1)
+	type result struct {
+		d        *rel.Database
+		err      error
+		contains bool
+	}
+	raw := forgedFullTable(t)
+	done := make(chan result, 1)
 	go func() {
-		d, _, err := DecodeInstance(bytes.NewReader(forgedFullTable(t)))
+		d, _, err := DecodeInstance(bytes.NewReader(raw))
+		var contains bool
 		if err == nil {
-			d.Contains(rel.NewFact("R", "a", "2"))
+			contains = d.Contains(rel.NewFact("R", "a", "2"))
 		}
-		done <- err
+		done <- result{d, err, contains}
 	}()
 	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("lookup table without an empty slot accepted")
+	case r := <-done:
+		if r.err != nil {
+			t.Fatalf("payload with stored lookup slots rejected: %v", r.err)
+		}
+		if r.contains {
+			t.Fatal("Contains found the absent fact R(a,2)")
+		}
+		want := rel.NewDatabase(rel.NewFact("R", "a", "1"), rel.NewFact("R", "b", "2"))
+		if !r.d.Equal(want) || r.d.IndexOf(rel.NewFact("R", "b", "2")) != 1 {
+			t.Fatalf("decoded %v, want %v", r.d, want)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("decode or lookup did not return within 10s")
@@ -293,7 +409,7 @@ func TestRegisterFrameDecodesInPlace(t *testing.T) {
 	}
 	lo, hi := uintptr(unsafe.Pointer(&body[0])), uintptr(unsafe.Pointer(&body[len(body)-1]))
 	_, rels, offs, args := got.DB.Columns()
-	for name, col := range map[string][]int32{"rels": rels, "offs": offs, "args": args, "slots": got.DB.LookupSlots()} {
+	for name, col := range map[string][]int32{"rels": rels, "offs": offs, "args": args} {
 		if p := uintptr(unsafe.Pointer(&col[0])); p < lo || p > hi {
 			t.Errorf("%s column was copied, not decoded in place", name)
 		}

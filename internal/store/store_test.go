@@ -659,6 +659,73 @@ func frameKinds(t *testing.T, b []byte) []OpKind {
 	return kinds
 }
 
+// TestOpenSlotsDataDir boots testdata/v2-slots-datadir, written by the
+// last release that stored a fact hash table in every v2 payload: a
+// version-3 snapshot of two register records, then a segment holding a
+// third register record, an insert and a delete. The replay must equal
+// the state that release recorded (v2-slots-datadir.state), and so must
+// a reopen after Compact rewrote the snapshot, whose register records
+// now declare no lookup slots.
+func TestOpenSlotsDataDir(t *testing.T) {
+	src := filepath.Join("testdata", "v2-slots-datadir")
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "v2-slots-datadir.state"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := openStore(t, dir)
+	if got := renderState(st); got != string(want) {
+		t.Fatalf("replay:\n%s\nwant:\n%s", got, want)
+	}
+	before := st.Instances()
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	snap, err := os.ReadFile(filepath.Join(dir, snapshotFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// magic | version | generation | count (one byte each here) | frames | CRC
+	for b := snap[len(snapshotMagic)+3 : len(snap)-4]; len(b) > 0; {
+		payload, rest, err := nextFrame(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := registerSlots(t, payload); got != 0 {
+			t.Fatalf("compacted register record declares %d lookup slots", got)
+		}
+		b = rest
+	}
+
+	st2 := openStore(t, dir)
+	defer st2.Close()
+	if got := renderState(st2); got != string(want) {
+		t.Fatalf("reopen after compaction:\n%s\nwant:\n%s", got, want)
+	}
+	for i, is := range st2.Instances() {
+		if !is.DB.Equal(before[i].DB) {
+			t.Fatalf("instance %s diverged across compaction", is.ID)
+		}
+	}
+}
+
 // TestOpenLegacyDataDir boots testdata/v1-datadir, written by the last
 // release that wrote v1 payloads: a version-2 snapshot of two instances,
 // then a segment holding a v1 register record, inserts, a delete and an

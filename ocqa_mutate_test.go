@@ -3,11 +3,12 @@ package ocqa_test
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/big"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -162,28 +163,42 @@ func TestLoadSnapshotRejectsMisfitFacts(t *testing.T) {
 	}
 }
 
-// TestLoadSnapshotRejectsFullLookupTable: a snapshot whose stored
-// lookup slots (the trailing section) all point at fact 0 leaves no
-// empty slot, so a membership probe for an absent fact would never
-// end. Loading must refuse it.
+// TestLoadSnapshotRejectsFullLookupTable: internal/store/testdata/
+// v2-full-slots.snap holds R(a,1), R(b,2) under R/2 with key A1 -> A2,
+// written by a release that stored a fact hash table, whose lookup slots
+// (the trailing section) were then all set to fact 0. Such a table
+// leaves no empty slot, so a probe of it for an absent fact would never
+// end. Loading skips stored slots: the snapshot loads, and a membership
+// test for an absent fact returns false.
 func TestLoadSnapshotRejectsFullLookupTable(t *testing.T) {
-	d := rel.NewDatabase(rel.NewFact("R", "a", "1"), rel.NewFact("R", "b", "2"))
-	raw := forgeSnapshot(t, d)
-	for i := len(raw) - 4*len(d.LookupSlots()); i < len(raw); i += 4 {
-		binary.LittleEndian.PutUint32(raw[i:], 1)
+	raw, err := os.ReadFile(filepath.Join("internal", "store", "testdata", "v2-full-slots.snap"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	done := make(chan error, 1)
+	type result struct {
+		inst     *ocqa.Instance
+		err      error
+		contains bool
+	}
+	done := make(chan result, 1)
 	go func() {
 		inst, err := ocqa.LoadSnapshot(bytes.NewReader(raw))
+		var contains bool
 		if err == nil {
-			inst.DB().Contains(rel.NewFact("R", "a", "2"))
+			contains = inst.DB().Contains(rel.NewFact("R", "a", "2"))
 		}
-		done <- err
+		done <- result{inst, err, contains}
 	}()
 	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("snapshot with a lookup table without an empty slot loaded")
+	case r := <-done:
+		if r.err != nil {
+			t.Fatalf("snapshot with stored lookup slots did not load: %v", r.err)
+		}
+		if r.contains {
+			t.Fatal("Contains found the absent fact R(a,2)")
+		}
+		if want := rel.NewDatabase(rel.NewFact("R", "a", "1"), rel.NewFact("R", "b", "2")); !r.inst.DB().Equal(want) {
+			t.Fatalf("loaded %v, want %v", r.inst.DB(), want)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("LoadSnapshot or Contains did not return within 10s")
@@ -336,8 +351,7 @@ func TestApplyWriteAllocsFlat(t *testing.T) {
 // TestApplyWriteBytesColumnsOnly pins what a single-fact write copies:
 // at 20k facts an ApplyInsert+ApplyDelete pair on a primary-key
 // instance allocates at most 1.25× the bytes of its two successors'
-// three database columns. Remapping the conflict pairs and deriving
-// the lookup table as well would cost about 3×.
+// three database columns.
 func TestApplyWriteBytesColumnsOnly(t *testing.T) {
 	w := workload.BlockDatabase(rand.New(rand.NewSource(3)), workload.UniformBlockSizes(5000, 4))
 	p := ocqa.NewInstance(w.DB, w.Sigma)
