@@ -220,7 +220,7 @@ func runDeltaBenchmarks(outPath string, facts int) error {
 	if _, err := lineage.Approximate(ctx, mode, hotQ, ocqa.Tuple{}, aopts); err != nil {
 		return err
 	}
-	plan, err := lineage.PlanApproximate(mode, hotQ, true, aopts)
+	plan, err := lineage.PlanApproximate(mode, hotQ, ocqa.Tuple{}, true, aopts)
 	if err != nil {
 		return err
 	}

@@ -214,7 +214,7 @@ func runScaleBenchmarks(outPath string, facts int) error {
 	}
 	srOpts := ocqa.ApproxOptions{Epsilon: 0.2, Delta: 0.1, Seed: 1, MaxSamples: 5000, Workers: engine.AutoWorkers}
 	srStart := time.Now()
-	plan, err := p.PlanApproximate(mode, q, true, srOpts)
+	plan, err := p.PlanApproximate(mode, q, ocqa.Tuple{}, true, srOpts)
 	if err != nil {
 		return err
 	}

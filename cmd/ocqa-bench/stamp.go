@@ -46,14 +46,33 @@ func gitCommit() string {
 	if c := buildinfo.Commit(); c != "unknown" {
 		return c
 	}
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
+	return gitHead("")
+}
+
+// gitHead names the checkout at dir ("" for the working directory) the
+// way buildinfo.Commit names a build: HEAD's first 12 hex digits, with
+// "-dirty" appended when a tracked file differs from HEAD, so a run of
+// uncommitted code is never stamped as its parent commit. "unknown"
+// when git cannot answer.
+func gitHead(dir string) string {
+	git := func(args ...string) (string, error) {
+		cmd := exec.Command("git", args...)
+		cmd.Dir = dir
+		out, err := cmd.Output()
+		return strings.TrimSpace(string(out)), err
+	}
+	rev, err := git("rev-parse", "HEAD")
+	if err != nil || len(rev) < 12 {
+		return "unknown"
+	}
+	changes, err := git("status", "--porcelain", "--untracked-files=no")
 	if err != nil {
 		return "unknown"
 	}
-	if s := strings.TrimSpace(string(out)); s != "" {
-		return s
+	if rev = rev[:12]; changes != "" {
+		rev += "-dirty"
 	}
-	return "unknown"
+	return rev
 }
 
 // spanSeconds runs f under a fresh engine trace and returns the

@@ -155,6 +155,7 @@ func run(ctx context.Context, factsPath, fdsPath, queryText, tupleText, genName 
 	case "approx":
 		opts := ocqa.ApproxOptions{Epsilon: eps, Delta: delta, Seed: seed, Workers: workers, Force: force}
 		single := tupleText != "" || len(q.AnswerVars) == 0
+		c := ocqa.ParseTuple(tupleText)
 		var tr *ocqa.Trace
 		var plan ocqa.QueryPlan
 		if explain {
@@ -162,7 +163,7 @@ func run(ctx context.Context, factsPath, fdsPath, queryText, tupleText, genName 
 			// and the worst-case budget are pre-run facts, so an operator
 			// can abort a hopeless (ε, δ) before paying for it.
 			var err error
-			plan, err = inst.PlanApproximate(m, q, single, opts)
+			plan, err = inst.PlanApproximate(m, q, c, single, opts)
 			if err != nil {
 				return err
 			}
@@ -171,7 +172,6 @@ func run(ctx context.Context, factsPath, fdsPath, queryText, tupleText, genName 
 			ctx = ocqa.ContextWithTrace(ctx, tr)
 		}
 		if single {
-			c := ocqa.ParseTuple(tupleText)
 			est, err := inst.Approximate(ctx, m, q, c, opts)
 			if err != nil {
 				return err

@@ -35,9 +35,12 @@ package ocqa
 // Under primary keys this estimator answers every stopping-rule M^ur and
 // M^{ur,1} query, on any instance, fresh or derived: an approximate
 // answer whose clusters are all enumerable is exact, with zero draws.
-// The paper's whole-instance estimators answer only where it declines
-// (UseAA, UseChernoff, witness images past the cap, more than
-// deltaMaxSampledStrata sampled strata).
+// Which engine answers a call is decided once, by routeFor, before any
+// enumeration or draw; the planner reads the same decision. The paper's
+// whole-instance estimators answer only where it declines (UseAA,
+// UseChernoff, witness images past the cap, a target with more than
+// deltaMaxSampledStrata sampled strata, or any sampled stratum on an
+// exact call).
 //
 // The state is a fingerprint's deltaQuery in the instance's query cache:
 // its witness images grouped by answer tuple and, per tuple and
@@ -151,8 +154,13 @@ type deltaTarget struct {
 // image returns the fact indices of image w.
 func (dq *deltaQuery) image(w int32) []int32 { return dq.facts[dq.offs[w]:dq.offs[w+1]] }
 
-// target returns the tuple's target, nil when it has no image.
-func (dq *deltaQuery) target(key string) *deltaTarget {
+// target returns c's target, nil when c has no image (a c of the wrong
+// arity never has one).
+func (dq *deltaQuery) target(c Tuple) *deltaTarget {
+	if len(c) != len(dq.q.AnswerVars) {
+		return nil
+	}
+	key := c.Key()
 	i := sort.Search(len(dq.targets), func(i int) bool { return dq.targets[i].key >= key })
 	if i < len(dq.targets) && dq.targets[i].key == key {
 		return &dq.targets[i]
@@ -801,20 +809,25 @@ func (c *deltaCluster) holdsAt(outcome []int) bool {
 	return false
 }
 
-// exactFactor enumerates the cluster's outcome product and returns the
-// complement 1 − p_c as an exact rational; ok=false past the
-// enumeration cap. Single-block clusters short-circuit: p = r/radix
-// with r the distinct required members.
-func (c *deltaCluster) exactFactor() (*big.Rat, bool) {
+// enumerable reports whether exactFactor can enumerate the cluster: a
+// single block is closed-form at any radix, a larger cluster needs its
+// outcome product within deltaExactOutcomes. Every other cluster is a
+// sampled stratum.
+func (c *deltaCluster) enumerable() bool {
+	return len(c.radix) == 1 || c.outcomes <= deltaExactOutcomes
+}
+
+// exactFactor enumerates an enumerable cluster's outcome product and
+// returns the complement 1 − p_c as an exact rational. Single-block
+// clusters short-circuit: p = r/radix with r the distinct required
+// members.
+func (c *deltaCluster) exactFactor() *big.Rat {
 	if len(c.radix) == 1 {
 		distinct := make(map[int]bool)
 		for _, reqs := range c.reqs {
 			distinct[reqs[0][1]] = true
 		}
-		return new(big.Rat).SetFrac64(int64(c.radix[0]-len(distinct)), int64(c.radix[0])), true
-	}
-	if c.outcomes > deltaExactOutcomes {
-		return nil, false
+		return new(big.Rat).SetFrac64(int64(c.radix[0]-len(distinct)), int64(c.radix[0]))
 	}
 	outcome := make([]int, len(c.radix))
 	hits := int64(0)
@@ -835,7 +848,18 @@ func (c *deltaCluster) exactFactor() (*big.Rat, bool) {
 			break
 		}
 	}
-	return new(big.Rat).SetFrac64(c.outcomes-hits, c.outcomes), true
+	return new(big.Rat).SetFrac64(c.outcomes-hits, c.outcomes)
+}
+
+// sampled counts the decomposition's clusters too large to enumerate.
+func (dec *deltaDecomp) sampled() int {
+	n := 0
+	for i := range dec.clusters {
+		if !dec.clusters[i].enumerable() {
+			n++
+		}
+	}
+	return n
 }
 
 // newDraw builds the cluster's Bernoulli sampler factory: one draw
@@ -853,6 +877,60 @@ func (c *deltaCluster) newDraw() func() engine.Sampler {
 	}
 }
 
+// --- routing ---------------------------------------------------------------
+
+// route names the engine that answers one call. On the whole-instance
+// route dq is nil: the paper's estimators answer an approximate call,
+// the enumeration engines an exact one. On the factorized routes dq is
+// the fingerprint's state and strata the most sampled strata one target
+// of the call holds: none is delta-exact, with zero draws; any is
+// delta-stratified.
+type route struct {
+	dq     *deltaQuery
+	strata int
+}
+
+// routeFor decides which engine answers a call, once, before any
+// enumeration or draw; PlanApproximate and every execution entry read
+// the same decision. The call's targets are c's when single, else every
+// candidate; opts is nil on an exact call. The factorized engine answers
+// M^ur under primary keys, exactly or under the stopping rule (UseAA and
+// UseChernoff keep the paper's constructions), when the witness images
+// are within their cap and no target holds more sampled strata than the
+// call allows: none for an exact call, deltaMaxSampledStrata for an
+// approximate one. It builds the decompositions the run then reads,
+// recording the fingerprint compile as the "compile" span, and never
+// enumerates a factor, draws, or touches the factor and stratum caches.
+func (in *Instance) routeFor(ctx context.Context, mode Mode, q *Query, c Tuple, single bool, opts *ApproxOptions) route {
+	if !in.deltaEligible(mode) || opts != nil && (opts.UseAA || opts.UseChernoff) {
+		return route{}
+	}
+	endCompile := engine.TraceFrom(ctx).StartSpan("compile")
+	dq := in.deltaQueryFor(q)
+	endCompile()
+	if dq.overflow {
+		return route{}
+	}
+	dq.mu.Lock()
+	defer dq.mu.Unlock()
+	r := route{dq: dq}
+	if single {
+		r.strata = in.decomposition(dq, dq.target(c), mode.Singleton).sampled()
+	} else {
+		for i := range dq.targets {
+			r.strata = max(r.strata, in.decomposition(dq, &dq.targets[i], mode.Singleton).sampled())
+		}
+	}
+	allowed := deltaMaxSampledStrata
+	if opts == nil {
+		allowed = 0
+	}
+	if r.strata > allowed {
+		return route{}
+	}
+	return r
+}
+
 // --- exact delta path ------------------------------------------------------
 
 // deltaFactors serves every enumerable cluster of the target's
@@ -864,79 +942,55 @@ func (in *Instance) deltaFactors(dq *deltaQuery, t *deltaTarget, singleton bool)
 	dec := in.decomposition(dq, t, singleton)
 	for i := range dec.clusters {
 		c := &dec.clusters[i]
+		if !c.enumerable() {
+			sampled = append(sampled, c)
+			continue
+		}
 		f, ok := dq.factors[c.sig]
 		if ok {
 			DeltaFactorCacheHits.Inc()
-		} else if f, ok = c.exactFactor(); ok {
+		} else {
 			DeltaFactorCacheMisses.Inc()
+			f = c.exactFactor()
 			dq.factors[c.sig] = f
 		}
-		if ok {
-			factors = append(factors, f)
-		} else {
-			sampled = append(sampled, c)
-		}
+		factors = append(factors, f)
 	}
 	return dec.certain, factors, sampled
 }
 
 // deltaExactTarget computes the target's exact probability from the
-// factors. ok=false when some cluster exceeds the enumeration cap (the
-// caller falls back to the classic engines). Caller holds dq.mu.
-func (in *Instance) deltaExactTarget(dq *deltaQuery, t *deltaTarget, singleton bool) (*big.Rat, bool) {
-	certain, factors, sampled := in.deltaFactors(dq, t, singleton)
-	if len(sampled) > 0 {
-		return nil, false
-	}
+// factors; on a delta-exact route every cluster has one. Caller holds
+// dq.mu.
+func (in *Instance) deltaExactTarget(dq *deltaQuery, t *deltaTarget, singleton bool) *big.Rat {
+	certain, factors, _ := in.deltaFactors(dq, t, singleton)
 	in.deltaBumpRefresh()
 	if certain {
-		return big.NewRat(1, 1), true
+		return big.NewRat(1, 1)
 	}
 	comp := big.NewRat(1, 1)
 	for _, f := range factors {
 		comp.Mul(comp, f)
 	}
-	return comp.Sub(big.NewRat(1, 1), comp), true
-}
-
-// deltaExactProbability is the factorized route of ExactProbability:
-// ok=false when the fingerprint overflowed or some cluster of the
-// target exceeds the enumeration cap.
-func (in *Instance) deltaExactProbability(q *Query, c Tuple, singleton bool) (*big.Rat, bool) {
-	dq := in.deltaQueryFor(q)
-	if dq.overflow {
-		return nil, false
-	}
-	dq.mu.Lock()
-	defer dq.mu.Unlock()
-	return in.deltaExactTarget(dq, dq.target(c.Key()), singleton)
+	return comp.Sub(big.NewRat(1, 1), comp)
 }
 
 // deltaConsistentAnswers computes the exact operational consistent
 // answers on the delta engine: the candidate tuple set is itself
 // maintained incrementally with the witness images (a tuple is a
 // candidate iff it has at least one image, zero-probability candidates
-// included), each tuple evaluated by the factor decomposition. ok=false
-// when any tuple's structure defeats the factorization — all-or-
-// nothing, so the result always matches the shared exact pass tuple for
-// tuple.
-func (in *Instance) deltaConsistentAnswers(mode Mode, q *Query) ([]ConsistentAnswer, bool) {
-	dq := in.deltaQueryFor(q)
-	if dq.overflow {
-		return nil, false
-	}
+// included), each tuple evaluated by the factor decomposition. The route
+// takes this engine only when every candidate factorizes, so the result
+// always matches the shared exact pass tuple for tuple.
+func (in *Instance) deltaConsistentAnswers(dq *deltaQuery, singleton bool) []ConsistentAnswer {
 	dq.mu.Lock()
 	defer dq.mu.Unlock()
 	out := make([]ConsistentAnswer, 0, len(dq.targets))
 	for i := range dq.targets {
 		t := &dq.targets[i]
-		r, ok := in.deltaExactTarget(dq, t, mode.Singleton)
-		if !ok {
-			return nil, false
-		}
-		out = append(out, ConsistentAnswer{Tuple: t.tuple, Prob: r})
+		out = append(out, ConsistentAnswer{Tuple: t.tuple, Prob: in.deltaExactTarget(dq, t, singleton)})
 	}
-	return out, true
+	return out
 }
 
 // --- stratified delta path -------------------------------------------------
@@ -947,15 +1001,12 @@ func (in *Instance) deltaConsistentAnswers(mode Mode, q *Query) ([]ConsistentAns
 // statistics persist in dq.strata — a warm generation redraws only the
 // strata whose content signature changed and reuses the rest, reporting
 // the split as Acct.Draws (fresh) vs Acct.ReusedDraws. opts must be
-// filled; opts.MaxSamples caps the fresh draws exactly. ok=false routes
-// the caller to the classic estimator. Caller holds dq.mu.
-func (in *Instance) deltaApproxTarget(ctx context.Context, dq *deltaQuery, t *deltaTarget, mode Mode, opts ApproxOptions) (Estimate, bool, error) {
+// filled; opts.MaxSamples caps the fresh draws exactly. Caller holds
+// dq.mu.
+func (in *Instance) deltaApproxTarget(ctx context.Context, dq *deltaQuery, t *deltaTarget, mode Mode, opts ApproxOptions) (Estimate, error) {
 	end := engine.TraceFrom(ctx).StartSpan("delta-refresh")
 	defer end()
 	certain, factors, sampled := in.deltaFactors(dq, t, mode.Singleton)
-	if len(sampled) > deltaMaxSampledStrata {
-		return Estimate{}, false, nil
-	}
 	est := Estimate{Epsilon: opts.Epsilon, Delta: opts.Delta, Converged: true}
 	comp := 1.0
 	if certain {
@@ -994,7 +1045,7 @@ func (in *Instance) deltaApproxTarget(ctx context.Context, dq *deltaQuery, t *de
 			est.Acct.Workers = 1
 			est.Acct.Cancelled = e.Acct.Cancelled
 			DeltaReusedDraws.Add(reused)
-			return est, true, fmt.Errorf("ocqa: estimation stopped: %w", err)
+			return est, fmt.Errorf("ocqa: estimation stopped: %w", err)
 		}
 		dq.strata[c.sig] = deltaStratum{est: e.Value, draws: e.Acct.Draws, eps: epsC, delta: deltaC, converged: e.Converged}
 		comp *= 1 - e.Value
@@ -1009,7 +1060,7 @@ func (in *Instance) deltaApproxTarget(ctx context.Context, dq *deltaQuery, t *de
 	}
 	DeltaReusedDraws.Add(reused)
 	in.deltaBumpRefresh()
-	return est, true, nil
+	return est, nil
 }
 
 // deltaBumpRefresh counts one warm delta evaluation; cold (first-
@@ -1029,94 +1080,10 @@ func deltaSeed(seed int64, sig string) int64 {
 	return int64((uint64(seed)*0x9e3779b97f4a7c15 ^ h.Sum64()) &^ (1 << 63))
 }
 
-// deltaRoute is the one routing predicate of the approximate paths —
-// the planner and both execution entries call it. It returns the
-// fingerprint's maintained state when the factorized estimator answers:
-// an eligible pair under the default stopping rule, with the witness
-// images within the cap. nil leaves the query to the classic estimators
-// (the Chernoff and 𝒜𝒜 constructions keep their own semantics). The
-// fingerprint compile is the run's "compile" span.
-func (in *Instance) deltaRoute(ctx context.Context, mode Mode, q *Query, opts ApproxOptions) *deltaQuery {
-	if !in.deltaEligible(mode) || opts.UseAA || opts.UseChernoff {
-		return nil
-	}
-	endCompile := engine.TraceFrom(ctx).StartSpan("compile")
-	dq := in.deltaQueryFor(q)
-	endCompile()
-	if dq.overflow {
-		return nil
-	}
-	return dq
-}
-
-// deltaPlanRoute reports, for the planner, whether the delta engine
-// would answer the query under these options and with how many sampled
-// strata (the max over targets; 0 means every cluster is exactly
-// enumerable — the zero-draw delta-exact route). Like the rest of the
-// planner it warms the compile and the decompositions the run then
-// reuses; it never mutates the factor or stratum caches.
-func (in *Instance) deltaPlanRoute(mode Mode, q *Query, opts ApproxOptions) (int, bool) {
-	dq := in.deltaRoute(context.Background(), mode, q, opts)
-	if dq == nil {
-		return 0, false
-	}
-	dq.mu.Lock()
-	defer dq.mu.Unlock()
-	maxStrata := 0
-	for i := range dq.targets {
-		dec := in.decomposition(dq, &dq.targets[i], mode.Singleton)
-		if dec.certain {
-			continue
-		}
-		sampled := 0
-		for i := range dec.clusters {
-			c := &dec.clusters[i]
-			if _, ok := dq.factors[c.sig]; ok {
-				continue
-			}
-			// Mirrors exactFactor: single-block clusters are closed-form
-			// at any radix; only multi-block clusters past the
-			// enumeration cap become strata.
-			if len(c.radix) > 1 && c.outcomes > deltaExactOutcomes {
-				sampled++
-			}
-		}
-		if sampled > deltaMaxSampledStrata {
-			return 0, false
-		}
-		if sampled > maxStrata {
-			maxStrata = sampled
-		}
-	}
-	return maxStrata, true
-}
-
-// deltaApproximate is the factorized routing of Approximate:
-// ok=false leaves the query to the classic estimators.
-func (in *Instance) deltaApproximate(ctx context.Context, mode Mode, q *Query, c Tuple, opts ApproxOptions) (Estimate, bool, error) {
-	dq := in.deltaRoute(ctx, mode, q, opts)
-	if dq == nil {
-		return Estimate{}, false, nil
-	}
-	opts.fill()
-	if len(c) != len(q.AnswerVars) {
-		// Arity mismatch: no witness can exist; the classic path's
-		// constant-false predicate estimates exactly 0.
-		return Estimate{Epsilon: opts.Epsilon, Delta: opts.Delta, Converged: true}, true, nil
-	}
-	dq.mu.Lock()
-	defer dq.mu.Unlock()
-	return in.deltaApproxTarget(ctx, dq, dq.target(c.Key()), mode, opts)
-}
-
-// deltaApproximateAnswers is the factorized routing of the answers
-// pass: per-tuple estimates over the maintained candidate set.
-func (in *Instance) deltaApproximateAnswers(ctx context.Context, mode Mode, q *Query, opts ApproxOptions) ([]ApproxAnswer, Accounting, bool, error) {
-	dq := in.deltaRoute(ctx, mode, q, opts)
-	if dq == nil {
-		return nil, Accounting{}, false, nil
-	}
-	opts.fill()
+// deltaApproximateAnswers is the factorized engine of the answers pass:
+// per-tuple estimates over the maintained candidate set. opts must be
+// filled.
+func (in *Instance) deltaApproximateAnswers(ctx context.Context, dq *deltaQuery, mode Mode, opts ApproxOptions) ([]ApproxAnswer, Accounting, error) {
 	dq.mu.Lock()
 	defer dq.mu.Unlock()
 	out := make([]ApproxAnswer, 0, len(dq.targets))
@@ -1126,18 +1093,15 @@ func (in *Instance) deltaApproximateAnswers(ctx context.Context, mode Mode, q *Q
 		// MaxSamples caps the pass as a whole, as it does the shared pass.
 		o := opts
 		o.MaxSamples -= int(total.Draws)
-		e, ok, err := in.deltaApproxTarget(ctx, dq, t, mode, o)
-		if !ok {
-			return nil, Accounting{}, false, nil
-		}
+		e, err := in.deltaApproxTarget(ctx, dq, t, mode, o)
 		total.Draws += e.Acct.Draws
 		total.ReusedDraws += e.Acct.ReusedDraws
 		total.Workers = max(total.Workers, e.Acct.Workers)
 		total.Cancelled = total.Cancelled || e.Acct.Cancelled
 		if err != nil {
-			return out, total, true, err
+			return out, total, err
 		}
 		out = append(out, ApproxAnswer{Tuple: t.tuple, Estimate: e})
 	}
-	return out, total, true, nil
+	return out, total, nil
 }

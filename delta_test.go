@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	ocqa "repro"
+	"repro/internal/engine"
 	"repro/internal/fd"
 	"repro/internal/rel"
 )
@@ -369,7 +370,7 @@ func TestDeltaPlanRoutes(t *testing.T) {
 
 	// Cold + sampled cluster: delta-stratified.
 	pCold, qBig := stratifiedFixture(t)
-	plan, err := pCold.PlanApproximate(mode, qBig, true, opts)
+	plan, err := pCold.PlanApproximate(mode, qBig, ocqa.Tuple{}, true, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +381,7 @@ func TestDeltaPlanRoutes(t *testing.T) {
 		ocqa.RouteAA:       {UseAA: true},
 		ocqa.RouteChernoff: {UseChernoff: true},
 	} {
-		plan, err = pCold.PlanApproximate(mode, qBig, true, o)
+		plan, err = pCold.PlanApproximate(mode, qBig, ocqa.Tuple{}, true, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -395,7 +396,7 @@ func TestDeltaPlanRoutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err = pWarm.PlanApproximate(mode, qBig, true, opts)
+	plan, err = pWarm.PlanApproximate(mode, qBig, ocqa.Tuple{}, true, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +412,7 @@ func TestDeltaPlanRoutes(t *testing.T) {
 	}
 	qSmall := mustQuery(t, "Ans() :- R(k, 'x')")
 	for _, p := range []*ocqa.Prepared{instSmall.Prepare(), pSmall} {
-		plan, err = p.PlanApproximate(mode, qSmall, true, opts)
+		plan, err = p.PlanApproximate(mode, qSmall, ocqa.Tuple{}, true, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -421,6 +422,71 @@ func TestDeltaPlanRoutes(t *testing.T) {
 		if plan.PredictedDraws != 0 || plan.RequiredDraws != 0 {
 			t.Fatalf("delta-exact plan predicts draws: required=%d predicted=%d",
 				plan.RequiredDraws, plan.PredictedDraws)
+		}
+	}
+}
+
+// TestDeltaExactPastTheCapEnumerates: an exact call is routed to the
+// factorized engine only when no cluster needs sampling. The fixture's
+// one cluster couples two 64-fact blocks into 65×65 outcomes, past the
+// enumeration cap, so ExactProbability and ConsistentAnswers answer
+// from the enumeration engine, (64/65)², as Core does.
+func TestDeltaExactPastTheCapEnumerates(t *testing.T) {
+	p, q := stratifiedFixture(t)
+	mode := ocqa.Mode{Gen: ocqa.UniformRepairs}
+	want := big.NewRat(64*64, 65*65)
+	got, err := p.ExactProbability(mode, q, ocqa.Tuple{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers, err := p.ConsistentAnswers(mode, q, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Cmp(want) != 0 || len(answers) != 1 || answers[0].Prob.Cmp(want) != 0 {
+		t.Fatalf("exact P = %s, answers %v; want %s", got.RatString(), answers, want.RatString())
+	}
+}
+
+// TestDeltaStratifiedAnswersCapHolds: the answers pass is routed once,
+// before any draw. Tuple a holds one sampled stratum, which the
+// stratified engine could answer, but tuple b holds 17, past
+// deltaMaxSampledStrata, so the whole pass runs the shared stopping rule
+// instead of drawing a's stratum and then starting over on the full
+// budget. The pass draws exactly what its Accounting reports, never past
+// MaxSamples.
+func TestDeltaStratifiedAnswersCapHolds(t *testing.T) {
+	facts := "S(a,ka)\n"
+	for i := 0; i < 64; i++ {
+		facts += fmt.Sprintf("R(ka,v%d)\nU(ka,v%d)\n", i, i)
+	}
+	for j := 0; j < 17; j++ {
+		facts += fmt.Sprintf("S(b,kb%d)\n", j)
+		for i := 0; i < 64; i++ {
+			facts += fmt.Sprintf("R(kb%d,v%d)\nU(kb%d,v%d)\n", j, i, j, i)
+		}
+	}
+	p := mustInstance(t, facts, "R: A1 -> A2\nU: A1 -> A2")
+	q := mustQuery(t, "Ans(t) :- S(t, k), R(k, x), U(k, x)")
+	mode := ocqa.Mode{Gen: ocqa.UniformRepairs}
+	for _, maxSamples := range []int{5_000, 20_000} {
+		opts := ocqa.ApproxOptions{Epsilon: 0.3, Delta: 0.2, Seed: 3, Workers: 1, MaxSamples: maxSamples}
+		plan, err := p.PlanApproximate(mode, q, nil, false, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Route != ocqa.RouteSharedMultiDKLR {
+			t.Fatalf("cap %d: answers plan routed %q, want %q", maxSamples, plan.Route, ocqa.RouteSharedMultiDKLR)
+		}
+		before := engine.SamplesDrawn.Value()
+		answers, acct, err := p.ApproximateAnswersAcct(context.Background(), mode, q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drawn := engine.SamplesDrawn.Value() - before
+		if len(answers) != 2 || drawn != acct.Draws || acct.Draws > int64(maxSamples) {
+			t.Fatalf("cap %d: %d answers, drew %d, reported %d; want 2 answers, drawn = reported ≤ cap",
+				maxSamples, len(answers), drawn, acct.Draws)
 		}
 	}
 }
@@ -462,7 +528,7 @@ func TestDeltaStratifiedExactCap(t *testing.T) {
 	}
 	p := mustInstance(t, facts, "R: A1 -> A2").Prepare()
 	q := mustQuery(t, "Ans() :- R(k, x), T(k, j), R(j, 'v0')")
-	plan, err := p.PlanApproximate(mode, q, true, ocqa.ApproxOptions{})
+	plan, err := p.PlanApproximate(mode, q, ocqa.Tuple{}, true, ocqa.ApproxOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

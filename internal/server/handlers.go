@@ -280,7 +280,7 @@ func (s *Server) mutate(w http.ResponseWriter, r *http.Request, rec store.Record
 			}
 		}
 		out = resp
-		return &instanceEntry{id: e.id, name: e.name, prepared: next, created: e.created, gen: e.gen + 1}, nil
+		return &instanceEntry{id: e.id, name: e.name, prepared: next, created: e.created, gen: e.gen + 1, lineage: e.lineage}, nil
 	})
 	if err != nil {
 		s.writeError(w, mutationError(err))
@@ -598,7 +598,7 @@ func (s *Server) executeQuery(ctx context.Context, e *instanceEntry, req QueryRe
 			// on. Its approximability check is the one the execution below
 			// would perform, so a refusal here is the identical error.
 			endPlan := tr.StartSpan("plan")
-			pl, perr := p.PlanApproximate(m, q, single, opts)
+			pl, perr := p.PlanApproximate(m, q, c, single, opts)
 			endPlan()
 			if perr != nil {
 				return QueryResponse{}, toHTTPError(perr)

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"sort"
 	"strconv"
 	"strings"
@@ -30,6 +31,10 @@ type instanceEntry struct {
 	// an older generation can never be served — or cached — as current
 	// after a mutation lands.
 	gen int64
+	// lineage names the history gen counts in: minted by every install
+	// and carried by mutations. A restarted owner installs at gen 1 again,
+	// so a follower trusts a generation only within its lineage.
+	lineage string
 	// used is the registry-wide LRU clock value of the entry's last
 	// lookup; updated atomically under the registry's read lock.
 	used atomic.Int64
@@ -72,13 +77,15 @@ func newRegistry(capacity int) *registry {
 // install is the one way an instance enters the registry: a
 // registration (at generation 1), a promoted replica (carrying its
 // source's mutation count, so result-cache keys and watch ?since
-// cursors stay monotone across a failover) and a boot restore. An
-// empty id mints the next "i<n>"; a live id is refused, since silently
-// overwriting would mask a split brain. Least-recently-used entries are
-// evicted until the new one fits and returned, so the caller can
-// journal them and drop their state; the scan is O(capacity), tiny next
-// to the preparation a registration performs anyway. The sequence is
-// kept ahead of numeric ids, so a minted id never collides with one.
+// cursors stay monotone across a failover) and a boot restore. Each
+// install starts a new lineage, since none of them is known to continue
+// the history a follower holds under the id. An empty id mints the next
+// "i<n>"; a live id is refused, since silently overwriting would mask a
+// split brain. Least-recently-used entries are evicted until the new one
+// fits and returned, so the caller can journal them and drop their
+// state; the scan is O(capacity), tiny next to the preparation a
+// registration performs anyway. The sequence is kept ahead of numeric
+// ids, so a minted id never collides with one.
 func (r *registry) install(id, name string, inst *ocqa.Instance, created time.Time, gen int64) (e *instanceEntry, evicted []*instanceEntry, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -99,7 +106,7 @@ func (r *registry) install(id, name string, inst *ocqa.Instance, created time.Ti
 		delete(r.entries, victim.id)
 		evicted = append(evicted, victim)
 	}
-	e = &instanceEntry{id: id, name: name, prepared: inst, created: created, gen: gen}
+	e = &instanceEntry{id: id, name: name, prepared: inst, created: created, gen: gen, lineage: strconv.FormatUint(rand.Uint64(), 16)}
 	e.used.Store(r.clock.Add(1))
 	r.entries[id] = e
 	if n, err := strconv.Atoi(strings.TrimPrefix(id, "i")); err == nil && n > r.seq {

@@ -5,7 +5,8 @@ package server
 // journals. Every live instance exposes a generation-sequenced feed,
 // GET /v1/replication/instances/{id}?after=GEN, whose
 // X-Replication-Gen header names the generation gen it brings a
-// follower to and whose body is:
+// follower to, whose X-Replication-Lineage header names the history
+// that generation counts in, and whose body is:
 //
 //   - the insert/delete frames the owner journalled for (after, gen],
 //     when the bounded per-instance frame tail still covers that window
@@ -16,11 +17,15 @@ package server
 //
 // A follower backend pulls the feed with POST /v1/replication/sync and
 // decodes it with the store's frame decoder — a full state in place,
-// its columns aliasing the received bytes. It maintains a warm replica
-// in a map SEPARATE from the live registry: replicas never serve
-// queries, never appear in listings, and never journal — until
-// POST /v1/replication/promote installs one into the registry with its
-// generation intact, journalling the takeover so it survives a restart.
+// its columns aliasing the received bytes. Generations only grow within
+// one lineage; every install (registration, promotion, and the boot
+// restore of a restarted owner, which starts again at generation 1)
+// mints a new one, and a replica of another lineage full-syncs. It
+// maintains a warm replica in a map SEPARATE from the live registry:
+// replicas never serve queries, never appear in listings, and never
+// journal — until POST /v1/replication/promote installs one into the
+// registry with its generation intact, journalling the takeover so it
+// survives a restart.
 //
 // Replication applies the SAME copy-on-write mutations the owner
 // applied (applyRecord, in generation order), so a
@@ -48,8 +53,12 @@ import (
 // full-state sync instead of an incremental one.
 const replTailMax = 256
 
-// replGenHeader carries the generation a feed brings its follower to.
-const replGenHeader = "X-Replication-Gen"
+// replGenHeader carries the generation a feed brings its follower to,
+// replLineageHeader the lineage that generation counts in.
+const (
+	replGenHeader     = "X-Replication-Gen"
+	replLineageHeader = "X-Replication-Lineage"
+)
 
 // maxFeedBytes bounds the feed body a follower buffers.
 const maxFeedBytes = 1 << 30
@@ -100,6 +109,7 @@ type replicaEntry struct {
 	prepared *ocqa.Instance
 	created  time.Time
 	gen      int64
+	lineage  string
 }
 
 // tailFrame is one committed mutation: the generation it produced and
@@ -238,6 +248,7 @@ func (s *Server) handleReplFeed(w http.ResponseWriter, r *http.Request) {
 	s.met.replFeeds.Inc()
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(replGenHeader, strconv.FormatInt(e.gen, 10))
+	w.Header().Set(replLineageHeader, e.lineage)
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(body)
@@ -250,37 +261,45 @@ func (s *Server) handleReplFeed(w http.ResponseWriter, r *http.Request) {
 // request's context.
 var replClient = &http.Client{Timeout: 30 * time.Second}
 
-// fetchFeed pulls one instance's feed from a source backend: the
-// generation it reaches and its frames, read into a buffer of exactly
-// their size, which a full state's columns then alias.
-func fetchFeed(r *http.Request, source, id string, after int64) (int64, []byte, error) {
+// feed is one pulled replication feed: the generation it reaches, the
+// lineage that generation counts in, and its frames.
+type feed struct {
+	gen     int64
+	lineage string
+	body    []byte
+}
+
+// fetchFeed pulls one instance's feed from a source backend, its frames
+// read into a buffer of exactly their size, which a full state's
+// columns then alias.
+func fetchFeed(r *http.Request, source, id string, after int64) (feed, error) {
 	u := fmt.Sprintf("%s/v1/replication/instances/%s?after=%d", source, url.PathEscape(id), after)
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, u, nil)
 	if err != nil {
-		return 0, nil, err
+		return feed{}, err
 	}
 	res, err := replClient.Do(req)
 	if err != nil {
-		return 0, nil, err
+		return feed{}, err
 	}
 	defer res.Body.Close()
 	if res.StatusCode != http.StatusOK {
 		var eb errorResponse
 		_ = json.NewDecoder(res.Body).Decode(&eb)
-		return 0, nil, fmt.Errorf("source %s: status %d: %s", source, res.StatusCode, eb.Error)
+		return feed{}, fmt.Errorf("source %s: status %d: %s", source, res.StatusCode, eb.Error)
 	}
-	gen, err := strconv.ParseInt(res.Header.Get(replGenHeader), 10, 64)
-	if err != nil {
-		return 0, nil, fmt.Errorf("feed generation: %w", err)
+	f := feed{lineage: res.Header.Get(replLineageHeader)}
+	if f.gen, err = strconv.ParseInt(res.Header.Get(replGenHeader), 10, 64); err != nil {
+		return feed{}, fmt.Errorf("feed generation: %w", err)
 	}
 	if res.ContentLength < 0 || res.ContentLength > maxFeedBytes {
-		return 0, nil, fmt.Errorf("feed length %d unusable", res.ContentLength)
+		return feed{}, fmt.Errorf("feed length %d unusable", res.ContentLength)
 	}
-	body := make([]byte, res.ContentLength)
-	if _, err := io.ReadFull(res.Body, body); err != nil {
-		return 0, nil, fmt.Errorf("reading feed: %w", err)
+	f.body = make([]byte, res.ContentLength)
+	if _, err := io.ReadFull(res.Body, f.body); err != nil {
+		return feed{}, fmt.Errorf("reading feed: %w", err)
 	}
-	return gen, body, nil
+	return f, nil
 }
 
 // isFullFeed reports whether decoded feed records are a full state:
@@ -290,10 +309,10 @@ func isFullFeed(recs []store.Record) bool {
 }
 
 // handleReplSync pulls one instance from a source backend into this
-// backend's replica map, incrementally when the local replica's
-// generation is still inside the source's frame tail, by full-state
-// transfer otherwise. Syncs are engine work (Prepare, ApplyInsert),
-// so they hold a compute-semaphore slot.
+// backend's replica map, incrementally when the local replica is of the
+// source's lineage and its generation is still inside the source's
+// frame tail, by full-state transfer otherwise. Syncs are engine work
+// (Prepare, ApplyInsert), so they hold a compute-semaphore slot.
 func (s *Server) handleReplSync(w http.ResponseWriter, r *http.Request) {
 	var req ReplSyncRequest
 	if he := s.decodeJSON(w, r, &req); he != nil {
@@ -317,21 +336,23 @@ func (s *Server) handleReplSync(w http.ResponseWriter, r *http.Request) {
 	if hasCur {
 		after = cur.gen
 	}
-	gen, body, err := fetchFeed(r, req.Source, req.ID, after)
+	f, err := fetchFeed(r, req.Source, req.ID, after)
 	if err != nil {
 		s.writeError(w, &httpError{status: http.StatusBadGateway, msg: fmt.Sprintf("pulling feed: %v", err)})
 		return
 	}
 	out := ReplSyncResponse{ID: req.ID, Gen: after}
-	if gen <= after {
-		// Already caught up (or the source regressed, which promotion's
-		// gen continuity makes impossible in one lineage).
-		writeJSON(w, http.StatusOK, out)
+	// Generations order states only within one lineage: a source that
+	// restarted, or an id installed afresh, counts a history the replica
+	// never saw, whatever its generation.
+	sameLineage := hasCur && f.lineage == cur.lineage
+	if sameLineage && f.gen <= after {
+		writeJSON(w, http.StatusOK, out) // already caught up
 		return
 	}
-	recs, err := store.DecodeFrames(body)
-	if hasCur && err == nil && !isFullFeed(recs) {
-		if next, err := applyRecords(cur, recs, gen); err == nil {
+	recs, err := store.DecodeFrames(f.body)
+	if sameLineage && err == nil && !isFullFeed(recs) {
+		if next, err := applyRecords(cur, recs, f.gen); err == nil {
 			s.repl.setReplica(next)
 			s.met.replApplied.Add(int64(len(recs)))
 			out.Gen, out.Applied = next.gen, len(recs)
@@ -340,14 +361,14 @@ func (s *Server) handleReplSync(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if err != nil || !isFullFeed(recs) {
-		// A torn, corrupt or foreign frame, a broken window, or no
-		// replica to apply it to: a replica must never hold a state the
-		// owner never held, so re-seed it from the full state.
-		if gen, body, err = fetchFeed(r, req.Source, req.ID, 0); err != nil {
+		// A torn, corrupt or foreign frame, a broken window, another
+		// lineage, or no replica to apply it to: a replica must never hold
+		// a state the owner never held, so re-seed it from the full state.
+		if f, err = fetchFeed(r, req.Source, req.ID, 0); err != nil {
 			s.writeError(w, &httpError{status: http.StatusBadGateway, msg: fmt.Sprintf("pulling full feed: %v", err)})
 			return
 		}
-		recs, err = store.DecodeFrames(body)
+		recs, err = store.DecodeFrames(f.body)
 	}
 	if err == nil && (!isFullFeed(recs) || recs[0].ID != req.ID) {
 		err = fmt.Errorf("want one register frame for %q", req.ID)
@@ -359,7 +380,7 @@ func (s *Server) handleReplSync(w http.ResponseWriter, r *http.Request) {
 	rec := recs[0]
 	// Prepare eagerly: the whole point of a warm follower is that
 	// failover does not pay a cold block-decomposition build.
-	re := &replicaEntry{id: rec.ID, name: rec.Name, prepared: ocqa.NewInstance(rec.DB, rec.Sigma).Prepare(), created: rec.Created, gen: gen}
+	re := &replicaEntry{id: rec.ID, name: rec.Name, prepared: ocqa.NewInstance(rec.DB, rec.Sigma).Prepare(), created: rec.Created, gen: f.gen, lineage: f.lineage}
 	s.repl.setReplica(re)
 	s.met.replFullSyncs.Inc()
 	out.Gen, out.Full = re.gen, true
@@ -385,7 +406,7 @@ func applyRecords(cur *replicaEntry, recs []store.Record, gen int64) (*replicaEn
 		}
 		p = next
 	}
-	return &replicaEntry{id: cur.id, name: cur.name, prepared: p, created: cur.created, gen: gen}, nil
+	return &replicaEntry{id: cur.id, name: cur.name, prepared: p, created: cur.created, gen: gen, lineage: cur.lineage}, nil
 }
 
 // handleReplReplicas lists this backend's warm replicas.

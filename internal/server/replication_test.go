@@ -213,6 +213,7 @@ func TestReplicationCorruptFrameFallsBackToFullSync(t *testing.T) {
 			flipped.Add(1)
 		}
 		w.Header().Set(replGenHeader, resp.Header.Get(replGenHeader))
+		w.Header().Set(replLineageHeader, resp.Header.Get(replLineageHeader))
 		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 		w.WriteHeader(resp.StatusCode)
 		w.Write(body)
@@ -380,6 +381,71 @@ func TestReplicationSyncAfterTailOverflow(t *testing.T) {
 	sy := syncReplica(t, follower.URL, owner.URL, reg.ID)
 	if !sy.Full || sy.Gen != int64(1+replTailMax+8) {
 		t.Fatalf("post-overflow sync = %+v, want full at gen %d", sy, 1+replTailMax+8)
+	}
+}
+
+// TestReplicationAfterOwnerRestart: a restarted owner boots its
+// instances at generation 1, so its generations start again on a
+// history the follower's replica never saw. The feed's lineage token
+// tells the follower so: it full-syncs once instead of taking the lower
+// generation for "caught up", then follows the new lineage
+// incrementally, and a promotion holds every acknowledged write.
+func TestReplicationAfterOwnerRestart(t *testing.T) {
+	dir := t.TempDir()
+	st := openTestStore(t, dir)
+	owner, _ := newTestServer(t, Options{Store: st})
+	follower, _ := newTestServer(t, Options{})
+
+	reg := register(t, owner.URL, pkFacts, pkFDs)
+	syncReplica(t, follower.URL, owner.URL, reg.ID)
+	for _, f := range []string{"Emp(4,Dan)", "Emp(5,Fay)", "Emp(6,Gil)"} {
+		insertFact(t, owner.URL, reg.ID, f)
+	}
+	if sy := syncReplica(t, follower.URL, owner.URL, reg.ID); sy.Full || sy.Applied != 3 || sy.Gen != 4 {
+		t.Fatalf("sync before the restart = %+v, want 3 ops applied to gen 4", sy)
+	}
+
+	owner.Close()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2 := openTestStore(t, dir)
+	t.Cleanup(func() { st2.Close() })
+	owner2, _ := newTestServer(t, Options{Store: st2})
+	if m := insertFact(t, owner2.URL, reg.ID, "Emp(7,Hal)"); m.Gen != 2 || m.Facts != 9 {
+		t.Fatalf("insert after the restart = %+v, want gen 2 with 9 facts", m)
+	}
+
+	if sy := syncReplica(t, follower.URL, owner2.URL, reg.ID); !sy.Full || sy.Gen != 2 {
+		t.Fatalf("sync after the owner restarted = %+v, want a full sync to gen 2", sy)
+	}
+	insertFact(t, owner2.URL, reg.ID, "Emp(8,Ida)")
+	if sy := syncReplica(t, follower.URL, owner2.URL, reg.ID); sy.Full || sy.Applied != 1 || sy.Gen != 3 {
+		t.Fatalf("sync on the new lineage = %+v, want 1 op applied to gen 3", sy)
+	}
+
+	q := QueryRequest{Generator: "ur", Mode: "exact", Query: "Ans(n) :- Emp(i, n)"}
+	var want QueryResponse
+	if status := do(t, http.MethodPost, owner2.URL+"/v1/instances/"+reg.ID+"/query", q, &want); status != http.StatusOK {
+		t.Fatalf("owner query: status %d", status)
+	}
+	var pr ReplPromoteResponse
+	if status := do(t, http.MethodPost, follower.URL+"/v1/replication/promote", ReplPromoteRequest{ID: reg.ID}, &pr); status != http.StatusOK {
+		t.Fatalf("promote: status %d", status)
+	}
+	if pr.Gen != 3 || pr.Facts != 10 {
+		t.Fatalf("promote = %+v, want gen 3 with 10 facts", pr)
+	}
+	var got QueryResponse
+	if status := do(t, http.MethodPost, follower.URL+"/v1/instances/"+reg.ID+"/query", q, &got); status != http.StatusOK {
+		t.Fatalf("promoted query: status %d", status)
+	}
+	hal := false
+	for _, a := range got.Answers {
+		hal = hal || reflect.DeepEqual(a.Tuple, []string{"Hal"})
+	}
+	if !hal || !reflect.DeepEqual(got.Answers, want.Answers) {
+		t.Fatalf("promoted answers lost the acknowledged write:\n  owner:    %+v\n  follower: %+v", want.Answers, got.Answers)
 	}
 }
 

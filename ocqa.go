@@ -433,10 +433,10 @@ func LoadSnapshot(r io.Reader) (*Instance, error) {
 // results are big.Rat-identical to the enumeration engines, which answer
 // every other case and remain reachable through Core.
 func (in *Instance) ExactProbability(mode Mode, q *Query, c Tuple, limit int) (*big.Rat, error) {
-	if in.deltaEligible(mode) && len(c) == len(q.AnswerVars) {
-		if r, ok := in.deltaExactProbability(q, c, mode.Singleton); ok {
-			return r, nil
-		}
+	if r := in.routeFor(context.TODO(), mode, q, c, true, nil); r.dq != nil {
+		r.dq.mu.Lock()
+		defer r.dq.mu.Unlock()
+		return in.deltaExactTarget(r.dq, r.dq.target(c), mode.Singleton), nil
 	}
 	return in.inner.ExactProbability(mode, q, c, limit)
 }
@@ -453,10 +453,8 @@ func (in *Instance) Semantics(mode Mode, limit int) ([]RepairProb, error) {
 // ExactProbability; otherwise the shared exact pass evaluates the
 // query's cached witness sets.
 func (in *Instance) ConsistentAnswers(mode Mode, q *Query, limit int) ([]ConsistentAnswer, error) {
-	if in.deltaEligible(mode) {
-		if out, ok := in.deltaConsistentAnswers(mode, q); ok {
-			return out, nil
-		}
+	if r := in.routeFor(context.TODO(), mode, q, nil, false, nil); r.dq != nil {
+		return in.deltaConsistentAnswers(r.dq, mode.Singleton), nil
 	}
 	return in.inner.ConsistentAnswersWith(in.multiPred(q), mode, limit)
 }
@@ -659,7 +657,8 @@ func (in *Instance) checkApproximable(mode Mode, force bool) error {
 // draws — and only larger clusters are sampled, per stratum, with
 // statistics reused across ApplyInsert/ApplyDelete. The paper's
 // whole-instance estimators answer where it declines: UseAA,
-// UseChernoff, and witness structures past its caps. Under M^uo and
+// UseChernoff, and witness structures past its caps. The engine is
+// chosen once, before any draw; PlanApproximate reports that choice. Under M^uo and
 // M^{uo,1} a draw decides only the facts c̄'s witness images touch
 // (sampler.UOLocal) instead of walking the whole chain. A c̄ with no
 // witness image has probability 0, which the stopping rule and 𝒜𝒜
@@ -670,8 +669,17 @@ func (in *Instance) checkApproximable(mode Mode, force bool) error {
 // returns the context's error (wrapped; match with errors.Is against
 // context.Canceled / context.DeadlineExceeded).
 func (in *Instance) Approximate(ctx context.Context, mode Mode, q *Query, c Tuple, opts ApproxOptions) (Estimate, error) {
-	est, ok, err := in.deltaApproximate(ctx, mode, q, c, opts)
-	if !ok {
+	opts.fill()
+	if err := in.checkApproximable(mode, opts.Force); err != nil {
+		return Estimate{}, err
+	}
+	var est Estimate
+	var err error
+	if r := in.routeFor(ctx, mode, q, c, true, &opts); r.dq != nil {
+		r.dq.mu.Lock()
+		est, err = in.deltaApproxTarget(ctx, r.dq, r.dq.target(c), mode, opts)
+		r.dq.mu.Unlock()
+	} else {
 		est, err = in.approximate(ctx, mode, q, c, opts)
 	}
 	in.recordUsage(est.Acct)
@@ -756,12 +764,9 @@ func (in *Instance) targetDrawer(ctx context.Context, mode Mode, q *Query, c Tup
 	}
 }
 
-// approximate runs the whole-instance estimators of Approximate.
+// approximate runs the whole-instance estimators of Approximate. opts
+// must be filled and the pair approximable.
 func (in *Instance) approximate(ctx context.Context, mode Mode, q *Query, c Tuple, opts ApproxOptions) (Estimate, error) {
-	opts.fill()
-	if err := in.checkApproximable(mode, opts.Force); err != nil {
-		return Estimate{}, err
-	}
 	newDraw := in.targetDrawer(ctx, mode, q, c)
 	if newDraw == nil {
 		// No witness image: c̄ ∉ Q(D), or its arity is wrong, so by CQ
@@ -835,9 +840,11 @@ func (in *Instance) worstCaseLowerBound(mode Mode, q *Query) float64 {
 // crude estimate and variance, which is inherently single-target).
 // Stopping-rule M^ur and M^{ur,1} queries under primary keys are
 // answered per tuple by the block-factorized estimator, as in
-// Approximate. Cancelling ctx stops the shared pass within one sample
-// chunk per worker; like Approximate, the partial per-tuple estimates
-// accompany the wrapped context error.
+// Approximate, unless some candidate holds more sampled strata than it
+// takes; the engine is chosen for the whole pass before any draw.
+// Cancelling ctx stops the shared pass within one sample chunk per
+// worker; like Approximate, the partial per-tuple estimates accompany
+// the wrapped context error.
 func (in *Instance) ApproximateAnswers(ctx context.Context, mode Mode, q *Query, opts ApproxOptions) ([]ApproxAnswer, error) {
 	out, _, err := in.ApproximateAnswersAcct(ctx, mode, q, opts)
 	return out, err
@@ -846,8 +853,16 @@ func (in *Instance) ApproximateAnswers(ctx context.Context, mode Mode, q *Query,
 // ApproximateAnswersAcct is ApproximateAnswers with the run-level cost
 // accounting of the shared pass (or the per-tuple sum under UseAA).
 func (in *Instance) ApproximateAnswersAcct(ctx context.Context, mode Mode, q *Query, opts ApproxOptions) ([]ApproxAnswer, Accounting, error) {
-	out, acct, ok, err := in.deltaApproximateAnswers(ctx, mode, q, opts)
-	if !ok {
+	opts.fill()
+	if err := in.checkApproximable(mode, opts.Force); err != nil {
+		return nil, Accounting{}, err
+	}
+	var out []ApproxAnswer
+	var acct Accounting
+	var err error
+	if r := in.routeFor(ctx, mode, q, nil, false, &opts); r.dq != nil {
+		out, acct, err = in.deltaApproximateAnswers(ctx, r.dq, mode, opts)
+	} else {
 		out, acct, err = in.approximateAnswers(ctx, mode, q, opts)
 	}
 	in.recordUsage(acct)
@@ -858,12 +873,9 @@ func (in *Instance) ApproximateAnswersAcct(ctx context.Context, mode Mode, q *Qu
 // shared pass over the query's cached witness sets, or the per-tuple 𝒜𝒜
 // loop, which builds its own single-tuple predicates and needs only the
 // candidate list. The returned Accounting is the run-level record of the
-// shared pass, or the per-tuple sum on the 𝒜𝒜 path.
+// shared pass, or the per-tuple sum on the 𝒜𝒜 path. opts must be filled
+// and the pair approximable.
 func (in *Instance) approximateAnswers(ctx context.Context, mode Mode, q *Query, opts ApproxOptions) ([]ApproxAnswer, Accounting, error) {
-	opts.fill()
-	if err := in.checkApproximable(mode, opts.Force); err != nil {
-		return nil, Accounting{}, err
-	}
 	if opts.UseAA {
 		var out []ApproxAnswer
 		var total Accounting

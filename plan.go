@@ -2,13 +2,15 @@ package ocqa
 
 // The plan stage of the per-query introspection surface: before any
 // sampling happens, PlanApproximate reports which estimation route the
-// options select, what the instance's conflict structure looks like,
-// and — from the same Chernoff/DKLR bounds the estimators run on — the
-// worst-case draw budget the requested (ε, δ) needs. Clients use it
-// for "cheapest draws to reach ±ε at δ" budget planning, and the
-// server's ?explain=1 reports predicted-vs-actual per response.
+// run will take (both read one decision, routeFor), what the instance's
+// conflict structure looks like, and — from the same Chernoff/DKLR
+// bounds the estimators run on — the worst-case draw budget the
+// requested (ε, δ) needs. Clients use it for "cheapest draws to reach
+// ±ε at δ" budget planning, and the server's ?explain=1 reports
+// predicted-vs-actual per response.
 
 import (
+	"context"
 	"math"
 
 	"repro/internal/engine"
@@ -142,18 +144,20 @@ func mulSaturating(a, b int64) int64 {
 }
 
 // PlanApproximate computes the plan for the approximate query the same
-// options would run: the route Approximate/ApproximateAnswers selects,
-// the worst-case draw budget for the requested (ε, δ), and whether the
-// run's MaxSamples cap truncates that budget (BudgetCapped — the
-// request is then not guaranteed reachable). single selects the
-// single-tuple path (a candidate tuple or a Boolean query) versus the
-// shared multi-target answers pass. The same approximability matrix is
-// enforced as on the execution paths.
-func (in *Instance) PlanApproximate(mode Mode, q *Query, single bool, opts ApproxOptions) (QueryPlan, error) {
+// options would run: the route Approximate/ApproximateAnswers takes —
+// the one decision both read — the worst-case draw budget for the
+// requested (ε, δ), and whether the run's MaxSamples cap truncates that
+// budget (BudgetCapped — the request is then not guaranteed reachable).
+// single selects the single-tuple path for c (a candidate tuple, or the
+// empty tuple of a Boolean query) versus the shared multi-target answers
+// pass, which ignores c. The same approximability matrix is enforced as
+// on the execution paths.
+func (in *Instance) PlanApproximate(mode Mode, q *Query, c Tuple, single bool, opts ApproxOptions) (QueryPlan, error) {
 	opts.fill()
 	if err := in.checkApproximable(mode, opts.Force); err != nil {
 		return QueryPlan{}, err
 	}
+	r := in.routeFor(context.TODO(), mode, q, c, single, &opts)
 	plan := QueryPlan{
 		Targets: 1,
 		Blocks:  -1,
@@ -173,6 +177,24 @@ func (in *Instance) PlanApproximate(mode Mode, q *Query, single bool, opts Appro
 	}
 
 	switch {
+	case r.dq != nil && r.strata == 0:
+		// The block-factorized estimator answers exactly, from per-block
+		// factors, with zero draws.
+		plan.Route = RouteDeltaExact
+		return plan, nil
+	case r.dq != nil:
+		// It samples the strata without reusable statistics, each under a
+		// (ε/S, δ/S) stopping rule; S is the most strata one target holds.
+		plan.Route = RouteDeltaStratified
+		plan.MaxSamples = opts.MaxSamples
+		plan.Upsilon1 = upsilon1For(opts.Epsilon/float64(r.strata), opts.Delta/float64(r.strata))
+		// Coarse worst case across the S strata; warm runs that reuse
+		// carried statistics stop far below it.
+		if plan.PMin <= 0 {
+			plan.RequiredDraws = maxPlanDraws
+		} else {
+			plan.RequiredDraws = mulSaturating(saturatingDraws(plan.Upsilon1/plan.PMin), int64(r.strata))
+		}
 	case opts.UseChernoff:
 		plan.Route = RouteChernoff
 		if !single {
@@ -228,28 +250,6 @@ func (in *Instance) PlanApproximate(mode Mode, q *Query, single bool, opts Appro
 			return plan, nil
 		}
 	default:
-		if strata, ok := in.deltaPlanRoute(mode, q, opts); ok {
-			// The block-factorized estimator will answer (see
-			// Instance.Approximate): delta-exact computes per-block factors
-			// with zero draws; delta-stratified draws at most the strata
-			// without reusable statistics, each under a (ε/S, δ/S)
-			// stopping rule.
-			if strata == 0 {
-				plan.Route = RouteDeltaExact
-				return plan, nil
-			}
-			plan.Route = RouteDeltaStratified
-			plan.MaxSamples = opts.MaxSamples
-			plan.Upsilon1 = upsilon1For(opts.Epsilon/float64(strata), opts.Delta/float64(strata))
-			// Coarse worst case across the S strata; warm runs that
-			// reuse carried statistics stop far below it.
-			if plan.PMin <= 0 {
-				plan.RequiredDraws = maxPlanDraws
-			} else {
-				plan.RequiredDraws = mulSaturating(saturatingDraws(plan.Upsilon1/plan.PMin), int64(strata))
-			}
-			break
-		}
 		plan.Route = RouteDKLR
 		if !single {
 			plan.Route = RouteSharedMultiDKLR

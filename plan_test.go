@@ -16,7 +16,10 @@ package ocqa_test
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	ocqa "repro"
@@ -59,7 +62,7 @@ func TestPlanEnvelopeOnScenarios(t *testing.T) {
 					opts.MaxSamples = 20_000
 				}
 				single := len(sc.Query.AnswerVars) == 0
-				plan, err := p.PlanApproximate(mode, sc.Query, single, opts)
+				plan, err := p.PlanApproximate(mode, sc.Query, nil, single, opts)
 				if err != nil {
 					t.Fatalf("scenario %d: plan: %v", i, err)
 				}
@@ -129,6 +132,132 @@ func TestPlanEnvelopeOnScenarios(t *testing.T) {
 	}
 }
 
+// TestPlanIsTheRunsRoute: the plan and the run read one routing
+// decision. Over the random primary-key scenarios of the envelope gate,
+// for M^ur and M^{ur,1}, single-tuple calls (a candidate, an absent
+// tuple, a tuple of the wrong arity) and the answers pass, under the
+// stopping rule, UseAA and UseChernoff: a delta-* plan route holds
+// exactly when the run's trace has a delta-refresh span, a delta-exact
+// plan means the run drew nothing, and a delta-stratified one that it
+// drew or reused draws.
+func TestPlanIsTheRunsRoute(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	routes := map[string]int{}
+	for i := 0; i < 24; i++ {
+		sc := workload.RandomScenario(rng, workload.ScenarioSpec{Class: fd.PrimaryKeys, AnswerVars: i%2 == 0})
+		p := ocqa.NewInstance(sc.DB, sc.Sigma)
+		n := len(sc.Query.AnswerVars)
+		absent, wrongArity := make(ocqa.Tuple, n), make(ocqa.Tuple, n+1)
+		for j := range wrongArity {
+			wrongArity[j] = "absent"
+		}
+		copy(absent, wrongArity)
+		singles := []ocqa.Tuple{absent, wrongArity}
+		if ans := sc.Query.Answers(sc.DB); len(ans) > 0 {
+			singles = append(singles, ans[0])
+		}
+		for _, singleton := range []bool{false, true} {
+			mode := ocqa.Mode{Gen: ocqa.UniformRepairs, Singleton: singleton}
+			for _, estimator := range []string{"default", "aa", "chernoff"} {
+				opts := ocqa.ApproxOptions{Epsilon: 0.2, Delta: 0.1, Seed: int64(100 + i), Workers: 1, MaxSamples: 50_000,
+					UseAA: estimator == "aa", UseChernoff: estimator == "chernoff"}
+				check := func(call string, plan ocqa.QueryPlan, tr *ocqa.Trace, acct ocqa.Accounting) {
+					t.Helper()
+					refreshed := false
+					for _, sp := range tr.Spans() {
+						refreshed = refreshed || sp.Name == "delta-refresh"
+					}
+					if strings.HasPrefix(plan.Route, "delta-") != refreshed {
+						t.Fatalf("scenario %d %s %s %s: plan route %q, run refreshed delta state: %v",
+							i, mode.Symbol(), estimator, call, plan.Route, refreshed)
+					}
+					if sampled := acct.Draws+acct.ReusedDraws > 0; plan.Route == ocqa.RouteDeltaExact && sampled ||
+						plan.Route == ocqa.RouteDeltaStratified && !sampled {
+						t.Fatalf("scenario %d %s %s %s: plan route %q, run drew %d and reused %d",
+							i, mode.Symbol(), estimator, call, plan.Route, acct.Draws, acct.ReusedDraws)
+					}
+					routes[plan.Route]++
+				}
+				for _, c := range singles {
+					plan, err := p.PlanApproximate(mode, sc.Query, c, true, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					tr := ocqa.NewTrace()
+					est, err := p.Approximate(ocqa.ContextWithTrace(context.Background(), tr), mode, sc.Query, c, opts)
+					if err != nil {
+						t.Fatalf("scenario %d %s %s %v: %v", i, mode.Symbol(), estimator, c, err)
+					}
+					check(fmt.Sprintf("tuple %v", c), plan, tr, est.Acct)
+				}
+				plan, err := p.PlanApproximate(mode, sc.Query, nil, false, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if plan.Targets == 0 {
+					continue // no candidate, so no target to refresh
+				}
+				tr := ocqa.NewTrace()
+				_, acct, err := p.ApproximateAnswersAcct(ocqa.ContextWithTrace(context.Background(), tr), mode, sc.Query, opts)
+				if err != nil {
+					t.Fatalf("scenario %d %s %s answers: %v", i, mode.Symbol(), estimator, err)
+				}
+				check("answers", plan, tr, acct)
+			}
+		}
+	}
+	for _, r := range []string{ocqa.RouteDeltaExact, ocqa.RouteAA, ocqa.RouteChernoff, ocqa.RouteSharedMultiChernoff} {
+		if routes[r] == 0 {
+			t.Errorf("no call planned route %q; routes seen %v", r, routes)
+		}
+	}
+	t.Logf("routes checked: %v", routes)
+}
+
+// TestPlanSingleTupleReadsOnlyItsTarget: a single-tuple plan decides on
+// that tuple's decomposition alone. Tuple a's witness needs one fact of a
+// 2-fact block (probability 1/3); tuple b couples two 64-fact blocks into
+// 65×65 outcomes, past the enumeration cap. The plan for a is
+// delta-exact with no predicted draws, and the run answers a exactly
+// with none; b's plan, and the answers plan, stay stratified.
+func TestPlanSingleTupleReadsOnlyItsTarget(t *testing.T) {
+	facts := "R(a,x1)\nR(a,x2)\nU(a,x1)\n"
+	for i := 0; i < 64; i++ {
+		facts += fmt.Sprintf("R(b,r%d)\nU(b,r%d)\n", i, i)
+	}
+	p := mustInstance(t, facts, "R: A1 -> A2\nU: A1 -> A2")
+	q := mustQuery(t, "Ans(t) :- R(t, x), U(t, x)")
+	mode := ocqa.Mode{Gen: ocqa.UniformRepairs}
+	opts := ocqa.ApproxOptions{Epsilon: 0.2, Delta: 0.1, Seed: 3}
+	a := ocqa.Tuple{"a"}
+	plan, err := p.PlanApproximate(mode, q, a, true, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Route != ocqa.RouteDeltaExact || plan.PredictedDraws != 0 {
+		t.Fatalf("plan for a: route %q, %d predicted draws; want %q with none", plan.Route, plan.PredictedDraws, ocqa.RouteDeltaExact)
+	}
+	before := engine.SamplesDrawn.Value()
+	est, err := p.Approximate(context.Background(), mode, q, a, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if drawn := engine.SamplesDrawn.Value() - before; drawn != 0 || est.Acct.Draws != 0 || math.Abs(est.Value-1.0/3) > 1e-12 {
+		t.Fatalf("run for a: value %v, %d draws (%d reported); want 1/3 with none", est.Value, drawn, est.Acct.Draws)
+	}
+	for _, c := range []struct {
+		tuple  ocqa.Tuple
+		single bool
+	}{{ocqa.Tuple{"b"}, true}, {nil, false}} {
+		if plan, err = p.PlanApproximate(mode, q, c.tuple, c.single, opts); err != nil {
+			t.Fatal(err)
+		}
+		if plan.Route != ocqa.RouteDeltaStratified {
+			t.Fatalf("plan for %v (single %v): route %q, want %q", c.tuple, c.single, plan.Route, ocqa.RouteDeltaStratified)
+		}
+	}
+}
+
 // TestPlanBudgetCapped: a request whose worst-case budget exceeds
 // MaxSamples must flag budget_capped instead of silently
 // under-delivering — and the clamped prediction must equal the cap. It
@@ -146,7 +275,7 @@ func TestPlanBudgetCapped(t *testing.T) {
 	mode := ocqa.Mode{Gen: ocqa.UniformSequences}
 
 	tight := ocqa.ApproxOptions{Epsilon: 0.05, Delta: 0.01, MaxSamples: 100}
-	plan, err := p.PlanApproximate(mode, q, true, tight)
+	plan, err := p.PlanApproximate(mode, q, ocqa.Tuple{}, true, tight)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +290,7 @@ func TestPlanBudgetCapped(t *testing.T) {
 	}
 
 	roomy := ocqa.ApproxOptions{Epsilon: 0.4, Delta: 0.3, MaxSamples: ocqa.DefaultMaxSamples}
-	plan, err = p.PlanApproximate(mode, q, true, roomy)
+	plan, err = p.PlanApproximate(mode, q, ocqa.Tuple{}, true, roomy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +320,7 @@ func TestPlanRefusesLikeExecution(t *testing.T) {
 		t.Fatal(err)
 	}
 	// M^ur over general FDs has no FPRAS (Theorem 5.1(3)).
-	_, err = inst.Prepare().PlanApproximate(ocqa.Mode{Gen: ocqa.UniformRepairs}, q, true, ocqa.ApproxOptions{})
+	_, err = inst.Prepare().PlanApproximate(ocqa.Mode{Gen: ocqa.UniformRepairs}, q, ocqa.Tuple{}, true, ocqa.ApproxOptions{})
 	if err == nil {
 		t.Fatal("plan for a refused pair did not error")
 	}
@@ -220,7 +349,7 @@ func TestPlanBuildsNoBlockDecomposition(t *testing.T) {
 	}
 	mode := ocqa.Mode{Gen: ocqa.UniformRepairs}
 	before := sampler.Constructions.Value()
-	plan, err := derived.PlanApproximate(mode, q, true, ocqa.ApproxOptions{})
+	plan, err := derived.PlanApproximate(mode, q, ocqa.Tuple{}, true, ocqa.ApproxOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +359,7 @@ func TestPlanBuildsNoBlockDecomposition(t *testing.T) {
 	if plan.Blocks != -1 {
 		t.Fatalf("plan.Blocks = %d before the decomposition is built, want -1", plan.Blocks)
 	}
-	if plan, err = derived.Prepare().PlanApproximate(mode, q, true, ocqa.ApproxOptions{}); err != nil {
+	if plan, err = derived.Prepare().PlanApproximate(mode, q, ocqa.Tuple{}, true, ocqa.ApproxOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if plan.Blocks != 2 {
