@@ -295,3 +295,35 @@ func TestConsistentAnswersPreparedCacheStable(t *testing.T) {
 		}
 	}
 }
+
+// TestApproximateAnswersAAReadsCachedCompile: the 𝒜𝒜 answers pass
+// estimates each tuple over its row of the query's cached compile — it
+// leaves exactly one fingerprint in the query cache — and each estimate
+// is that tuple's single-target 𝒜𝒜 estimate, bit for bit.
+func TestApproximateAnswersAAReadsCachedCompile(t *testing.T) {
+	ctx := context.Background()
+	for _, gen := range []ocqa.Generator{ocqa.UniformSequences, ocqa.UniformOperations} {
+		inst, q := answersFixture(t)
+		mode := ocqa.Mode{Gen: gen}
+		opts := ocqa.ApproxOptions{Seed: 5, UseAA: true}
+		ans, err := inst.ApproximateAnswers(ctx, mode, q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := ocqa.CachedQueries(inst); n != 1 {
+			t.Fatalf("%s: the 𝒜𝒜 answers pass left %d fingerprints in the query cache, want 1", mode.Symbol(), n)
+		}
+		if len(ans) != len(q.Answers(inst.DB())) {
+			t.Fatalf("%s: %d answers, want %d", mode.Symbol(), len(ans), len(q.Answers(inst.DB())))
+		}
+		for _, a := range ans {
+			single, err := inst.Approximate(ctx, mode, q, a.Tuple, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameEstimate(single, a.Estimate) {
+				t.Errorf("%s %v: answers pass %+v, single target %+v", mode.Symbol(), a.Tuple, a.Estimate, single)
+			}
+		}
+	}
+}

@@ -174,8 +174,9 @@ func BenchmarkE05UniformOpsLocal(b *testing.B) {
 // benchmark.
 func benchLocalLeaf(b *testing.B, w workload.Instance, singleton bool, rng *rand.Rand) {
 	inst := w.Core()
-	images, ok := inst.TargetImages(w.Query, w.Tuple, 0)
-	if !ok || len(images) != 1 || len(images[0]) != 1 {
+	mp := inst.CompileTarget(w.Query, w.Tuple, 0)
+	images, ok := mp.TupleWitnesses(0)
+	if len(mp.Tuples()) != 1 || !ok || len(images) != 1 || len(images[0]) != 1 {
 		b.Fatalf("want a one-fact target, got %v", images)
 	}
 	leaf := sampler.NewUOLocal(inst.Adjacency(), singleton)

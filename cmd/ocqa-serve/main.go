@@ -60,6 +60,7 @@ import (
 	"syscall"
 	"time"
 
+	ocqa "repro"
 	"repro/internal/server"
 	"repro/internal/store"
 )
@@ -71,7 +72,7 @@ func main() {
 		cacheSize     = flag.Int("cache", 1024, "result cache entries (negative disables)")
 		timeout       = flag.Duration("timeout", 30*time.Second, "per-query deadline (negative disables)")
 		exactLimit    = flag.Int("exact-limit", 2_000_000, "state-budget cap for the exact engines")
-		sampleCap     = flag.Int("sample-cap", 5_000_000, "Monte-Carlo draw cap per request")
+		sampleCap     = flag.Int("sample-cap", ocqa.DefaultMaxSamples, "Monte-Carlo draw cap per request")
 		maxConcurrent = flag.Int("max-concurrent", 0, "engine computations running at once (0 = 4×GOMAXPROCS)")
 		maxInstances  = flag.Int("max-instances", 1024, "registered-instance cap (LRU eviction beyond it)")
 		maxBatch      = flag.Int("max-batch", 1024, "queries per batch request")

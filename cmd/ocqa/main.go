@@ -48,9 +48,9 @@ func main() {
 		genName   = flag.String("generator", "ur", "Markov chain generator: ur, us or uo")
 		singleton = flag.Bool("singleton", false, "restrict to singleton operations (M^{·,1})")
 		mode      = flag.String("mode", "exact", "exact or approx")
-		eps       = flag.Float64("eps", 0.1, "approx: multiplicative error ε")
-		delta     = flag.Float64("delta", 0.05, "approx: failure probability δ")
-		seed      = flag.Int64("seed", 1, "approx: random seed")
+		eps       = flag.Float64("eps", ocqa.DefaultEpsilon, "approx: multiplicative error ε")
+		delta     = flag.Float64("delta", ocqa.DefaultDelta, "approx: failure probability δ")
+		seed      = flag.Int64("seed", ocqa.DefaultSeed, "approx: random seed")
 		workers   = flag.Int("workers", 0, "approx: parallel estimation workers, 0 = adaptive (deterministic per seed+workers)")
 		force     = flag.Bool("force", false, "approx: sample even without an FPRAS guarantee")
 		limit     = flag.Int("limit", 2_000_000, "exact: state budget (0 = unlimited)")

@@ -46,13 +46,15 @@ package ocqa
 // its witness images grouped by answer tuple and, per tuple and
 // operation variant, the decomposition. ApplyInsert/ApplyDelete carry it
 // into the derived instance in one flat pass over the images: deleted
-// images are dropped, inserted facts discover their new images by the
-// anchored homomorphism search (core.AnchoredWitnesses) instead of a
-// full re-enumeration, fact indices are shifted, and every decomposition
-// the write left alone is carried. The exact results are big.Rat-identical
-// to the core enumeration engines (the oracle harness audits this); the
-// stratified estimates keep the requested (ε, δ) by a union bound over
-// strata, since the exact strata contribute no error and
+// images are dropped, an inserted fact's new images come from the
+// witness-image collector's anchored source (core.CompileAnchored, one
+// row per tuple, deduplicated per tuple like every other compile)
+// instead of a full re-enumeration, fact indices are shifted, and every
+// decomposition the write left alone is carried. The exact results are
+// big.Rat-identical to the core enumeration engines (the oracle harness
+// audits this); the stratified estimates keep the requested (ε, δ) by a
+// union bound over strata, since the exact strata contribute no error
+// and
 // |P̂ − P| ≤ Σ_sampled |p̂_c − p_c| ≤ (ε/S)·Σ_c p_c ≤ ε·P.
 
 import (
@@ -121,7 +123,7 @@ type deltaQuery struct {
 	// generation: image w is the sorted fact indices
 	// facts[offs[w]:offs[w+1]]. They are maintained incrementally, in
 	// one flat pass per mutation: shifted across the index shift, pruned
-	// on delete, extended by the anchored search on insert.
+	// on delete, extended by the anchored compile on insert.
 	facts []int32
 	offs  []int32
 	// targets groups the images by answer tuple, sorted by tuple key;
@@ -338,19 +340,20 @@ func (dq *deltaQuery) deriveAcross(dc *decomposer, insertPos, deletePos int, wri
 	if ndq.overflow {
 		return ndq
 	}
-	var fresh []core.Witness
+	// The inserted fact's images, one row per tuple, sorted by tuple key
+	// like the targets.
+	var fresh *core.MultiPred
 	var freshKeys []string
+	freshImages := 0
 	if insertPos >= 0 {
-		var ok bool
-		if fresh, ok = dc.in.inner.AnchoredWitnesses(dq.q, insertPos, deltaMaxWitnesses); !ok {
+		if fresh = dc.in.inner.CompileAnchored(dq.q, insertPos, deltaMaxWitnesses); fresh.OverflowCount() > 0 {
 			ndq.overflow = true
 			return ndq
 		}
-		freshKeys = make([]string, len(fresh))
-		for i := range fresh {
-			freshKeys[i] = fresh[i].Tuple.Key()
+		for _, c := range fresh.Tuples() {
+			freshKeys = append(freshKeys, c.Key())
 		}
-		sort.Stable(byTupleKey{fresh, freshKeys})
+		freshImages = fresh.Witnesses()
 	}
 	shift := func(f int32) int32 {
 		if deletePos >= 0 && int(f) > deletePos {
@@ -361,18 +364,18 @@ func (dq *deltaQuery) deriveAcross(dc *decomposer, insertPos, deletePos int, wri
 		}
 		return f
 	}
-	ndq.facts = make([]int32, 0, len(dq.facts)+2*len(fresh))
-	ndq.offs = make([]int32, 1, len(dq.offs)+len(fresh))
-	ndq.targets = make([]deltaTarget, 0, len(dq.targets)+len(fresh))
-	for i, j := 0, 0; i < len(dq.targets) || j < len(fresh); {
+	ndq.facts = make([]int32, 0, len(dq.facts)+2*freshImages)
+	ndq.offs = make([]int32, 1, len(dq.offs)+freshImages)
+	ndq.targets = make([]deltaTarget, 0, len(dq.targets)+len(freshKeys))
+	for i, j := 0, 0; i < len(dq.targets) || j < len(freshKeys); {
 		var old *deltaTarget
 		nt := deltaTarget{lo: int32(len(ndq.offs) - 1)}
-		if i < len(dq.targets) && (j == len(fresh) || dq.targets[i].key <= freshKeys[j]) {
+		if i < len(dq.targets) && (j == len(freshKeys) || dq.targets[i].key <= freshKeys[j]) {
 			old = &dq.targets[i]
 			nt.key, nt.tuple = old.key, old.tuple
 			i++
 		} else {
-			nt.key, nt.tuple = freshKeys[j], fresh[j].Tuple
+			nt.key, nt.tuple = freshKeys[j], fresh.Tuples()[j]
 		}
 		if old != nil {
 		images:
@@ -389,11 +392,15 @@ func (dq *deltaQuery) deriveAcross(dc *decomposer, insertPos, deletePos int, wri
 			}
 		}
 		kept := int32(len(ndq.offs)-1) - nt.lo
-		for ; j < len(fresh) && freshKeys[j] == nt.key; j++ {
-			for _, f := range fresh[j].Facts {
-				ndq.facts = append(ndq.facts, int32(f))
+		if j < len(freshKeys) && freshKeys[j] == nt.key {
+			ws, _ := fresh.TupleWitnesses(j)
+			for _, w := range ws {
+				for _, f := range w {
+					ndq.facts = append(ndq.facts, int32(f))
+				}
+				ndq.offs = append(ndq.offs, int32(len(ndq.facts)))
 			}
-			ndq.offs = append(ndq.offs, int32(len(ndq.facts)))
+			j++
 		}
 		if nt.hi = int32(len(ndq.offs) - 1); nt.hi == nt.lo {
 			continue
@@ -415,20 +422,6 @@ func (dq *deltaQuery) deriveAcross(dc *decomposer, insertPos, deletePos int, wri
 		ndq.facts, ndq.offs, ndq.targets = nil, nil, nil
 	}
 	return ndq
-}
-
-// byTupleKey orders anchored images by tuple key; sorted stably it
-// keeps each tuple's images in the anchored search's order.
-type byTupleKey struct {
-	ws   []core.Witness
-	keys []string
-}
-
-func (b byTupleKey) Len() int           { return len(b.ws) }
-func (b byTupleKey) Less(i, j int) bool { return b.keys[i] < b.keys[j] }
-func (b byTupleKey) Swap(i, j int) {
-	b.ws[i], b.ws[j] = b.ws[j], b.ws[i]
-	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
 }
 
 // --- decomposition ---------------------------------------------------------
@@ -1004,8 +997,6 @@ func (in *Instance) deltaConsistentAnswers(dq *deltaQuery, singleton bool) []Con
 // filled; opts.MaxSamples caps the fresh draws exactly. Caller holds
 // dq.mu.
 func (in *Instance) deltaApproxTarget(ctx context.Context, dq *deltaQuery, t *deltaTarget, mode Mode, opts ApproxOptions) (Estimate, error) {
-	end := engine.TraceFrom(ctx).StartSpan("delta-refresh")
-	defer end()
 	certain, factors, sampled := in.deltaFactors(dq, t, mode.Singleton)
 	est := Estimate{Epsilon: opts.Epsilon, Delta: opts.Delta, Converged: true}
 	comp := 1.0

@@ -33,8 +33,9 @@ const carrySigma = "R: A1 -> A2\nS: A2 -> A1,A3\n"
 // carryQueries are the standing queries: chains that merge R blocks,
 // with and without answer variables, answer variables over S ⋈ T, two
 // relations joined through S's key, fixed T facts that make targets
-// certain, the sampled h cluster and the g product that crosses the
-// image cap.
+// certain, the sampled h cluster, the g product that crosses the image
+// cap, and a symmetric self-join, one of whose images witnesses two
+// answer tuples.
 var carryQueries = []string{
 	"Ans() :- R(x, y), R(y, z)",
 	"Ans(x) :- R(x, y), R(y, z)",
@@ -43,6 +44,7 @@ var carryQueries = []string{
 	"Ans() :- T(x, y), R(y, z)",
 	"Ans() :- R('h0', x), R('h1', x)",
 	"Ans() :- R('g0', x), R('g1', y)",
+	"Ans(x, y) :- R(x, y), R(y, x)",
 }
 
 func newCarryLineage(t *testing.T, seed int64) *carryLineage {
@@ -189,8 +191,9 @@ func blockSize(db *ocqa.Database, f ocqa.Fact) int {
 
 // runCarryLineage drives one lineage for steps writes and compares, at
 // every step, every live target's carried decomposition with a fresh
-// one under M^ur and M^{ur,1}. It returns the mismatches (capped in
-// msgs) and the coverage met.
+// one under M^ur and M^{ur,1}, and the lineage's candidate tuples with
+// those of a cold instance over the same facts. It returns the
+// mismatches (capped in msgs) and the coverage met.
 func runCarryLineage(t *testing.T, seed int64, steps int) (mismatches int, msgs []string, cov carryCoverage) {
 	l := newCarryLineage(t, seed)
 	type key struct{ q, v int }
@@ -212,11 +215,23 @@ func runCarryLineage(t *testing.T, seed int64, steps int) (mismatches int, msgs 
 			}
 		}
 		for qi, q := range l.queries {
+			// A cold instance over the same facts lists exactly Q(D).
+			cold := make([]string, 0)
+			for _, c := range q.Answers(l.in.DB()) {
+				cold = append(cold, c.String())
+			}
 			for v, singleton := range []bool{false, true} {
 				k := key{qi, v}
 				held, fresh, ok := ocqa.DeltaDecompositions(l.in, q, singleton)
 				if prevOK[k] && !ok {
 					cov.capCrossed++
+				}
+				if warm := decompositionTuples(held); ok && !reflect.DeepEqual(warm, cold) {
+					mismatches++
+					if len(msgs) < 5 {
+						msgs = append(msgs, fmt.Sprintf("seed %d step %d %q %v: candidate tuples %v, cold instance %v",
+							seed, s, carryQueries[qi], singleton, warm, cold))
+					}
 				}
 				cur := map[string]ocqa.DeltaDecomposition{}
 				for i := range held {
@@ -265,12 +280,22 @@ func runCarryLineage(t *testing.T, seed int64, steps int) (mismatches int, msgs 
 	return mismatches, msgs, cov
 }
 
+// decompositionTuples renders the targets' tuples as Tuple.String does.
+func decompositionTuples(ds []ocqa.DeltaDecomposition) []string {
+	out := make([]string, len(ds))
+	for i, d := range ds {
+		out[i] = "(" + strings.ReplaceAll(d.Tuple, "\x00", ",") + ")"
+	}
+	return out
+}
+
 // TestDeltaCarriedDecompositionMatchesFresh is the differential test of
 // the decomposition carry: along random primary-key lineages of 320
 // writes, every live target's decomposition carried across ApplyInsert
 // and ApplyDelete must equal a from-scratch decomposition — certainty,
 // cluster order, signatures, radixes and requirements — under
-// M^ur and M^{ur,1}. The lineages must meet every situation that
+// M^ur and M^{ur,1}, and the candidate tuples must be a cold instance's.
+// The lineages must meet every situation that
 // decides whether a decomposition may be carried: tuples appearing and
 // disappearing, a fixed fact's block growing, a block shrinking to one
 // fact, a new image merging clusters, a write into a certain image's

@@ -103,7 +103,8 @@ func TestDeltaConsistentAnswersMatchesCore(t *testing.T) {
 
 // TestDeltaExactAcrossMutations drives a Prepared lineage through a
 // scripted mix of ApplyInsert/ApplyDelete — growing blocks, shrinking
-// blocks, making facts fixed and unfixed — and checks after every step
+// blocks, making facts fixed and unfixed, closing a symmetric pair whose
+// one image witnesses two answer tuples — and checks after every step
 // that the delta-refreshed exact results equal a from-scratch core
 // recomputation, big.Rat for big.Rat.
 func TestDeltaExactAcrossMutations(t *testing.T) {
@@ -115,6 +116,7 @@ func TestDeltaExactAcrossMutations(t *testing.T) {
 		mustQuery(t, "Ans() :- R(k, 'x')"),
 		mustQuery(t, "Ans(v) :- R(k, v)"),
 		mustQuery(t, "Ans() :- R('a', v), R('b', w)"),
+		mustQuery(t, "Ans(x, y) :- R(x, y), R(y, x)"),
 	}
 	// Warm the delta state for every fingerprint before mutating.
 	for _, q := range queries {
@@ -135,6 +137,8 @@ func TestDeltaExactAcrossMutations(t *testing.T) {
 		{insert: "R(a,z)"}, // regrow block a
 		{insert: "R(d,q)"}, // fresh singleton block
 		{delete: 2},        // indices shifted; exercise remap
+		{insert: "R(a,b)"}, // half of a symmetric pair
+		{insert: "R(b,a)"}, // close it: {R(a,b), R(b,a)} witnesses (a,b) and (b,a)
 	}
 	for si, st := range steps {
 		var err error
@@ -162,8 +166,8 @@ func TestDeltaExactAcrossMutations(t *testing.T) {
 					t.Fatalf("step %d %s %v core: %v", si, mode.Symbol(), q, err)
 				}
 				if len(got) != len(want) {
-					t.Fatalf("step %d %s %v: delta %d answers, core %d",
-						si, mode.Symbol(), q, len(got), len(want))
+					t.Fatalf("step %d %s %v: delta answers %v, core %v",
+						si, mode.Symbol(), q, answerTuples(got), answerTuples(want))
 				}
 				for i := range got {
 					if got[i].Tuple.Key() != want[i].Tuple.Key() || got[i].Prob.Cmp(want[i].Prob) != 0 {
@@ -174,6 +178,14 @@ func TestDeltaExactAcrossMutations(t *testing.T) {
 			}
 		}
 	}
+}
+
+func answerTuples(as []ocqa.ConsistentAnswer) []ocqa.Tuple {
+	out := make([]ocqa.Tuple, len(as))
+	for i, a := range as {
+		out[i] = a.Tuple
+	}
+	return out
 }
 
 // stratifiedFixture builds an instance with two 64-fact blocks and a

@@ -834,19 +834,9 @@ func TestRepairSamplerTrivialFacts(t *testing.T) {
 	}
 }
 
-// witnessPred is TargetImages as a predicate over subsets, evaluated by
-// Holds: nil and false past the image cap.
-func witnessPred(inst *Instance, q *cq.Query, c cq.Tuple, maxImages int) (func(rel.Subset) bool, bool) {
-	ws, ok := inst.TargetImages(q, c, maxImages)
-	if !ok {
-		return nil, false
-	}
-	return func(s rel.Subset) bool { return Holds(ws, s) }, true
-}
-
-// TestWitnessPredMatchesEntailPred: the witness-image predicate agrees
-// with the materialising predicate on every reachable state of random
-// instances and queries.
+// TestWitnessPredMatchesEntailPred: the target's compiled predicate
+// agrees with the plain homomorphism search on every reachable state of
+// random instances and queries.
 func TestWitnessPredMatchesEntailPred(t *testing.T) {
 	rng := rand.New(rand.NewSource(199))
 	q := cq.MustNew([]string{"x"},
@@ -861,10 +851,10 @@ func TestWitnessPredMatchesEntailPred(t *testing.T) {
 		}
 		c := cq.Tuple{dom[rng.Intn(len(dom))]}
 		slow := inst.EntailPred(q, c)
-		fast, ok := witnessPred(inst, q, c, 0)
-		if !ok {
-			t.Fatal("witness pred overflowed on a tiny instance")
+		if inst.CompileTarget(q, c, 0).OverflowCount() != 0 {
+			t.Fatal("target compile overflowed on a tiny instance")
 		}
+		fast := inst.TargetPred(q, c)
 		// Compare on every candidate repair and on D itself.
 		if fast(inst.Full()) != slow(inst.Full()) {
 			t.Fatalf("trial %d: disagreement on D", trial)
@@ -883,10 +873,7 @@ func TestWitnessPredMatchesEntailPred(t *testing.T) {
 func TestWitnessPredBooleanAndMismatch(t *testing.T) {
 	inst := figure2()
 	qb := cq.MustNew(nil, cq.NewAtom("R", cq.Const("a1"), cq.Var("x")))
-	pred, ok := witnessPred(inst, qb, cq.Tuple{}, 0)
-	if !ok {
-		t.Fatal("overflow")
-	}
+	pred := inst.TargetPred(qb, cq.Tuple{})
 	if !pred(inst.Full()) {
 		t.Error("Boolean query should hold on D")
 	}
@@ -894,19 +881,32 @@ func TestWitnessPredBooleanAndMismatch(t *testing.T) {
 	if pred(empty) {
 		t.Error("Boolean query cannot hold on the empty database")
 	}
-	// Wrong arity tuple: constant false predicate.
-	predBad, ok := witnessPred(inst, qb, cq.Tuple{"a1", "b1"}, 0)
-	if !ok || predBad(inst.Full()) {
-		t.Error("wrong-arity tuple must yield the constant-false predicate")
+	// A nil target is the empty tuple.
+	if !inst.TargetPred(qb, nil)(inst.Full()) {
+		t.Error("nil target of a Boolean query should hold on D")
+	}
+	// Wrong arity tuple: no row, constant false predicate.
+	bad := cq.Tuple{"a1", "b1"}
+	if len(inst.CompileTarget(qb, bad, 0).Tuples()) != 0 || inst.TargetPred(qb, bad)(inst.Full()) {
+		t.Error("wrong-arity tuple must yield no row and the constant-false predicate")
+	}
+	qx := cq.MustNew([]string{"x"}, cq.NewAtom("R", cq.Const("a1"), cq.Var("x")))
+	if len(inst.CompileTarget(qx, nil, 0).Tuples()) != 0 {
+		t.Error("a nil target of a unary query must yield no row")
 	}
 }
 
-// TestWitnessPredOverflow forces the image cap.
+// TestWitnessPredOverflow forces the image cap: the row keeps no images
+// and its predicate is the plan's search.
 func TestWitnessPredOverflow(t *testing.T) {
 	inst := figure2()
 	q := cq.MustNew(nil, cq.NewAtom("R", cq.Var("x"), cq.Var("y")))
-	if _, ok := witnessPred(inst, q, cq.Tuple{}, 2); ok {
+	mp := inst.CompileTarget(q, cq.Tuple{}, 2)
+	if _, ok := mp.TupleWitnesses(0); ok || mp.OverflowCount() != 1 {
 		t.Fatal("expected overflow with maxImages=2 and 6 facts")
+	}
+	if !mp.Pred(0)(inst.Full()) || mp.Pred(0)(rel.NewSubset(inst.D.Len())) {
+		t.Error("the overflowed row's search disagrees with D and the empty database")
 	}
 }
 
@@ -915,12 +915,11 @@ func TestWitnessPredOverflow(t *testing.T) {
 func TestWitnessPredConstantOnlyQuery(t *testing.T) {
 	inst := figure2()
 	q := cq.MustNew(nil, cq.NewAtom("R", cq.Const("nope"), cq.Var("x")))
-	ws, ok := inst.TargetImages(q, cq.Tuple{}, 0)
-	if !ok {
-		t.Fatal("overflow")
+	if mp := inst.CompileTarget(q, cq.Tuple{}, 0); len(mp.Tuples()) != 0 {
+		t.Errorf("no witness should exist, got %v", mp.Tuples())
 	}
-	if len(ws) != 0 || Holds(ws, inst.Full()) {
-		t.Errorf("no witness should exist, got %v", ws)
+	if inst.TargetPred(q, cq.Tuple{})(inst.Full()) {
+		t.Error("a query without witnesses holds on D")
 	}
 }
 

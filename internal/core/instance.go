@@ -74,6 +74,21 @@ func (inst *Instance) ConflictPairs() [][2]int {
 // without building the pairs.
 func (inst *Instance) ConflictPairCount() int { return inst.npairs }
 
+// BlockOf returns the fact indices that share a conflict with fact i,
+// including i itself, sorted ascending: {i} ∪ Sigma.ConflictsOf(D, i).
+// For primary keys, conflicts are exactly co-membership in a key block,
+// so this is i's block; a consistent fact returns the singleton {i}.
+// The cost is that of ConflictsOf: the rows sharing i's first argument
+// for a key on attribute 0, the whole relation otherwise.
+func (inst *Instance) BlockOf(i int) []int {
+	ps := inst.Sigma.ConflictsOf(inst.D, i)
+	at := sort.SearchInts(ps, i)
+	out := make([]int, 0, len(ps)+1)
+	out = append(out, ps[:at]...)
+	out = append(out, i)
+	return append(out, ps[at:]...)
+}
+
 // Full returns the subset representing D itself.
 func (inst *Instance) Full() rel.Subset { return inst.D.FullSubset() }
 

@@ -2,8 +2,6 @@ package core
 
 import (
 	"math/big"
-	"sort"
-	"strings"
 
 	"repro/internal/cq"
 	"repro/internal/rel"
@@ -16,15 +14,26 @@ import (
 // infeasible; the polynomial path is sampling (internal/sampler +
 // internal/fpras).
 
-// EntailPred builds the predicate "c̄ ∈ Q(D')" over subsets of D. The
-// homomorphism search runs against the subset mask directly (candidate
-// facts are tested by index against the bitset), so no sub-database is
-// ever materialised — this is the fallback entailment check of the
-// Monte-Carlo hot loop when the witness compilation overflows.
+// EntailPred builds the predicate "c̄ ∈ Q(D')" over subsets of D by the
+// homomorphism search alone: the plan is compiled once and searched
+// against the subset mask directly (candidate facts are tested by index
+// against the bitset), so no sub-database is ever materialised. It is
+// the reference the witness-image predicates are tested against, and
+// the experiments' predicate.
 func (inst *Instance) EntailPred(q *cq.Query, c cq.Tuple) func(rel.Subset) bool {
-	return func(s rel.Subset) bool {
-		return q.HasAnswerIn(inst.D, s, c)
+	plan := q.CompileFor(inst.D)
+	return func(s rel.Subset) bool { return plan.HasAnswerIn(s, c) }
+}
+
+// TargetPred is the predicate "c̄ ∈ Q(D')" the exact single-tuple
+// engines evaluate: c̄'s row of CompileTarget, or the constant false
+// when c̄ has no image.
+func (inst *Instance) TargetPred(q *cq.Query, c cq.Tuple) func(rel.Subset) bool {
+	mp := inst.CompileTarget(q, c, 0)
+	if len(mp.Tuples()) == 0 {
+		return func(rel.Subset) bool { return false }
 	}
+	return mp.Pred(0)
 }
 
 // ExactProbability computes P_{M,Q}(D, c̄) exactly under the given mode:
@@ -36,7 +45,7 @@ func (inst *Instance) EntailPred(q *cq.Query, c cq.Tuple) func(rel.Subset) bool 
 //   - UniformOperations: the leaf-distribution sum over the state DAG
 //     (Proposition A.6).
 func (inst *Instance) ExactProbability(mode Mode, q *cq.Query, c cq.Tuple, limit int) (*big.Rat, error) {
-	pred := inst.EntailPred(q, c)
+	pred := inst.TargetPred(q, c)
 	switch mode.Gen {
 	case UniformRepairs:
 		return inst.RRFreq(mode.Singleton, limit, pred)
@@ -152,106 +161,4 @@ func (inst *Instance) ConsistentAnswersWith(mp *MultiPred, mode Mode, limit int)
 		}
 	}
 	return out, nil
-}
-
-// DefaultMaxImages is the witness-image cap applied when a caller
-// passes maxImages ≤ 0 to TargetImages or CompileMultiPred: past it,
-// the compiled predicate would cost more per draw than the fallback
-// subset-mask search it replaces.
-const DefaultMaxImages = 4096
-
-// canonWitness canonicalises the matched fact indices of one
-// homomorphic image: sorted, deduplicated (two atoms may match the
-// same fact), written into buf, together with a compact byte-string
-// key for the dedup map. Keying on fact indices replaces the full text
-// rendering of the image the previous implementation rebuilt per
-// homomorphism at prepare time.
-func canonWitness(facts []int, buf []int) ([]int, string) {
-	buf = append(buf[:0], facts...)
-	sort.Ints(buf)
-	w := buf[:0]
-	for i, idx := range buf {
-		if i > 0 && idx == buf[i-1] {
-			continue
-		}
-		w = append(w, idx)
-	}
-	var b strings.Builder
-	b.Grow(4 * len(w))
-	for _, idx := range w {
-		b.WriteByte(byte(idx >> 24))
-		b.WriteByte(byte(idx >> 16))
-		b.WriteByte(byte(idx >> 8))
-		b.WriteByte(byte(idx))
-	}
-	return w, b.String()
-}
-
-// Images are the compiled witness images of one target tuple c̄: the
-// distinct homomorphic images h(Q) ⊆ D with h(x̄) = c̄, each a sorted
-// fact-index set. By CQ monotonicity, c̄ ∈ Q(D') for D' ⊆ D iff some
-// image is contained in D', so an empty list means c̄ ∉ Q(D) and the
-// target's probability is 0 under every generator.
-type Images [][]int
-
-// Holds reports whether some image is fully contained in the
-// sub-database m identifies. m is any fact-membership test: a drawn
-// rel.Subset, or a sampler that decides one fact's survival on demand
-// (sampler.UOLocal) — both run this one loop, which stops at the first
-// image found and tests each image's facts only until one is missing.
-func Holds[M interface{ Has(int) bool }](ws Images, m M) bool {
-	for _, w := range ws {
-		all := true
-		for _, idx := range w {
-			if !m.Has(idx) {
-				all = false
-				break
-			}
-		}
-		if all {
-			return true
-		}
-	}
-	return false
-}
-
-// TargetImages compiles the witness images of the tuple c̄ with one
-// homomorphism enumeration; images are deduplicated by their sorted
-// fact-index sets, read directly off the matched facts. A tuple of the
-// wrong arity has no image. It returns ok=false (and no images) when
-// the number of images exceeds maxImages (0 means DefaultMaxImages);
-// callers then fall back to EntailPred.
-func (inst *Instance) TargetImages(q *cq.Query, c cq.Tuple, maxImages int) (Images, bool) {
-	if maxImages <= 0 {
-		maxImages = DefaultMaxImages
-	}
-	if len(c) != len(q.AnswerVars) {
-		return nil, true
-	}
-	var witnesses Images
-	seen := make(map[string]bool)
-	overflow := false
-	scratch := make([]int, 0, len(q.Atoms))
-	q.HomomorphismsMatched(inst.D, func(h cq.Homomorphism, facts []int) bool {
-		for i, v := range q.AnswerVars {
-			if h[v] != c[i] {
-				return true
-			}
-		}
-		w, key := canonWitness(facts, scratch)
-		if seen[key] {
-			return true
-		}
-		seen[key] = true
-		witnesses = append(witnesses, append([]int(nil), w...))
-		if len(witnesses) > maxImages {
-			overflow = true
-			return false
-		}
-		return true
-	})
-	if overflow {
-		return nil, false
-	}
-	return witnesses, true
 }

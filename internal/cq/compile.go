@@ -232,8 +232,28 @@ func (c *Compiled) bindings(mask rel.Subset, useMask bool, preBound [][2]int32, 
 	c.run(st, preBound)
 }
 
+// Matches enumerates the plan's matches against its database: yield
+// receives the slot binding and the per-atom matched fact indices,
+// under the same reuse rules as bindings, until it returns false. A nil
+// t enumerates every match. Any other t, the empty tuple of a Boolean
+// query included, is bound into the answer slots before the search
+// starts, so only the matches answering t are explored, in the order
+// the unbound search would yield them; none when t has the wrong arity
+// or a constant no fact mentions.
+func (c *Compiled) Matches(t Tuple, yield func(binding []int32, facts []int) bool) {
+	var pre [][2]int32
+	if t != nil {
+		var ok bool
+		if pre, ok = c.compileTuple(t); !ok {
+			return
+		}
+	}
+	c.bindings(rel.Subset{}, false, pre, yield)
+}
+
 // AnswerOf materialises the answer tuple of a complete binding, as
-// yielded by AnchoredMatches. Boolean queries answer the empty tuple.
+// yielded by Matches and AnchoredMatches. Boolean queries answer the
+// empty tuple.
 func (c *Compiled) AnswerOf(binding []int32) Tuple {
 	syms := c.d.Symbols()
 	tup := make(Tuple, len(c.ansSlots))

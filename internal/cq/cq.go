@@ -188,28 +188,6 @@ func (q *Query) Image(h Homomorphism) *rel.Database {
 	return rel.NewDatabase(facts...)
 }
 
-// homomorphisms is the shared enumeration driver behind
-// HomomorphismsMatched and the tests' unmasked and masked variants. It
-// compiles the query against the database's symbol table and runs the
-// interned backtracking search, materialising the Homomorphism map
-// only at yield.
-func (q *Query) homomorphisms(d *rel.Database, mask rel.Subset, useMask bool, yield func(Homomorphism, []int) bool) {
-	c := q.CompileFor(d)
-	c.bindings(mask, useMask, nil, func(binding []int32, facts []int) bool {
-		return yield(c.homomorphism(binding), facts)
-	})
-}
-
-// HomomorphismsMatched enumerates every homomorphism from Q to D with
-// its matched facts, invoking yield for each (enumeration stops early
-// if yield returns false): facts[i] is the global index (in d) of the
-// fact body atom i unified with — exactly the fact multiset of the
-// image h(Q), with no fact materialisation. The slice is reused
-// between yields and must not be retained.
-func (q *Query) HomomorphismsMatched(d *rel.Database, yield func(h Homomorphism, facts []int) bool) {
-	q.homomorphisms(d, rel.Subset{}, false, yield)
-}
-
 // Entails reports whether D |= Q for a Boolean query (or, for a
 // non-Boolean query, whether Q has at least one answer over D).
 // Repeated callers should CompileFor the database once and use

@@ -9,6 +9,26 @@ import (
 	"repro/internal/rel"
 )
 
+// homomorphisms is the shared enumeration driver of the tests'
+// unmasked and masked variants: the interned search, materialising the
+// Homomorphism map at yield.
+func (q *Query) homomorphisms(d *rel.Database, mask rel.Subset, useMask bool, yield func(Homomorphism, []int) bool) {
+	c := q.CompileFor(d)
+	c.bindings(mask, useMask, nil, func(binding []int32, facts []int) bool {
+		return yield(c.homomorphism(binding), facts)
+	})
+}
+
+// HomomorphismsMatched enumerates Compiled.Matches of every match with
+// the string view of its binding: facts[i] is the index of the fact
+// body atom i unified with.
+func (q *Query) HomomorphismsMatched(d *rel.Database, yield func(h Homomorphism, facts []int) bool) {
+	c := q.CompileFor(d)
+	c.Matches(nil, func(binding []int32, facts []int) bool {
+		return yield(c.homomorphism(binding), facts)
+	})
+}
+
 // Homomorphisms enumerates every homomorphism from Q to D.
 func (q *Query) Homomorphisms(d *rel.Database, yield func(Homomorphism) bool) {
 	q.homomorphisms(d, rel.Subset{}, false, func(h Homomorphism, _ []int) bool { return yield(h) })

@@ -50,6 +50,27 @@ func EstimateStoppingRuleMulti(ctx context.Context, newSampler func() MultiSampl
 	return estimateStopping(ctx, run{phase: PhaseMultiStopping, span: "sample:multi-stopping"}, newSampler, nTargets, eps, delta, seed, workers, maxSamples)
 }
 
+// Upsilon1 is the stopping rule's threshold for (ε, δ),
+// Υ₁ = 1 + 4(e−2)(1+ε)·ln(2/δ)/ε²: a target stops at the draw its
+// successes reach Υ₁, and estimates Υ₁/N.
+func Upsilon1(eps, delta float64) float64 {
+	return 1 + (1+eps)*4*(math.E-2)*math.Log(2/delta)/(eps*eps)
+}
+
+// AAThresholds are 𝒜𝒜's thresholds for (ε, δ): upsilon1, the threshold
+// of its phase-1 stopping rule at ε' = min(1/2, √ε),
+// 1 + 4(e−2)(1+ε')·ln(3/δ)/ε'², and upsilon2 = Υ₂ =
+// 2(1+√ε)(1+2√ε)(1+ln(3/2)/ln(3/δ))·Υ with Υ = 4(e−2)·ln(3/δ)/ε², which
+// sizes phases 2 and 3.
+func AAThresholds(eps, delta float64) (upsilon1, upsilon2 float64) {
+	eps1 := math.Min(0.5, math.Sqrt(eps))
+	upsilon := 4 * (math.E - 2) * math.Log(3/delta) / (eps * eps)
+	upsilon1 = 1 + (1+eps1)*4*(math.E-2)*math.Log(3/delta)/(eps1*eps1)
+	upsilon2 = 2 * (1 + math.Sqrt(eps)) * (1 + 2*math.Sqrt(eps)) *
+		(1 + math.Log(1.5)/math.Log(3/delta)) * upsilon
+	return upsilon1, upsilon2
+}
+
 func checkParams(eps, delta float64) {
 	if eps <= 0 || eps >= 1 || delta <= 0 || delta >= 1 {
 		panic(fmt.Sprintf("engine: invalid parameters eps=%v delta=%v", eps, delta))
@@ -65,7 +86,7 @@ func estimateStopping(ctx context.Context, rn run, newSampler func() MultiSample
 	r := &stopRule{
 		single: rn.phase == PhaseStoppingRule,
 		eps:    eps, delta: delta,
-		upsilon1: 1 + (1+eps)*4*(math.E-2)*math.Log(2/delta)/(eps*eps),
+		upsilon1: Upsilon1(eps, delta),
 		sums:     make([]int, nTargets),
 		ests:     make([]Estimate, nTargets),
 		open:     make([]int, nTargets),
@@ -157,11 +178,14 @@ func (r *stopRule) finish(tr *Trace, n int, _ error) {
 // fewer samples than the plain 1/μ rule.
 //
 // Phases (for Bernoulli Z with mean μ):
-//  1. Stopping rule with ε' = min(1/2, √ε) and δ/3 → crude estimate μ̂.
+//  1. Stopping rule with ε' = min(1/2, √ε), its threshold at ln(3/δ)
+//     → crude estimate μ̂.
 //  2. Estimate ρ = max(σ², εμ) with N = Υ₂·ε/μ̂ sample pairs, where
-//     Υ₂ = 2(1+√ε)(1+2√ε)(1+ln(3/2)/ln(2/δ))·Υ and
-//     Υ = 4(e−2)ln(2/δ)/ε².
+//     Υ₂ = 2(1+√ε)(1+2√ε)(1+ln(3/2)/ln(3/δ))·Υ and
+//     Υ = 4(e−2)ln(3/δ)/ε².
 //  3. Final estimate with N = Υ₂·ρ̂/μ̂² samples.
+//
+// AAThresholds computes both thresholds, for this run and the planner.
 //
 // Guarantee: Pr[|μ̃ − μ| ≤ ε·μ] ≥ 1−δ, with E[N] = O(ρ·ln(1/δ)/(ε²μ²)),
 // which for Bernoulli variables is O(ln(1/δ)/(ε²·max(μ, ε))) — a
@@ -174,16 +198,10 @@ func (r *stopRule) finish(tr *Trace, n int, _ error) {
 func EstimateAA(ctx context.Context, s Sampler, eps, delta float64, seed int64, maxSamples int) (Estimate, error) {
 	checkParams(eps, delta)
 	tr := TraceFrom(ctx)
-	eps1 := math.Min(0.5, math.Sqrt(eps))
-	upsilon := 4 * (math.E - 2) * math.Log(3/delta) / (eps * eps)
 	// Phase 1's span opens here, so even a run cancelled before its
 	// first draw records it.
-	r := &aaRule{
-		tr: tr, eps: eps, delta: delta, phase: 1, endPhase: tr.StartSpan("aa:phase1"),
-		upsilon1: 1 + (1+eps1)*4*(math.E-2)*math.Log(3/delta)/(eps1*eps1),
-		upsilon2: 2 * (1 + math.Sqrt(eps)) * (1 + 2*math.Sqrt(eps)) *
-			(1 + math.Log(1.5)/math.Log(3/delta)) * upsilon,
-	}
+	r := &aaRule{tr: tr, eps: eps, delta: delta, phase: 1, endPhase: tr.StartSpan("aa:phase1")}
+	r.upsilon1, r.upsilon2 = AAThresholds(eps, delta)
 	acct, err := drive(ctx, run{phase: PhaseAA, span: "sample:aa", seed: seed, maxSamples: maxSamples}, func() Sampler { return s }, r)
 	r.est.Acct = acct
 	return r.est, err

@@ -29,11 +29,17 @@ func ChernoffSamples(eps, delta, pmin float64) int {
 	if eps <= 0 || delta <= 0 || delta >= 1 || pmin <= 0 || pmin > 1 {
 		panic(fmt.Sprintf("fpras: invalid parameters eps=%v delta=%v pmin=%v", eps, delta, pmin))
 	}
-	n := 3 * math.Log(2/delta) / (eps * eps * pmin)
+	n := ChernoffBound(eps, delta, pmin)
 	if n > math.MaxInt32 {
 		return math.MaxInt32
 	}
 	return int(math.Ceil(n))
+}
+
+// ChernoffBound is ChernoffSamples' count before rounding and
+// saturation, 3·ln(2/δ)/(ε²·pmin), unchecked: +Inf when pmin is 0.
+func ChernoffBound(eps, delta, pmin float64) float64 {
+	return 3 * math.Log(2/delta) / (eps * eps * pmin)
 }
 
 // The paper's polynomial lower bounds on positive target probabilities,

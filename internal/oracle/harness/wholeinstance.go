@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cq"
 	"repro/internal/engine"
-	"repro/internal/rel"
 	"repro/internal/sampler"
 )
 
@@ -33,15 +32,12 @@ func WholeInstanceStoppingRule(ctx context.Context, inst *ocqa.Instance, mode co
 		return ocqa.Estimate{}, err
 	}
 	endCompile := engine.TraceFrom(ctx).StartSpan("compile")
-	ws, ok := inst.Core().TargetImages(q, c, 0)
+	mp := inst.Core().CompileTarget(q, c, 0)
 	endCompile()
-	if ok && len(ws) == 0 {
+	if len(mp.Tuples()) == 0 {
 		return ocqa.Estimate{Epsilon: opts.Epsilon, Delta: opts.Delta, Converged: true}, nil
 	}
-	pred := func(s rel.Subset) bool { return core.Holds(ws, s) }
-	if !ok {
-		pred = inst.Core().EntailPred(q, c)
-	}
+	pred := mp.Pred(0)
 	newDraw := func() engine.Sampler {
 		return func(rng *rand.Rand) bool { return pred(bs.SampleRepair(rng, mode.Singleton)) }
 	}
@@ -95,13 +91,13 @@ func wholeInstanceSetup(inst *ocqa.Instance, mode core.Mode, opts ocqa.ApproxOpt
 		return opts, 0, nil, err
 	}
 	if opts.Epsilon == 0 {
-		opts.Epsilon = 0.1
+		opts.Epsilon = ocqa.DefaultEpsilon
 	}
 	if opts.Delta == 0 {
-		opts.Delta = 0.05
+		opts.Delta = ocqa.DefaultDelta
 	}
 	if opts.Seed == 0 {
-		opts.Seed = 1
+		opts.Seed = ocqa.DefaultSeed
 	}
 	if opts.MaxSamples <= 0 {
 		opts.MaxSamples = ocqa.DefaultMaxSamples

@@ -329,13 +329,13 @@ func (s *Server) normalizeQuery(req *QueryRequest) {
 		req.Limit = s.clampLimit(req.Limit)
 	case "approx":
 		if req.Epsilon == 0 {
-			req.Epsilon = 0.1
+			req.Epsilon = ocqa.DefaultEpsilon
 		}
 		if req.Delta == 0 {
-			req.Delta = 0.05
+			req.Delta = ocqa.DefaultDelta
 		}
 		if req.Seed == 0 {
-			req.Seed = 1
+			req.Seed = ocqa.DefaultSeed
 		}
 		// Per-query estimator parallelism is bounded by the same pool
 		// size that bounds batches; an unbounded client value would

@@ -82,7 +82,7 @@ type Options struct {
 	MaxBatchQueries int
 	// SampleCap caps the Monte-Carlo draw budget a single request may
 	// demand (query MaxSamples and marginals draw counts). Default:
-	// 5,000,000 (the library's own estimator default).
+	// ocqa.DefaultMaxSamples, the library's own estimator default.
 	SampleCap int
 	// MaxConcurrentQueries bounds engine computations running at once
 	// across all endpoints — including computations already abandoned
@@ -179,7 +179,7 @@ func (o *Options) fill() {
 		o.MaxBatchQueries = 1024
 	}
 	if o.SampleCap <= 0 {
-		o.SampleCap = 5_000_000
+		o.SampleCap = ocqa.DefaultMaxSamples
 	}
 	if o.MaxConcurrentQueries <= 0 {
 		o.MaxConcurrentQueries = 4 * runtime.GOMAXPROCS(0)

@@ -522,10 +522,16 @@ func Approximability(mode Mode, class ConstraintClass) (ApproxStatus, string) {
 	return core.Approximability(mode, class)
 }
 
-// Default Monte-Carlo draw budgets. They live here — and only here —
-// so the facade and the server resolve an unset MaxSamples to the same
-// documented value.
+// Default estimator options. They live here — and only here — so the
+// facade, the server, the CLIs and the oracle harness resolve an unset
+// option to the same documented value.
 const (
+	// DefaultEpsilon is ApproxOptions.Epsilon when unset (0).
+	DefaultEpsilon = 0.1
+	// DefaultDelta is ApproxOptions.Delta when unset (0).
+	DefaultDelta = 0.05
+	// DefaultSeed is ApproxOptions.Seed when unset (0).
+	DefaultSeed = 1
 	// DefaultMaxSamples caps the adaptive estimators when
 	// ApproxOptions.MaxSamples is unset (≤ 0).
 	DefaultMaxSamples = 5_000_000
@@ -536,11 +542,13 @@ const (
 
 // ApproxOptions configures Approximate.
 type ApproxOptions struct {
-	// Epsilon is the multiplicative error (0 < ε < 1). Default 0.1.
+	// Epsilon is the multiplicative error (0 < ε < 1). Default
+	// DefaultEpsilon.
 	Epsilon float64
-	// Delta is the failure probability (0 < δ < 1). Default 0.05.
+	// Delta is the failure probability (0 < δ < 1). Default
+	// DefaultDelta.
 	Delta float64
-	// Seed makes runs reproducible. Default 1.
+	// Seed makes runs reproducible. Default DefaultSeed.
 	Seed int64
 	// UseChernoff selects the fixed-sample-count construction with the
 	// paper's worst-case lower bounds as pmin — faithful to the FPRAS
@@ -587,13 +595,13 @@ func (o *ApproxOptions) fillMarginals() { o.fillDefaults(DefaultMarginalSamples)
 
 func (o *ApproxOptions) fillDefaults(defaultSamples int) {
 	if o.Epsilon == 0 {
-		o.Epsilon = 0.1
+		o.Epsilon = DefaultEpsilon
 	}
 	if o.Delta == 0 {
-		o.Delta = 0.05
+		o.Delta = DefaultDelta
 	}
 	if o.Seed == 0 {
-		o.Seed = 1
+		o.Seed = DefaultSeed
 	}
 	if o.MaxSamples <= 0 {
 		o.MaxSamples = defaultSamples
@@ -676,11 +684,13 @@ func (in *Instance) Approximate(ctx context.Context, mode Mode, q *Query, c Tupl
 	var est Estimate
 	var err error
 	if r := in.routeFor(ctx, mode, q, c, true, &opts); r.dq != nil {
+		end := engine.TraceFrom(ctx).StartSpan("delta-refresh")
 		r.dq.mu.Lock()
 		est, err = in.deltaApproxTarget(ctx, r.dq, r.dq.target(c), mode, opts)
 		r.dq.mu.Unlock()
+		end()
 	} else {
-		est, err = in.approximate(ctx, mode, q, c, opts)
+		est, err = in.approximate(ctx, mode, q, in.targetDrawer(ctx, mode, q, c), opts)
 	}
 	in.recordUsage(est.Acct)
 	return est, err
@@ -730,20 +740,27 @@ func (in *Instance) subsetDrawer(mode Mode) func() func(*rand.Rand) rel.Subset {
 }
 
 // targetDrawer compiles the target's witness images — the run's
-// "compile" span — and returns the per-worker factory of its Bernoulli
-// draws, or nil when the target has no image. Under M^uo and M^{uo,1}
-// a draw decides only the facts the images ask about, through UOLocal
-// over the instance's shared conflict adjacency; the other generators
-// draw a whole repair subset. Past the image cap the draw falls back to
-// the subset-mask homomorphism search, on whole repairs.
+// "compile" span — with c̄ bound before the search, and returns the
+// per-worker factory of its Bernoulli draws (rowDrawer), or nil when the
+// target has no image.
 func (in *Instance) targetDrawer(ctx context.Context, mode Mode, q *Query, c Tuple) func() engine.Sampler {
 	endCompile := engine.TraceFrom(ctx).StartSpan("compile")
 	defer endCompile()
-	ws, ok := in.inner.TargetImages(q, c, 0)
-	if ok && len(ws) == 0 {
+	mp := in.inner.CompileTarget(q, c, 0)
+	if len(mp.Tuples()) == 0 {
 		return nil
 	}
-	if ok && mode.Gen == UniformOperations {
+	return in.rowDrawer(mode, mp, 0)
+}
+
+// rowDrawer returns the per-worker factory of the Bernoulli draws "row
+// t's tuple is an answer of a drawn repair". Under M^uo and M^{uo,1} a
+// draw decides only the facts the row's images ask about, through
+// UOLocal over the instance's shared conflict adjacency; the other
+// generators draw a whole repair subset, and so does a row past the
+// image cap, which the compile's plan searches.
+func (in *Instance) rowDrawer(mode Mode, mp *core.MultiPred, t int) func() engine.Sampler {
+	if ws, ok := mp.TupleWitnesses(t); ok && mode.Gen == UniformOperations {
 		adj := in.inner.Adjacency()
 		return func() engine.Sampler {
 			leaf := sampler.NewUOLocal(adj, mode.Singleton)
@@ -753,10 +770,7 @@ func (in *Instance) targetDrawer(ctx context.Context, mode Mode, q *Query, c Tup
 			}
 		}
 	}
-	pred := func(s rel.Subset) bool { return core.Holds(ws, s) }
-	if !ok {
-		pred = in.inner.EntailPred(q, c)
-	}
+	pred := mp.Pred(t)
 	newSubset := in.subsetDrawer(mode)
 	return func() engine.Sampler {
 		draw := newSubset()
@@ -764,10 +778,10 @@ func (in *Instance) targetDrawer(ctx context.Context, mode Mode, q *Query, c Tup
 	}
 }
 
-// approximate runs the whole-instance estimators of Approximate. opts
-// must be filled and the pair approximable.
-func (in *Instance) approximate(ctx context.Context, mode Mode, q *Query, c Tuple, opts ApproxOptions) (Estimate, error) {
-	newDraw := in.targetDrawer(ctx, mode, q, c)
+// approximate runs the whole-instance estimators of Approximate over
+// one target's draws, nil when the target has no image. opts must be
+// filled and the pair approximable.
+func (in *Instance) approximate(ctx context.Context, mode Mode, q *Query, newDraw func() engine.Sampler, opts ApproxOptions) (Estimate, error) {
 	if newDraw == nil {
 		// No witness image: c̄ ∉ Q(D), or its arity is wrong, so by CQ
 		// monotonicity its probability is exactly 0 and every draw is
@@ -837,7 +851,8 @@ func (in *Instance) worstCaseLowerBound(mode Mode, q *Query) float64 {
 // (Seed, Workers). opts.MaxSamples caps the draws of the shared pass as
 // a whole. With opts.UseAA the per-tuple loop is retained (the
 // three-phase 𝒜𝒜 estimator adapts its later phases to each target's own
-// crude estimate and variance, which is inherently single-target).
+// crude estimate and variance, which is inherently single-target), over
+// the same one cached enumeration.
 // Stopping-rule M^ur and M^{ur,1} queries under primary keys are
 // answered per tuple by the block-factorized estimator, as in
 // Approximate, unless some candidate holds more sampled strata than it
@@ -861,7 +876,9 @@ func (in *Instance) ApproximateAnswersAcct(ctx context.Context, mode Mode, q *Qu
 	var acct Accounting
 	var err error
 	if r := in.routeFor(ctx, mode, q, nil, false, &opts); r.dq != nil {
+		end := engine.TraceFrom(ctx).StartSpan("delta-refresh")
 		out, acct, err = in.deltaApproximateAnswers(ctx, r.dq, mode, opts)
+		end()
 	} else {
 		out, acct, err = in.approximateAnswers(ctx, mode, q, opts)
 	}
@@ -869,18 +886,25 @@ func (in *Instance) ApproximateAnswersAcct(ctx context.Context, mode Mode, q *Qu
 	return out, acct, err
 }
 
-// approximateAnswers runs the whole-instance answers estimation: the
-// shared pass over the query's cached witness sets, or the per-tuple 𝒜𝒜
-// loop, which builds its own single-tuple predicates and needs only the
-// candidate list. The returned Accounting is the run-level record of the
-// shared pass, or the per-tuple sum on the 𝒜𝒜 path. opts must be filled
-// and the pair approximable.
+// approximateAnswers runs the whole-instance answers estimation over
+// the query's cached witness sets: the shared pass, or under 𝒜𝒜 the
+// per-tuple loop over the same compile's rows. The returned Accounting
+// is the run-level record of the shared pass, or the per-tuple sum on
+// the 𝒜𝒜 path. opts must be filled and the pair approximable.
 func (in *Instance) approximateAnswers(ctx context.Context, mode Mode, q *Query, opts ApproxOptions) ([]ApproxAnswer, Accounting, error) {
+	endCompile := engine.TraceFrom(ctx).StartSpan("compile")
+	mp := in.multiPred(q)
+	tuples := mp.Tuples()
+	if len(tuples) == 0 {
+		endCompile()
+		return nil, Accounting{}, nil
+	}
 	if opts.UseAA {
+		endCompile()
 		var out []ApproxAnswer
 		var total Accounting
-		for _, c := range q.Answers(in.db) {
-			e, err := in.approximate(ctx, mode, q, c, opts)
+		for t, c := range tuples {
+			e, err := in.approximate(ctx, mode, q, in.rowDrawer(mode, mp, t), opts)
 			total.Draws += e.Acct.Draws
 			total.Chunks += e.Acct.Chunks
 			total.WallNanos += e.Acct.WallNanos
@@ -892,13 +916,6 @@ func (in *Instance) approximateAnswers(ctx context.Context, mode Mode, q *Query,
 			out = append(out, ApproxAnswer{Tuple: c, Estimate: e})
 		}
 		return out, total, nil
-	}
-	endCompile := engine.TraceFrom(ctx).StartSpan("compile")
-	mp := in.multiPred(q)
-	tuples := mp.Tuples()
-	if len(tuples) == 0 {
-		endCompile()
-		return nil, Accounting{}, nil
 	}
 	newSubset := in.subsetDrawer(mode)
 	endCompile()
@@ -974,7 +991,7 @@ var TrustWeights = core.TrustWeights
 // Approximate counterpart with a guarantee; use SampleWeighted on the
 // core instance for heuristic estimation.
 func (in *Instance) ExactProbabilityWeighted(weights WeightFn, singleton bool, q *Query, c Tuple, limit int) (*big.Rat, error) {
-	return in.inner.ProbWeighted(weights, singleton, limit, in.inner.EntailPred(q, c))
+	return in.inner.ProbWeighted(weights, singleton, limit, in.inner.TargetPred(q, c))
 }
 
 // SemanticsWeighted computes the exact repair distribution of a

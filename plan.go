@@ -120,11 +120,6 @@ type QueryPlan struct {
 	Cached bool `json:"cached,omitempty"`
 }
 
-// upsilon1For is the DKLR stopping-rule threshold the engine runs on.
-func upsilon1For(eps, delta float64) float64 {
-	return 1 + (1+eps)*4*(math.E-2)*math.Log(2/delta)/(eps*eps)
-}
-
 // saturatingDraws converts a float worst-case bound to int64, clamping
 // non-finite or oversized values to the maxPlanDraws sentinel.
 func saturatingDraws(n float64) int64 {
@@ -187,7 +182,7 @@ func (in *Instance) PlanApproximate(mode Mode, q *Query, c Tuple, single bool, o
 		// (ε/S, δ/S) stopping rule; S is the most strata one target holds.
 		plan.Route = RouteDeltaStratified
 		plan.MaxSamples = opts.MaxSamples
-		plan.Upsilon1 = upsilon1For(opts.Epsilon/float64(r.strata), opts.Delta/float64(r.strata))
+		plan.Upsilon1 = engine.Upsilon1(opts.Epsilon/float64(r.strata), opts.Delta/float64(r.strata))
 		// Coarse worst case across the S strata; warm runs that reuse
 		// carried statistics stop far below it.
 		if plan.PMin <= 0 {
@@ -209,8 +204,7 @@ func (in *Instance) PlanApproximate(mode Mode, q *Query, c Tuple, single bool, o
 			plan.BudgetCapped = true
 			return plan, nil
 		}
-		raw := 3 * math.Log(2/opts.Delta) / (opts.Epsilon * opts.Epsilon * plan.PMin)
-		plan.RequiredDraws = saturatingDraws(raw)
+		plan.RequiredDraws = saturatingDraws(fpras.ChernoffBound(opts.Epsilon, opts.Delta, plan.PMin))
 		// The fixed-sample construction ignores MaxSamples; predicted
 		// draws are exactly the Chernoff count the run will perform
 		// (saturating only at the int32 cap ChernoffSamples itself has).
@@ -225,11 +219,7 @@ func (in *Instance) PlanApproximate(mode Mode, q *Query, c Tuple, single bool, o
 		// draws; 2× margin), phase 2 spends 2·⌈Υ₂ε/μ̂⌉ with μ̂ ≥ μ/2
 		// w.h.p. (≤ 4Υ₂ε/pmin), and phase 3 Υ₂·ρ̂/μ̂² ≤ 8Υ₂/pmin for
 		// Bernoulli targets (σ² ≤ μ, μ̂² ≥ μ²/4).
-		eps1 := math.Min(0.5, math.Sqrt(opts.Epsilon))
-		ups1 := 1 + (1+eps1)*4*(math.E-2)*math.Log(3/opts.Delta)/(eps1*eps1)
-		ups := 4 * (math.E - 2) * math.Log(3/opts.Delta) / (opts.Epsilon * opts.Epsilon)
-		ups2 := 2 * (1 + math.Sqrt(opts.Epsilon)) * (1 + 2*math.Sqrt(opts.Epsilon)) *
-			(1 + math.Log(1.5)/math.Log(3/opts.Delta)) * ups
+		ups1, ups2 := engine.AAThresholds(opts.Epsilon, opts.Delta)
 		plan.Upsilon1 = ups1
 		if plan.PMin <= 0 {
 			plan.RequiredDraws = maxPlanDraws
@@ -255,7 +245,7 @@ func (in *Instance) PlanApproximate(mode Mode, q *Query, c Tuple, single bool, o
 			plan.Route = RouteSharedMultiDKLR
 		}
 		plan.MaxSamples = opts.MaxSamples
-		plan.Upsilon1 = upsilon1For(opts.Epsilon, opts.Delta)
+		plan.Upsilon1 = engine.Upsilon1(opts.Epsilon, opts.Delta)
 		// Worst case for any positive target: the rule stops within
 		// ~Υ₁/p draws, and the FPRAS cells guarantee p ≥ pmin. The
 		// shared multi pass stops when its slowest target does, so the
